@@ -19,7 +19,7 @@ from pathlib import Path
 from .automaton import export_dot, export_json_dict
 from .errors import DtlmonError
 from .logic import formula_text, load_formula
-from .model import Pomdp, RandomActionPolicy, load_model, save_model, simulate
+from .model import Pomdp, RandomActionPolicy, load_json, load_model, save_model, simulate
 from .monitor import (
     DEFAULT_ORACLE_CAP,
     acceptance_probability,
@@ -62,8 +62,7 @@ def _default_seed() -> int:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return load_json(path, "config")
 
 
 def _rescue_params(config: dict) -> RescueParams:

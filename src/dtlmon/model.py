@@ -34,7 +34,7 @@ class Belief:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ModelError("belief must be a nonempty 1-d vector")
-        if (arr < 0).any():
+        if not (arr >= 0).all():  # written so that NaN fails too
             raise ModelError("belief entries must be nonnegative")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -115,7 +115,7 @@ class Pomdp:
         self.trans: dict[tuple[int, int, int], float] = {}
         for (s, a, s2), p in trans.items():
             p = float(p)
-            if p < 0 or p > 1 + SUM_TOL:
+            if not 0 <= p <= 1 + SUM_TOL:  # written so that NaN fails too
                 raise ModelError(f"transition probability {p!r} outside [0, 1]")
             if p == 0.0:
                 continue
@@ -128,7 +128,7 @@ class Pomdp:
         self.obs_model: dict[tuple[int, int, int], float] = {}
         for (s2, a, o), p in obs_model.items():
             p = float(p)
-            if p < 0 or p > 1 + SUM_TOL:
+            if not 0 <= p <= 1 + SUM_TOL:
                 raise ModelError(f"observation probability {p!r} outside [0, 1]")
             if p == 0.0:
                 continue
@@ -271,9 +271,17 @@ class Pomdp:
             raise ModelError(f"malformed model document: {exc}") from exc
 
 
-def load_model(path) -> Pomdp:
+def load_json(path, kind: str):
+    """Parse a JSON file; malformed content raises ``ModelError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return Pomdp.from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ModelError(f"malformed {kind} file {str(path)!r}: {exc}") from exc
+
+
+def load_model(path) -> Pomdp:
+    return Pomdp.from_json_dict(load_json(path, "model"))
 
 
 def save_model(pomdp: Pomdp, path) -> None:

@@ -18,6 +18,11 @@ satisfying paths is a forward dynamic program over (hidden state, DFA
 state) pairs rather than an enumeration of the path tree.  A brute-force
 enumeration oracle is kept alongside as an independent cross-check.
 
+Both stages read the same per-step belief-predicate signatures, computed
+once per execution by the formula's compiled ``BeliefPredicates``;
+``region_signature`` is the per-belief reference they agree with bit for
+bit.
+
 Boundary rule: a belief predicate with value exactly zero does not hold,
 so floating-point grazing of thresholds resolves deterministically.
 """
@@ -25,6 +30,7 @@ so floating-point grazing of thresholds resolves deterministically.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -34,23 +40,29 @@ import numpy as np
 from .automaton import Dfa, PropAtom, dfa_accepts, formula_to_dfa
 from .errors import AllZero, CapExceeded, InconsistentState, ModelError
 from .logic import (
+    Add,
     And,
     Atom,
     BeliefAtom,
     BeliefExpr,
+    Callback,
+    Const,
+    EntropyBits,
     Eventually,
     Formula,
+    Mul,
     Neg,
     Next,
     Or,
     Prob,
     StateAtom,
+    Sub,
     Until,
     belief_expr_text,
     eval_belief_expr,
     semantics_eval,
 )
-from .model import Belief, Execution, Pomdp, filter_run
+from .model import Belief, Execution, Pomdp, entropy_bits, filter_run, load_json
 
 # -- proposition maps ---------------------------------------------------------
 
@@ -187,6 +199,107 @@ def region_signature(belief: Belief, maps: PropositionMaps) -> RegionSignature:
     return sig
 
 
+_BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+# From this many cells on, numpy sums a row pairwise in eight lanes, so the
+# zero terms of empty cells would regroup the sum; below it the sum is a
+# left fold, where adding zeros changes no bit.
+_PAIRWISE_CELLS = 8
+
+
+def _entropy_rows(masses: np.ndarray) -> np.ndarray:
+    """``entropy_bits`` of each row of a C-contiguous cell-mass matrix."""
+    if masses.shape[1] >= _PAIRWISE_CELLS:
+        return np.array([entropy_bits(row) for row in masses])
+    terms = masses * np.log2(np.where(masses > 0, masses, 1.0))
+    return -terms.sum(axis=1) + 0.0
+
+
+class BeliefPredicates:
+    """Belief expressions compiled for evaluation over a whole execution.
+
+    Every distinct ``P(A)`` index set and ``H(F)`` cell becomes one mass
+    column.  The masses of all beliefs come from one gather per distinct
+    set size, and each expression is then a few array operations over the
+    beliefs.  Values are bit-identical to ``eval_belief_expr`` on each
+    belief: a set mass is reduced along a C-contiguous last axis, which
+    sums in the order of the 1-d ``probs[idx].sum()``, and ``Callback``
+    runs once per belief.
+    """
+
+    def __init__(self, exprs: Sequence[BeliefExpr]):
+        self._columns: dict[tuple[int, ...], int] = {}
+        self._prob_indices: set[int] = set()
+        self._programs = [self._compile(e) for e in exprs]
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for key in self._columns:
+            by_size.setdefault(len(key), []).append(key)
+        self._gathers = [
+            (
+                size,
+                np.array([self._columns[k] for k in keys], dtype=np.intp),
+                np.array([i for k in keys for i in k], dtype=np.intp),
+            )
+            for size, keys in sorted(by_size.items())
+        ]
+
+    def _column(self, indices: tuple[int, ...]) -> int:
+        return self._columns.setdefault(indices, len(self._columns))
+
+    def _compile(self, expr: BeliefExpr):
+        """Closure mapping (masses, beliefs) to the expression's values."""
+        if isinstance(expr, Const):
+            value = expr.value
+            return lambda masses, beliefs: value
+        if isinstance(expr, Prob):
+            # Sorted like ``marginal_prob``, so the summation order matches.
+            col = self._column(tuple(sorted(expr.indices)))
+            self._prob_indices.update(expr.indices)
+            return lambda masses, beliefs: masses[:, col]
+        if isinstance(expr, EntropyBits):
+            # Cells keep their own order, like ``marginal_dist``.
+            cols = np.array([self._column(tuple(c)) for c in expr.cells], dtype=np.intp)
+            return lambda masses, beliefs: _entropy_rows(np.ascontiguousarray(masses[:, cols]))
+        if isinstance(expr, Callback):
+            fn = expr.fn
+            return lambda masses, beliefs: np.array([float(fn(b)) for b in beliefs])
+        if isinstance(expr, Neg):
+            operand = self._compile(expr.operand)
+            return lambda masses, beliefs: -operand(masses, beliefs)
+        if type(expr) in _BINARY_OPS:
+            op = _BINARY_OPS[type(expr)]
+            left, right = self._compile(expr.left), self._compile(expr.right)
+            return lambda masses, beliefs: op(left(masses, beliefs), right(masses, beliefs))
+        raise TypeError(f"not a belief expression: {expr!r}")
+
+    def values(self, beliefs: Sequence[Belief]) -> np.ndarray:
+        """Expression values: row j holds expression j on every belief."""
+        probs = np.stack([b.probs for b in beliefs])
+        rows, num_states = probs.shape
+        if self._prob_indices and not (
+            min(self._prob_indices) >= 0 and max(self._prob_indices) < num_states
+        ):
+            raise ModelError("state set out of range")
+        masses = np.empty((rows, len(self._columns)))
+        for size, cols, idx in self._gathers:
+            gathered = np.ascontiguousarray(probs[:, idx])
+            masses[:, cols] = gathered.reshape(rows, len(cols), size).sum(axis=2)
+        out = np.empty((len(self._programs), rows))
+        for j, program in enumerate(self._programs):
+            out[j] = program(masses, beliefs)
+        return out
+
+    def signatures(self, beliefs: Sequence[Belief]) -> list[RegionSignature]:
+        """``region_signature`` of every belief, from one evaluation."""
+        packed = np.packbits(self.values(beliefs) < 0, axis=0, bitorder="little")
+        width = packed.shape[0]
+        data = packed.T.tobytes()
+        return [
+            int.from_bytes(data[r * width : (r + 1) * width], "little")
+            for r in range(len(beliefs))
+        ]
+
+
 def _to_prop_formula(formula: Formula, maps: PropositionMaps, relax_states: bool):
     """Map atoms to propositions.  With ``relax_states`` every hidden-state
     atom goes through its relaxed belief proposition (feasibility skeleton);
@@ -220,14 +333,16 @@ def _to_prop_formula(formula: Formula, maps: PropositionMaps, relax_states: bool
 
 
 class CompiledMonitor:
-    """Formula artifacts shared across executions: proposition maps plus the
-    feasibility DFA (belief propositions only) and the acceptance DFA
-    (belief and state propositions)."""
+    """Formula artifacts shared across executions: proposition maps, the
+    compiled belief predicates, the feasibility DFA (belief propositions
+    only) and the acceptance DFA (belief and state propositions)."""
 
     def __init__(self, formula: Formula):
         self.formula = formula
         self.maps = PropositionMaps(formula)
+        self.predicates = BeliefPredicates(self.maps.belief_props)
         names = self.maps.prop_names()
+        self.prop_names: tuple[str, ...] = tuple(names)
         self.feasibility_dfa: Dfa = formula_to_dfa(
             _to_prop_formula(relax(formula), self.maps, relax_states=True),
             self.maps.num_belief_props,
@@ -240,9 +355,14 @@ class CompiledMonitor:
         )
 
 
-@lru_cache(maxsize=None)
+COMPILE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
 def compile_monitor(formula: Formula) -> CompiledMonitor:
-    """Cached compilation; formulas are immutable so reuse is safe."""
+    """Cached compilation; formulas are immutable so reuse is safe.  The
+    cache is bounded, so a long sweep over formulas (or ``Callback``
+    formulas, which hash by function identity) does not grow without end."""
     return CompiledMonitor(formula)
 
 
@@ -276,20 +396,22 @@ def feasibility_check(
     signatures of the recorded beliefs.  Returns the verdict and the
     per-step sets of satisfied belief propositions.
     """
-    comp = compile_monitor(formula)
-    return _feasibility(comp, pomdp, exec)
+    ok, labels, _ = _feasibility(compile_monitor(formula), pomdp, exec)
+    return ok, labels
 
 
 def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
+    """Relaxed verdict, per-step labels, and the per-step signatures they
+    come from, which the acceptance dynamic program reuses."""
     for b in exec.beliefs:
         if len(b) != pomdp.num_states:
             raise ModelError("execution beliefs do not match the model dimension")
-    sigs = [region_signature(b, comp.maps) for b in exec.beliefs]
+    sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.feasibility_dfa, sigs)
     labels = tuple(
         frozenset(j for j in range(comp.maps.num_belief_props) if (sig >> j) & 1) for sig in sigs
     )
-    return ok, labels
+    return ok, labels, sigs
 
 
 # -- smoothing ------------------------------------------------------------------
@@ -340,24 +462,21 @@ def path_transition(pomdp: Pomdp, bl: BackwardLikelihoods, i: int, s: int, s2: i
     Rows sum to one over ``s2`` for any state with positive backward
     likelihood, by the backward recurrence.
     """
-    denom = float(bl.values[i][s])
-    if denom == 0.0:
+    return float(_path_transition_rows(pomdp, bl, i, [s])[0, s2])
+
+
+def _path_transition_rows(
+    pomdp: Pomdp, bl: BackwardLikelihoods, i: int, states: Sequence[int]
+) -> np.ndarray:
+    """Smoothed transition rows at time i, one per state in ``states``."""
+    denom = bl.values[i][states]
+    if not denom.all():
+        s = states[int(np.flatnonzero(denom == 0.0)[0])]
         raise InconsistentState(
             f"state {pomdp.state_names[s]!r} cannot produce the remaining observations"
         )
     a, o = bl.actions[i], bl.observations[i]
-    numer = pomdp.obs_mat[a][s2, o] * bl.values[i + 1][s2] * pomdp.trans_mat[a][s, s2]
-    return float(numer / denom)
-
-
-def _path_transition_row(pomdp: Pomdp, bl: BackwardLikelihoods, i: int, s: int) -> np.ndarray:
-    denom = float(bl.values[i][s])
-    if denom == 0.0:
-        raise InconsistentState(
-            f"state {pomdp.state_names[s]!r} cannot produce the remaining observations"
-        )
-    a, o = bl.actions[i], bl.observations[i]
-    return pomdp.trans_mat[a][s] * pomdp.obs_mat[a][:, o] * bl.values[i + 1] / denom
+    return pomdp.trans_mat[a][states] * pomdp.obs_mat[a][:, o] * bl.values[i + 1] / denom[:, None]
 
 
 # -- acceptance probability --------------------------------------------------------
@@ -397,8 +516,8 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     with the state propositions s satisfies.
     """
     comp = compile_monitor(formula)
-    feasible, labels = _feasibility(comp, pomdp, exec)
-    legend = comp.maps.prop_names()
+    feasible, labels, sigs = _feasibility(comp, pomdp, exec)
+    legend = list(comp.prop_names)
     if not feasible:
         return MonitorReport(
             False,
@@ -409,7 +528,6 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
 
     bl = backward_likelihoods(pomdp, exec.actions, exec.observations)
     alpha0 = smoothed_initial(pomdp, bl)
-    sigs = [region_signature(b, comp.maps) for b in exec.beliefs]
     sbits = comp.maps.state_bits(pomdp.num_states)
     dfa = comp.acceptance_dfa
     t = exec.horizon
@@ -424,19 +542,22 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     dp_pairs = len(mass)
 
     for i in range(t):
-        rows = {s: _path_transition_row(pomdp, bl, i, s) for s in path_counts}
+        live = list(path_counts)
+        rows = _path_transition_rows(pomdp, bl, i, live)
+        # Successors with their probabilities, in ascending successor order.
+        steps: dict[int, list[tuple[int, float]]] = {s: [] for s in live}
+        r_idx, s2_idx = np.nonzero(rows)
+        for r, s2, p in zip(r_idx.tolist(), s2_idx.tolist(), rows[r_idx, s2_idx].tolist()):
+            steps[live[r]].append((s2, p))
+        letter = sigs[i + 1]
         next_mass: dict[tuple[int, int], float] = {}
         next_counts: dict[int, int] = {}
         for (s, q), m in mass.items():
-            row = rows[s]
-            for s2 in np.nonzero(row)[0]:
-                s2 = int(s2)
-                q2 = dfa.transition(q, sigs[i + 1] | sbits[s2])
-                key = (s2, q2)
-                next_mass[key] = next_mass.get(key, 0.0) + m * float(row[s2])
+            for s2, p in steps[s]:
+                key = (s2, dfa.transition(q, letter | sbits[s2]))
+                next_mass[key] = next_mass.get(key, 0.0) + m * p
         for s, c in path_counts.items():
-            for s2 in np.nonzero(rows[s])[0]:
-                s2 = int(s2)
+            for s2, _ in steps[s]:
                 next_counts[s2] = next_counts.get(s2, 0) + c
         mass = next_mass
         path_counts = next_counts
@@ -497,7 +618,7 @@ def acceptance_probability_oracle(
         s = path[-1]
         row = rows[i].get(s)
         if row is None:
-            row = _path_transition_row(pomdp, bl, i, s)
+            row = _path_transition_rows(pomdp, bl, i, [s])[0]
             rows[i][s] = row
         for s2 in np.nonzero(row)[0]:
             s2 = int(s2)
@@ -514,9 +635,7 @@ def load_trace(pomdp: Pomdp, path) -> Execution:
     Beliefs are recomputed with the filter; when the file carries its own
     beliefs they are cross-checked entry by entry.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return execution_from_json_dict(pomdp, doc)
+    return execution_from_json_dict(pomdp, load_json(path, "trace"))
 
 
 def execution_from_json_dict(pomdp: Pomdp, doc) -> Execution:

@@ -101,6 +101,29 @@ class TestCheck:
         assert main(["check", "--trace", str(trace)]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_truncated_model_file_exits_one(self, mht_dir, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_text((mht_dir / "model.json").read_text()[:200])
+        code = main(
+            [
+                "check",
+                "--model", str(model),
+                "--formula", str(mht_dir / "formula.dtl"),
+                "--trace", str(mht_dir / "reference_trace.json"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_truncated_trace_file_exits_one(self, mht_dir, tmp_path, capsys):
+        trace = tmp_path / "bad_trace.json"
+        trace.write_text((mht_dir / "reference_trace.json").read_text()[:50])
+        code = main(["check", "--casestudy", "mht", "--trace", str(trace)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSimulate:
     def test_writes_csv_and_summary(self, tmp_path):

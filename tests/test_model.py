@@ -47,6 +47,10 @@ class TestBelief:
         with pytest.raises(ModelError):
             Belief(np.array([0.5, 0.4]))
 
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ModelError):
+            Belief(np.array([math.nan, 1.0]))
+
     def test_is_read_only(self):
         b = Belief(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
@@ -256,6 +260,22 @@ class TestValidation:
                 ["a"], ["go"], ["x", "y"], [1.0],
                 {("a", "go", "a"): 1.0},
                 {("a", "go", "x"): 0.7},
+            )
+
+    def test_nan_transition_probability(self):
+        with pytest.raises(ModelError):
+            Pomdp(
+                ["a", "b"], ["go"], ["x"], [1.0, 0.0],
+                {("a", "go", "a"): math.nan, ("a", "go", "b"): 1.0, ("b", "go", "b"): 1.0},
+                {("a", "go", "x"): 1.0, ("b", "go", "x"): 1.0},
+            )
+
+    def test_nan_observation_probability(self):
+        with pytest.raises(ModelError):
+            Pomdp(
+                ["a"], ["go"], ["x", "y"], [1.0],
+                {("a", "go", "a"): 1.0},
+                {("a", "go", "x"): 1.0, ("a", "go", "y"): math.nan},
             )
 
     def test_missing_factor_tag(self):

@@ -11,6 +11,7 @@ from dtlmon.model import Belief, Execution, execution_from_actions, marginal_pro
 from dtlmon.monitor import (
     PropositionMaps,
     acceptance_probability,
+    compile_monitor,
     acceptance_probability_oracle,
     backward_likelihoods,
     execution_from_json_dict,
@@ -296,6 +297,16 @@ class TestAcceptanceProbability:
                 assert label == frozenset(
                     j for j in range(maps.num_belief_props) if (sig >> j) & 1
                 )
+
+    def test_evicted_formula_recompiles_to_identical_report(self, mht):
+        pomdp, formula = mht
+        execution = mht_reference_trace(pomdp)
+        first = compile_monitor(formula)
+        before = acceptance_probability(pomdp, formula, execution).to_json_dict()
+        for k in range(compile_monitor.cache_info().maxsize):
+            compile_monitor(BeliefAtom(Const(-1.0 - k)))
+        assert compile_monitor(formula) is not first
+        assert acceptance_probability(pomdp, formula, execution).to_json_dict() == before
 
     def test_report_json_shape(self, mht):
         pomdp, formula = mht

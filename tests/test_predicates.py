@@ -1,0 +1,165 @@
+"""Compiled belief predicates against the reference evaluator, bit for bit."""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtlmon.logic import (
+    Add,
+    Callback,
+    Const,
+    EntropyBits,
+    Mul,
+    Neg,
+    Prob,
+    Sub,
+    eval_belief_expr,
+)
+from dtlmon.model import Belief, simulate
+from dtlmon.monitor import (
+    BeliefPredicates,
+    PropositionMaps,
+    acceptance_probability,
+    region_signature,
+)
+from dtlmon.studies import build_rescue, policy_entropy_cutoff, policy_time_share, trial_seed
+
+from helpers import random_cosafe_formula, random_execution, random_pomdp
+
+MAX_STATES = 16
+
+
+def _first_mass_minus_half(belief):
+    return belief[0] - 0.5
+
+
+FIRST_MASS = Callback("first_mass", _first_mass_minus_half)
+
+
+@st.composite
+def beliefs(draw, num_states):
+    """Normalized belief vectors with some exactly-zero entries."""
+    rows = draw(st.integers(1, 6))
+    out = []
+    for _ in range(rows):
+        weights = draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+                min_size=num_states,
+                max_size=num_states,
+            )
+        )
+        weights[draw(st.integers(0, num_states - 1))] = 1.0
+        arr = np.array(weights)
+        out.append(Belief(arr / arr.sum()))
+    return out
+
+
+@st.composite
+def cells(draw, num_states):
+    """A partition of the states in a random order, possibly with empty cells."""
+    count = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(num_states)))
+    assign = draw(st.lists(st.integers(0, count - 1), min_size=num_states, max_size=num_states))
+    return tuple(tuple(s for s in order if assign[s] == k) for k in range(count))
+
+
+def belief_exprs(num_states):
+    states = range(num_states)
+    leaves = st.one_of(
+        st.floats(-2.0, 2.0).map(Const),
+        st.frozensets(st.sampled_from(states)).map(lambda ix: Prob("A", ix)),
+        st.just(Prob("all", frozenset(states))),
+        cells(num_states).map(lambda c: EntropyBits("F", c)),
+        st.just(FIRST_MASS),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(Neg),
+            st.tuples(inner, inner).map(lambda t: Add(*t)),
+            st.tuples(inner, inner).map(lambda t: Sub(*t)),
+            st.tuples(inner, inner).map(lambda t: Mul(*t)),
+        ),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def cases(draw):
+    num_states = draw(st.integers(1, MAX_STATES))
+    exprs = draw(st.lists(belief_exprs(num_states), min_size=1, max_size=5))
+    return exprs, draw(beliefs(num_states))
+
+
+def bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+@settings(deadline=None, max_examples=300)
+@given(cases())
+def test_values_bit_identical_to_reference(case):
+    exprs, bels = case
+    values = BeliefPredicates(exprs).values(bels)
+    assert values.shape == (len(exprs), len(bels))
+    for j, expr in enumerate(exprs):
+        for r, belief in enumerate(bels):
+            assert bits(values[j, r]) == bits(eval_belief_expr(expr, belief)), (expr, r)
+
+
+def test_fixed_shapes_bit_identical():
+    # Pin the cases the property is meant to cover: empty, full and
+    # 8-or-more-element sets, entropies on both sides of the pairwise
+    # threshold with zero-mass cells, and a callback.
+    rng = np.random.default_rng(3)
+    n = 12
+    probs = rng.random((5, n)) * (rng.random((5, n)) > 0.3)
+    probs[:, 0] += 0.1
+    bels = [Belief(row / row.sum()) for row in probs]
+    few = tuple((i, i + 1, i + 2) for i in range(0, n, 3))
+    many = tuple((i,) for i in range(n)) + ((),)
+    exprs = [
+        Prob("none", frozenset()),
+        Neg(Prob("none", frozenset())),
+        Prob("all", frozenset(range(n))),
+        Sub(Const(0.9), Prob("nine", frozenset(range(1, 10)))),
+        EntropyBits("few", few),
+        EntropyBits("many", many),
+        Mul(Add(EntropyBits("many", many), Const(-1.5)), Neg(FIRST_MASS)),
+    ]
+    values = BeliefPredicates(exprs).values(bels)
+    for j, expr in enumerate(exprs):
+        for r, belief in enumerate(bels):
+            assert bits(values[j, r]) == bits(eval_belief_expr(expr, belief))
+
+
+def _labels_from_signatures(formula, execution):
+    maps = PropositionMaps(formula)
+    return tuple(
+        frozenset(j for j in range(maps.num_belief_props) if (sig >> j) & 1)
+        for sig in (region_signature(b, maps) for b in execution.beliefs)
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 10**9))
+def test_step_labels_match_region_signature(seed):
+    rng = random.Random(seed)
+    pomdp = random_pomdp(rng)
+    formula = random_cosafe_formula(rng, pomdp)
+    execution = random_execution(pomdp, rng)
+    report = acceptance_probability(pomdp, formula, execution)
+    assert report.step_labels == _labels_from_signatures(formula, execution)
+
+
+def test_rescue_near_ties_match_region_signature():
+    # The rescue thresholds sit within 1e-16 of zero on many steps, so any
+    # change in summation order would show up here.
+    pomdp, formula = build_rescue()
+    for policy in (policy_time_share(3), policy_entropy_cutoff(0.3, 0.3, 2)):
+        for k in range(25):
+            _, execution = simulate(pomdp, policy, 16, trial_seed(2024, k))
+            report = acceptance_probability(pomdp, formula, execution)
+            assert report.step_labels == _labels_from_signatures(formula, execution)
