@@ -85,7 +85,9 @@ def _options(phi: PropFormula, letter: int, memo: dict) -> frozenset:
 
 
 class Dfa:
-    """Deterministic, total automaton over letters in ``range(2**num_props)``.
+    """Deterministic, total automaton over letters in ``range(2**num_props)``
+    accepting exactly the finite words (length >= 1 needed for acceptance)
+    that satisfy the co-safe skeleton ``phi``.
 
     States are dense integers; 0 is initial.  ``transition`` computes and
     caches successors on demand under a lock, so concurrent acceptance
@@ -194,15 +196,7 @@ class Dfa:
                     frontier.append(nxt)
 
 
-def formula_to_dfa(
-    phi: PropFormula,
-    num_props: int,
-    max_states: int = DEFAULT_STATE_CAP,
-    prop_names: Sequence[str] | None = None,
-) -> Dfa:
-    """Build a DFA accepting exactly the finite words (length >= 1 needed
-    for acceptance) that satisfy the co-safe skeleton ``phi``."""
-    return Dfa(phi, num_props, max_states=max_states, prop_names=prop_names)
+formula_to_dfa = Dfa
 
 
 def dfa_accepts(dfa: Dfa, word: Iterable[int]) -> bool:

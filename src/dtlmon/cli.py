@@ -11,15 +11,14 @@ inputs and seeds.  Exit codes: 0 ok, 1 error, 2 infeasible under
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .automaton import export_dot, export_json_dict
-from .errors import DtlmonError
+from .errors import DtlmonError, ModelError
 from .logic import formula_text, load_formula
-from .model import Pomdp, RandomActionPolicy, load_json, load_model, save_model, simulate
+from .model import Pomdp, RandomActionPolicy, load_json, load_model, save_json, save_model, simulate
 from .monitor import (
     DEFAULT_ORACLE_CAP,
     acceptance_probability,
@@ -29,6 +28,7 @@ from .monitor import (
     save_trace,
 )
 from .studies import (
+    MhtThresholdPolicy,
     RescueParams,
     StudyStats,
     TrialRecord,
@@ -37,10 +37,9 @@ from .studies import (
     mht_reference_trace,
     mht_success_fn,
     monte_carlo,
-    policy_entropy_cutoff,
-    policy_mht_threshold,
-    policy_time_share,
+    rescue_policies,
     rescue_success_fn,
+    run_rescue_study,
 )
 
 SEED_ENV_VAR = "DTLMON_SEED"
@@ -53,6 +52,9 @@ ORACLE_AGREEMENT_TOL = 1e-9
 
 MHT_DEFAULTS = {"p1": 0.25, "p2": 0.5, "p3": 0.75, "h": 0.8}
 
+# Config keys passed on to ``studies.rescue_policies``.
+RESCUE_POLICY_KEYS = ("share_a", "h3", "h4", "rho")
+
 
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
@@ -62,26 +64,42 @@ def _default_seed() -> int:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    return load_json(path, "config")
+    config = load_json(path, "config")
+    if not isinstance(config, dict):
+        raise ModelError(f"config file {path!r} must hold a JSON object")
+    return config
+
+
+def _numbers(config: dict, keys) -> dict:
+    """The config's entries for ``keys``, each of which must be a number."""
+    picked = {k: config[k] for k in keys if k in config}
+    for k, v in picked.items():
+        if not isinstance(v, (int, float)):
+            raise ModelError(f"config value {k!r} must be a number, not {v!r}")
+    return picked
 
 
 def _rescue_params(config: dict) -> RescueParams:
-    fields = {k: config[k] for k in RescueParams.__dataclass_fields__ if k in config}
-    return RescueParams(**fields)
+    return RescueParams(**_numbers(config, RescueParams.__dataclass_fields__))
+
+
+def _mht_settings(config: dict) -> dict:
+    return {**MHT_DEFAULTS, **_numbers(config, MHT_DEFAULTS)}
+
+
+def _build_study(study: str, config: dict):
+    """Model and formula of a bundled study, with the config's overrides."""
+    if study == "mht":
+        return build_mht(**_mht_settings(config), eventually=config.get("eventually", False))
+    return build_rescue(
+        _rescue_params(config), prior_mode=config.get("prior_mode", "safe_somewhere")
+    )
 
 
 def _resolve_model_formula(args, config: dict):
     """Model and formula from --casestudy or from explicit files."""
     if getattr(args, "casestudy", None):
-        if args.casestudy == "mht":
-            m = {**MHT_DEFAULTS, **{k: config[k] for k in MHT_DEFAULTS if k in config}}
-            pomdp, formula = build_mht(
-                m["p1"], m["p2"], m["p3"], m["h"], eventually=config.get("eventually", False)
-            )
-        else:
-            pomdp, formula = build_rescue(
-                _rescue_params(config), prior_mode=config.get("prior_mode", "safe_somewhere")
-            )
+        pomdp, formula = _build_study(args.casestudy, config)
         if getattr(args, "formula", None):
             formula = load_formula(args.formula, pomdp)
         return pomdp, formula
@@ -91,12 +109,6 @@ def _resolve_model_formula(args, config: dict):
     if not getattr(args, "formula", None):
         raise DtlmonError("--formula is required with --model")
     return pomdp, load_formula(args.formula, pomdp)
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 # -- check -------------------------------------------------------------------------
@@ -123,7 +135,7 @@ def cmd_check(args) -> int:
     if args.oracle:
         print(f"oracle probability: {doc['oracle_probability']!r}")
     if args.report:
-        _write_json(Path(args.report), doc)
+        save_json(doc, args.report)
     if args.strict and not report.feasible:
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -134,16 +146,11 @@ def cmd_check(args) -> int:
 
 def _build_policy(args, config: dict):
     name = args.policy
-    if name == "timeshare":
-        p = _rescue_params(config)
-        return policy_time_share(config.get("share_a", 3), p.p1, p.p2)
-    if name == "entropy-cutoff":
-        p = _rescue_params(config)
-        return policy_entropy_cutoff(
-            config.get("h3", 0.3), config.get("h4", 0.3), config.get("rho", 2), p.p1, p.p2
-        )
+    if name in ("timeshare", "entropy-cutoff"):
+        policies = rescue_policies(_rescue_params(config), **_numbers(config, RESCUE_POLICY_KEYS))
+        return policies[name.replace("-", "_")]
     if name == "mht-threshold":
-        return policy_mht_threshold(config.get("h", MHT_DEFAULTS["h"]))
+        return MhtThresholdPolicy(_mht_settings(config)["h"])
     if name == "random":
         return RandomActionPolicy()
     raise DtlmonError(f"unknown policy {name!r}")
@@ -169,24 +176,26 @@ def _entropy_factor(args, pomdp: Pomdp) -> str:
     raise DtlmonError("the model defines no factors; pass --entropy-factor")
 
 
-def _records_csv(records: list[TrialRecord]) -> str:
+def _write_results(
+    out: Path, args, label: str, records: list[TrialRecord], stats: StudyStats
+) -> None:
+    """One policy's per-trial CSV and summary JSON."""
     lines = ["trial,seed,probability,entropy_bits,success"]
     for r in records:
         lines.append(
             f"{r.trial},{r.seed},{r.probability!r},{r.terminal_entropy_bits!r},"
             f"{str(r.success).lower()}"
         )
-    return "\n".join(lines) + "\n"
-
-
-def _summary_doc(args, label: str, stats: StudyStats) -> dict:
-    return {
+    with open(out / f"{label}_trials.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    summary = {
         "policy": label,
         "trials": args.trials,
         "horizon": args.horizon,
         "master_seed": args.seed,
         **stats.to_json_dict(),
     }
+    save_json(summary, out / f"{label}_summary.json")
 
 
 def cmd_simulate(args) -> int:
@@ -206,9 +215,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     label = args.policy
-    with open(out / f"{label}_trials.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_records_csv(records))
-    _write_json(out / f"{label}_summary.json", _summary_doc(args, label, stats))
+    _write_results(out, args, label, records, stats)
     if args.dump_traces:
         for record in records:
             _, execution = simulate(pomdp, policy, args.horizon, record.seed)
@@ -236,7 +243,7 @@ def cmd_compile(args) -> int:
             fh.write(export_dot(dfa))
         print(f"wrote {args.dot}")
     if args.json:
-        _write_json(Path(args.json), export_json_dict(dfa))
+        save_json(export_json_dict(dfa), args.json)
         print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -254,10 +261,7 @@ def cmd_casestudy(args) -> int:
 
 
 def _casestudy_mht(args, out: Path, config: dict) -> int:
-    m = {**MHT_DEFAULTS, **{k: config[k] for k in MHT_DEFAULTS if k in config}}
-    pomdp, formula = build_mht(
-        m["p1"], m["p2"], m["p3"], m["h"], eventually=config.get("eventually", False)
-    )
+    pomdp, formula = _build_study("mht", config)
     save_model(pomdp, out / "model.json")
     with open(out / "formula.dtl", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# commit to the most likely coin once the hypothesis entropy is low\n")
@@ -267,7 +271,7 @@ def _casestudy_mht(args, out: Path, config: dict) -> int:
     report = acceptance_probability(pomdp, formula, execution)
     doc = report.to_json_dict()
     doc["oracle_probability"] = acceptance_probability_oracle(pomdp, formula, execution)
-    _write_json(out / "reference_report.json", doc)
+    save_json(doc, out / "reference_report.json")
     print(f"reference trace feasible: {report.feasible}")
     print(f"reference trace probability: {report.probability!r}")
     print(f"wrote {out}")
@@ -275,38 +279,32 @@ def _casestudy_mht(args, out: Path, config: dict) -> int:
 
 
 def _casestudy_rescue(args, out: Path, config: dict) -> int:
-    params = _rescue_params(config)
     prior_mode = config.get("prior_mode", "safe_somewhere")
-    pomdp, formula = build_rescue(params, prior_mode=prior_mode)
-    save_model(pomdp, out / "model.json")
+    study = run_rescue_study(
+        args.trials,
+        args.horizon,
+        args.seed,
+        _rescue_params(config),
+        prior_mode,
+        entropy_factor=config.get("entropy_factor", "env"),
+        **_numbers(config, RESCUE_POLICY_KEYS),
+    )
+    save_model(study["pomdp"], out / "model.json")
     with open(out / "formula.dtl", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# rescue duty until certainty and survivor safety\n")
-        fh.write(formula_text(formula) + "\n")
-    success = rescue_success_fn(pomdp)
-    policies = {
-        "timeshare": policy_time_share(config.get("share_a", 3), params.p1, params.p2),
-        "entropy_cutoff": policy_entropy_cutoff(
-            config.get("h3", 0.3), config.get("h4", 0.3), config.get("rho", 2),
-            params.p1, params.p2,
-        ),
-    }
+        fh.write(formula_text(study["formula"]) + "\n")
     comparison = {"trials": args.trials, "horizon": args.horizon, "master_seed": args.seed,
                   "prior_mode": prior_mode, "policies": {}}
-    for label, policy in policies.items():
-        records, stats = monte_carlo(
-            pomdp, formula, policy, args.trials, args.horizon, args.seed,
-            config.get("entropy_factor", "env"), success,
-        )
-        with open(out / f"{label}_trials.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_records_csv(records))
-        _write_json(out / f"{label}_summary.json", _summary_doc(args, label, stats))
+    for label, result in study["policies"].items():
+        stats = result["stats"]
+        _write_results(out, args, label, result["records"], stats)
         comparison["policies"][label] = stats.to_json_dict()
         print(
             f"{label}: mean probability {stats.mean_prob:.3f}, "
             f"success rate {stats.success_rate:.3f}, pearson r "
             f"{stats.pearson_r if stats.pearson_r is None else round(stats.pearson_r, 3)}"
         )
-    _write_json(out / "comparison.json", comparison)
+    save_json(comparison, out / "comparison.json")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -201,6 +201,18 @@ def atoms(formula: Formula):
         raise TypeError(f"not a formula: {formula!r}")
 
 
+def map_atoms(formula: Formula, fn: Callable):
+    """Rebuild the formula's temporal and Boolean structure with every atom
+    replaced by ``fn(atom)``."""
+    if isinstance(formula, Atom):
+        return fn(formula)
+    if isinstance(formula, (And, Or, Until)):
+        return type(formula)(map_atoms(formula.left, fn), map_atoms(formula.right, fn))
+    if isinstance(formula, (Next, Eventually)):
+        return type(formula)(map_atoms(formula.child, fn))
+    raise TypeError(f"not a formula: {formula!r}")
+
+
 def formula_text(formula: Formula) -> str:
     if isinstance(formula, StateAtom):
         body = f"in({formula.name})"
@@ -459,7 +471,11 @@ def parse_formula(text: str, symbols) -> Formula:
 
 def load_formula(path, symbols) -> Formula:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_formula(fh.read(), symbols)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormulaSyntaxError(f"formula file is not UTF-8: {exc.reason}", exc.start) from exc
+    return parse_formula(text, symbols)
 
 
 # -- finite-word semantics ---------------------------------------------------------

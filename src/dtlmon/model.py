@@ -267,7 +267,7 @@ class Pomdp:
                 named_sets=doc.get("sets", {}),
                 factors=doc.get("factors", {}),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed model document: {exc}") from exc
 
 
@@ -284,10 +284,15 @@ def load_model(path) -> Pomdp:
     return Pomdp.from_json_dict(load_json(path, "model"))
 
 
-def save_model(pomdp: Pomdp, path) -> None:
+def save_json(doc, path) -> None:
+    """Write a JSON document indented by two spaces, with a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(pomdp.to_json_dict(), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def save_model(pomdp: Pomdp, path) -> None:
+    save_json(pomdp.to_json_dict(), path)
 
 
 # -- executions ----------------------------------------------------------------
@@ -322,13 +327,27 @@ class Execution:
 
     def validate_against(self, pomdp: Pomdp, tol: float = SUM_TOL) -> None:
         """Recompute the filter and require per-entry agreement within ``tol``."""
-        recomputed = filter_run(pomdp, self.actions, self.observations)
-        for i, (got, want) in enumerate(zip(self.beliefs, recomputed)):
-            if len(got) != pomdp.num_states:
-                raise ModelError(f"belief {i} has wrong dimension")
-            err = float(np.abs(got.probs - want.probs).max())
-            if err > tol:
-                raise ModelError(f"belief {i} deviates from the filter by {err!r}")
+        check_against_filter(
+            [b.probs for b in self.beliefs],
+            filter_run(pomdp, self.actions, self.observations),
+            tol,
+        )
+
+
+def check_against_filter(
+    recorded: Iterable[np.ndarray],
+    filtered: Iterable[Belief],
+    tol: float = SUM_TOL,
+    label: str = "belief",
+) -> None:
+    """Require each recorded belief vector to match the filter's belief at the
+    same step, entry by entry within ``tol``."""
+    for i, (got, want) in enumerate(zip(recorded, filtered)):
+        if len(got) != len(want):
+            raise ModelError(f"{label} {i} has wrong dimension")
+        err = float(np.abs(got - want.probs).max())
+        if not err <= tol:  # written so that NaN fails too
+            raise ModelError(f"{label} {i} deviates from the filter by {err!r}")
 
 
 def execution_from_actions(pomdp: Pomdp, actions: Sequence, observations: Sequence) -> Execution:

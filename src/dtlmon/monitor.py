@@ -29,40 +29,44 @@ so floating-point grazing of thresholds resolves deterministically.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .automaton import Dfa, PropAtom, dfa_accepts, formula_to_dfa
+from .automaton import Dfa, PropAtom, dfa_accepts
 from .errors import AllZero, CapExceeded, InconsistentState, ModelError
 from .logic import (
     Add,
-    And,
-    Atom,
     BeliefAtom,
     BeliefExpr,
     Callback,
     Const,
     EntropyBits,
-    Eventually,
     Formula,
     Mul,
     Neg,
-    Next,
-    Or,
     Prob,
     StateAtom,
     Sub,
-    Until,
+    atoms,
     belief_expr_text,
     eval_belief_expr,
+    map_atoms,
     semantics_eval,
 )
-from .model import Belief, Execution, Pomdp, entropy_bits, filter_run, load_json
+from .model import (
+    Belief,
+    Execution,
+    Pomdp,
+    check_against_filter,
+    entropy_bits,
+    filter_run,
+    load_json,
+    save_json,
+)
 
 # -- proposition maps ---------------------------------------------------------
 
@@ -100,7 +104,7 @@ class PropositionMaps:
                 belief_index[expr] = len(belief_exprs)
                 belief_exprs.append(expr)
 
-        for atom in _iter_atoms(formula):
+        for atom in atoms(formula):
             if isinstance(atom, BeliefAtom):
                 register_belief(atom.expr)
             else:
@@ -150,39 +154,12 @@ class PropositionMaps:
         return bits
 
 
-def _iter_atoms(formula: Formula):
-    if isinstance(formula, Atom):
-        yield formula
-    elif isinstance(formula, (And, Or, Until)):
-        yield from _iter_atoms(formula.left)
-        yield from _iter_atoms(formula.right)
-    elif isinstance(formula, (Next, Eventually)):
-        yield from _iter_atoms(formula.child)
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-
-
-def build_proposition_maps(formula: Formula) -> PropositionMaps:
-    return PropositionMaps(formula)
-
-
 def relax(formula: Formula) -> Formula:
     """Replace every hidden-state atom by its positive-mass belief predicate."""
-    if isinstance(formula, StateAtom):
-        return BeliefAtom(_relaxed_atom_expr(formula))
-    if isinstance(formula, BeliefAtom):
-        return formula
-    if isinstance(formula, And):
-        return And(relax(formula.left), relax(formula.right))
-    if isinstance(formula, Or):
-        return Or(relax(formula.left), relax(formula.right))
-    if isinstance(formula, Until):
-        return Until(relax(formula.left), relax(formula.right))
-    if isinstance(formula, Next):
-        return Next(relax(formula.child))
-    if isinstance(formula, Eventually):
-        return Eventually(relax(formula.child))
-    raise TypeError(f"not a formula: {formula!r}")
+    return map_atoms(
+        formula,
+        lambda atom: BeliefAtom(_relaxed_atom_expr(atom)) if isinstance(atom, StateAtom) else atom,
+    )
 
 
 RegionSignature = int
@@ -300,36 +277,16 @@ class BeliefPredicates:
         ]
 
 
-def _to_prop_formula(formula: Formula, maps: PropositionMaps, relax_states: bool):
-    """Map atoms to propositions.  With ``relax_states`` every hidden-state
-    atom goes through its relaxed belief proposition (feasibility skeleton);
-    otherwise it keeps its own state proposition (acceptance skeleton)."""
-    if isinstance(formula, StateAtom):
-        if relax_states:
-            return PropAtom(maps.belief_prop(_relaxed_atom_expr(formula)))
-        return PropAtom(maps.state_prop(formula.indices), formula.negated)
-    if isinstance(formula, BeliefAtom):
-        return PropAtom(maps.belief_prop(formula.expr), formula.negated)
-    if isinstance(formula, And):
-        return And(
-            _to_prop_formula(formula.left, maps, relax_states),
-            _to_prop_formula(formula.right, maps, relax_states),
-        )
-    if isinstance(formula, Or):
-        return Or(
-            _to_prop_formula(formula.left, maps, relax_states),
-            _to_prop_formula(formula.right, maps, relax_states),
-        )
-    if isinstance(formula, Until):
-        return Until(
-            _to_prop_formula(formula.left, maps, relax_states),
-            _to_prop_formula(formula.right, maps, relax_states),
-        )
-    if isinstance(formula, Next):
-        return Next(_to_prop_formula(formula.child, maps, relax_states))
-    if isinstance(formula, Eventually):
-        return Eventually(_to_prop_formula(formula.child, maps, relax_states))
-    raise TypeError(f"not a formula: {formula!r}")
+def _to_prop_formula(formula: Formula, maps: PropositionMaps):
+    """The propositional skeleton: every atom becomes its proposition.  On a
+    relaxed formula only belief propositions occur (feasibility skeleton)."""
+
+    def prop(atom):
+        if isinstance(atom, StateAtom):
+            return PropAtom(maps.state_prop(atom.indices), atom.negated)
+        return PropAtom(maps.belief_prop(atom.expr), atom.negated)
+
+    return map_atoms(formula, prop)
 
 
 class CompiledMonitor:
@@ -343,15 +300,13 @@ class CompiledMonitor:
         self.predicates = BeliefPredicates(self.maps.belief_props)
         names = self.maps.prop_names()
         self.prop_names: tuple[str, ...] = tuple(names)
-        self.feasibility_dfa: Dfa = formula_to_dfa(
-            _to_prop_formula(relax(formula), self.maps, relax_states=True),
+        self.feasibility_dfa = Dfa(
+            _to_prop_formula(relax(formula), self.maps),
             self.maps.num_belief_props,
             prop_names=names[: self.maps.num_belief_props],
         )
-        self.acceptance_dfa: Dfa = formula_to_dfa(
-            _to_prop_formula(formula, self.maps, relax_states=False),
-            self.maps.num_props,
-            prop_names=names,
+        self.acceptance_dfa = Dfa(
+            _to_prop_formula(formula, self.maps), self.maps.num_props, prop_names=names
         )
 
 
@@ -371,17 +326,11 @@ def build_monitor_dfa(formula: Formula, relaxed: bool = False) -> Dfa:
 
     With ``relaxed`` the belief-only feasibility skeleton is compiled
     (hidden-state atoms relaxed to positive-mass predicates); otherwise the
-    full acceptance skeleton over belief and state propositions.
+    full acceptance skeleton over belief and state propositions.  Never
+    taken from the compile cache: callers may materialize the automaton.
     """
-    maps = PropositionMaps(formula)
-    names = maps.prop_names()
-    if relaxed:
-        phi = _to_prop_formula(relax(formula), maps, relax_states=True)
-        return formula_to_dfa(
-            phi, maps.num_belief_props, prop_names=names[: maps.num_belief_props]
-        )
-    phi = _to_prop_formula(formula, maps, relax_states=False)
-    return formula_to_dfa(phi, maps.num_props, prop_names=names)
+    comp = CompiledMonitor(formula)
+    return comp.feasibility_dfa if relaxed else comp.acceptance_dfa
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -647,25 +596,36 @@ def execution_from_json_dict(pomdp: Pomdp, doc) -> Execution:
     actions = tuple(_lookup(pomdp.action_index, a, "action") for a in action_names)
     observations = tuple(_lookup(pomdp.obs_index, o, "observation") for o in obs_names)
     beliefs = tuple(filter_run(pomdp, actions, observations))
-    exec = Execution(beliefs, actions, observations)
-    if doc.get("beliefs") is not None:
-        recorded = doc["beliefs"]
+    recorded = doc.get("beliefs")
+    if recorded is not None:
+        if not isinstance(recorded, (list, tuple)):
+            raise ModelError("trace beliefs must be a list")
         if len(recorded) != len(beliefs):
             raise ModelError(
                 f"trace carries {len(recorded)} beliefs, filter produced {len(beliefs)}"
             )
-        for i, entry in enumerate(recorded):
-            vec = np.zeros(pomdp.num_states)
-            for name, p in entry.items():
-                vec[_lookup(pomdp.state_index, name, "state")] = float(p)
-            err = float(np.abs(vec - beliefs[i].probs).max())
-            if err > 1e-9:
-                raise ModelError(f"recorded belief {i} deviates from the filter by {err!r}")
-    return exec
+        check_against_filter(
+            (_recorded_belief(pomdp, entry) for entry in recorded),
+            beliefs,
+            label="recorded belief",
+        )
+    return Execution(beliefs, actions, observations)
+
+
+def _recorded_belief(pomdp: Pomdp, entry) -> np.ndarray:
+    if not isinstance(entry, Mapping):
+        raise ModelError(f"a recorded belief must map state names to probabilities, not {entry!r}")
+    vec = np.zeros(pomdp.num_states)
+    for name, p in entry.items():
+        try:
+            vec[_lookup(pomdp.state_index, name, "state")] = float(p)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"recorded belief entry {name!r}: {exc}") from exc
+    return vec
 
 
 def _lookup(table, name, kind):
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise ModelError(f"unknown {kind} name {name!r}")
     return table[name]
 
@@ -684,6 +644,4 @@ def execution_to_json_dict(pomdp: Pomdp, exec: Execution, include_beliefs: bool 
 
 
 def save_trace(pomdp: Pomdp, exec: Execution, path, include_beliefs: bool = True) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(execution_to_json_dict(pomdp, exec, include_beliefs), fh, indent=2)
-        fh.write("\n")
+    save_json(execution_to_json_dict(pomdp, exec, include_beliefs), path)

@@ -463,23 +463,26 @@ class EntropyCutoffPolicy(_ReactiveRescuePolicy):
         return self._act["stay"]
 
 
-def policy_time_share(a: int, p1: float = 0.9, p2: float = 0.25) -> TimeSharePolicy:
-    return TimeSharePolicy(a, p1, p2)
+def rescue_policies(
+    params: RescueParams | None = None,
+    share_a: int = 3,
+    h3: float = 0.3,
+    h4: float = 0.3,
+    rho: int = 2,
+) -> dict[str, Policy]:
+    """The rescue study's two policies, keyed by their report labels; the
+    defaults are the study values."""
+    p = params or RescueParams()
+    return {
+        "timeshare": TimeSharePolicy(share_a, p.p1, p.p2),
+        "entropy_cutoff": EntropyCutoffPolicy(h3, h4, rho, p.p1, p.p2),
+    }
 
 
-def policy_entropy_cutoff(
-    h3: float, h4: float, rho: int, p1: float = 0.9, p2: float = 0.25
-) -> EntropyCutoffPolicy:
-    return EntropyCutoffPolicy(h3, h4, rho, p1, p2)
-
-
-def policy_mht_threshold(h: float) -> "Policy":
+class MhtThresholdPolicy(Policy):
     """Observe until the hypothesis entropy drops below ``h``, then commit
     to the most likely coin (ties to the lowest index)."""
-    return _MhtThresholdPolicy(h)
 
-
-class _MhtThresholdPolicy(Policy):
     def __init__(self, h: float):
         self.h = h
 
@@ -498,6 +501,11 @@ class _MhtThresholdPolicy(Policy):
             self._committed = int(np.argmax(dist)) + 1
             return self._act[f"choose{self._committed}"]
         return self._act["observe"]
+
+
+policy_time_share = TimeSharePolicy
+policy_entropy_cutoff = EntropyCutoffPolicy
+policy_mht_threshold = MhtThresholdPolicy
 
 
 # -- Monte Carlo harness ------------------------------------------------------------
@@ -580,7 +588,7 @@ def monte_carlo(
     """
     if trials < 2:
         raise ModelError("need at least 2 trials")
-    if entropy_factor not in pomdp.factor_cells:
+    if not isinstance(entropy_factor, str) or entropy_factor not in pomdp.factor_cells:
         raise ModelError(f"unknown factor {entropy_factor!r}")
     cells = pomdp.factor_cells[entropy_factor]
     records = []
@@ -632,22 +640,19 @@ def run_rescue_study(
     master_seed: int = 2024,
     params: RescueParams | None = None,
     prior_mode: str = "safe_somewhere",
-    share_a: int = 3,
-    h3: float = 0.3,
-    h4: float = 0.3,
-    rho: int = 2,
+    *,
     entropy_factor: str = "env",
+    **policy_settings,
 ) -> dict:
-    """Run both rescue policies on a shared model and return all results."""
-    p = params or RescueParams()
-    pomdp, formula = build_rescue(p, prior_mode=prior_mode)
+    """Run both rescue policies on a shared model and return all results.
+
+    ``policy_settings`` (``share_a``, ``h3``, ``h4``, ``rho``) override the
+    study values of ``rescue_policies``.
+    """
+    pomdp, formula = build_rescue(params, prior_mode=prior_mode)
     success = rescue_success_fn(pomdp)
-    policies = {
-        "timeshare": policy_time_share(share_a, p.p1, p.p2),
-        "entropy_cutoff": policy_entropy_cutoff(h3, h4, rho, p.p1, p.p2),
-    }
     out = {"pomdp": pomdp, "formula": formula, "policies": {}}
-    for name, policy in policies.items():
+    for name, policy in rescue_policies(params, **policy_settings).items():
         records, stats = monte_carlo(
             pomdp, formula, policy, trials, horizon, master_seed, entropy_factor, success
         )

@@ -1,10 +1,13 @@
 """Formula parsing, belief-expression evaluation, and word semantics."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtlmon.errors import FormulaSyntaxError, NonAtomicNegation, UnknownSymbol
 from dtlmon.logic import (
@@ -19,15 +22,18 @@ from dtlmon.logic import (
     StateAtom,
     Sub,
     Until,
+    atoms,
     eval_belief_expr,
     formula_text,
+    map_atoms,
     parse_formula,
     semantics_eval,
 )
 from dtlmon.model import Belief, filter_run
+from dtlmon.monitor import relax
 from dtlmon.studies import build_mht
 
-from helpers import random_pomdp, random_trace_word, tiny_two_state
+from helpers import random_cosafe_formula, random_pomdp, random_trace_word, tiny_two_state
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +250,18 @@ class TestSemanticsProperties:
             assert semantics_eval(Eventually(target), word, 0) == semantics_eval(
                 Until(full, target), word, 0
             )
+
+
+def _negate_atom(atom):
+    return dataclasses.replace(atom, negated=not atom.negated)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10**9))
+def test_map_atoms_rebuilds_the_formula_around_mapped_atoms(seed):
+    rng = random.Random(seed)
+    formula = random_cosafe_formula(rng, random_pomdp(rng))
+    assert map_atoms(formula, lambda atom: atom) == formula
+    negated = map_atoms(formula, _negate_atom)
+    assert list(atoms(negated)) == [_negate_atom(a) for a in atoms(formula)]
+    assert not any(isinstance(a, StateAtom) for a in atoms(relax(formula)))
