@@ -9,6 +9,14 @@ construction, with transitions computed on demand and cached, because the
 alphabet 2^AP is exponential in the proposition count.  Accepting subsets
 collapse to a canonical accept sink, so accepting states are absorbing.
 
+The skeleton is interned once per automaton: every structurally distinct
+subformula gets a small integer id, so an obligation set is a bitmask over
+ids (the empty obligation is ``0``) and a DFA state is a frozenset of such
+masks.  Each subformula also records the propositions it mentions, and its
+ways of being satisfied are memoized on the letter projected onto them, so
+they are worked out once per assignment of its own propositions rather
+than once per full letter.
+
 Letters are bitmasks over proposition indices.  Words of length zero are
 rejected for every formula: satisfaction needs a first position.
 """
@@ -35,53 +43,10 @@ class PropAtom:
 
 PropFormula = Union[PropAtom, And, Or, Until, Next, Eventually]
 
-_TRUE_OPTIONS = frozenset({frozenset()})
+_TRUE_OPTIONS = frozenset({0})
 _FALSE_OPTIONS: frozenset = frozenset()
 
-_EMPTY_OBLIGATION: frozenset = frozenset()
-
-
-def _max_prop_index(phi: PropFormula) -> int:
-    if isinstance(phi, PropAtom):
-        return phi.index
-    if isinstance(phi, (And, Or, Until)):
-        return max(_max_prop_index(phi.left), _max_prop_index(phi.right))
-    if isinstance(phi, (Next, Eventually)):
-        return _max_prop_index(phi.child)
-    raise TypeError(f"not a propositional formula: {phi!r}")
-
-
-def _options(phi: PropFormula, letter: int, memo: dict) -> frozenset:
-    """All ways to satisfy ``phi`` starting at a position labeled ``letter``.
-
-    Each element is an obligation set for the following position.  An empty
-    result means the letter refutes the formula outright.
-    """
-    key = (phi, letter)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(phi, PropAtom):
-        holds = bool((letter >> phi.index) & 1) != phi.negated
-        out = _TRUE_OPTIONS if holds else _FALSE_OPTIONS
-    elif isinstance(phi, And):
-        left = _options(phi.left, letter, memo)
-        right = _options(phi.right, letter, memo)
-        out = frozenset(a | b for a in left for b in right)
-    elif isinstance(phi, Or):
-        out = _options(phi.left, letter, memo) | _options(phi.right, letter, memo)
-    elif isinstance(phi, Next):
-        out = frozenset({frozenset({phi.child})})
-    elif isinstance(phi, Eventually):
-        out = _options(phi.child, letter, memo) | frozenset({frozenset({phi})})
-    elif isinstance(phi, Until):
-        now = _options(phi.right, letter, memo)
-        keep = frozenset(o | {phi} for o in _options(phi.left, letter, memo))
-        out = now | keep
-    else:
-        raise TypeError(f"not a propositional formula: {phi!r}")
-    memo[key] = out
-    return out
+_EMPTY_OBLIGATION = 0
 
 
 class Dfa:
@@ -104,9 +69,14 @@ class Dfa:
     ):
         if num_props < 0:
             raise ValueError("num_props must be nonnegative")
-        if _max_prop_index(phi) >= num_props:
-            raise ValueError("formula references a proposition outside num_props")
         self.num_props = num_props
+        # The node table: node ``i`` has kind ``_kinds[i]``, children
+        # ``_children[i]`` and mentions the propositions in ``_masks[i]``.
+        self._node_ids: dict[tuple, int] = {}
+        self._kinds: list[type] = []
+        self._children: list[tuple] = []
+        self._masks: list[int] = []
+        root = self._intern(phi)
         self.max_states = max_states
         self.prop_names = (
             tuple(prop_names) if prop_names is not None else tuple(f"p{i}" for i in range(num_props))
@@ -114,12 +84,71 @@ class Dfa:
         if len(self.prop_names) != num_props:
             raise ValueError("prop_names length must equal num_props")
         self._lock = threading.Lock()
-        self._options_memo: dict = {}
+        self._options_memo: dict[tuple[int, int], frozenset] = {}
         self._subset_ids: dict[frozenset, int] = {}
         self._subsets: list[frozenset] = []
         self._accepting: set[int] = set()
         self._delta: dict[tuple[int, int], int] = {}
-        self.initial = self._register(frozenset({frozenset({phi})}))
+        self.initial = self._register(frozenset({1 << root}))
+
+    # -- skeleton interning and expansion --
+
+    def _intern(self, phi: PropFormula) -> int:
+        """Id of ``phi``'s node, adding it and its subformulas on first sight."""
+        if isinstance(phi, PropAtom):
+            if not 0 <= phi.index < self.num_props:
+                raise ValueError("formula references a proposition outside num_props")
+            # An atom's "children" are its proposition index and its sign.
+            children = (phi.index, phi.negated)
+            key, mask = (PropAtom, *children), 1 << phi.index
+        elif isinstance(phi, (And, Or, Until)):
+            children = (self._intern(phi.left), self._intern(phi.right))
+            key = (type(phi), *children)
+            mask = self._masks[children[0]] | self._masks[children[1]]
+        elif isinstance(phi, (Next, Eventually)):
+            children = (self._intern(phi.child),)
+            key = (type(phi), *children)
+            mask = self._masks[children[0]]
+        else:
+            raise TypeError(f"not a propositional formula: {phi!r}")
+        node = self._node_ids.get(key)
+        if node is None:
+            node = self._node_ids[key] = len(self._kinds)
+            self._kinds.append(key[0])
+            self._children.append(children)
+            self._masks.append(mask)
+        return node
+
+    def _options(self, node: int, letter: int) -> frozenset:
+        """All ways to satisfy ``node`` starting at a position labeled ``letter``.
+
+        Each element is an obligation mask for the following position.  An
+        empty result means the letter refutes the subformula outright.
+        """
+        key = (node, letter & self._masks[node])
+        hit = self._options_memo.get(key)
+        if hit is not None:
+            return hit
+        kind, children = self._kinds[node], self._children[node]
+        if kind is PropAtom:
+            holds = bool((letter >> children[0]) & 1) != children[1]
+            out = _TRUE_OPTIONS if holds else _FALSE_OPTIONS
+        elif kind is And:
+            left = self._options(children[0], letter)
+            right = self._options(children[1], letter)
+            out = frozenset(a | b for a in left for b in right)
+        elif kind is Or:
+            out = self._options(children[0], letter) | self._options(children[1], letter)
+        elif kind is Next:
+            out = frozenset({1 << children[0]})
+        elif kind is Eventually:
+            out = self._options(children[0], letter) | frozenset({1 << node})
+        else:  # Until
+            now = self._options(children[1], letter)
+            bit = 1 << node
+            out = now | frozenset(o | bit for o in self._options(children[0], letter))
+        self._options_memo[key] = out
+        return out
 
     # -- state bookkeeping (callers hold the lock or run during __init__) --
 
@@ -140,8 +169,10 @@ class Dfa:
         succ: set = set()
         for obligations in subset:
             choices: Iterable = _TRUE_OPTIONS
-            for phi in obligations:
-                opts = _options(phi, letter, self._options_memo)
+            while obligations:
+                bit = obligations & -obligations
+                obligations ^= bit
+                opts = self._options(bit.bit_length() - 1, letter)
                 if not opts:
                     choices = _FALSE_OPTIONS
                     break

@@ -26,6 +26,13 @@ tighter than ``&``, which binds tighter than ``|``; ``U`` is
 right-associative.  ``X``, ``F``, ``U``, ``in``, ``P``, and ``H`` are
 reserved words.
 
+Formula text may nest at most ``MAX_NESTING`` levels deep: no more than
+that many nested parentheses, ``X``/``F`` prefixes and ``U`` operands, and
+a syntax tree (belief expressions included) no more than that many levels
+below its root.  Deeper text raises ``FormulaSyntaxError``; the bound keeps
+every recursive walk over a parsed formula well inside the interpreter's
+default recursion limit.
+
 Satisfaction is decided on finite words of (hidden state, belief) pairs:
 ``X`` at the last position is false, and ``U`` / ``F`` need their witness
 inside the word.
@@ -261,6 +268,8 @@ _TOKEN_RE = re.compile(
 
 _RESERVED = {"X", "F", "U", "in", "P", "H"}
 
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -281,6 +290,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.symbols = symbols
+        self.depth = 0
 
     # token plumbing
 
@@ -300,6 +310,20 @@ class _Parser:
     def _at(self, value: str) -> bool:
         return self._peek()[1] == value
 
+    def _nested(self, rule, pos: int):
+        """Parse ``rule`` one nesting level deeper than the caller."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        result = rule()
+        self.depth -= 1
+        return result
+
+    def _check_height(self, formula: Formula, pos: int) -> Formula:
+        if _height(formula) > MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        return formula
+
     # grammar rules
 
     def parse(self) -> Formula:
@@ -307,7 +331,7 @@ class _Parser:
         kind, text, pos = self._peek()
         if kind is not None:
             raise FormulaSyntaxError(f"unexpected trailing input {text!r}", pos)
-        return f
+        return self._check_height(f, 0)
 
     def _disj(self) -> Formula:
         f = self._conj()
@@ -326,18 +350,18 @@ class _Parser:
     def _until(self) -> Formula:
         f = self._unary()
         if self._at("U"):
-            self._next()
-            return Until(f, self._until())
+            _, _, pos = self._next()
+            return Until(f, self._nested(self._until, pos))
         return f
 
     def _unary(self) -> Formula:
         _, text, pos = self._peek()
         if text == "X":
             self._next()
-            return Next(self._unary())
+            return Next(self._nested(self._unary, pos))
         if text == "F":
             self._next()
-            return Eventually(self._unary())
+            return Eventually(self._nested(self._unary, pos))
         if text == "!":
             self._next()
             _, t, p = self._peek()
@@ -348,12 +372,12 @@ class _Parser:
             return _negate_nnf(self._atom())
         if text == "(":
             self._next()
-            inner = self._disj()
+            inner = self._nested(self._disj, pos)
             if self._at("=>"):
                 _, _, arrow_pos = self._next()
-                antecedent = inner
+                antecedent = self._check_height(inner, pos)
                 _check_boolean_atoms(antecedent, arrow_pos)
-                consequent = self._disj()
+                consequent = self._nested(self._disj, pos)
                 self._expect(")")
                 return Or(_negate_nnf(antecedent), consequent)
             self._expect(")")
@@ -428,10 +452,31 @@ class _Parser:
             return EntropyBits(name, tuple(tuple(c) for c in cells[name]))
         if text == "(":
             self._next()
-            e = self._bexpr()
+            e = self._nested(self._bexpr, pos)
             self._expect(")")
             return e
         raise FormulaSyntaxError(f"expected a belief term, found {text!r}", pos)
+
+
+def _height(formula: Formula) -> int:
+    """Levels below the root of the syntax tree, belief expressions
+    included; iterative, so it is safe on any tree the parser builds."""
+    height, stack = 0, [(formula, 0)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        if isinstance(node, (And, Or, Until, Add, Sub, Mul)):
+            children = (node.left, node.right)
+        elif isinstance(node, (Next, Eventually)):
+            children = (node.child,)
+        elif isinstance(node, BeliefAtom):
+            children = (node.expr,)
+        elif isinstance(node, Neg):
+            children = (node.operand,)
+        else:
+            children = ()
+        stack.extend((child, depth + 1) for child in children)
+    return height
 
 
 def _check_boolean_atoms(formula: Formula, pos: int) -> None:
@@ -464,7 +509,8 @@ def parse_formula(text: str, symbols) -> Formula:
     Returns an AST in negation normal form.  Raises ``FormulaSyntaxError``
     with a character position, ``UnknownSymbol`` for unresolved names, and
     ``NonAtomicNegation`` when negation or an implication antecedent covers
-    a temporal operator.
+    a temporal operator.  Text nested deeper than ``MAX_NESTING`` levels is
+    a ``FormulaSyntaxError``.
     """
     return _Parser(text, symbols).parse()
 

@@ -540,11 +540,20 @@ class StudyStats:
         }
 
 
+def _rescaled(deviations: list[float]) -> list[float]:
+    scale = max(abs(d) for d in deviations)
+    if scale == 0.0 or 1e-100 < scale < 1e100:
+        return deviations
+    return [d / scale for d in deviations]
+
+
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample correlation coefficient.
 
     Raises ``DegeneratePearson`` when fewer than two points or when either
-    sample variance is zero.
+    sample variance is zero.  Deviations too small or too large to square
+    without underflow or overflow are first divided by their largest
+    magnitude (the coefficient does not depend on scale).
     """
     if len(xs) != len(ys):
         raise ModelError("samples must have equal length")
@@ -553,8 +562,8 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise DegeneratePearson("need at least two samples")
     mx = sum(xs) / n
     my = sum(ys) / n
-    dx = [x - mx for x in xs]
-    dy = [y - my for y in ys]
+    dx = _rescaled([x - mx for x in xs])
+    dy = _rescaled([y - my for y in ys])
     sxx = sum(d * d for d in dx)
     syy = sum(d * d for d in dy)
     if sxx == 0.0 or syy == 0.0:

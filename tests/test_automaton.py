@@ -1,9 +1,12 @@
 """DFA construction against the direct finite-word semantics."""
 
 import random
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtlmon.automaton import (
     Dfa,
@@ -16,6 +19,8 @@ from dtlmon.automaton import (
 )
 from dtlmon.errors import StateBlowup
 from dtlmon.logic import And, Eventually, Next, Or, Until
+from dtlmon.monitor import build_monitor_dfa
+from dtlmon.studies import build_rescue
 
 from helpers import random_letter_word, random_prop_formula
 
@@ -92,6 +97,39 @@ class TestOracleEquivalence:
                 assert dfa_accepts(dfa, longer)
 
 
+def _renumbered(phi, props):
+    """``phi`` with proposition ``i`` renamed to ``props[i]``."""
+    if isinstance(phi, PropAtom):
+        return PropAtom(props[phi.index], phi.negated)
+    if isinstance(phi, (And, Or, Until)):
+        return type(phi)(_renumbered(phi.left, props), _renumbered(phi.right, props))
+    return type(phi)(_renumbered(phi.child, props))
+
+
+class TestWideAlphabets:
+    """Formulas mentioning a few of up to 16 propositions, run on letters over
+    all of them: the construction sees each subformula's letter projected onto
+    its own propositions, so the bits it drops must not matter."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.randoms(use_true_random=False))
+    def test_sparse_formulas_on_full_letters(self, rng):
+        num_props = rng.randint(4, 16)
+        props = rng.sample(range(num_props), rng.randint(1, 3))
+        phi = _renumbered(random_prop_formula(rng, len(props), max_depth=4), props)
+        unused = [i for i in range(num_props) if i not in props]
+        dfa = formula_to_dfa(phi, num_props)
+        for _ in range(4):
+            word = random_letter_word(rng, num_props, max_len=8)
+            expected = prop_eval(phi, word, 0) if word else False
+            assert dfa_accepts(dfa, word) == expected, (phi, word)
+            state = dfa.initial
+            for letter in word:
+                flipped = letter ^ (1 << rng.choice(unused))
+                assert dfa.transition(state, flipped) == dfa.transition(state, letter)
+                state = dfa.transition(state, letter)
+
+
 class TestDfaStructure:
     def test_total_and_deterministic(self):
         dfa = formula_to_dfa(Until(P0, And(P1, Next(P0))), 2)
@@ -141,6 +179,49 @@ class TestDfaStructure:
         for t in threads:
             t.join()
         assert results == expected
+
+    def test_cold_rescue_construction_under_threads(self):
+        """Threads walking the same letters through one fresh automaton see the
+        serial walk's states.  New states appear within a few short walks
+        from the initial state, so many short rounds give the threads many
+        chances to collide."""
+        _, formula = build_rescue()
+        rng = random.Random(11)
+
+        def walk(dfa, letters):
+            state, seen = dfa.initial, []
+            for i, letter in enumerate(letters):
+                if i % 4 == 0:
+                    state = dfa.initial
+                state = dfa.transition(state, letter)
+                seen.append(state)
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(250):
+                letters = [rng.randrange(1 << 30) for _ in range(24)]
+                serial = build_monitor_dfa(formula)
+                expected = walk(serial, letters)
+                shared = build_monitor_dfa(formula)
+                start = threading.Barrier(4)
+                results = [None] * 4
+
+                def worker(k):
+                    start.wait()
+                    results[k] = walk(shared, letters)
+
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert results == [expected] * 4
+                assert shared.num_states == serial.num_states
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial.num_props == 30
 
 
 class TestExport:

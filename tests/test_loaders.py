@@ -3,8 +3,8 @@ error only.
 
 The fuzz properties mutate valid documents (type swaps, lists for dicts and
 dicts for lists, strings for numbers; inserted and deleted tokens in formula
-text), write them to a file and load it; anything but a ``DtlmonError``
-escaping the loader fails the test.
+text; formula text nested hundreds of levels deep), write them to a file and
+load it; anything but a ``DtlmonError`` escaping the loader fails the test.
 """
 
 import copy
@@ -27,16 +27,15 @@ from dtlmon.cli import (
 from dtlmon.errors import DtlmonError
 from dtlmon.logic import load_formula
 from dtlmon.model import execution_from_actions, load_model
-from dtlmon.monitor import execution_to_json_dict, load_trace
+from dtlmon.monitor import acceptance_probability, execution_to_json_dict, load_trace
 from dtlmon.studies import rescue_policies
 
 from helpers import tiny_two_state
 
 MODEL = tiny_two_state()
 MODEL_DOC = MODEL.to_json_dict()
-TRACE_DOC = execution_to_json_dict(
-    MODEL, execution_from_actions(MODEL, ["poke"] * 3, ["lo", "hi", "lo"])
-)
+EXECUTION = execution_from_actions(MODEL, ["poke"] * 3, ["lo", "hi", "lo"])
+TRACE_DOC = execution_to_json_dict(MODEL, EXECUTION)
 CONFIG_DOC = {
     "p_fail": 0.2,
     "det_surv": 0.9,
@@ -138,6 +137,38 @@ def test_mutated_formula_raises_only_package_errors(data):
     _load(lambda path: load_formula(path, MODEL), "".join(text))
 
 
+NESTINGS = [
+    ("(", ")"),
+    ("X ", ""),
+    ("F ", ""),
+    ("in(lit) U ", ""),
+    ("in(lit) & ", ""),
+    ("(in(lit) | ", ")"),
+    ("(in(lit) => ", ")"),
+    ("(", " + 0.1)"),
+]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_deeply_nested_formula_raises_only_package_errors(data):
+    """Nesting runs around a formula, a state atom or a belief mass, up to far
+    past the parser's bound; an accepted formula must also monitor without
+    error."""
+    core = text = data.draw(st.sampled_from([FORMULA_TEXT, "in(lit)", "P(lit)"]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        opener, closer = data.draw(st.sampled_from(NESTINGS))
+        depth = data.draw(st.one_of(st.integers(0, 120), st.integers(0, 3000)))
+        text = opener * depth + text + closer * depth
+    if core == "P(lit)":
+        text = f"[{text} < 0.5]"
+
+    def load_and_monitor(path):
+        acceptance_probability(MODEL, load_formula(path, MODEL), EXECUTION)
+
+    _load(load_and_monitor, text)
+
+
 def _with(doc, path, value):
     doc = copy.deepcopy(doc)
     target = doc
@@ -156,6 +187,7 @@ BAD_INPUTS = {
     "integer beliefs": ("trace", _with(TRACE_DOC, ["beliefs"], 3)),
     "list action": ("trace", _with(TRACE_DOC, ["actions", 0], ["poke"])),
     "non-UTF-8 formula": ("formula", b"F in(lit) \xff\n"),
+    "deeply nested formula": ("formula", b"(" * 300 + b"in(lit)" + b")" * 300),
     "list config": ("config", [1, 2]),
     "string p_fail": ("config", {"p_fail": "0.4"}),
 }

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dtlmon.errors import FormulaSyntaxError, NonAtomicNegation, UnknownSymbol
 from dtlmon.logic import (
+    MAX_NESTING,
     And,
     BeliefAtom,
     Const,
@@ -29,8 +30,8 @@ from dtlmon.logic import (
     parse_formula,
     semantics_eval,
 )
-from dtlmon.model import Belief, filter_run
-from dtlmon.monitor import relax
+from dtlmon.model import Belief, execution_from_actions, filter_run
+from dtlmon.monitor import acceptance_probability, compile_monitor, relax
 from dtlmon.studies import build_mht
 
 from helpers import random_cosafe_formula, random_pomdp, random_trace_word, tiny_two_state
@@ -125,6 +126,46 @@ class TestParser:
         text = formula_text(mht_formula)
         again = parse_formula(text, mht)
         assert again == mht_formula
+
+
+NESTED_TEXT = {
+    "parentheses": lambda n: "(" * n + "in(lit)" + ")" * n,
+    "next chain": lambda n: "X " * n + "in(lit)",
+    "eventually chain": lambda n: "F " * n + "in(lit)",
+    "until chain": lambda n: "in(lit) U " * n + "in(lit)",
+    "conjunction chain": lambda n: " & ".join(["in(lit)"] * (n + 1)),
+    "belief parentheses": lambda n: "[" + "(" * n + "P(lit)" + ")" * n + " < 0.5]",
+}
+
+
+class TestNestingBound:
+    """Text up to ``MAX_NESTING`` levels deep parses and monitors under the
+    default recursion limit; one level deeper is a syntax error."""
+
+    @pytest.mark.parametrize("shape", sorted(NESTED_TEXT))
+    def test_deepest_accepted_formula_runs(self, shape):
+        pomdp = tiny_two_state()
+        formula = parse_formula(NESTED_TEXT[shape](MAX_NESTING), pomdp)
+        assert list(atoms(map_atoms(formula, lambda atom: atom)))
+        compile_monitor(formula)
+        execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "lo"])
+        report = acceptance_probability(pomdp, formula, execution)
+        assert 0.0 <= report.probability <= 1.0
+
+    @pytest.mark.parametrize("shape", sorted(NESTED_TEXT))
+    def test_one_level_deeper_is_a_syntax_error(self, shape):
+        with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
+            parse_formula(NESTED_TEXT[shape](MAX_NESTING + 1), tiny_two_state())
+
+    @pytest.mark.parametrize("text", ["(" * 300 + "in(lit)" + ")" * 300, "X " * 2000 + "in(lit)"])
+    def test_far_too_deep_text_is_a_syntax_error(self, text):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(text, tiny_two_state())
+
+    def test_deep_implication_antecedent_is_a_syntax_error(self):
+        text = "(" + " & ".join(["in(lit)"] * (MAX_NESTING + 2)) + " => in(lit))"
+        with pytest.raises(FormulaSyntaxError, match="deeper than"):
+            parse_formula(text, tiny_two_state())
 
 
 class TestEvalBeliefExpr:

@@ -237,6 +237,17 @@ class TestPearson:
             return
         assert -1.0 - 1e-9 <= r <= 1.0 + 1e-9
 
+    def test_scale_free_at_float_extremes(self):
+        # Squared deviations of 1e-160 underflow to subnormals, and of 1e200
+        # overflow, unless the deviations are rescaled first.
+        assert pearson_r([0.0, 1.0], [6.850776930768836e-160, 0.0]) == pytest.approx(-1.0, abs=1e-12)
+        assert pearson_r([0.0, 1.0, 2.0], [1e-170, 0.0, 3e-170]) == pytest.approx(
+            pearson_r([0.0, 1.0, 2.0], [1.0, 0.0, 3.0])
+        )
+        assert pearson_r([1e200, 0.0, 3e200], [1, 0, 2]) == pytest.approx(
+            pearson_r([1.0, 0.0, 3.0], [1, 0, 2])
+        )
+
     def test_perfect_anticorrelation(self):
         assert pearson_r([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
 
