@@ -227,9 +227,6 @@ class Dfa:
                     frontier.append(nxt)
 
 
-formula_to_dfa = Dfa
-
-
 def dfa_accepts(dfa: Dfa, word: Iterable[int]) -> bool:
     """Run the automaton on a letter sequence; accept on an accepting state."""
     state = dfa.initial

@@ -1,9 +1,10 @@
 """POMDP representation, belief arithmetic, Bayes filtering, and simulation.
 
 States carry tag maps (named attributes such as room or carry flags) from
-which named state sets and factor partitions are derived.  Probability
-tables are stored sparsely: absent entries mean zero.  Dense per-action
-matrices are precomputed for fast filtering.
+which named state sets and factor partitions are derived.  Sparse dynamics
+entries (absent entries mean zero) are summed into one store, the read-only
+arrays ``trans_mat[a, s, s']`` and ``obs_mat[a, s', o]`` that filtering,
+simulation and smoothing read.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def _as_index(label, table: Mapping[str, int], kind: str) -> int:
         if label not in table:
             raise ModelError(f"unknown {kind} name {label!r}")
         return table[label]
+    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise ModelError(f"{kind} label {label!r} is neither a name nor an index")
     idx = int(label)
     if not 0 <= idx < len(table):
         raise ModelError(f"{kind} index {idx} out of range")
@@ -62,13 +65,14 @@ def _as_index(label, table: Mapping[str, int], kind: str) -> int:
 
 
 class Pomdp:
-    """Finite POMDP with tagged states, sparse dynamics, and named state sets.
+    """Finite POMDP with tagged states, dense dynamics, and named state sets.
 
-    ``trans`` maps ``(s, a, s')`` to the probability that action ``a`` in
-    state ``s`` moves the system to ``s'``.  ``obs_model`` maps
-    ``(s', a, o)`` to the probability of observing ``o`` after ``a`` landed
-    the system in ``s'``.  Both tables must have rows summing to one for
-    every (state, action) pair; actions that convey no information emit a
+    ``trans_mat[a, s, s']`` is the probability that action ``a`` in state
+    ``s`` moves the system to ``s'``; ``obs_mat[a, s', o]`` is the
+    probability of observing ``o`` after ``a`` landed the system in ``s'``.
+    The constructor sums sparse ``(s, a, s') -> p`` and ``(s', a, o) -> p``
+    mappings, keyed by names or indices, into these read-only arrays; every
+    row must sum to one.  Actions that convey no information emit a
     designated null observation with probability one.
 
     Instances are immutable after construction and safe for concurrent
@@ -108,64 +112,14 @@ class Pomdp:
         self.action_index = {n: i for i, n in enumerate(self.actions)}
         self.obs_index = {n: i for i, n in enumerate(self.observations)}
 
-        n_s, n_a, n_o = len(names), len(self.actions), len(self.observations)
-        if min(n_s, n_a, n_o) == 0:
+        if min(len(names), len(self.actions), len(self.observations)) == 0:
             raise ModelError("states, actions, and observations must be nonempty")
 
-        self.trans: dict[tuple[int, int, int], float] = {}
-        for (s, a, s2), p in trans.items():
-            p = float(p)
-            if not 0 <= p <= 1 + SUM_TOL:  # written so that NaN fails too
-                raise ModelError(f"transition probability {p!r} outside [0, 1]")
-            if p == 0.0:
-                continue
-            key = (
-                _as_index(s, self.state_index, "state"),
-                _as_index(a, self.action_index, "action"),
-                _as_index(s2, self.state_index, "state"),
-            )
-            self.trans[key] = self.trans.get(key, 0.0) + p
-        self.obs_model: dict[tuple[int, int, int], float] = {}
-        for (s2, a, o), p in obs_model.items():
-            p = float(p)
-            if not 0 <= p <= 1 + SUM_TOL:
-                raise ModelError(f"observation probability {p!r} outside [0, 1]")
-            if p == 0.0:
-                continue
-            key = (
-                _as_index(s2, self.state_index, "state"),
-                _as_index(a, self.action_index, "action"),
-                _as_index(o, self.obs_index, "observation"),
-            )
-            self.obs_model[key] = self.obs_model.get(key, 0.0) + p
-
-        trans_mat = np.zeros((n_a, n_s, n_s))
-        for (s, a, s2), p in self.trans.items():
-            trans_mat[a, s, s2] = p
-        obs_mat = np.zeros((n_a, n_s, n_o))
-        for (s2, a, o), p in self.obs_model.items():
-            obs_mat[a, s2, o] = p
-        row_err = np.abs(trans_mat.sum(axis=2) - 1.0)
-        if (row_err > SUM_TOL).any():
-            a, s = np.unravel_index(int(row_err.argmax()), row_err.shape)
-            raise ModelError(
-                f"transition row for state {self.state_names[s]!r} under action "
-                f"{self.actions[a]!r} sums to {trans_mat[a, s].sum()!r}"
-            )
-        obs_err = np.abs(obs_mat.sum(axis=2) - 1.0)
-        if (obs_err > SUM_TOL).any():
-            a, s2 = np.unravel_index(int(obs_err.argmax()), obs_err.shape)
-            raise ModelError(
-                f"observation row for state {self.state_names[s2]!r} under action "
-                f"{self.actions[a]!r} sums to {obs_mat[a, s2].sum()!r}"
-            )
-        trans_mat.flags.writeable = False
-        obs_mat.flags.writeable = False
-        self.trans_mat = trans_mat
-        self.obs_mat = obs_mat
+        self.trans_mat = self._dense_table(trans, "transition", self.state_index, "state")
+        self.obs_mat = self._dense_table(obs_model, "observation", self.obs_index, "observation")
 
         self.prior = prior if isinstance(prior, Belief) else Belief(np.asarray(prior, dtype=float))
-        if len(self.prior) != n_s:
+        if len(self.prior) != self.num_states:
             raise ModelError("prior length does not match the state count")
 
         self.named_sets: dict[str, frozenset[int]] = {}
@@ -180,6 +134,30 @@ class Pomdp:
             self.factor_cells[str(fname)] = cells
 
     # -- construction helpers -------------------------------------------------
+
+    def _dense_table(
+        self, entries: Mapping, kind: str, targets: Mapping[str, int], target_kind: str
+    ) -> np.ndarray:
+        """Sum ``(s, a, t) -> p`` entries into a read-only ``[a, s, t]`` array with unit rows."""
+        table = np.zeros((self.num_actions, self.num_states, len(targets)))
+        for (s, a, t), p in entries.items():
+            p = float(p)
+            if not 0 <= p <= 1 + SUM_TOL:  # written so that NaN fails too
+                raise ModelError(f"{kind} probability {p!r} outside [0, 1]")
+            if p == 0.0:
+                continue
+            s = _as_index(s, self.state_index, "state")
+            a = _as_index(a, self.action_index, "action")
+            table[a, s, _as_index(t, targets, target_kind)] += p
+        row_err = np.abs(table.sum(axis=2) - 1.0)
+        if (row_err > SUM_TOL).any():
+            a, s = np.unravel_index(int(row_err.argmax()), row_err.shape)
+            raise ModelError(
+                f"{kind} row for state {self.state_names[s]!r} under action "
+                f"{self.actions[a]!r} sums to {table[a, s].sum()!r}"
+            )
+        table.flags.writeable = False
+        return table
 
     def _resolve_set(self, desc) -> frozenset[int]:
         if isinstance(desc, Mapping):
@@ -227,19 +205,20 @@ class Pomdp:
     def to_json_dict(self) -> dict:
         """Serialize to the model-file schema (see README)."""
         sn, an, on = self.state_names, self.actions, self.observations
+
+        def entries(table, targets):  # argwhere walks (s, a, t) in sorted order
+            return [
+                [sn[s], an[a], targets[t], float(table[a, s, t])]
+                for s, a, t in np.argwhere(table.transpose(1, 0, 2)).tolist()
+            ]
+
         return {
             "states": [{"name": n, "tags": dict(t)} for n, t in zip(sn, self.state_tags)],
             "actions": list(an),
             "observations": list(on),
             "prior": {sn[i]: float(p) for i, p in enumerate(self.prior.probs) if p > 0},
-            "transitions": [
-                [sn[s], an[a], sn[s2], float(p)]
-                for (s, a, s2), p in sorted(self.trans.items())
-            ],
-            "observation_model": [
-                [sn[s2], an[a], on[o], float(p)]
-                for (s2, a, o), p in sorted(self.obs_model.items())
-            ],
+            "transitions": entries(self.trans_mat, sn),
+            "observation_model": entries(self.obs_mat, on),
             "sets": {name: [sn[i] for i in sorted(ix)] for name, ix in self.named_sets.items()},
             "factors": dict(self.factor_tags),
         }
@@ -255,20 +234,28 @@ class Pomdp:
                 if name not in index:
                     raise ModelError(f"prior references unknown state {name!r}")
                 prior[index[name]] = float(p)
-            trans = {(s, a, s2): p for s, a, s2, p in doc["transitions"]}
-            obs = {(s2, a, o): p for s2, a, o, p in doc["observation_model"]}
             return cls(
                 states,
                 doc["actions"],
                 doc["observations"],
                 prior,
-                trans,
-                obs,
+                _entry_map(doc["transitions"], "transition"),
+                _entry_map(doc["observation_model"], "observation"),
                 named_sets=doc.get("sets", {}),
                 factors=doc.get("factors", {}),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed model document: {exc}") from exc
+
+
+def _entry_map(entries, kind: str) -> dict:
+    """Key ``[s, a, t, p]`` entries by label triple; a repeated triple raises ``ModelError``."""
+    table = {}
+    for s, a, t, p in entries:
+        if (s, a, t) in table:
+            raise ModelError(f"{kind} entry {[s, a, t]!r} is listed more than once")
+        table[s, a, t] = p
+    return table
 
 
 def load_json(path, kind: str):

@@ -503,11 +503,6 @@ class MhtThresholdPolicy(Policy):
         return self._act["observe"]
 
 
-policy_time_share = TimeSharePolicy
-policy_entropy_cutoff = EntropyCutoffPolicy
-policy_mht_threshold = MhtThresholdPolicy
-
-
 # -- Monte Carlo harness ------------------------------------------------------------
 
 

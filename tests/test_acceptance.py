@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from dtlmon.automaton import dfa_accepts, formula_to_dfa, prop_eval
+from dtlmon.automaton import Dfa, dfa_accepts, prop_eval
 from dtlmon.logic import StateAtom
 from dtlmon.model import (
     ScriptedPolicy,
@@ -28,8 +28,8 @@ from dtlmon.monitor import (
     path_transition,
     smoothed_initial,
 )
-from dtlmon.studies import build_mht, build_rescue, monte_carlo, policy_entropy_cutoff, \
-    policy_time_share, rescue_success_fn
+from dtlmon.studies import EntropyCutoffPolicy, TimeSharePolicy, build_mht, build_rescue, \
+    monte_carlo, rescue_success_fn
 from dtlmon.cli import main as cli_main
 
 from helpers import (
@@ -85,7 +85,7 @@ def test_criterion_2_automaton_correctness():
     while pairs < 1000:
         num_props = rng.randint(1, 3)
         phi = random_prop_formula(rng, num_props, max_depth=4)
-        dfa = formula_to_dfa(phi, num_props)
+        dfa = Dfa(phi, num_props)
         word = random_letter_word(rng, num_props, max_len=8)
         expected = prop_eval(phi, word, 0) if word else False
         if dfa_accepts(dfa, word) != expected:
@@ -218,8 +218,8 @@ def test_criterion_7_rescue_study():
     success = rescue_success_fn(pomdp)
     results = {}
     for label, policy in (
-        ("timeshare", policy_time_share(3)),
-        ("entropy_cutoff", policy_entropy_cutoff(0.3, 0.3, 2)),
+        ("timeshare", TimeSharePolicy(3)),
+        ("entropy_cutoff", EntropyCutoffPolicy(0.3, 0.3, 2)),
     ):
         _, stats = monte_carlo(pomdp, formula, policy, trials, horizon, seed, "env", success)
         results[label] = stats

@@ -14,7 +14,6 @@ from dtlmon.automaton import (
     dfa_accepts,
     export_dot,
     export_json_dict,
-    formula_to_dfa,
     prop_eval,
 )
 from dtlmon.errors import StateBlowup
@@ -34,38 +33,38 @@ def letters(*sets):
 
 class TestKnownLanguages:
     def test_eventually(self):
-        dfa = formula_to_dfa(Eventually(P0), 1)
+        dfa = Dfa(Eventually(P0), 1)
         assert dfa_accepts(dfa, letters({0}))
         assert dfa_accepts(dfa, letters(set(), {0}, set()))
         assert not dfa_accepts(dfa, letters(set(), set()))
         assert not dfa_accepts(dfa, [])
 
     def test_next_needs_a_successor(self):
-        dfa = formula_to_dfa(Next(P0), 1)
+        dfa = Dfa(Next(P0), 1)
         assert not dfa_accepts(dfa, letters({0}))
         assert dfa_accepts(dfa, letters(set(), {0}))
         assert dfa_accepts(dfa, letters({0}, {0}))
 
     def test_until(self):
-        dfa = formula_to_dfa(Until(P0, P1), 2)
+        dfa = Dfa(Until(P0, P1), 2)
         assert dfa_accepts(dfa, letters({0}, {0}, {1}))
         assert not dfa_accepts(dfa, letters({0}, set(), {1}))
         assert dfa_accepts(dfa, letters({1}))
 
     def test_empty_word_accept_iff_initial_accepting(self):
-        dfa = formula_to_dfa(P0, 1)
+        dfa = Dfa(P0, 1)
         assert dfa_accepts(dfa, []) == dfa.is_accepting(dfa.initial)
         assert not dfa_accepts(dfa, [])
 
     def test_acceptance_is_absorbing(self):
-        dfa = formula_to_dfa(Eventually(P0), 1)
+        dfa = Dfa(Eventually(P0), 1)
         word = letters({0})
         assert dfa_accepts(dfa, word)
         for extension in (letters(set()), letters({0}, set(), set())):
             assert dfa_accepts(dfa, word + extension)
 
     def test_negated_atom(self):
-        dfa = formula_to_dfa(PropAtom(0, negated=True), 1)
+        dfa = Dfa(PropAtom(0, negated=True), 1)
         assert dfa_accepts(dfa, letters(set()))
         assert not dfa_accepts(dfa, letters({0}))
 
@@ -77,7 +76,7 @@ class TestOracleEquivalence:
         for _ in range(1000):
             num_props = rng.randint(1, 3)
             phi = random_prop_formula(rng, num_props, max_depth=4)
-            dfa = formula_to_dfa(phi, num_props)
+            dfa = Dfa(phi, num_props)
             for _ in range(4):
                 word = random_letter_word(rng, num_props, max_len=8)
                 expected = prop_eval(phi, word, 0) if word else False
@@ -90,7 +89,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             num_props = rng.randint(1, 3)
             phi = random_prop_formula(rng, num_props)
-            dfa = formula_to_dfa(phi, num_props)
+            dfa = Dfa(phi, num_props)
             word = random_letter_word(rng, num_props, max_len=6)
             if dfa_accepts(dfa, word):
                 longer = word + random_letter_word(rng, num_props, max_len=4)
@@ -118,7 +117,7 @@ class TestWideAlphabets:
         props = rng.sample(range(num_props), rng.randint(1, 3))
         phi = _renumbered(random_prop_formula(rng, len(props), max_depth=4), props)
         unused = [i for i in range(num_props) if i not in props]
-        dfa = formula_to_dfa(phi, num_props)
+        dfa = Dfa(phi, num_props)
         for _ in range(4):
             word = random_letter_word(rng, num_props, max_len=8)
             expected = prop_eval(phi, word, 0) if word else False
@@ -132,7 +131,7 @@ class TestWideAlphabets:
 
 class TestDfaStructure:
     def test_total_and_deterministic(self):
-        dfa = formula_to_dfa(Until(P0, And(P1, Next(P0))), 2)
+        dfa = Dfa(Until(P0, And(P1, Next(P0))), 2)
         dfa.materialize()
         for state in range(dfa.num_states):
             for letter in range(4):
@@ -142,12 +141,12 @@ class TestDfaStructure:
                 assert 0 <= first < dfa.num_states
 
     def test_letter_out_of_range(self):
-        dfa = formula_to_dfa(P0, 1)
+        dfa = Dfa(P0, 1)
         with pytest.raises(ValueError):
             dfa.transition(dfa.initial, 2)
 
     def test_accepting_states_absorbing(self):
-        dfa = formula_to_dfa(Until(P0, Or(P1, Next(P0))), 2)
+        dfa = Dfa(Until(P0, Or(P1, Next(P0))), 2)
         dfa.materialize()
         for state in range(dfa.num_states):
             if dfa.is_accepting(state):
@@ -160,13 +159,13 @@ class TestDfaStructure:
             Eventually(And(P0, Next(P1))),
         )
         with pytest.raises(StateBlowup):
-            dfa = formula_to_dfa(phi, 2, max_states=2)
+            dfa = Dfa(phi, 2, max_states=2)
             dfa.materialize()
 
     def test_concurrent_queries_agree(self):
-        dfa = formula_to_dfa(Until(P0, Or(P1, Next(P0))), 2)
+        dfa = Dfa(Until(P0, Or(P1, Next(P0))), 2)
         words = [random_letter_word(random.Random(i), 2, max_len=8) for i in range(64)]
-        expected = [dfa_accepts(formula_to_dfa(Until(P0, Or(P1, Next(P0))), 2), w) for w in words]
+        expected = [dfa_accepts(Dfa(Until(P0, Or(P1, Next(P0))), 2), w) for w in words]
         results = [None] * len(words)
 
         def worker(lo, hi):
@@ -226,7 +225,7 @@ class TestDfaStructure:
 
 class TestExport:
     def test_dot_shapes_and_determinism(self):
-        dfa = formula_to_dfa(Eventually(P0), 1, prop_names=["ready"])
+        dfa = Dfa(Eventually(P0), 1, prop_names=["ready"])
         dot = export_dot(dfa)
         assert dot == export_dot(dfa)
         assert "doublecircle" in dot
@@ -234,14 +233,14 @@ class TestExport:
         assert dot.count("[shape=circle]") + dot.count("[shape=doublecircle]") == dfa.num_states
 
     def test_dot_deterministic_across_query_histories(self):
-        fresh = formula_to_dfa(Until(P0, P1), 2)
-        warmed = formula_to_dfa(Until(P0, P1), 2)
+        fresh = Dfa(Until(P0, P1), 2)
+        warmed = Dfa(Until(P0, P1), 2)
         dfa_accepts(warmed, letters({1}, {0}, set()))  # populate caches in odd order
         assert export_dot(fresh) == export_dot(warmed)
 
     def test_json_dump_round_trip_language(self):
         phi = Until(P0, P1)
-        dfa = formula_to_dfa(phi, 2)
+        dfa = Dfa(phi, 2)
         doc = export_json_dict(dfa)
         assert doc["states"] == dfa.num_states
         assert doc["initial"] == 0

@@ -1,11 +1,14 @@
 """Command-line behavior: files, exit codes, and byte determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dtlmon
 from dtlmon.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from dtlmon.model import save_model
 
@@ -308,10 +311,14 @@ class TestCasestudy:
         assert len(model["states"]) == 64
 
     def test_module_entry_point(self, tmp_path):
+        # The child process must import the same package as this test.
+        package_root = str(Path(dtlmon.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dtlmon", "casestudy", "mht", "--out", str(tmp_path / "m")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == EXIT_OK
         assert "probability" in proc.stdout

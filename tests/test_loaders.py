@@ -182,6 +182,12 @@ BAD_INPUTS = {
     "model prior list": ("model", _with(MODEL_DOC, ["prior"], [0.5, 0.5])),
     "model sets list": ("model", _with(MODEL_DOC, ["sets"], [["off"]])),
     "model factors list": ("model", _with(MODEL_DOC, ["factors"], ["bit"])),
+    "repeated transition entry": (
+        "model",
+        _with(MODEL_DOC, ["transitions"], MODEL_DOC["transitions"] + MODEL_DOC["transitions"][:1]),
+    ),
+    "float state label": ("model", _with(MODEL_DOC, ["transitions", 0, 0], 0.9)),
+    "bool state label": ("model", _with(MODEL_DOC, ["transitions", 3, 0], True)),
     "belief entry list": ("trace", _with(TRACE_DOC, ["beliefs", 1], [0.5, 0.5])),
     "non-numeric belief": ("trace", _with(TRACE_DOC, ["beliefs", 1, "off"], "half")),
     "integer beliefs": ("trace", _with(TRACE_DOC, ["beliefs"], 3)),

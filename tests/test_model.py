@@ -23,7 +23,7 @@ from dtlmon.model import (
     marginal_prob,
     simulate,
 )
-from dtlmon.studies import build_mht
+from dtlmon.studies import build_mht, build_rescue
 
 from helpers import brute_force_posterior, random_pomdp, tiny_two_state
 
@@ -311,8 +311,8 @@ class TestJsonRoundTrip:
         assert clone.state_names == mht.state_names
         assert clone.actions == mht.actions
         assert clone.observations == mht.observations
-        assert clone.trans == mht.trans
-        assert clone.obs_model == mht.obs_model
+        np.testing.assert_array_equal(clone.trans_mat, mht.trans_mat)
+        np.testing.assert_array_equal(clone.obs_mat, mht.obs_mat)
         assert clone.named_sets == mht.named_sets
         assert clone.factor_cells == mht.factor_cells
         np.testing.assert_array_equal(clone.prior.probs, mht.prior.probs)
@@ -320,7 +320,7 @@ class TestJsonRoundTrip:
     def test_tiny_round_trip(self):
         pomdp = tiny_two_state()
         clone = Pomdp.from_json_dict(pomdp.to_json_dict())
-        assert clone.trans == pomdp.trans
+        np.testing.assert_array_equal(clone.trans_mat, pomdp.trans_mat)
         assert clone.named_sets["lit"] == pomdp.named_sets["lit"]
 
     def test_tag_predicate_sets_from_json(self):
@@ -332,3 +332,46 @@ class TestJsonRoundTrip:
     def test_malformed_document(self):
         with pytest.raises(ModelError):
             Pomdp.from_json_dict({"states": []})
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_models_round_trip_exactly(self, seed):
+        pomdp = random_pomdp(random.Random(seed), max_states=6, max_actions=3, max_obs=3)
+        _assert_exact_round_trip(pomdp)
+
+    def test_bundled_models_round_trip_exactly(self):
+        for pomdp in (build_mht(0.25, 0.5, 0.75, 0.8)[0], build_rescue()[0], tiny_two_state()):
+            _assert_exact_round_trip(pomdp)
+
+    def test_name_and_index_keys_for_one_cell_add_up(self):
+        pomdp = Pomdp(
+            ["a", "b"], ["go"], ["x", "y"], [1.0, 0.0],
+            {("a", "go", "b"): 0.25, (0, 0, 1): 0.5, ("a", 0, "a"): 0.25, ("b", "go", "b"): 1.0},
+            {("a", "go", "x"): 0.5, (0, "go", 0): 0.5, ("b", 0, 1): 1.0},
+        )
+        np.testing.assert_array_equal(pomdp.trans_mat[0], [[0.25, 0.75], [0.0, 1.0]])
+        np.testing.assert_array_equal(pomdp.obs_mat[0], [[1.0, 0.0], [0.0, 1.0]])
+        assert pomdp.to_json_dict()["transitions"] == [
+            ["a", "go", "a", 0.25], ["a", "go", "b", 0.75], ["b", "go", "b", 1.0]
+        ]
+
+    def test_dynamics_arrays_are_read_only(self, mht):
+        for table in (mht.trans_mat, mht.obs_mat):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 0.5
+
+
+def _assert_exact_round_trip(pomdp: Pomdp) -> None:
+    """Model -> JSON text -> model keeps the arrays bit for bit and the
+    document unchanged; entries come sorted by their index triple."""
+    doc = pomdp.to_json_dict()
+    for key, targets in (("transitions", pomdp.state_index), ("observation_model", pomdp.obs_index)):
+        cells = [
+            (pomdp.state_index[s], pomdp.action_index[a], targets[t]) for s, a, t, _ in doc[key]
+        ]
+        assert cells == sorted(set(cells))
+    clone = Pomdp.from_json_dict(json.loads(json.dumps(doc)))
+    for got, want in ((clone.trans_mat, pomdp.trans_mat), (clone.obs_mat, pomdp.obs_mat)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert clone.to_json_dict() == doc

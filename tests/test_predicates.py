@@ -24,7 +24,7 @@ from dtlmon.monitor import (
     acceptance_probability,
     region_signature,
 )
-from dtlmon.studies import build_rescue, policy_entropy_cutoff, policy_time_share, trial_seed
+from dtlmon.studies import EntropyCutoffPolicy, TimeSharePolicy, build_rescue, trial_seed
 
 from helpers import random_cosafe_formula, random_execution, random_pomdp
 
@@ -158,7 +158,7 @@ def test_rescue_near_ties_match_region_signature():
     # The rescue thresholds sit within 1e-16 of zero on many steps, so any
     # change in summation order would show up here.
     pomdp, formula = build_rescue()
-    for policy in (policy_time_share(3), policy_entropy_cutoff(0.3, 0.3, 2)):
+    for policy in (TimeSharePolicy(3), EntropyCutoffPolicy(0.3, 0.3, 2)):
         for k in range(25):
             _, execution = simulate(pomdp, policy, 16, trial_seed(2024, k))
             report = acceptance_probability(pomdp, formula, execution)

@@ -10,15 +10,15 @@ from dtlmon.logic import Eventually, formula_text
 from dtlmon.model import Pomdp, bayes_update, marginal_dist, simulate
 from dtlmon.monitor import acceptance_probability
 from dtlmon.studies import (
+    EntropyCutoffPolicy,
+    MhtThresholdPolicy,
     RescueParams,
+    TimeSharePolicy,
     build_mht,
     build_rescue,
     mht_success_fn,
     monte_carlo,
     pearson_r,
-    policy_entropy_cutoff,
-    policy_mht_threshold,
-    policy_time_share,
     rescue_success_fn,
     trial_seed,
 )
@@ -44,7 +44,7 @@ class TestBuildMht:
         for c in (1, 2, 3):
             watch = pomdp.state_index[f"coin{c}_watch"]
             observe = pomdp.action_index["observe"]
-            assert pomdp.trans[(watch, observe, watch)] == 1.0
+            assert pomdp.trans_mat[observe, watch, watch] == 1.0
 
     def test_heads_likelihood_matches_coin(self, mht):
         pomdp, _ = mht
@@ -52,7 +52,7 @@ class TestBuildMht:
         heads = pomdp.obs_index["heads"]
         for c, p in ((1, 0.25), (2, 0.5), (3, 0.75)):
             watch = pomdp.state_index[f"coin{c}_watch"]
-            assert pomdp.obs_model[(watch, observe, heads)] == pytest.approx(p)
+            assert pomdp.obs_mat[observe, watch, heads] == pytest.approx(p)
 
     def test_one_heads_hypothesis_marginal(self, mht):
         pomdp, _ = mht
@@ -70,9 +70,9 @@ class TestBuildMht:
         watch = pomdp.state_index["coin2_watch"]
         chosen = pomdp.state_index["coin2_chose3"]
         choose3 = pomdp.action_index["choose3"]
-        assert pomdp.trans[(watch, choose3, chosen)] == 1.0
+        assert pomdp.trans_mat[choose3, watch, chosen] == 1.0
         for a in range(pomdp.num_actions):
-            assert pomdp.trans[(chosen, a, chosen)] == 1.0
+            assert pomdp.trans_mat[a, chosen, chosen] == 1.0
 
     def test_eventually_variant(self):
         _, formula = build_mht(0.25, 0.5, 0.75, 0.8, eventually=True)
@@ -99,38 +99,38 @@ class TestBuildRescue:
         src = pomdp.state_index["r1c0e10v10"]  # survivor present, not carrying
         picked = pomdp.state_index["r1c1e10v00"]
         pickup = pomdp.action_index["pickup"]
-        assert pomdp.trans[(src, pickup, picked)] == pytest.approx(0.6)
-        assert pomdp.trans[(src, pickup, src)] == pytest.approx(0.4)
+        assert pomdp.trans_mat[pickup, src, picked] == pytest.approx(0.6)
+        assert pomdp.trans_mat[pickup, src, src] == pytest.approx(0.4)
 
     def test_pickup_noop_without_survivor(self, rescue):
         pomdp, _ = rescue
         src = pomdp.state_index["r1c0e10v01"]
         pickup = pomdp.action_index["pickup"]
-        assert pomdp.trans[(src, pickup, src)] == 1.0
+        assert pomdp.trans_mat[pickup, src, src] == 1.0
 
     def test_putdown_deposits_in_current_room(self, rescue):
         pomdp, _ = rescue
         src = pomdp.state_index["r2c1e10v00"]
         dst = pomdp.state_index["r2c0e10v01"]
         putdown = pomdp.action_index["putdown"]
-        assert pomdp.trans[(src, putdown, dst)] == 1.0
+        assert pomdp.trans_mat[putdown, src, dst] == 1.0
 
     def test_switch_flips_room_only(self, rescue):
         pomdp, _ = rescue
         src = pomdp.state_index["r1c1e01v10"]
         dst = pomdp.state_index["r2c1e01v10"]
-        assert pomdp.trans[(src, pomdp.action_index["switch"], dst)] == 1.0
+        assert pomdp.trans_mat[pomdp.action_index["switch"], src, dst] == 1.0
 
     def test_stay_sensing_rates(self, rescue):
         pomdp, _ = rescue
         stay = pomdp.action_index["stay"]
         # Room 1 safe with survivor: both reports are detections.
         s = pomdp.state_index["r1c0e10v10"]
-        assert pomdp.obs_model[(s, stay, pomdp.obs_index["sense11"])] == pytest.approx(0.8 * 0.9)
-        assert pomdp.obs_model[(s, stay, pomdp.obs_index["sense00"])] == pytest.approx(0.2 * 0.1)
+        assert pomdp.obs_mat[stay, s, pomdp.obs_index["sense11"]] == pytest.approx(0.8 * 0.9)
+        assert pomdp.obs_mat[stay, s, pomdp.obs_index["sense00"]] == pytest.approx(0.2 * 0.1)
         # Room 2's reports are about room 2.
         s2 = pomdp.state_index["r2c0e10v10"]
-        assert pomdp.obs_model[(s2, stay, pomdp.obs_index["sense11"])] == pytest.approx(0.1 * 0.1)
+        assert pomdp.obs_mat[stay, s2, pomdp.obs_index["sense11"]] == pytest.approx(0.1 * 0.1)
 
     def test_default_prior_excludes_nowhere_safe(self, rescue):
         pomdp, _ = rescue
@@ -167,7 +167,7 @@ class TestPolicies:
     def test_time_share_schedule(self):
         # No survivors anywhere: the trigger never fires, pure schedule.
         pomdp, _ = certain_env_rescue((1, 1, 0, 0))
-        policy = policy_time_share(3)
+        policy = TimeSharePolicy(3)
         _, execution = simulate(pomdp, policy, 16, seed=1)
         names = [pomdp.actions[a] for a in execution.actions]
         assert [i for i, n in enumerate(names) if n == "switch"] == [6, 12]
@@ -175,7 +175,7 @@ class TestPolicies:
 
     def test_time_share_single_share(self):
         pomdp, _ = certain_env_rescue((1, 1, 0, 0))
-        policy = policy_time_share(1)
+        policy = TimeSharePolicy(1)
         _, execution = simulate(pomdp, policy, 16, seed=1)
         names = [pomdp.actions[a] for a in execution.actions]
         assert names.count("switch") == 0  # the only epoch boundary is step 16
@@ -183,31 +183,31 @@ class TestPolicies:
     def test_trigger_overlay_preempts_schedule(self):
         # Certain survivor in an unsafe room 1 fires the overlay immediately.
         pomdp, _ = certain_env_rescue((0, 1, 1, 0))
-        policy = policy_time_share(3)
+        policy = TimeSharePolicy(3)
         _, execution = simulate(pomdp, policy, 6, seed=2)
         names = [pomdp.actions[a] for a in execution.actions]
         assert names[:3] == ["pickup", "switch", "putdown"]
 
     def test_entropy_cutoff_waits_when_uncertain(self, rescue):
         pomdp, _ = rescue
-        policy = policy_entropy_cutoff(0.3, 0.3, 2)
+        policy = EntropyCutoffPolicy(0.3, 0.3, 2)
         policy.reset(pomdp, 16, 0)
         assert pomdp.actions[policy.act(pomdp.prior, 0)] == "stay"
 
     def test_entropy_cutoff_certain_env_switches_every_rho(self):
         pomdp, _ = certain_env_rescue((1, 1, 0, 0))
-        policy = policy_entropy_cutoff(0.3, 0.3, 2)
+        policy = EntropyCutoffPolicy(0.3, 0.3, 2)
         _, execution = simulate(pomdp, policy, 8, seed=3)
         names = [pomdp.actions[a] for a in execution.actions]
         assert names == ["switch", "stay", "switch", "stay"] * 2
 
     def test_entropy_cutoff_rejects_negative_cooldown(self):
         with pytest.raises(ModelError):
-            policy_entropy_cutoff(0.3, 0.3, -1)
+            EntropyCutoffPolicy(0.3, 0.3, -1)
 
     def test_mht_threshold_policy_commits_once_confident(self, mht):
         pomdp, formula = mht
-        policy = policy_mht_threshold(0.8)
+        policy = MhtThresholdPolicy(0.8)
         hidden, execution = simulate(pomdp, policy, 12, seed=14)
         names = [pomdp.actions[a] for a in execution.actions]
         chooses = [n for n in names if n.startswith("choose")]
@@ -264,7 +264,7 @@ class TestPearson:
 class TestMonteCarlo:
     def test_deterministic_records(self, mht):
         pomdp, formula = mht
-        policy = policy_mht_threshold(0.8)
+        policy = MhtThresholdPolicy(0.8)
         success = mht_success_fn(pomdp)
         first = monte_carlo(pomdp, formula, policy, 5, 6, 99, "hyp", success)
         second = monte_carlo(pomdp, formula, policy, 5, 6, 99, "hyp", success)
@@ -279,21 +279,21 @@ class TestMonteCarlo:
     def test_requires_two_trials(self, mht):
         pomdp, formula = mht
         with pytest.raises(ModelError):
-            monte_carlo(pomdp, formula, policy_mht_threshold(0.8), 1, 4, 0, "hyp", lambda s: True)
+            monte_carlo(pomdp, formula, MhtThresholdPolicy(0.8), 1, 4, 0, "hyp", lambda s: True)
 
     def test_degenerate_pearson_reported_as_none(self, mht):
         pomdp, _ = mht
         from dtlmon.logic import StateAtom
 
         full = StateAtom("all", frozenset(range(pomdp.num_states)), pomdp.num_states)
-        policy = policy_mht_threshold(0.8)
+        policy = MhtThresholdPolicy(0.8)
         _, stats = monte_carlo(pomdp, full, policy, 4, 3, 5, "hyp", lambda s: True)
         assert stats.mean_prob == pytest.approx(1.0)
         assert stats.pearson_r is None
 
     def test_aggregate_uses_sample_variance(self, mht):
         pomdp, formula = mht
-        policy = policy_mht_threshold(0.8)
+        policy = MhtThresholdPolicy(0.8)
         records, stats = monte_carlo(
             pomdp, formula, policy, 6, 6, 123, "hyp", mht_success_fn(pomdp)
         )
