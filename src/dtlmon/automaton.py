@@ -7,7 +7,8 @@ sets are the states of a tableau-style NFA; a run accepts when its final
 obligation set is empty.  The NFA is determinized on the fly by subset
 construction, with transitions computed on demand and cached, because the
 alphabet 2^AP is exponential in the proposition count.  Accepting subsets
-collapse to a canonical accept sink, so accepting states are absorbing.
+collapse to a canonical accept sink, so accepting states are absorbing;
+the empty subset is the dead state, absorbing and never accepting.
 
 The skeleton is interned once per automaton: every structurally distinct
 subformula gets a small integer id, so an obligation set is a bitmask over
@@ -88,6 +89,7 @@ class Dfa:
         self._subset_ids: dict[frozenset, int] = {}
         self._subsets: list[frozenset] = []
         self._accepting: set[int] = set()
+        self._dead: int | None = None
         self._delta: dict[tuple[int, int], int] = {}
         self.initial = self._register(frozenset({1 << root}))
 
@@ -163,6 +165,8 @@ class Dfa:
         self._subsets.append(subset)
         if _EMPTY_OBLIGATION in subset:
             self._accepting.add(sid)
+        elif not subset:
+            self._dead = sid
         return sid
 
     def _successor_subset(self, subset: frozenset, letter: int) -> frozenset:
@@ -196,6 +200,11 @@ class Dfa:
 
     def is_accepting(self, state: int) -> bool:
         return state in self._accepting
+
+    def is_dead(self, state: int) -> bool:
+        """Whether ``state`` is the empty subset: no run through it accepts,
+        whatever letters follow."""
+        return state == self._dead
 
     def transition(self, state: int, letter: int) -> int:
         if not 0 <= letter < (1 << self.num_props):

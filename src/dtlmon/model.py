@@ -154,7 +154,7 @@ class Pomdp:
             a, s = np.unravel_index(int(row_err.argmax()), row_err.shape)
             raise ModelError(
                 f"{kind} row for state {self.state_names[s]!r} under action "
-                f"{self.actions[a]!r} sums to {table[a, s].sum()!r}"
+                f"{self.actions[a]!r} sums to {float(table[a, s].sum())!r}"
             )
         table.flags.writeable = False
         return table
@@ -262,9 +262,22 @@ def load_json(path, kind: str):
     """Parse a JSON file; malformed content raises ``ModelError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ModelError(f"malformed {kind} file {str(path)!r}: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is malformed, instead of
+    silently keeping only its last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} is repeated in a JSON object")
+            seen.add(key)
+    return doc
 
 
 def load_model(path) -> Pomdp:

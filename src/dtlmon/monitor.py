@@ -14,9 +14,17 @@ The smoothed path measure factors as
     Pr[path | record] = smoothed_initial(s0) * prod_i path_transition(i, s_i, s_i+1)
 
 with ``path_transition`` built from backward likelihoods, so the sum over
-satisfying paths is a forward dynamic program over (hidden state, DFA
-state) pairs rather than an enumeration of the path tree.  A brute-force
-enumeration oracle is kept alongside as an independent cross-check.
+satisfying paths is a forward dynamic program rather than an enumeration
+of the path tree.  Its mass is a matrix whose rows are the open automaton
+states and whose columns are the hidden states still reachable.  Each step
+is one matrix product with the step's smoothed transition rows and one
+scatter of every cell that holds mass to its successor automaton state.
+Mass that reaches the accept sink is added to the result and mass that
+reaches the dead state is dropped, as in the good/bad-prefix reading of
+co-safe properties (Kupferman & Vardi, "Model checking of safety
+properties", 2001), so only open cells are carried.  The exact number of
+consistent hidden paths is counted alongside in Python integers.  A
+brute-force enumeration oracle is kept as an independent cross-check.
 
 Both stages read the same per-step belief-predicate signatures, computed
 once per execution by the formula's compiled ``BeliefPredicates``;
@@ -119,6 +127,7 @@ class PropositionMaps:
         self._belief_index = belief_index
         self._state_index = state_index
         self._state_names = tuple(state_names)
+        self._state_bits: dict[int, tuple[int, ...]] = {}
 
     @property
     def num_belief_props(self) -> int:
@@ -144,13 +153,17 @@ class PropositionMaps:
         names += [f"in({n})" for n in self._state_names]
         return names
 
-    def state_bits(self, num_states: int) -> list[int]:
-        """Per-hidden-state bitmask of the state propositions it satisfies."""
-        bits = [0] * num_states
-        for k, indices in enumerate(self.state_props):
-            mask = 1 << (self.num_belief_props + k)
-            for s in indices:
-                bits[s] |= mask
+    def state_bits(self, num_states: int) -> tuple[int, ...]:
+        """Per-hidden-state bitmask of the state propositions it satisfies,
+        computed once per model dimension."""
+        bits = self._state_bits.get(num_states)
+        if bits is None:
+            masks = [0] * num_states
+            for k, indices in enumerate(self.state_props):
+                mask = 1 << (self.num_belief_props + k)
+                for s in indices:
+                    masks[s] |= mask
+            bits = self._state_bits[num_states] = tuple(masks)
         return bits
 
 
@@ -357,10 +370,17 @@ def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
             raise ModelError("execution beliefs do not match the model dimension")
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.feasibility_dfa, sigs)
-    labels = tuple(
-        frozenset(j for j in range(comp.maps.num_belief_props) if (sig >> j) & 1) for sig in sigs
-    )
-    return ok, labels, sigs
+    return ok, tuple(frozenset(_set_bits(sig)) for sig in sigs), sigs
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # -- smoothing ------------------------------------------------------------------
@@ -418,14 +438,19 @@ def _path_transition_rows(
     pomdp: Pomdp, bl: BackwardLikelihoods, i: int, states: Sequence[int]
 ) -> np.ndarray:
     """Smoothed transition rows at time i, one per state in ``states``."""
-    denom = bl.values[i][states]
+    denom = bl.values[i].take(states)
     if not denom.all():
         s = states[int(np.flatnonzero(denom == 0.0)[0])]
         raise InconsistentState(
             f"state {pomdp.state_names[s]!r} cannot produce the remaining observations"
         )
     a, o = bl.actions[i], bl.observations[i]
-    return pomdp.trans_mat[a][states] * pomdp.obs_mat[a][:, o] * bl.values[i + 1] / denom[:, None]
+    return (
+        pomdp.trans_mat[a].take(states, axis=0)
+        * pomdp.obs_mat[a][:, o]
+        * bl.values[i + 1]
+        / denom[:, None]
+    )
 
 
 # -- acceptance probability --------------------------------------------------------
@@ -459,10 +484,12 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
 
     Runs feasibility first and returns probability zero without further
     work when it fails.  Otherwise sums the smoothed path measure over
-    satisfying paths with a forward dynamic program over (hidden state,
-    automaton state) pairs; the automaton consumes, at step i in hidden
-    state s, the belief-predicate signature of the step's belief joined
-    with the state propositions s satisfies.
+    satisfying paths with a forward dynamic program over (automaton state,
+    hidden state) cells; the automaton consumes, at step i in hidden state
+    s, the belief-predicate signature of the step's belief joined with the
+    state propositions s satisfies.  Mass that reaches the accept sink is
+    added to the result and mass that reaches the dead state is dropped, so
+    only open cells are carried.
     """
     comp = compile_monitor(formula)
     feasible, labels, sigs = _feasibility(comp, pomdp, exec)
@@ -479,40 +506,39 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     alpha0 = smoothed_initial(pomdp, bl)
     sbits = comp.maps.state_bits(pomdp.num_states)
     dfa = comp.acceptance_dfa
-    t = exec.horizon
 
-    mass: dict[tuple[int, int], float] = {}
-    path_counts: dict[int, int] = {}
-    for s in range(pomdp.num_states):
-        if alpha0[s] > 0.0:
-            q = dfa.transition(dfa.initial, sigs[0] | sbits[s])
-            mass[(s, q)] = mass.get((s, q), 0.0) + float(alpha0[s])
-            path_counts[s] = path_counts.get(s, 0) + 1
-    dp_pairs = len(mass)
+    # The columns are the hidden states reached with positive probability,
+    # ascending, as a list (``live``) and as an index array (``live_idx``);
+    # ``counts`` holds each one's exact number of consistent paths.
+    live_idx = np.flatnonzero(alpha0)
+    live = live_idx.tolist()
+    counts = [1] * len(live)
+    # Step 0 moves the initial state's mass on the first letter.
+    states, mass, probability = _fold_step(
+        dfa, [dfa.initial], sigs[0], [sbits[s] for s in live], alpha0.take(live_idx)[None, :]
+    )
+    dp_pairs = int(np.count_nonzero(mass))
 
-    for i in range(t):
-        live = list(path_counts)
-        rows = _path_transition_rows(pomdp, bl, i, live)
-        # Successors with their probabilities, in ascending successor order.
-        steps: dict[int, list[tuple[int, float]]] = {s: [] for s in live}
+    for i in range(exec.horizon):
+        rows = _path_transition_rows(pomdp, bl, i, live_idx)
         r_idx, s2_idx = np.nonzero(rows)
-        for r, s2, p in zip(r_idx.tolist(), s2_idx.tolist(), rows[r_idx, s2_idx].tolist()):
-            steps[live[r]].append((s2, p))
-        letter = sigs[i + 1]
-        next_mass: dict[tuple[int, int], float] = {}
         next_counts: dict[int, int] = {}
-        for (s, q), m in mass.items():
-            for s2, p in steps[s]:
-                key = (s2, dfa.transition(q, letter | sbits[s2]))
-                next_mass[key] = next_mass.get(key, 0.0) + m * p
-        for s, c in path_counts.items():
-            for s2, _ in steps[s]:
-                next_counts[s2] = next_counts.get(s2, 0) + c
-        mass = next_mass
-        path_counts = next_counts
-        dp_pairs += len(mass)
+        for r, s2 in zip(r_idx.tolist(), s2_idx.tolist()):
+            next_counts[s2] = next_counts.get(s2, 0) + counts[r]
+        live = sorted(next_counts)
+        live_idx = np.array(live, dtype=np.intp)
+        counts = [next_counts[s] for s in live]
+        if states:
+            states, mass, accepted = _fold_step(
+                dfa,
+                states,
+                sigs[i + 1],
+                [sbits[s] for s in live],
+                mass @ rows.take(live_idx, axis=1),
+            )
+            probability += accepted
+            dp_pairs += int(np.count_nonzero(mass))
 
-    probability = sum(m for (s, q), m in mass.items() if dfa.is_accepting(q))
     probability = min(max(probability, 0.0), 1.0)
     return MonitorReport(
         True,
@@ -520,10 +546,57 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
         labels,
         {
             "dp_pairs": dp_pairs,
-            "consistent_paths": sum(path_counts.values()),
+            "consistent_paths": sum(counts),
             "propositions": legend,
         },
     )
+
+
+def _fold_step(
+    dfa: Dfa, states: Sequence[int], letter: int, col_bits: Sequence[int], mass: np.ndarray
+) -> tuple[list[int], np.ndarray, float]:
+    """Move one step's mass through the automaton.
+
+    ``mass[r, j]`` sits in automaton state ``states[r]`` and hidden column
+    j, which reads ``letter`` joined with the state bits ``col_bits[j]``.
+    Returns the open successor states, numbered in the order their first
+    cell is met in a row-major scan (so the order depends only on the
+    formula and the execution, never on what the automaton has cached),
+    their mass matrix, and the mass that reached the accept sink.
+    Successors are looked up only for cells that hold mass, once per row
+    and distinct state bits.
+    """
+    delta = dfa._delta
+    width = mass.shape[1]
+    open_rows: dict[int, int] = {}  # open successor -> its row + 1; row 0 is dropped
+    targets: dict[tuple[int, int], int] = {}  # (row, state bits) -> target, -1 accepts
+    codes = []
+    accepted = 0.0
+    for r, values in enumerate(mass.tolist()):
+        q = states[r]
+        for j, m in enumerate(values):
+            target = 0
+            if m:
+                key = (r, col_bits[j])
+                target = targets.get(key)
+                if target is None:
+                    full = letter | key[1]
+                    q2 = delta.get((q, full))
+                    if q2 is None:
+                        q2 = dfa.transition(q, full)
+                    if dfa.is_accepting(q2):
+                        target = -1
+                    elif dfa.is_dead(q2):
+                        target = 0
+                    else:
+                        target = open_rows.setdefault(q2, len(open_rows) + 1)
+                    targets[key] = target
+                if target < 0:
+                    accepted += m
+                    target = 0
+            codes.append(target * width + j)
+    out = np.bincount(codes, weights=mass.ravel(), minlength=(len(open_rows) + 1) * width)
+    return list(open_rows), out.reshape(-1, width)[1:], accepted
 
 
 DEFAULT_ORACLE_CAP = 100_000_000

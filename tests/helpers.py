@@ -247,3 +247,33 @@ def consistent_record(pomdp: Pomdp, rng: random.Random, t: int):
     policy = RandomActionPolicy()
     _, execution = simulate(pomdp, policy, t, rng.randrange(10**9))
     return execution.actions, execution.observations
+
+
+def grid_walk(width: int = 5) -> Pomdp:
+    """A king's-move random walk on a ``width`` x ``width`` grid under a weak
+    row sensor: every observation is possible in every state, so nearly all
+    hidden paths stay consistent with any record."""
+    cells = list(itertools.product(range(width), repeat=2))
+    name = {(r, c): f"x{r}_{c}" for r, c in cells}
+    trans, obs_model = {}, {}
+    for r, c in cells:
+        succ = [
+            (r + dr, c + dc)
+            for dr in (-1, 0, 1)
+            for dc in (-1, 0, 1)
+            if 0 <= r + dr < width and 0 <= c + dc < width
+        ]
+        for cell in succ:
+            trans[(name[(r, c)], "walk", name[cell])] = 1.0 / len(succ)
+        high = 0.2 + 0.6 * r / (width - 1)
+        obs_model[(name[(r, c)], "walk", "hi")] = high
+        obs_model[(name[(r, c)], "walk", "lo")] = 1.0 - high
+    return Pomdp(
+        [name[cell] for cell in cells],
+        ["walk"],
+        ["lo", "hi"],
+        [1.0 / len(cells)] * len(cells),
+        trans,
+        obs_model,
+        named_sets={"corner": [name[(width - 1, width - 1)]]},
+    )

@@ -68,6 +68,16 @@ class TestKnownLanguages:
         assert dfa_accepts(dfa, letters(set()))
         assert not dfa_accepts(dfa, letters({0}))
 
+    def test_dead_state_is_absorbing_and_rejecting(self):
+        dfa = Dfa(Until(P0, P1), 2)
+        assert not dfa.is_dead(dfa.initial)
+        dead = dfa.transition(dfa.initial, 0)  # neither p0 nor p1: refuted
+        assert dfa.is_dead(dead) and not dfa.is_accepting(dead)
+        assert all(dfa.transition(dead, letter) == dead for letter in range(4))
+        waiting = dfa.transition(dfa.initial, 1)
+        accepted = dfa.transition(dfa.initial, 2)
+        assert not dfa.is_dead(waiting) and not dfa.is_dead(accepted)
+
 
 class TestOracleEquivalence:
     def test_random_formulas_and_words(self):

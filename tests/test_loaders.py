@@ -178,6 +178,13 @@ def _with(doc, path, value):
     return doc
 
 
+def _with_repeated_key(doc, path, key, first, last) -> bytes:
+    """The document as JSON text whose object at ``path`` gives ``key`` the
+    value ``first`` and then, at its end, again the value ``last``."""
+    doc = _with(_with(doc, path + [key], first), path + ["__repeat__"], last)
+    return json.dumps(doc).replace('"__repeat__"', json.dumps(key)).encode()
+
+
 BAD_INPUTS = {
     "model prior list": ("model", _with(MODEL_DOC, ["prior"], [0.5, 0.5])),
     "model sets list": ("model", _with(MODEL_DOC, ["sets"], [["off"]])),
@@ -188,6 +195,11 @@ BAD_INPUTS = {
     ),
     "float state label": ("model", _with(MODEL_DOC, ["transitions", 0, 0], 0.9)),
     "bool state label": ("model", _with(MODEL_DOC, ["transitions", 3, 0], True)),
+    "repeated prior key": ("model", _with_repeated_key(MODEL_DOC, ["prior"], "off", 0.9, 0.5)),
+    "repeated belief key": (
+        "trace",
+        _with_repeated_key(TRACE_DOC, ["beliefs", 1], "off", *[TRACE_DOC["beliefs"][1]["off"]] * 2),
+    ),
     "belief entry list": ("trace", _with(TRACE_DOC, ["beliefs", 1], [0.5, 0.5])),
     "non-numeric belief": ("trace", _with(TRACE_DOC, ["beliefs", 1, "off"], "half")),
     "integer beliefs": ("trace", _with(TRACE_DOC, ["beliefs"], 3)),

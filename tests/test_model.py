@@ -247,7 +247,8 @@ def test_filter_output_is_valid_belief(seed):
 
 class TestValidation:
     def test_bad_transition_row(self):
-        with pytest.raises(ModelError):
+        message = "transition row for state 'a' under action 'go' sums to 0.5$"
+        with pytest.raises(ModelError, match=message):
             Pomdp(
                 ["a", "b"], ["go"], ["x"], [1.0, 0.0],
                 {("a", "go", "b"): 0.5, ("b", "go", "b"): 1.0},
@@ -255,7 +256,8 @@ class TestValidation:
             )
 
     def test_bad_observation_row(self):
-        with pytest.raises(ModelError):
+        message = "observation row for state 'a' under action 'go' sums to 0.7$"
+        with pytest.raises(ModelError, match=message):
             Pomdp(
                 ["a"], ["go"], ["x", "y"], [1.0],
                 {("a", "go", "a"): 1.0},

@@ -4,12 +4,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dtlmon.errors import AllZero, CapExceeded, InconsistentState, ModelError
-from dtlmon.logic import BeliefAtom, Const, Neg, Prob, StateAtom, parse_formula
-from dtlmon.model import Belief, Execution, execution_from_actions, marginal_prob
+from dtlmon.logic import BeliefAtom, Const, Eventually, Neg, Prob, StateAtom, parse_formula
+from dtlmon.model import (
+    Belief,
+    Execution,
+    RandomActionPolicy,
+    execution_from_actions,
+    marginal_prob,
+    simulate,
+)
 from dtlmon.monitor import (
     PropositionMaps,
+    _path_transition_rows,
     acceptance_probability,
     compile_monitor,
     acceptance_probability_oracle,
@@ -22,9 +32,15 @@ from dtlmon.monitor import (
     relax,
     smoothed_initial,
 )
-from dtlmon.studies import build_mht, mht_reference_trace
+from dtlmon.studies import build_mht, build_rescue, mht_reference_trace, rescue_policies, trial_seed
 
-from helpers import random_cosafe_formula, random_execution, random_pomdp, tiny_two_state
+from helpers import (
+    grid_walk,
+    random_cosafe_formula,
+    random_execution,
+    random_pomdp,
+    tiny_two_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +330,96 @@ class TestAcceptanceProbability:
         doc = acceptance_probability(pomdp, formula, execution).to_json_dict()
         assert set(doc) == {"feasible", "probability", "step_labels", "diagnostics"}
         assert isinstance(doc["step_labels"][0], list)
+
+
+def _verdict(report):
+    return report.probability.hex(), report.step_labels, report.diagnostics
+
+
+class TestArrayDp:
+    def test_same_report_cold_warm_and_after_other_traces(self):
+        # The open automaton states are numbered per execution, so neither
+        # the row order nor a bit of the probability depends on which
+        # automaton states earlier executions discovered, or in what order.
+        pomdp, formula = build_rescue()
+        policies = list(rescue_policies().values())
+        executions = [
+            simulate(pomdp, policies[k % 2], 16, trial_seed(7, k))[1] for k in range(8)
+        ]
+        grew = False
+        for k, target in enumerate(executions):
+            compile_monitor.cache_clear()
+            cold = _verdict(acceptance_probability(pomdp, formula, target))
+            cold_states = compile_monitor(formula).acceptance_dfa.num_states
+            warm = _verdict(acceptance_probability(pomdp, formula, target))
+            compile_monitor.cache_clear()
+            for other in executions[:k] + executions[k + 1 :]:
+                acceptance_probability(pomdp, formula, other)
+            grown_states = compile_monitor(formula).acceptance_dfa.num_states
+            grown = _verdict(acceptance_probability(pomdp, formula, target))
+            assert cold == warm == grown
+            grew |= grown_states > cold_states  # the others found states it never meets
+        assert grew
+
+    def test_consistent_paths_exact_beyond_float_precision(self):
+        pomdp = grid_walk()
+        _, execution = simulate(pomdp, RandomActionPolicy(), 30, 5)
+        bl = backward_likelihoods(pomdp, execution.actions, execution.observations)
+        counts = {s: 1 for s in np.flatnonzero(smoothed_initial(pomdp, bl)).tolist()}
+        for i in range(execution.horizon):
+            following: dict[int, int] = {}
+            for s, c in counts.items():
+                row = _path_transition_rows(pomdp, bl, i, [s])[0]
+                for s2 in np.flatnonzero(row).tolist():
+                    following[s2] = following.get(s2, 0) + c
+            counts = following
+        expected = sum(counts.values())
+        assert expected > 2**53
+        corner = StateAtom("corner", frozenset(pomdp.named_sets["corner"]), pomdp.num_states)
+        # The first formula resolves at step 0, the second stays open.
+        for formula in (full_atom(pomdp), Eventually(corner)):
+            report = acceptance_probability(pomdp, formula, execution)
+            assert report.diagnostics["consistent_paths"] == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_sink_mass_matches_oracle(self, seed):
+        """Instances whose mass reaches the accept sink or the dead state
+        before the last step, some resolving completely before it."""
+        rng = random.Random(seed)
+        pomdp = random_pomdp(rng)
+        formula = random_cosafe_formula(rng, pomdp)
+        execution = random_execution(pomdp, rng)
+        assume(execution.horizon > 0 and feasibility_check(pomdp, formula, execution)[0])
+        assume(_first_sink_step(pomdp, formula, execution) < execution.horizon)
+        report = acceptance_probability(pomdp, formula, execution)
+        oracle = acceptance_probability_oracle(pomdp, formula, execution)
+        assert report.probability == pytest.approx(oracle, abs=1e-9)
+
+
+def _first_sink_step(pomdp, formula, execution) -> int:
+    """First step at which some consistent hidden path has driven the
+    acceptance automaton into the accept sink or the dead state, by plain
+    reachability over (hidden state, automaton state) pairs."""
+    comp = compile_monitor(formula)
+    dfa = comp.acceptance_dfa
+    sigs = comp.predicates.signatures(execution.beliefs)
+    sbits = comp.maps.state_bits(pomdp.num_states)
+    bl = backward_likelihoods(pomdp, execution.actions, execution.observations)
+    pairs = {
+        (s, dfa.transition(dfa.initial, sigs[0] | sbits[s]))
+        for s in np.flatnonzero(smoothed_initial(pomdp, bl)).tolist()
+    }
+    for i in range(execution.horizon + 1):
+        if any(dfa.is_accepting(q) or dfa.is_dead(q) for _, q in pairs):
+            return i
+        if i < execution.horizon:
+            pairs = {
+                (s2, dfa.transition(q, sigs[i + 1] | sbits[s2]))
+                for s, q in pairs
+                for s2 in np.flatnonzero(_path_transition_rows(pomdp, bl, i, [s])[0]).tolist()
+            }
+    return execution.horizon + 1
 
 
 class TestOracle:
