@@ -6,9 +6,16 @@ holding at the next position for the current choice to work out.  These
 sets are the states of a tableau-style NFA; a run accepts when its final
 obligation set is empty.  The NFA is determinized on the fly by subset
 construction, with transitions computed on demand and cached, because the
-alphabet 2^AP is exponential in the proposition count.  Accepting subsets
-collapse to a canonical accept sink, so accepting states are absorbing;
-the empty subset is the dead state, absorbing and never accepting.
+alphabet 2^AP is exponential in the proposition count.  A subset keeps
+only its ⊆-minimal obligation sets, an antichain (De Wulf, Doyen,
+Henzinger & Raskin, "Antichains: a new algorithm for checking
+universality of finite automata", CAV 2006): an obligation set that
+contains another accepts no word the smaller one rejects, so dropping it
+keeps the language and stops nested eventualities and untils from
+growing the subsets without need.  The empty obligation is contained in
+every set, so accepting subsets collapse to a canonical accept sink and
+accepting states are absorbing; the empty subset is the dead state,
+absorbing and never accepting.
 
 The skeleton is interned once per automaton: every structurally distinct
 subformula gets a small integer id, so an obligation set is a bitmask over
@@ -20,6 +27,11 @@ than once per full letter.
 
 Letters are bitmasks over proposition indices.  Words of length zero are
 rejected for every formula: satisfaction needs a first position.
+
+An automaton depends only on its skeleton and proposition count, never on
+what the propositions stand for, so the monitor shares one ``Dfa`` among
+formulas with equal skeletons (``monitor.CompiledMonitor``); the states
+one formula discovers then serve the others.
 """
 
 from __future__ import annotations
@@ -182,10 +194,13 @@ class Dfa:
                     break
                 choices = frozenset(a | b for a in choices for b in opts)
             succ.update(choices)
-        if _EMPTY_OBLIGATION in succ:
-            # Once satisfied, always satisfied: collapse to the accept sink.
-            return frozenset({_EMPTY_OBLIGATION})
-        return frozenset(succ)
+        # The antichain of ⊆-minimal masks, smallest first; a successor that
+        # holds the empty obligation becomes the accept sink {0}.
+        minimal: list[int] = []
+        for mask in sorted(succ, key=int.bit_count):
+            if all(kept & ~mask for kept in minimal):
+                minimal.append(mask)
+        return frozenset(minimal)
 
     # -- public interface --
 

@@ -335,19 +335,28 @@ class Execution:
 
 
 def check_against_filter(
-    recorded: Iterable[np.ndarray],
-    filtered: Iterable[Belief],
+    recorded: Sequence[Sequence[float]],
+    filtered: Sequence[Belief],
     tol: float = SUM_TOL,
     label: str = "belief",
 ) -> None:
     """Require each recorded belief vector to match the filter's belief at the
-    same step, entry by entry within ``tol``."""
-    for i, (got, want) in enumerate(zip(recorded, filtered)):
-        if len(got) != len(want):
+    same step, entry by entry within ``tol``; the first failing step is the
+    one reported.  All steps are compared in one array expression."""
+    steps = min(len(recorded), len(filtered))
+    for i in range(steps):
+        if len(recorded[i]) != len(filtered[i]):
+            check_against_filter(recorded[:i], filtered[:i], tol, label)  # earlier steps first
             raise ModelError(f"{label} {i} has wrong dimension")
-        err = float(np.abs(got - want.probs).max())
-        if not err <= tol:  # written so that NaN fails too
-            raise ModelError(f"{label} {i} deviates from the filter by {err!r}")
+    if not steps:
+        return
+    got = np.asarray(recorded[:steps], dtype=float)
+    want = np.stack([b.probs for b in filtered[:steps]])
+    err = np.abs(got - want).max(axis=1)
+    bad = np.flatnonzero(~(err <= tol))  # written so that NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        raise ModelError(f"{label} {i} deviates from the filter by {float(err[i])!r}")
 
 
 def execution_from_actions(pomdp: Pomdp, actions: Sequence, observations: Sequence) -> Execution:
@@ -485,7 +494,7 @@ def _sample(rng: random.Random, probs: np.ndarray) -> int:
     r = rng.random()
     acc = 0.0
     last = 0
-    for i, p in enumerate(probs):
+    for i, p in enumerate(probs.tolist()):
         if p <= 0.0:
             continue
         acc += p

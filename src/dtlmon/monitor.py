@@ -31,6 +31,18 @@ once per execution by the formula's compiled ``BeliefPredicates``;
 ``region_signature`` is the per-belief reference they agree with bit for
 bit.
 
+Both automata are built over the propositional skeleton, in which every
+belief predicate is just a proposition, so they do not depend on the
+predicates' thresholds.  Compiled formulas with equal skeletons share one
+feasibility and one acceptance ``Dfa`` from a weak table keyed by
+(skeleton, proposition count): a threshold sweep builds its automata
+once, and an automaton lives as long as a cached compiled formula uses
+it.  No result depends on what a shared automaton has discovered, because
+the dynamic program numbers its rows per execution.  An automaton state
+keeps only the ⊆-minimal obligation sets of its subset (an antichain; see
+``automaton``), so deeply nested eventualities and untils do not grow the
+states that a shared automaton keeps.
+
 Boundary rule: a belief predicate with value exactly zero does not hold,
 so floating-point grazing of thresholds resolves deterministically.
 """
@@ -38,13 +50,15 @@ so floating-point grazing of thresholds resolves deterministically.
 from __future__ import annotations
 
 import operator
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .automaton import Dfa, PropAtom, dfa_accepts
+from .automaton import Dfa, PropAtom, PropFormula, dfa_accepts
 from .errors import AllZero, CapExceeded, InconsistentState, ModelError
 from .logic import (
     Add,
@@ -302,25 +316,50 @@ def _to_prop_formula(formula: Formula, maps: PropositionMaps):
     return map_atoms(formula, prop)
 
 
+def _skeleton(
+    formula: Formula, maps: PropositionMaps, relaxed: bool
+) -> tuple[PropFormula, int]:
+    """The feasibility (``relaxed``) or acceptance skeleton and its
+    proposition count; the belief propositions come first in both."""
+    if relaxed:
+        return _to_prop_formula(relax(formula), maps), maps.num_belief_props
+    return _to_prop_formula(formula, maps), maps.num_props
+
+
+# Automata shared by every compiled formula with the same skeleton, such as
+# formulas that differ only in belief thresholds.  Held weakly, so an
+# automaton lives exactly as long as a compiled formula uses it.
+_shared_dfas: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_shared_dfas_lock = threading.Lock()
+
+
+def _shared_dfa(skeleton: PropFormula, num_props: int) -> Dfa:
+    """The one unnamed automaton for ``(skeleton, num_props)`` in use."""
+    key = (skeleton, num_props)
+    with _shared_dfas_lock:
+        dfa = _shared_dfas.get(key)
+        if dfa is None:
+            dfa = _shared_dfas[key] = Dfa(skeleton, num_props)
+        return dfa
+
+
 class CompiledMonitor:
     """Formula artifacts shared across executions: proposition maps, the
     compiled belief predicates, the feasibility DFA (belief propositions
-    only) and the acceptance DFA (belief and state propositions)."""
+    only) and the acceptance DFA (belief and state propositions).
+
+    The automata depend only on the propositional skeleton, so compiled
+    formulas with equal skeletons share the same ``Dfa`` objects, built
+    without proposition names; ``prop_names`` names this formula's.
+    """
 
     def __init__(self, formula: Formula):
         self.formula = formula
         self.maps = PropositionMaps(formula)
         self.predicates = BeliefPredicates(self.maps.belief_props)
-        names = self.maps.prop_names()
-        self.prop_names: tuple[str, ...] = tuple(names)
-        self.feasibility_dfa = Dfa(
-            _to_prop_formula(relax(formula), self.maps),
-            self.maps.num_belief_props,
-            prop_names=names[: self.maps.num_belief_props],
-        )
-        self.acceptance_dfa = Dfa(
-            _to_prop_formula(formula, self.maps), self.maps.num_props, prop_names=names
-        )
+        self.prop_names: tuple[str, ...] = tuple(self.maps.prop_names())
+        self.feasibility_dfa = _shared_dfa(*_skeleton(formula, self.maps, relaxed=True))
+        self.acceptance_dfa = _shared_dfa(*_skeleton(formula, self.maps, relaxed=False))
 
 
 COMPILE_CACHE_SIZE = 128
@@ -330,7 +369,9 @@ COMPILE_CACHE_SIZE = 128
 def compile_monitor(formula: Formula) -> CompiledMonitor:
     """Cached compilation; formulas are immutable so reuse is safe.  The
     cache is bounded, so a long sweep over formulas (or ``Callback``
-    formulas, which hash by function identity) does not grow without end."""
+    formulas, which hash by function identity) does not grow without end.
+    Clearing it also releases the shared automata, so the next compile
+    starts them cold."""
     return CompiledMonitor(formula)
 
 
@@ -340,10 +381,12 @@ def build_monitor_dfa(formula: Formula, relaxed: bool = False) -> Dfa:
     With ``relaxed`` the belief-only feasibility skeleton is compiled
     (hidden-state atoms relaxed to positive-mass predicates); otherwise the
     full acceptance skeleton over belief and state propositions.  Never
-    taken from the compile cache: callers may materialize the automaton.
+    shared with compiled formulas: callers may materialize the automaton,
+    and it carries this formula's proposition names.
     """
-    comp = CompiledMonitor(formula)
-    return comp.feasibility_dfa if relaxed else comp.acceptance_dfa
+    maps = PropositionMaps(formula)
+    skeleton, num_props = _skeleton(formula, maps, relaxed)
+    return Dfa(skeleton, num_props, prop_names=maps.prop_names()[:num_props])
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -677,23 +720,32 @@ def execution_from_json_dict(pomdp: Pomdp, doc) -> Execution:
             raise ModelError(
                 f"trace carries {len(recorded)} beliefs, filter produced {len(beliefs)}"
             )
-        check_against_filter(
-            (_recorded_belief(pomdp, entry) for entry in recorded),
-            beliefs,
-            label="recorded belief",
-        )
+        rows: list[list[float]] = []
+        for i, entry in enumerate(recorded):
+            try:
+                rows.append(_recorded_belief(pomdp, entry))
+            except ModelError:
+                # A deviation at an earlier step is the first failure.
+                check_against_filter(rows, beliefs[:i], label="recorded belief")
+                raise
+        check_against_filter(rows, beliefs, label="recorded belief")
     return Execution(beliefs, actions, observations)
 
 
-def _recorded_belief(pomdp: Pomdp, entry) -> np.ndarray:
+def _recorded_belief(pomdp: Pomdp, entry) -> list[float]:
     if not isinstance(entry, Mapping):
         raise ModelError(f"a recorded belief must map state names to probabilities, not {entry!r}")
-    vec = np.zeros(pomdp.num_states)
+    vec = [0.0] * pomdp.num_states
+    index = pomdp.state_index
     for name, p in entry.items():
         try:
-            vec[_lookup(pomdp.state_index, name, "state")] = float(p)
+            value = float(p)
         except (TypeError, ValueError) as exc:
             raise ModelError(f"recorded belief entry {name!r}: {exc}") from exc
+        j = index.get(name)
+        if j is None:
+            raise ModelError(f"unknown state name {name!r}")
+        vec[j] = value
     return vec
 
 

@@ -17,11 +17,11 @@ from dtlmon.automaton import (
     prop_eval,
 )
 from dtlmon.errors import StateBlowup
-from dtlmon.logic import And, Eventually, Next, Or, Until
+from dtlmon.logic import And, Eventually, Next, Or, Until, parse_formula
 from dtlmon.monitor import build_monitor_dfa
 from dtlmon.studies import build_rescue
 
-from helpers import random_letter_word, random_prop_formula
+from helpers import random_letter_word, random_prop_formula, tiny_two_state
 
 P0 = PropAtom(0)
 P1 = PropAtom(1)
@@ -92,6 +92,7 @@ class TestOracleEquivalence:
                 expected = prop_eval(phi, word, 0) if word else False
                 assert dfa_accepts(dfa, word) == expected, (phi, word)
                 checked += 1
+            assert all(_is_antichain(subset) for subset in dfa._subsets)
         assert checked == 4000
 
     def test_acceptance_monotone_under_extension(self):
@@ -113,6 +114,27 @@ def _renumbered(phi, props):
     if isinstance(phi, (And, Or, Until)):
         return type(phi)(_renumbered(phi.left, props), _renumbered(phi.right, props))
     return type(phi)(_renumbered(phi.child, props))
+
+
+def _is_antichain(masks) -> bool:
+    """No obligation mask contains another."""
+    return all(a == b or a & ~b for a in masks for b in masks)
+
+
+class TestMinimalObligations:
+    def test_nested_untils_under_eventualities_stay_small(self):
+        """Every ``F`` keeps its obligation alive beside the until chain, so
+        keeping all obligation sets grew the subsets to 12, 78, 298 and 793
+        sets over four letters; the ⊆-minimal ones are 12 throughout."""
+        pomdp = tiny_two_state()
+        formula = parse_formula("F " * 12 + "in(lit) U " * 98 + "in(lit)", pomdp)
+        dfa = build_monitor_dfa(formula)
+        state = dfa.initial
+        for _ in range(6):
+            state = dfa.transition(state, 0)
+            assert not dfa.is_dead(state)
+            assert len(dfa._subsets[state]) <= 12
+            assert _is_antichain(dfa._subsets[state])
 
 
 class TestWideAlphabets:

@@ -1,12 +1,14 @@
 """Feasibility, smoothing, and the acceptance-probability dynamic program."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dtlmon.automaton import export_json_dict
 from dtlmon.errors import AllZero, CapExceeded, InconsistentState, ModelError
 from dtlmon.logic import BeliefAtom, Const, Eventually, Neg, Prob, StateAtom, parse_formula
 from dtlmon.model import (
@@ -20,7 +22,9 @@ from dtlmon.model import (
 from dtlmon.monitor import (
     PropositionMaps,
     _path_transition_rows,
+    _shared_dfas,
     acceptance_probability,
+    build_monitor_dfa,
     compile_monitor,
     acceptance_probability_oracle,
     backward_likelihoods,
@@ -32,7 +36,14 @@ from dtlmon.monitor import (
     relax,
     smoothed_initial,
 )
-from dtlmon.studies import build_mht, build_rescue, mht_reference_trace, rescue_policies, trial_seed
+from dtlmon.studies import (
+    RescueParams,
+    build_mht,
+    build_rescue,
+    mht_reference_trace,
+    rescue_policies,
+    trial_seed,
+)
 
 from helpers import (
     grid_walk,
@@ -397,6 +408,65 @@ class TestArrayDp:
         assert report.probability == pytest.approx(oracle, abs=1e-9)
 
 
+class TestSharedAutomata:
+    """Formulas that differ only in belief thresholds share their automata."""
+
+    @pytest.fixture(scope="class")
+    def variants(self):
+        pomdp, near = build_rescue()
+        _, far = build_rescue(RescueParams(p1=0.85, h1=0.45))
+        policies = list(rescue_policies().values())
+        executions = [
+            simulate(pomdp, policies[k % 2], 16, trial_seed(5, k))[1] for k in range(4)
+        ]
+        return pomdp, near, far, executions
+
+    def test_threshold_variants_share_automata(self, variants):
+        _, near, far, _ = variants
+        a, b = compile_monitor(near), compile_monitor(far)
+        assert a is not b
+        assert a.acceptance_dfa is b.acceptance_dfa
+        assert a.feasibility_dfa is b.feasibility_dfa
+        other = compile_monitor(Eventually(near))
+        assert other.acceptance_dfa is not a.acceptance_dfa
+        assert other.feasibility_dfa is not a.feasibility_dfa
+
+    def test_reports_identical_alone_or_interleaved(self, variants):
+        pomdp, near, far, executions = variants
+        alone = {}
+        for formula in (near, far):
+            compile_monitor.cache_clear()
+            alone[formula] = [
+                _verdict(acceptance_probability(pomdp, formula, e)) for e in executions
+            ]
+        assert alone[near] != alone[far]
+        for order in ((near, far), (far, near)):
+            compile_monitor.cache_clear()
+            together = {formula: [] for formula in order}
+            for e in executions:
+                for formula in order:
+                    together[formula].append(_verdict(acceptance_probability(pomdp, formula, e)))
+            assert together == alone
+
+    def test_exported_automata_keep_their_own_names(self):
+        formulas = [build_mht(0.25, 0.5, 0.75, h)[1] for h in (0.8, 0.6)]
+        assert compile_monitor(formulas[0]).acceptance_dfa is compile_monitor(formulas[1]).acceptance_dfa
+        for relaxed in (False, True):
+            dfas = [build_monitor_dfa(f, relaxed=relaxed) for f in formulas]
+            for formula, dfa in zip(formulas, dfas):
+                assert dfa.prop_names == compile_monitor(formula).prop_names[: dfa.num_props]
+            assert dfas[0].prop_names != dfas[1].prop_names
+            docs = [export_json_dict(dfa) for dfa in dfas]
+            assert docs[0]["transitions"] == docs[1]["transitions"]
+
+    def test_cache_clear_releases_shared_automata(self, variants):
+        _, near, far, _ = variants
+        compile_monitor(near), compile_monitor(far)
+        assert len(_shared_dfas) >= 2
+        compile_monitor.cache_clear()
+        assert len(_shared_dfas) == 0
+
+
 def _first_sink_step(pomdp, formula, execution) -> int:
     """First step at which some consistent hidden path has driven the
     acceptance automaton into the accept sink or the dead state, by plain
@@ -509,6 +579,26 @@ class TestTraceDocuments:
         doc = execution_to_json_dict(pomdp, execution)
         doc["beliefs"][1] = {"coin1_watch": 1.0}
         with pytest.raises(ModelError):
+            execution_from_json_dict(pomdp, doc)
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            # The first failing step is reported, not the first malformed one.
+            ({"coin1_watch": 1.0}, "junk", "recorded belief 1 deviates from the filter by "),
+            ({"coin1_watch": float("nan")}, None, "recorded belief 1 deviates from the filter by nan"),
+            ({"coin1_watch": None}, None, "recorded belief entry 'coin1_watch': "),
+            ({"nowhere": 1.0}, None, "unknown state name 'nowhere'"),
+        ],
+    )
+    def test_first_failing_step_reported(self, mht, first, second, message):
+        pomdp, _ = mht
+        execution = mht_reference_trace(pomdp)
+        doc = execution_to_json_dict(pomdp, execution)
+        doc["beliefs"][1] = first
+        if second is not None:
+            doc["beliefs"][2] = second
+        with pytest.raises(ModelError, match=re.escape(message)):
             execution_from_json_dict(pomdp, doc)
 
     def test_unknown_action_name(self, mht):
