@@ -2,14 +2,17 @@
 """Reproduce both bundled case studies and print a comparison table.
 
 Equivalent to `dtlmon casestudy mht ...` followed by `dtlmon casestudy
-rescue ...`, as a single script with a compact console summary.
+rescue ...`, as a single script with a compact console summary.  The
+rescue study runs once, with the prior mode passed in a config file
+written to the output directory, and the table is read back from the
+`comparison.json` it writes.
 """
 
 import argparse
+import json
 from pathlib import Path
 
 from dtlmon.cli import main as cli_main
-from dtlmon.studies import run_rescue_study
 
 
 def fmt(x, width=9):
@@ -33,31 +36,30 @@ def main() -> int:
     if code != 0:
         return code
 
-    results = run_rescue_study(
-        trials=args.trials,
-        horizon=args.horizon,
-        master_seed=args.seed,
-        prior_mode=args.prior_mode,
+    config = out / "rescue_config.json"
+    config.write_text(json.dumps({"prior_mode": args.prior_mode}) + "\n", encoding="utf-8")
+    code = cli_main(
+        ["casestudy", "rescue", "--out", str(out / "rescue"),
+         "--trials", str(args.trials), "--horizon", str(args.horizon),
+         "--seed", str(args.seed), "--config", str(config)]
     )
+    if code != 0:
+        return code
+
+    comparison = json.loads((out / "rescue" / "comparison.json").read_text(encoding="utf-8"))
     print()
-    print(f"rescue study: {args.trials} trials, horizon {args.horizon}, "
-          f"seed {args.seed}, prior {args.prior_mode}")
+    print(f"rescue study: {comparison['trials']} trials, horizon {comparison['horizon']}, "
+          f"seed {comparison['master_seed']}, prior {comparison['prior_mode']}")
     header = f"{'policy':<16}{'E[prob]':>9}{'var':>9}{'E[H] bits':>10}{'var H':>9}" \
              f"{'success':>9}{'pearson r':>10}"
     print(header)
     print("-" * len(header))
-    for name, data in results["policies"].items():
-        s = data["stats"]
+    for name, s in comparison["policies"].items():
         print(
-            f"{name:<16}{fmt(s.mean_prob)}{fmt(s.var_prob)}{fmt(s.mean_entropy, 10)}"
-            f"{fmt(s.var_entropy)}{fmt(s.success_rate)}{fmt(s.pearson_r, 10)}"
+            f"{name:<16}{fmt(s['mean_prob'])}{fmt(s['var_prob'])}{fmt(s['mean_entropy'], 10)}"
+            f"{fmt(s['var_entropy'])}{fmt(s['success_rate'])}{fmt(s['pearson_r'], 10)}"
         )
-    print()
-    return cli_main(
-        ["casestudy", "rescue", "--out", str(out / "rescue"),
-         "--trials", str(args.trials), "--horizon", str(args.horizon),
-         "--seed", str(args.seed)]
-    )
+    return 0
 
 
 if __name__ == "__main__":

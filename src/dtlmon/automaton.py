@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import StateBlowup
-from .logic import And, Eventually, Next, Or, Until
+from .logic import And, Eventually, Next, Or, Until, check_nesting
 
 DEFAULT_STATE_CAP = 2**20
 
@@ -70,7 +70,9 @@ class Dfa:
     States are dense integers; 0 is initial.  ``transition`` computes and
     caches successors on demand under a lock, so concurrent acceptance
     queries are safe.  ``materialize`` forces every (state, letter) pair,
-    which is only practical for small proposition counts.
+    which is only practical for small proposition counts.  A skeleton
+    nested deeper than ``logic.MAX_NESTING`` levels raises
+    ``FormulaSyntaxError``.
     """
 
     def __init__(
@@ -82,6 +84,7 @@ class Dfa:
     ):
         if num_props < 0:
             raise ValueError("num_props must be nonnegative")
+        check_nesting(phi)
         self.num_props = num_props
         # The node table: node ``i`` has kind ``_kinds[i]``, children
         # ``_children[i]`` and mentions the propositions in ``_masks[i]``.

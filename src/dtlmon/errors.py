@@ -18,7 +18,12 @@ class ZeroLikelihood(DtlmonError):
 
 
 class AllZero(DtlmonError):
-    """No hidden path is consistent with the recorded actions and observations."""
+    """No hidden path is consistent with the recorded actions and observations.
+
+    It means an impossible record, such as a hand-built one whose
+    observation no reachable state can emit; a valid run of any length
+    never raises it, since the forward pass is rescaled at every step.
+    """
 
 
 class InconsistentState(DtlmonError):

@@ -31,7 +31,9 @@ that many nested parentheses, ``X``/``F`` prefixes and ``U`` operands, and
 a syntax tree (belief expressions included) no more than that many levels
 below its root.  Deeper text raises ``FormulaSyntaxError``; the bound keeps
 every recursive walk over a parsed formula well inside the interpreter's
-default recursion limit.
+default recursion limit.  Formulas built through the API meet the same
+bound, with the same error, when the monitor, the oracle or an automaton
+first reads them (``check_nesting``).
 
 Satisfaction is decided on finite words of (hidden state, belief) pairs:
 ``X`` at the last position is false, and ``U`` / ``F`` need their witness
@@ -319,11 +321,6 @@ class _Parser:
         self.depth -= 1
         return result
 
-    def _check_height(self, formula: Formula, pos: int) -> Formula:
-        if _height(formula) > MAX_NESTING:
-            raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", pos)
-        return formula
-
     # grammar rules
 
     def parse(self) -> Formula:
@@ -331,7 +328,8 @@ class _Parser:
         kind, text, pos = self._peek()
         if kind is not None:
             raise FormulaSyntaxError(f"unexpected trailing input {text!r}", pos)
-        return self._check_height(f, 0)
+        check_nesting(f)
+        return f
 
     def _disj(self) -> Formula:
         f = self._conj()
@@ -375,11 +373,11 @@ class _Parser:
             inner = self._nested(self._disj, pos)
             if self._at("=>"):
                 _, _, arrow_pos = self._next()
-                antecedent = self._check_height(inner, pos)
-                _check_boolean_atoms(antecedent, arrow_pos)
+                check_nesting(inner, pos)
+                _check_boolean_atoms(inner, arrow_pos)
                 consequent = self._nested(self._disj, pos)
                 self._expect(")")
-                return Or(_negate_nnf(antecedent), consequent)
+                return Or(_negate_nnf(inner), consequent)
             self._expect(")")
             return inner
         return self._atom()
@@ -460,7 +458,7 @@ class _Parser:
 
 def _height(formula: Formula) -> int:
     """Levels below the root of the syntax tree, belief expressions
-    included; iterative, so it is safe on any tree the parser builds."""
+    included; iterative, so it is safe on a tree of any depth."""
     height, stack = 0, [(formula, 0)]
     while stack:
         node, depth = stack.pop()
@@ -477,6 +475,14 @@ def _height(formula: Formula) -> int:
             children = ()
         stack.extend((child, depth + 1) for child in children)
     return height
+
+
+def check_nesting(formula: Formula, position: int = 0) -> None:
+    """Raise ``FormulaSyntaxError`` when ``formula`` (or a propositional
+    skeleton) nests deeper than ``MAX_NESTING`` levels.  Formulas built
+    through the API are checked with this before any recursive walk."""
+    if _height(formula) > MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", position)
 
 
 def _check_boolean_atoms(formula: Formula, pos: int) -> None:

@@ -9,22 +9,21 @@ hidden sample path drawn from the smoothed posterior (conditioned on the
 whole action/observation record) satisfies the formula when paired with
 the belief sequence.
 
-The smoothed path measure factors as
-
-    Pr[path | record] = smoothed_initial(s0) * prod_i path_transition(i, s_i, s_i+1)
-
-with ``path_transition`` built from backward likelihoods, so the sum over
-satisfying paths is a forward dynamic program rather than an enumeration
-of the path tree.  Its mass is a matrix whose rows are the open automaton
-states and whose columns are the hidden states still reachable.  Each step
-is one matrix product with the step's smoothed transition rows and one
-scatter of every cell that holds mass to its successor automaton state.
-Mass that reaches the accept sink is added to the result and mass that
-reaches the dead state is dropped, as in the good/bad-prefix reading of
-co-safe properties (Kupferman & Vardi, "Model checking of safety
-properties", 2001), so only open cells are carried.  The exact number of
-consistent hidden paths is counted alongside in Python integers.  A
-brute-force enumeration oracle is kept as an independent cross-check.
+The sum over satisfying paths is one forward pass over the filtered path
+measure.  Its mass is a matrix whose rows are the open automaton states
+and whose columns are the hidden states the record so far allows.  Each
+step multiplies by the step's transition and observation likelihoods,
+scatters every cell that holds mass to its successor automaton state, and
+divides by the total carried mass, the Bayes filter's normalizer, so long
+runs do not underflow.  Mass that reaches the dead state or the accept
+sink (the bad and good prefixes of co-safe properties; Kupferman & Vardi,
+"Model checking of safety properties", 2001) stays in two sink rows,
+because later observations still weigh its paths.  The accept row's share
+of the final mass is the probability under the smoothed posterior: exactly
+1.0 when every consistent path accepts and 0.0 when none does.  Consistent
+hidden paths are counted exactly alongside in Python integers.  A
+brute-force enumeration oracle over the smoothed chain built from backward
+likelihoods (another factorization of the same posterior) cross-checks it.
 
 Both stages read the same per-step belief-predicate signatures, computed
 once per execution by the formula's compiled ``BeliefPredicates``;
@@ -75,6 +74,7 @@ from .logic import (
     Sub,
     atoms,
     belief_expr_text,
+    check_nesting,
     eval_belief_expr,
     map_atoms,
     semantics_eval,
@@ -115,6 +115,7 @@ class PropositionMaps:
     """
 
     def __init__(self, formula: Formula):
+        check_nesting(formula)
         belief_exprs: list[BeliefExpr] = []
         belief_index: dict[BeliefExpr, int] = {}
         state_sets: list[frozenset[int]] = []
@@ -366,13 +367,27 @@ COMPILE_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _compile_cached(formula: Formula) -> CompiledMonitor:
+    return CompiledMonitor(formula)
+
+
 def compile_monitor(formula: Formula) -> CompiledMonitor:
     """Cached compilation; formulas are immutable so reuse is safe.  The
     cache is bounded, so a long sweep over formulas (or ``Callback``
     formulas, which hash by function identity) does not grow without end.
     Clearing it also releases the shared automata, so the next compile
-    starts them cold."""
-    return CompiledMonitor(formula)
+    starts them cold.  A formula nested deeper than ``MAX_NESTING`` levels
+    raises ``FormulaSyntaxError``, even one too deep to hash as a cache key.
+    """
+    try:
+        return _compile_cached(formula)
+    except RecursionError:
+        check_nesting(formula)
+        raise
+
+
+compile_monitor.cache_info = _compile_cached.cache_info
+compile_monitor.cache_clear = _compile_cached.cache_clear
 
 
 def build_monitor_dfa(formula: Formula, relaxed: bool = False) -> Dfa:
@@ -499,13 +514,19 @@ def _path_transition_rows(
 # -- acceptance probability --------------------------------------------------------
 
 
+# ``json.dumps`` refuses an int of more than 4300 decimal digits (about
+# 14 284 bits, the interpreter's default int-to-str limit); ``hex`` is exempt.
+_JSON_INT_BITS = 13_000
+
+
 @dataclass
 class MonitorReport:
     """Monitoring verdict for one execution.
 
     ``step_labels[i]`` is the set of belief propositions satisfied at step
     i; ``diagnostics`` carries dynamic-program and path counts.  An
-    infeasible execution always reports probability zero.
+    infeasible execution always reports probability zero.  In the JSON
+    form, a count longer than 13 000 bits is the exact ``hex(n)`` string.
     """
 
     feasible: bool
@@ -518,7 +539,12 @@ class MonitorReport:
             "feasible": self.feasible,
             "probability": self.probability,
             "step_labels": [sorted(label) for label in self.step_labels],
-            "diagnostics": dict(self.diagnostics),
+            "diagnostics": {
+                key: hex(value)
+                if isinstance(value, int) and value.bit_length() > _JSON_INT_BITS
+                else value
+                for key, value in self.diagnostics.items()
+            },
         }
 
 
@@ -526,13 +552,15 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     """Exact probability that a smoothed hidden path satisfies the formula.
 
     Runs feasibility first and returns probability zero without further
-    work when it fails.  Otherwise sums the smoothed path measure over
-    satisfying paths with a forward dynamic program over (automaton state,
-    hidden state) cells; the automaton consumes, at step i in hidden state
-    s, the belief-predicate signature of the step's belief joined with the
-    state propositions s satisfies.  Mass that reaches the accept sink is
-    added to the result and mass that reaches the dead state is dropped, so
-    only open cells are carried.
+    work when it fails.  Otherwise carries the filtered path measure
+    forward over (automaton state, hidden state) cells; the automaton
+    consumes, at step i in hidden state s, the belief-predicate signature
+    of the step's belief joined with the state propositions s satisfies.
+    Dead and accepted mass stays in two sink rows and every step is
+    rescaled by the filter's normalizer.  The result is the accepted share
+    of the final mass: exactly 1.0 when every consistent path accepts, 0.0
+    when none does.  Raises ``AllZero`` at the first step that leaves no
+    hidden state consistent with the record.
     """
     comp = compile_monitor(formula)
     feasible, labels, sigs = _feasibility(comp, pomdp, exec)
@@ -545,25 +573,24 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
             {"dp_pairs": 0, "consistent_paths": 0, "propositions": legend},
         )
 
-    bl = backward_likelihoods(pomdp, exec.actions, exec.observations)
-    alpha0 = smoothed_initial(pomdp, bl)
     sbits = comp.maps.state_bits(pomdp.num_states)
     dfa = comp.acceptance_dfa
+    prior = pomdp.prior.probs
 
-    # The columns are the hidden states reached with positive probability,
+    # The columns are the hidden states the record so far allows,
     # ascending, as a list (``live``) and as an index array (``live_idx``);
-    # ``counts`` holds each one's exact number of consistent paths.
-    live_idx = np.flatnonzero(alpha0)
+    # ``counts`` holds each one's exact number of paths.
+    live_idx = np.flatnonzero(prior)
     live = live_idx.tolist()
     counts = [1] * len(live)
     # Step 0 moves the initial state's mass on the first letter.
-    states, mass, probability = _fold_step(
-        dfa, [dfa.initial], sigs[0], [sbits[s] for s in live], alpha0.take(live_idx)[None, :]
+    states, mass, sinks = _fold_step(
+        dfa, [dfa.initial], sigs[0], [sbits[s] for s in live], prior.take(live_idx)[None, :]
     )
     dp_pairs = int(np.count_nonzero(mass))
 
-    for i in range(exec.horizon):
-        rows = _path_transition_rows(pomdp, bl, i, live_idx)
+    for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
+        rows = pomdp.trans_mat[a].take(live_idx, axis=0) * pomdp.obs_mat[a][:, o]
         r_idx, s2_idx = np.nonzero(rows)
         next_counts: dict[int, int] = {}
         for r, s2 in zip(r_idx.tolist(), s2_idx.tolist()):
@@ -571,21 +598,21 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
         live = sorted(next_counts)
         live_idx = np.array(live, dtype=np.intp)
         counts = [next_counts[s] for s in live]
-        if states:
-            states, mass, accepted = _fold_step(
-                dfa,
-                states,
-                sigs[i + 1],
-                [sbits[s] for s in live],
-                mass @ rows.take(live_idx, axis=1),
-            )
-            probability += accepted
-            dp_pairs += int(np.count_nonzero(mass))
+        rows = rows.take(live_idx, axis=1)
+        states, mass, reached = _fold_step(
+            dfa, states, sigs[i + 1], [sbits[s] for s in live], mass @ rows
+        )
+        sinks = sinks @ rows + reached
+        total = sinks.sum() + mass.sum()
+        if not total:
+            raise AllZero("the recorded run is impossible under the model")
+        mass, sinks = mass / total, sinks / total
+        dp_pairs += int(np.count_nonzero(mass))
 
-    probability = min(max(probability, 0.0), 1.0)
+    accepted, rest = sinks[1].sum(), sinks[0].sum() + mass.sum()
     return MonitorReport(
         True,
-        float(probability),
+        float(accepted / (accepted + rest)),
         labels,
         {
             "dp_pairs": dp_pairs,
@@ -597,7 +624,7 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
 
 def _fold_step(
     dfa: Dfa, states: Sequence[int], letter: int, col_bits: Sequence[int], mass: np.ndarray
-) -> tuple[list[int], np.ndarray, float]:
+) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Move one step's mass through the automaton.
 
     ``mass[r, j]`` sits in automaton state ``states[r]`` and hidden column
@@ -605,16 +632,15 @@ def _fold_step(
     Returns the open successor states, numbered in the order their first
     cell is met in a row-major scan (so the order depends only on the
     formula and the execution, never on what the automaton has cached),
-    their mass matrix, and the mass that reached the accept sink.
-    Successors are looked up only for cells that hold mass, once per row
-    and distinct state bits.
+    their mass matrix, and the two-row matrix of the mass that reached the
+    dead state (row 0) and the accept sink (row 1).  Successors are looked
+    up only for cells that hold mass, once per row and distinct state bits.
     """
     delta = dfa._delta
     width = mass.shape[1]
-    open_rows: dict[int, int] = {}  # open successor -> its row + 1; row 0 is dropped
-    targets: dict[tuple[int, int], int] = {}  # (row, state bits) -> target, -1 accepts
+    open_rows: dict[int, int] = {}  # open successor -> its row + 2
+    targets: dict[tuple[int, int], int] = {}  # (row, state bits) -> target row
     codes = []
-    accepted = 0.0
     for r, values in enumerate(mass.tolist()):
         q = states[r]
         for j, m in enumerate(values):
@@ -628,18 +654,17 @@ def _fold_step(
                     if q2 is None:
                         q2 = dfa.transition(q, full)
                     if dfa.is_accepting(q2):
-                        target = -1
+                        target = 1
                     elif dfa.is_dead(q2):
                         target = 0
                     else:
-                        target = open_rows.setdefault(q2, len(open_rows) + 1)
+                        target = open_rows.setdefault(q2, len(open_rows) + 2)
                     targets[key] = target
-                if target < 0:
-                    accepted += m
-                    target = 0
             codes.append(target * width + j)
-    out = np.bincount(codes, weights=mass.ravel(), minlength=(len(open_rows) + 1) * width)
-    return list(open_rows), out.reshape(-1, width)[1:], accepted
+    height = len(open_rows) + 2
+    out = np.bincount(codes, weights=mass.ravel(), minlength=height * width)
+    out = out.reshape(height, width)
+    return list(open_rows), out[2:], out[:2]
 
 
 DEFAULT_ORACLE_CAP = 100_000_000
@@ -655,6 +680,7 @@ def acceptance_probability_oracle(
     Raises ``CapExceeded`` when the worst-case path count exceeds ``cap``,
     and again if the consistent paths actually expanded exceed it.
     """
+    check_nesting(formula)
     t = exec.horizon
     if pomdp.num_states ** (t + 1) > cap:
         raise CapExceeded(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 import dtlmon
 from dtlmon.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
+from dtlmon.logic import load_formula
 from dtlmon.model import save_model
+from dtlmon.monitor import acceptance_probability, load_trace
 
 from helpers import tiny_two_state
 
@@ -126,6 +129,34 @@ class TestCheck:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_huge_path_count_is_written_as_hex(self, tmp_path):
+        # 15 000 steps leave 2**15001 consistent paths, a count with more
+        # decimal digits than json.dumps writes for an int.
+        pomdp = tiny_two_state()
+        model = tmp_path / "model.json"
+        save_model(pomdp, model)
+        formula = tmp_path / "formula.dtl"
+        formula.write_text("X X X in(lit)\n")
+        rng = random.Random(3)
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({
+            "actions": ["poke"] * 15_000,
+            "observations": [rng.choice(["lo", "hi"]) for _ in range(15_000)],
+        }))
+        report = tmp_path / "report.json"
+        code = main(
+            ["check", "--model", str(model), "--formula", str(formula),
+             "--trace", str(trace), "--report", str(report)]
+        )
+        assert code == EXIT_OK
+        count = acceptance_probability(
+            pomdp, load_formula(formula, pomdp), load_trace(pomdp, trace)
+        ).diagnostics["consistent_paths"]
+        assert count == 2**15_001
+        diagnostics = json.loads(report.read_text())["diagnostics"]
+        assert int(diagnostics["consistent_paths"], 16) == count
+        assert isinstance(diagnostics["dp_pairs"], int)
 
 
 class TestSimulate:
@@ -322,3 +353,24 @@ class TestCasestudy:
         )
         assert proc.returncode == EXIT_OK
         assert "probability" in proc.stdout
+
+    def test_case_study_script_writes_the_study_it_prints(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_case_studies.py"
+        package_root = str(Path(dtlmon.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "study"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--out", str(out), "--prior-mode", "uniform",
+             "--trials", "6", "--horizon", "5"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        comparison = json.loads((out / "rescue" / "comparison.json").read_text())
+        assert comparison["prior_mode"] == "uniform"
+        table = proc.stdout.split("prior uniform", 1)[1]
+        for name, stats in comparison["policies"].items():
+            row = next(line for line in table.splitlines() if line.startswith(name))
+            assert row.split()[1:2] == [f"{stats['mean_prob']:.3f}"]
+            assert row.split()[5:6] == [f"{stats['success_rate']:.3f}"]

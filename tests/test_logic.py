@@ -31,7 +31,15 @@ from dtlmon.logic import (
     semantics_eval,
 )
 from dtlmon.model import Belief, execution_from_actions, filter_run
-from dtlmon.monitor import acceptance_probability, compile_monitor, relax
+from dtlmon.automaton import Dfa, PropAtom
+from dtlmon.monitor import (
+    acceptance_probability,
+    acceptance_probability_oracle,
+    build_monitor_dfa,
+    compile_monitor,
+    feasibility_check,
+    relax,
+)
 from dtlmon.studies import build_mht
 
 from helpers import random_cosafe_formula, random_pomdp, random_trace_word, tiny_two_state
@@ -166,6 +174,47 @@ class TestNestingBound:
         text = "(" + " & ".join(["in(lit)"] * (MAX_NESTING + 2)) + " => in(lit))"
         with pytest.raises(FormulaSyntaxError, match="deeper than"):
             parse_formula(text, tiny_two_state())
+
+    def test_deepest_api_formula_monitors(self):
+        pomdp = tiny_two_state()
+        lit = parse_formula("in(lit)", pomdp)
+        execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "lo"])
+        # F F ... F in(lit) holds exactly when F in(lit) does.
+        deep = acceptance_probability(pomdp, _chain(Eventually, lit, MAX_NESTING), execution)
+        shallow = acceptance_probability(pomdp, Eventually(lit), execution)
+        assert 0.0 < deep.probability == shallow.probability < 1.0
+        # No path of four positions satisfies a hundred nested X.
+        nexts = _chain(Next, lit, MAX_NESTING)
+        assert acceptance_probability_oracle(pomdp, nexts, execution) == 0.0
+        build_monitor_dfa(nexts, relaxed=True)
+        Dfa(_chain(Next, PropAtom(0), MAX_NESTING), 1)
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 2000])
+    def test_deeper_api_formula_is_a_syntax_error(self, levels):
+        # 2000 levels overflow the recursion limit in any recursive walk,
+        # hashing included.
+        pomdp = tiny_two_state()
+        formula = _chain(Next, parse_formula("in(lit)", pomdp), levels)
+        execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "lo"])
+        calls = [
+            lambda: compile_monitor(formula),
+            lambda: feasibility_check(pomdp, formula, execution),
+            lambda: acceptance_probability(pomdp, formula, execution),
+            lambda: acceptance_probability_oracle(pomdp, formula, execution),
+            lambda: build_monitor_dfa(formula),
+            lambda: Dfa(_chain(Next, PropAtom(0), levels), 1),
+        ]
+        for call in calls:
+            with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
+                call()
+
+
+def _chain(op, formula, levels: int):
+    """``formula`` under ``levels`` nested ``op`` operators, built through
+    the API rather than parsed."""
+    for _ in range(levels):
+        formula = op(formula)
+    return formula
 
 
 class TestEvalBeliefExpr:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dtlmon.automaton import export_json_dict
 from dtlmon.errors import AllZero, CapExceeded, InconsistentState, ModelError
-from dtlmon.logic import BeliefAtom, Const, Eventually, Neg, Prob, StateAtom, parse_formula
+from dtlmon.logic import BeliefAtom, Const, Eventually, Neg, Next, Prob, StateAtom, parse_formula
 from dtlmon.model import (
     Belief,
     Execution,
@@ -392,6 +392,14 @@ class TestArrayDp:
             report = acceptance_probability(pomdp, formula, execution)
             assert report.diagnostics["consistent_paths"] == expected
 
+    def test_runs_where_every_path_accepts_read_exactly_one(self):
+        # Wide enough (25 columns) for a pairwise sum to regroup the cells.
+        pomdp = grid_walk()
+        for seed in range(5):
+            _, execution = simulate(pomdp, RandomActionPolicy(), 30, seed)
+            for formula in (full_atom(pomdp), Next(Next(full_atom(pomdp)))):
+                assert acceptance_probability(pomdp, formula, execution).probability == 1.0
+
     @settings(deadline=None, max_examples=150)
     @given(st.integers(0, 2**32 - 1))
     def test_sink_mass_matches_oracle(self, seed):
@@ -616,3 +624,70 @@ def test_probability_bounds_on_random_instances():
         report = acceptance_probability(pomdp, formula, execution)
         assert -1e-9 <= report.probability <= 1.0 + 1e-9
         assert marginal_prob(execution.beliefs[-1], range(pomdp.num_states)) == pytest.approx(1.0)
+
+
+def _log_space_posterior(pomdp, execution, t: int) -> np.ndarray:
+    """P(s_t | whole record) by a forward-backward pass in log space, a
+    reference that cannot underflow on any record length."""
+    with np.errstate(divide="ignore"):
+        log_trans, log_obs = np.log(pomdp.trans_mat), np.log(pomdp.obs_mat)
+        log_alpha = np.log(pomdp.prior.probs)
+    steps = list(zip(execution.actions, execution.observations))
+    for a, o in steps[:t]:
+        log_alpha = np.logaddexp.reduce(log_alpha[:, None] + log_trans[a], axis=0)
+        log_alpha = log_alpha + log_obs[a][:, o]
+    log_beta = np.zeros(pomdp.num_states)
+    for a, o in reversed(steps[t:]):
+        log_beta = np.logaddexp.reduce(log_trans[a] + (log_obs[a][:, o] + log_beta), axis=1)
+    joint = log_alpha + log_beta
+    return np.exp(joint - np.logaddexp.reduce(joint))
+
+
+def _tiny_record(length: int, seed: int):
+    pomdp = tiny_two_state()
+    rng = random.Random(seed)
+    observations = [rng.choice(["lo", "hi"]) for _ in range(length)]
+    return pomdp, execution_from_actions(pomdp, ["poke"] * length, observations)
+
+
+class TestLongHorizon:
+    """The forward pass is rescaled at every step, so valid runs of any
+    length monitor; the unscaled backward pass underflowed on all of these."""
+
+    @pytest.mark.parametrize("horizon", [900, 1000])
+    def test_long_rescue_runs(self, horizon):
+        pomdp, formula = build_rescue()
+        policy = rescue_policies()["timeshare"]
+        for k in range(6):
+            _, execution = simulate(pomdp, policy, horizon, trial_seed(7, k))
+            report = acceptance_probability(pomdp, formula, execution)
+            assert report.feasible
+            assert 0.0 <= report.probability <= 1.0
+
+    @staticmethod
+    def _check_third_state_mass(length: int, seed: int) -> None:
+        pomdp, execution = _tiny_record(length, seed)
+        formula = parse_formula("X X X in(lit)", pomdp)
+        report = acceptance_probability(pomdp, formula, execution)
+        lit = sorted(pomdp.named_sets["lit"])
+        expected = float(_log_space_posterior(pomdp, execution, 3)[lit].sum())
+        assert report.probability == pytest.approx(expected, abs=1e-9)
+        assert report.diagnostics["consistent_paths"] == 2 ** (length + 1)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(3, 3000), st.integers(0, 2**32 - 1))
+    def test_matches_log_space_reference(self, length, seed):
+        self._check_third_state_mass(length, seed)
+
+    def test_ten_thousand_steps(self):
+        self._check_third_state_mass(10_000, 0)
+
+    def test_impossible_record_raises(self, mht):
+        # No coin shows heads once the agent has chosen, so no hidden path
+        # survives the second step; the beliefs are hand-built.
+        pomdp, _ = mht
+        actions = (pomdp.action_index["observe"], pomdp.action_index["choose1"])
+        observations = (pomdp.obs_index["tails"], pomdp.obs_index["heads"])
+        execution = Execution((pomdp.prior,) * 3, actions, observations)
+        with pytest.raises(AllZero):
+            acceptance_probability(pomdp, full_atom(pomdp), execution)
