@@ -43,21 +43,53 @@ inside the word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import FormulaSyntaxError, NonAtomicNegation, UnknownSymbol
 from .model import Belief, entropy_bits, marginal_dist, marginal_prob
 
+# -- syntax-tree nodes -------------------------------------------------------------
+
+
+def _node(cls):
+    """Frozen dataclass for a syntax-tree node that keeps its hash.
+
+    The dataclass hash over the node's fields is computed on first use and
+    kept in ``_hash``, a field outside construction, equality, ``repr`` and
+    ``dataclasses.replace``, so hashing a formula again (as a cache key)
+    does not walk its tree.  Pickles leave it out, since string hashes
+    differ between processes.
+    """
+    cls.__annotations__["_hash"] = "int | None"
+    cls._hash = field(default=None, init=False, repr=False, compare=False)
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 # -- belief expression AST -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Const:
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Prob:
     """Belief mass on a resolved state-index set; ``name`` is for display."""
 
@@ -65,7 +97,7 @@ class Prob:
     indices: frozenset[int]
 
 
-@dataclass(frozen=True)
+@_node
 class EntropyBits:
     """Entropy (bits) of the belief marginal over a factor's cells."""
 
@@ -73,7 +105,7 @@ class EntropyBits:
     cells: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Callback:
     """Externally supplied belief functional, for predicates beyond the text
     grammar.  Built programmatically only; compared and hashed by function
@@ -83,24 +115,24 @@ class Callback:
     fn: Callable[[Belief], float]
 
 
-@dataclass(frozen=True)
+@_node
 class Neg:
     operand: "BeliefExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Add:
     left: "BeliefExpr"
     right: "BeliefExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Sub:
     left: "BeliefExpr"
     right: "BeliefExpr"
 
 
-@dataclass(frozen=True)
+@_node
 class Mul:
     left: "BeliefExpr"
     right: "BeliefExpr"
@@ -147,7 +179,7 @@ def belief_expr_text(expr: BeliefExpr) -> str:
 # -- formula AST -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class StateAtom:
     """Hidden state membership in a resolved set; carries the state count so
     the complement stays computable without the model at hand."""
@@ -158,36 +190,36 @@ class StateAtom:
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class BeliefAtom:
     expr: BeliefExpr
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Until:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Next:
     child: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class Eventually:
     child: "Formula"
 
@@ -540,35 +572,48 @@ def semantics_eval(formula: Formula, word: TraceWord, position: int = 0) -> bool
 
     Belief atoms are strict: the atom holds when its expression is below
     zero, and its negation holds when the expression is at or above zero.
+    Each subformula is decided at most once per position in one call, so
+    nested ``F`` and ``U`` cost time linear in their nesting, not
+    exponential.
     """
     if not 0 <= position < len(word):
         raise ValueError(f"position {position} outside the word")
+    return _holds(formula, word, position, {})
+
+
+def _holds(formula: Formula, word: TraceWord, position: int, memo: dict) -> bool:
+    """``semantics_eval`` with ``memo`` keyed by (node identity, position),
+    a key that needs neither a node's hash nor its equality."""
+    key = (id(formula), position)
+    value = memo.get(key)
+    if value is not None:
+        return value
     state, belief = word[position]
     if isinstance(formula, StateAtom):
-        inside = state in formula.indices
-        return inside != formula.negated
-    if isinstance(formula, BeliefAtom):
-        below = eval_belief_expr(formula.expr, belief) < 0
-        return below != formula.negated
-    if isinstance(formula, And):
-        return semantics_eval(formula.left, word, position) and semantics_eval(
-            formula.right, word, position
+        value = (state in formula.indices) != formula.negated
+    elif isinstance(formula, BeliefAtom):
+        value = (eval_belief_expr(formula.expr, belief) < 0) != formula.negated
+    elif isinstance(formula, And):
+        value = _holds(formula.left, word, position, memo) and _holds(
+            formula.right, word, position, memo
         )
-    if isinstance(formula, Or):
-        return semantics_eval(formula.left, word, position) or semantics_eval(
-            formula.right, word, position
+    elif isinstance(formula, Or):
+        value = _holds(formula.left, word, position, memo) or _holds(
+            formula.right, word, position, memo
         )
-    if isinstance(formula, Next):
-        if position + 1 >= len(word):
-            return False
-        return semantics_eval(formula.child, word, position + 1)
-    if isinstance(formula, Until):
+    elif isinstance(formula, Next):
+        value = position + 1 < len(word) and _holds(formula.child, word, position + 1, memo)
+    elif isinstance(formula, Until):
+        value = False
         for j in range(position, len(word)):
-            if semantics_eval(formula.right, word, j):
-                return True
-            if not semantics_eval(formula.left, word, j):
-                return False
-        return False
-    if isinstance(formula, Eventually):
-        return any(semantics_eval(formula.child, word, j) for j in range(position, len(word)))
-    raise TypeError(f"not a formula: {formula!r}")
+            if _holds(formula.right, word, j, memo):
+                value = True
+                break
+            if not _holds(formula.left, word, j, memo):
+                break
+    elif isinstance(formula, Eventually):
+        value = any(_holds(formula.child, word, j, memo) for j in range(position, len(word)))
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    memo[key] = value
+    return value

@@ -21,7 +21,9 @@ sink (the bad and good prefixes of co-safe properties; Kupferman & Vardi,
 because later observations still weigh its paths.  The accept row's share
 of the final mass is the probability under the smoothed posterior: exactly
 1.0 when every consistent path accepts and 0.0 when none does.  Consistent
-hidden paths are counted exactly alongside in Python integers.  A
+hidden paths are counted exactly alongside: each column's count is a
+column of base-2^31 int64 limbs, advanced by one small integer matmul with
+the step's support, and joined into one Python integer at the end.  A
 brute-force enumeration oracle over the smoothed chain built from backward
 likelihoods (another factorization of the same posterior) cross-checks it.
 
@@ -142,7 +144,7 @@ class PropositionMaps:
         self._belief_index = belief_index
         self._state_index = state_index
         self._state_names = tuple(state_names)
-        self._state_bits: dict[int, tuple[int, ...]] = {}
+        self._state_bits: dict[int, np.ndarray] = {}
 
     @property
     def num_belief_props(self) -> int:
@@ -168,17 +170,19 @@ class PropositionMaps:
         names += [f"in({n})" for n in self._state_names]
         return names
 
-    def state_bits(self, num_states: int) -> tuple[int, ...]:
+    def state_bits(self, num_states: int) -> np.ndarray:
         """Per-hidden-state bitmask of the state propositions it satisfies,
-        computed once per model dimension."""
+        computed once per model dimension, as a read-only array of Python
+        ints (a formula may have more than 63 propositions)."""
         bits = self._state_bits.get(num_states)
         if bits is None:
-            masks = [0] * num_states
+            bits = np.zeros(num_states, dtype=object)
             for k, indices in enumerate(self.state_props):
                 mask = 1 << (self.num_belief_props + k)
                 for s in indices:
-                    masks[s] |= mask
-            bits = self._state_bits[num_states] = tuple(masks)
+                    bits[s] |= mask
+            bits.flags.writeable = False
+            self._state_bits[num_states] = bits
         return bits
 
 
@@ -559,8 +563,11 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     Dead and accepted mass stays in two sink rows and every step is
     rescaled by the filter's normalizer.  The result is the accepted share
     of the final mass: exactly 1.0 when every consistent path accepts, 0.0
-    when none does.  Raises ``AllZero`` at the first step that leaves no
-    hidden state consistent with the record.
+    when none does.  The exact number of consistent hidden paths
+    (``consistent_paths``) rides along as int64 limbs, one matmul with the
+    step's support per step; carries propagate only when a limb could
+    pass 2^56.  Raises ``AllZero`` at the first step that leaves no hidden
+    state consistent with the record.
     """
     comp = compile_monitor(formula)
     feasible, labels, sigs = _feasibility(comp, pomdp, exec)
@@ -577,30 +584,30 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     dfa = comp.acceptance_dfa
     prior = pomdp.prior.probs
 
-    # The columns are the hidden states the record so far allows,
-    # ascending, as a list (``live``) and as an index array (``live_idx``);
-    # ``counts`` holds each one's exact number of paths.
-    live_idx = np.flatnonzero(prior)
-    live = live_idx.tolist()
-    counts = [1] * len(live)
+    # The columns are the hidden states the record so far allows, ascending
+    # (``live``).  ``counts[k, j]`` is limb k of column j's exact number of
+    # paths, in base 2^31; ``bound`` caps every limb.
+    live = np.flatnonzero(prior)
+    counts = np.ones((1, len(live)), dtype=np.int64)
+    bound = 1
     # Step 0 moves the initial state's mass on the first letter.
     states, mass, sinks = _fold_step(
-        dfa, [dfa.initial], sigs[0], [sbits[s] for s in live], prior.take(live_idx)[None, :]
+        dfa, [dfa.initial], sigs[0], sbits.take(live).tolist(), prior.take(live)[None, :]
     )
     dp_pairs = int(np.count_nonzero(mass))
 
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
-        rows = pomdp.trans_mat[a].take(live_idx, axis=0) * pomdp.obs_mat[a][:, o]
-        r_idx, s2_idx = np.nonzero(rows)
-        next_counts: dict[int, int] = {}
-        for r, s2 in zip(r_idx.tolist(), s2_idx.tolist()):
-            next_counts[s2] = next_counts.get(s2, 0) + counts[r]
-        live = sorted(next_counts)
-        live_idx = np.array(live, dtype=np.intp)
-        counts = [next_counts[s] for s in live]
-        rows = rows.take(live_idx, axis=1)
+        rows = pomdp.trans_mat[a].take(live, axis=0) * pomdp.obs_mat[a][:, o]
+        adj = rows != 0
+        live = np.flatnonzero(adj.any(axis=0))
+        # A new limb sums at most one limb per previous column.
+        if bound * len(adj) > _LIMB_CAP:
+            counts, bound = _carry(counts, bound)
+        counts = counts @ adj.take(live, axis=1)
+        bound *= len(adj)
+        rows = rows.take(live, axis=1)
         states, mass, reached = _fold_step(
-            dfa, states, sigs[i + 1], [sbits[s] for s in live], mass @ rows
+            dfa, states, sigs[i + 1], sbits.take(live).tolist(), mass @ rows
         )
         sinks = sinks @ rows + reached
         total = sinks.sum() + mass.sum()
@@ -609,6 +616,10 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
         mass, sinks = mass / total, sinks / total
         dp_pairs += int(np.count_nonzero(mass))
 
+    # After a carry pass every limb is below 2^32, so each limb's sum over
+    # the columns fits an int64.
+    counts, _ = _carry(counts, bound)
+    limb_sums = counts.sum(axis=1).tolist()
     accepted, rest = sinks[1].sum(), sinks[0].sum() + mass.sum()
     return MonitorReport(
         True,
@@ -616,10 +627,31 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
         labels,
         {
             "dp_pairs": dp_pairs,
-            "consistent_paths": sum(counts),
+            "consistent_paths": sum(limb << (_LIMB_BITS * k) for k, limb in enumerate(limb_sums)),
             "propositions": legend,
         },
     )
+
+
+# Path counts are int64 limbs of ``_LIMB_BITS`` bits.  Carries propagate only
+# when a step could lift a limb past ``_LIMB_CAP``, which leaves int64 room to
+# spare for the step's sums.
+_LIMB_BITS = 31
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LIMB_CAP = 1 << 56
+
+
+def _carry(counts: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """One carry pass over the limb rows of ``counts``, each limb at most
+    ``bound``: every limb keeps its low bits and adds the high bits of the
+    limb below, with a new top row when the top limb overflows.  Returns
+    the counts and the new bound on their limbs."""
+    high = counts >> _LIMB_BITS
+    counts = counts & _LIMB_MASK
+    counts[1:] += high[:-1]
+    if high[-1].any():
+        counts = np.vstack((counts, high[-1:]))
+    return counts, _LIMB_MASK + (bound >> _LIMB_BITS)
 
 
 def _fold_step(

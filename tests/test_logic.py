@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from dtlmon.logic import (
     MAX_NESTING,
     And,
     BeliefAtom,
+    Callback,
     Const,
     EntropyBits,
     Eventually,
@@ -340,6 +342,73 @@ class TestSemanticsProperties:
             assert semantics_eval(Eventually(target), word, 0) == semantics_eval(
                 Until(full, target), word, 0
             )
+
+
+class TestNodeHash:
+    """A node keeps its hash once computed; nothing else about it changes."""
+
+    def test_equal_formulas_hash_equal(self, mht, mht_formula):
+        text = formula_text(mht_formula)
+        first, second = parse_formula(text, mht), parse_formula(text, mht)
+        assert first is not second
+        hash(first)
+        assert first == second and hash(first) == hash(second)
+        assert hash(second) == hash(parse_formula(text, mht))
+
+    def test_replace_equality_and_repr_ignore_the_kept_hash(self):
+        atom = StateAtom("a", frozenset({1}), 3)
+        hash(atom)
+        flipped = dataclasses.replace(atom, negated=True)
+        assert flipped == StateAtom("a", frozenset({1}), 3, negated=True)
+        assert hash(flipped) == hash(StateAtom("a", frozenset({1}), 3, negated=True))
+        assert flipped != atom
+        assert repr(atom) == (
+            "StateAtom(name='a', indices=frozenset({1}), num_states=3, negated=False)"
+        )
+
+    def test_callbacks_still_hash_by_function_identity(self):
+        def fn(belief):
+            return 0.0
+
+        def other(belief):
+            return 0.0
+
+        same = Callback("c", fn)
+        assert same == Callback("c", fn) and hash(same) == hash(Callback("c", fn))
+        assert same != Callback("c", other)
+
+    def test_pickled_node_drops_the_kept_hash(self, mht_formula):
+        hash(mht_formula)
+        copy = pickle.loads(pickle.dumps(mht_formula))
+        assert copy == mht_formula and copy._hash is None
+        assert hash(copy) == hash(mht_formula)
+
+    def test_warm_compile_hashes_no_child_node(self, mht_formula, monkeypatch):
+        compiled = compile_monitor(mht_formula)
+        hashed = []
+        for cls in {type(node) for node in _nodes(mht_formula)}:
+
+            def counted(self, original=cls.__hash__):
+                hashed.append(self)
+                return original(self)
+
+            monkeypatch.setattr(cls, "__hash__", counted)
+        assert compile_monitor(mht_formula) is compiled
+        assert all(node is mht_formula for node in hashed)
+
+
+def _nodes(formula):
+    """Every node of a formula tree, belief expressions included."""
+    stack, out = [formula], []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(
+            getattr(node, name)
+            for name in ("left", "right", "child", "expr", "operand")
+            if hasattr(node, name)
+        )
+    return out
 
 
 def _negate_atom(atom):

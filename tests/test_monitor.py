@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dtlmon.logic import BeliefAtom, Const, Eventually, Neg, Next, Prob, StateAt
 from dtlmon.model import (
     Belief,
     Execution,
+    Pomdp,
     RandomActionPolicy,
     execution_from_actions,
     marginal_prob,
@@ -416,6 +418,80 @@ class TestArrayDp:
         assert report.probability == pytest.approx(oracle, abs=1e-9)
 
 
+def _recount(pomdp, execution) -> int:
+    """Hidden paths consistent with the record, counted in Python ints over
+    the support of each step's transition and observation likelihoods."""
+    counts = dict.fromkeys(np.flatnonzero(pomdp.prior.probs).tolist(), 1)
+    for a, o in zip(execution.actions, execution.observations):
+        live = sorted(counts)
+        rows = pomdp.trans_mat[a].take(live, axis=0) * pomdp.obs_mat[a][:, o]
+        following: dict[int, int] = {}
+        for r, s2 in zip(*(idx.tolist() for idx in np.nonzero(rows))):
+            following[s2] = following.get(s2, 0) + counts[live[r]]
+        counts = following
+    return sum(counts.values())
+
+
+def _complete_model(n: int):
+    """``n`` states where every transition and observation is possible."""
+    rng = np.random.default_rng(n)
+    trans = rng.uniform(0.5, 1.5, (n, n))
+    trans /= trans.sum(axis=1, keepdims=True)
+    high = rng.uniform(0.2, 0.8, n)
+    return Pomdp(
+        [f"s{i}" for i in range(n)],
+        ["go"],
+        ["lo", "hi"],
+        [1.0 / n] * n,
+        {(s, 0, s2): p for s, row in enumerate(trans.tolist()) for s2, p in enumerate(row)},
+        {**{(s, 0, 1): p for s, p in enumerate(high.tolist())},
+         **{(s, 0, 0): 1.0 - p for s, p in enumerate(high.tolist())}},
+        named_sets={"first": [0]},
+    )
+
+
+class TestPathCounts:
+    """``consistent_paths`` is exact however far it passes the int64 range."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_instances_match_recount(self, seed):
+        rng = random.Random(seed)
+        pomdp = random_pomdp(rng)
+        formula = random_cosafe_formula(rng, pomdp)
+        execution = random_execution(pomdp, rng)
+        report = acceptance_probability(pomdp, formula, execution)
+        expected = _recount(pomdp, execution) if report.feasible else 0
+        assert report.diagnostics["consistent_paths"] == expected
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(20, 60), st.integers(0, 2**32 - 1))
+    def test_grid_walks_match_recount(self, horizon, seed):
+        pomdp = grid_walk()
+        _, execution = simulate(pomdp, RandomActionPolicy(), horizon, seed)
+        expected = _recount(pomdp, execution)
+        assert expected > 2**62
+        corner = StateAtom("corner", frozenset(pomdp.named_sets["corner"]), pomdp.num_states)
+        report = acceptance_probability(pomdp, Eventually(corner), execution)
+        assert report.diagnostics["consistent_paths"] == expected
+
+    @pytest.fixture(scope="class")
+    def complete(self):
+        return _complete_model(256)
+
+    @pytest.mark.parametrize("horizon", range(6, 13))
+    def test_complete_model_counts_every_path(self, complete, horizon):
+        # 256 columns lift a limb by 2^8 a step: the carries cascade, and
+        # summing unnormalized limbs over the columns would wrap an int64.
+        rng = random.Random(horizon)
+        execution = execution_from_actions(
+            complete, ["go"] * horizon, [rng.choice(["lo", "hi"]) for _ in range(horizon)]
+        )
+        for text in ("in(first) | !in(first)", "F in(first)"):
+            report = acceptance_probability(complete, parse_formula(text, complete), execution)
+            assert report.diagnostics["consistent_paths"] == 256 ** (horizon + 1)
+
+
 class TestSharedAutomata:
     """Formulas that differ only in belief thresholds share their automata."""
 
@@ -529,6 +605,18 @@ class TestOracle:
             report = acceptance_probability(pomdp, formula, execution)
             oracle = acceptance_probability_oracle(pomdp, formula, execution)
             assert report.probability == pytest.approx(oracle, abs=1e-9)
+
+    def test_nested_eventualities_stay_fast(self):
+        # Each subformula is decided once per position: without that, 100
+        # nested F took seconds on three steps.
+        pomdp = tiny_two_state()
+        formula = parse_formula("F " * 100 + "in(lit)", pomdp)
+        execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "lo"])
+        start = time.perf_counter()
+        oracle = acceptance_probability_oracle(pomdp, formula, execution)
+        assert time.perf_counter() - start < 0.5
+        report = acceptance_probability(pomdp, formula, execution)
+        assert report.probability == pytest.approx(oracle, abs=1e-9)
 
     def test_callback_predicate_monitored(self):
         # Variance of the lit-state indicator: not expressible in the text
