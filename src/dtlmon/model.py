@@ -44,6 +44,18 @@ class Belief:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
+    @classmethod
+    def _trusted(cls, probs: np.ndarray) -> "Belief":
+        """Wrap a fresh 1-d float pmf without re-validating it.
+
+        The caller guarantees finite, nonnegative entries with unit sum and
+        gives up the array, which is made read-only in place.
+        """
+        probs.flags.writeable = False
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "probs", probs)
+        return belief
+
     def __len__(self) -> int:
         return int(self.probs.size)
 
@@ -385,14 +397,16 @@ def bayes_update(pomdp: Pomdp, belief: Belief, action: int, obs: int) -> Belief:
     if not 0 <= obs < pomdp.num_observations:
         raise ModelError(f"observation index {obs} out of range")
     predicted = belief.probs @ pomdp.trans_mat[action]
-    posterior = predicted * pomdp.obs_mat[action][:, obs]
+    posterior = predicted * pomdp.obs_mat[action, :, obs]
     norm = float(posterior.sum())
     if norm <= 0.0:
         raise ZeroLikelihood(
             f"observation {pomdp.observations[obs]!r} has zero likelihood after "
             f"action {pomdp.actions[action]!r}"
         )
-    return Belief(posterior / norm)
+    # A valid belief through unit-sum rows with entries in [0, 1], over a
+    # positive norm, is a fresh finite pmf: no need to validate it again.
+    return Belief._trusted(posterior / norm)
 
 
 def filter_run(pomdp: Pomdp, actions: Sequence[int], observations: Sequence[int]) -> list[Belief]:
@@ -411,19 +425,34 @@ def filter_run(pomdp: Pomdp, actions: Sequence[int], observations: Sequence[int]
 # -- belief functionals ----------------------------------------------------------
 
 
+def state_index_array(states: Iterable[int], num_states: int, *, sort: bool = True) -> np.ndarray:
+    """A state set as a read-only ``np.intp`` index array, range-checked.
+
+    With ``sort`` the indices are deduplicated and ascending, the order in
+    which ``marginal_prob`` sums a set; without it they keep their given
+    order, the order in which ``marginal_dist`` sums a partition cell.
+    Readers that precompile sets this way sum ``probs.take(idx)`` in the
+    same order as these two functions, bit for bit.
+    """
+    idx = sorted(set(states)) if sort else list(states)
+    if idx and not (0 <= min(idx) and max(idx) < num_states):
+        raise ModelError("state set out of range")
+    arr = np.array(idx, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
 def marginal_prob(belief: Belief, states: Iterable[int]) -> float:
     """Total belief mass on a set of state indices."""
-    idx = sorted(set(states))
-    if idx and not (0 <= idx[0] and idx[-1] < len(belief)):
-        raise ModelError("state set out of range")
-    if not idx:
-        return 0.0
-    return float(belief.probs[idx].sum())
+    return float(belief.probs.take(state_index_array(states, len(belief))).sum())
 
 
 def marginal_dist(belief: Belief, cells: Sequence[Sequence[int]]) -> np.ndarray:
     """Belief mass per cell of a partition of the state indices."""
-    return np.array([float(belief.probs[list(cell)].sum()) for cell in cells])
+    n = len(belief)
+    return np.array(
+        [float(belief.probs.take(state_index_array(c, n, sort=False)).sum()) for c in cells]
+    )
 
 
 def entropy_bits(pmf) -> float:
@@ -526,8 +555,8 @@ def simulate(
         action = policy.act(beliefs[-1], step)
         if not 0 <= action < pomdp.num_actions:
             raise ModelError(f"policy returned invalid action {action!r}")
-        state = _sample(rng, pomdp.trans_mat[action][state])
-        obs = _sample(rng, pomdp.obs_mat[action][state])
+        state = _sample(rng, pomdp.trans_mat[action, state])
+        obs = _sample(rng, pomdp.obs_mat[action, state])
         beliefs.append(bayes_update(pomdp, beliefs[-1], action, obs))
         hidden.append(state)
         acts.append(action)

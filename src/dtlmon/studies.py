@@ -32,9 +32,8 @@ from .model import (
     Pomdp,
     entropy_bits,
     execution_from_actions,
-    marginal_dist,
-    marginal_prob,
     simulate,
+    state_index_array,
 )
 from .monitor import acceptance_probability
 
@@ -337,6 +336,32 @@ def mht_success_fn(pomdp: Pomdp) -> Callable[[int], bool]:
 # -- rescue policies --------------------------------------------------------------
 
 
+def _mass(belief: Belief, idx: np.ndarray) -> float:
+    """``marginal_prob`` over a set compiled by ``state_index_array``."""
+    return float(belief.probs.take(idx).sum())
+
+
+def _cell_masses(belief: Belief, cells) -> np.ndarray:
+    """``marginal_dist`` over cells compiled by ``_compile_cells``."""
+    if isinstance(cells, np.ndarray):
+        # Each row is reduced along a C-contiguous last axis, which sums in
+        # the order of the 1-d ``probs.take(cell).sum()``.
+        return belief.probs[cells].sum(axis=1)
+    return np.array([_mass(belief, c) for c in cells])
+
+
+def _compile_cells(pomdp: Pomdp, factor: str):
+    """A factor's cells as one read-only ``(cells, size)`` index matrix when
+    they are equally large, else as a tuple of index arrays."""
+    n = pomdp.num_states
+    cells = tuple(state_index_array(c, n, sort=False) for c in pomdp.factor_cells[factor])
+    if len({c.size for c in cells}) > 1:
+        return cells
+    matrix = np.stack(cells)
+    matrix.flags.writeable = False
+    return matrix
+
+
 class _ReactiveRescuePolicy(Policy):
     """Shared scaffolding for the rescue policies.
 
@@ -344,13 +369,25 @@ class _ReactiveRescuePolicy(Policy):
     says the robot's room holds a survivor with probability above ``p1``
     and is unsafe with probability above ``p2``, the policy issues pickup,
     then switch, then putdown on three consecutive steps before resuming.
+    The state sets it reads are compiled into index arrays, summed in the
+    order ``marginal_prob`` and ``marginal_dist`` use, on the first
+    ``reset`` with a model and kept while later resets pass the same one.
     """
 
     def __init__(self, p1: float = 0.9, p2: float = 0.25):
         self.p1 = p1
         self.p2 = p2
+        self._model: Pomdp | None = None
 
     def reset(self, pomdp: Pomdp, horizon: int, seed: int | None = None) -> None:
+        if pomdp is not self._model:
+            self._compile(pomdp)
+        self._horizon = horizon
+        self._overlay: list[int] = []
+        self._since_switch = 0
+        self._reset_schedule()
+
+    def _compile(self, pomdp: Pomdp) -> None:
         needed_sets = ("room1", "surv1", "surv2", "unsafe1", "unsafe2")
         needed_factors = ("env_safe1", "env_safe2", "env_surv1", "env_surv2")
         needed_actions = ("stay", "switch", "pickup", "putdown")
@@ -360,50 +397,44 @@ class _ReactiveRescuePolicy(Policy):
             or any(n not in pomdp.action_index for n in needed_actions)
         ):
             raise ModelError("this policy needs the rescue model's sets, factors, and actions")
-        self._horizon = horizon
+        n = pomdp.num_states
+        sets = {name: state_index_array(pomdp.named_sets[name], n) for name in needed_sets}
         self._act = {name: i for i, name in enumerate(pomdp.actions)}
-        self._room1 = pomdp.named_sets["room1"]
-        self._surv = {1: pomdp.named_sets["surv1"], 2: pomdp.named_sets["surv2"]}
-        self._unsafe = {1: pomdp.named_sets["unsafe1"], 2: pomdp.named_sets["unsafe2"]}
-        self._safe_cells = {
-            1: pomdp.factor_cells["env_safe1"],
-            2: pomdp.factor_cells["env_safe2"],
-        }
-        self._surv_cells = {
-            1: pomdp.factor_cells["env_surv1"],
-            2: pomdp.factor_cells["env_surv2"],
-        }
-        self._overlay: list[int] = []
-        self._since_switch = 0
-        self._reset_schedule()
+        self._room1 = sets["room1"]
+        self._surv = {1: sets["surv1"], 2: sets["surv2"]}
+        self._unsafe = {1: sets["unsafe1"], 2: sets["unsafe2"]}
+        self._safe_cells = {j: _compile_cells(pomdp, f"env_safe{j}") for j in (1, 2)}
+        self._surv_cells = {j: _compile_cells(pomdp, f"env_surv{j}") for j in (1, 2)}
+        self._model = pomdp
 
     def _reset_schedule(self) -> None:
         pass
 
     def _current_room(self, belief: Belief) -> int:
-        return 1 if marginal_prob(belief, self._room1) >= 0.5 else 2
+        return 1 if _mass(belief, self._room1) >= 0.5 else 2
 
-    def _triggered(self, belief: Belief) -> bool:
-        room = self._current_room(belief)
+    def _triggered(self, belief: Belief, room: int) -> bool:
         return (
-            marginal_prob(belief, self._surv[room]) > self.p1
-            and marginal_prob(belief, self._unsafe[room]) > self.p2
+            _mass(belief, self._surv[room]) > self.p1
+            and _mass(belief, self._unsafe[room]) > self.p2
         )
 
     def act(self, belief: Belief, step: int) -> int:
         self._since_switch += 1
         if self._overlay:
             action = self._overlay.pop(0)
-        elif self._triggered(belief):
-            action = self._act["pickup"]
-            self._overlay = [self._act["switch"], self._act["putdown"]]
         else:
-            action = self._base_action(belief, step)
+            room = self._current_room(belief)
+            if self._triggered(belief, room):
+                action = self._act["pickup"]
+                self._overlay = [self._act["switch"], self._act["putdown"]]
+            else:
+                action = self._base_action(belief, step, room)
         if action == self._act["switch"]:
             self._since_switch = 0
         return action
 
-    def _base_action(self, belief: Belief, step: int) -> int:
+    def _base_action(self, belief: Belief, step: int, room: int) -> int:
         raise NotImplementedError
 
 
@@ -419,7 +450,7 @@ class TimeSharePolicy(_ReactiveRescuePolicy):
     def _reset_schedule(self) -> None:
         self._period = math.ceil(self._horizon / self.a)
 
-    def _base_action(self, belief: Belief, step: int) -> int:
+    def _base_action(self, belief: Belief, step: int, room: int) -> int:
         if step > 0 and step % self._period == 0:
             return self._act["switch"]
         return self._act["stay"]
@@ -447,12 +478,12 @@ class EntropyCutoffPolicy(_ReactiveRescuePolicy):
         self._since_switch = self.rho - 1
 
     def _room_certain(self, belief: Belief, room: int) -> bool:
-        safe_h = entropy_bits(marginal_dist(belief, self._safe_cells[room]))
-        surv_h = entropy_bits(marginal_dist(belief, self._surv_cells[room]))
-        return safe_h < self.h3 and surv_h < self.h4
+        return (
+            entropy_bits(_cell_masses(belief, self._safe_cells[room])) < self.h3
+            and entropy_bits(_cell_masses(belief, self._surv_cells[room])) < self.h4
+        )
 
-    def _base_action(self, belief: Belief, step: int) -> int:
-        room = self._current_room(belief)
+    def _base_action(self, belief: Belief, step: int, room: int) -> int:
         other = 2 if room == 1 else 1
         if self._room_certain(belief, room):
             if self._room_certain(belief, other):
@@ -490,13 +521,13 @@ class MhtThresholdPolicy(Policy):
         if "hyp" not in pomdp.factor_cells or "observe" not in pomdp.action_index:
             raise ModelError("this policy needs the coin model's factor and actions")
         self._act = {name: i for i, name in enumerate(pomdp.actions)}
-        self._hyp_cells = pomdp.factor_cells["hyp"]
+        self._hyp_cells = _compile_cells(pomdp, "hyp")
         self._committed: int | None = None
 
     def act(self, belief: Belief, step: int) -> int:
         if self._committed is not None:
             return self._act["observe"]
-        dist = marginal_dist(belief, self._hyp_cells)
+        dist = _cell_masses(belief, self._hyp_cells)
         if entropy_bits(dist) < self.h:
             self._committed = int(np.argmax(dist)) + 1
             return self._act[f"choose{self._committed}"]
@@ -594,13 +625,13 @@ def monte_carlo(
         raise ModelError("need at least 2 trials")
     if not isinstance(entropy_factor, str) or entropy_factor not in pomdp.factor_cells:
         raise ModelError(f"unknown factor {entropy_factor!r}")
-    cells = pomdp.factor_cells[entropy_factor]
+    cells = _compile_cells(pomdp, entropy_factor)
     records = []
     for k in range(trials):
         seed = trial_seed(master_seed, k)
         hidden, execution = simulate(pomdp, policy, horizon, seed)
         report = acceptance_probability(pomdp, formula, execution)
-        terminal_entropy = entropy_bits(marginal_dist(execution.beliefs[-1], cells))
+        terminal_entropy = entropy_bits(_cell_masses(execution.beliefs[-1], cells))
         records.append(
             TrialRecord(
                 trial=k,

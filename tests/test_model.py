@@ -22,6 +22,7 @@ from dtlmon.model import (
     marginal_dist,
     marginal_prob,
     simulate,
+    state_index_array,
 )
 from dtlmon.studies import build_mht, build_rescue
 
@@ -55,6 +56,76 @@ class TestBelief:
         b = Belief(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             b.probs[0] = 1.0
+
+
+class TestPublicBeliefValidation:
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([math.nan, 1.0], "belief entries must be nonnegative"),
+            ([1.0, math.nan], "belief entries must be nonnegative"),
+            ([1.2, -0.2], "belief entries must be nonnegative"),
+            ([0.5, 0.4], "belief mass 0.9 is not 1 within"),
+            ([math.inf, 1.0], "belief mass inf is not 1 within"),
+            ([], "belief must be a nonempty 1-d vector"),
+        ],
+    )
+    def test_rejects(self, probs, message):
+        with pytest.raises(ModelError, match=message):
+            Belief(np.array(probs))
+
+    def test_copies_its_input(self):
+        source = np.array([0.25, 0.75])
+        belief = Belief(source)
+        source[0] = 0.5
+        assert belief.probs.tolist() == [0.25, 0.75]
+
+
+def _reference_update(pomdp, belief, action, obs):
+    """``bayes_update`` through the public, validating constructor."""
+    posterior = (belief.probs @ pomdp.trans_mat[action]) * pomdp.obs_mat[action][:, obs]
+    return Belief(posterior / float(posterior.sum()))
+
+
+class TestBayesUpdateResult:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10**6))
+    def test_bit_identical_to_validated_belief(self, seed):
+        rng = random.Random(seed)
+        pomdp = random_pomdp(rng)
+        from helpers import consistent_record
+
+        actions, observations = consistent_record(pomdp, rng, rng.randint(1, 8))
+        belief = pomdp.prior
+        for a, o in zip(actions, observations):
+            want = _reference_update(pomdp, belief, a, o)
+            belief = bayes_update(pomdp, belief, a, o)
+            assert belief.probs.dtype == want.probs.dtype and belief.probs.shape == want.probs.shape
+            assert belief.probs.tobytes() == want.probs.tobytes()
+
+    def test_rescue_run_bit_identical(self):
+        pomdp, _ = build_rescue()
+        _, execution = simulate(pomdp, ScriptedPolicy(["stay", "pickup", "switch"] * 4), 12, 5)
+        for i, (a, o) in enumerate(zip(execution.actions, execution.observations)):
+            want = _reference_update(pomdp, execution.beliefs[i], a, o)
+            assert execution.beliefs[i + 1].probs.tobytes() == want.probs.tobytes()
+
+    def test_result_is_read_only_and_fresh(self, mht):
+        belief = bayes_update(mht, mht.prior, mht.action_index["observe"], mht.obs_index["heads"])
+        assert not belief.probs.flags.writeable
+        assert belief.probs.base is None or not np.shares_memory(belief.probs, mht.prior.probs)
+        with pytest.raises(ValueError):
+            belief.probs[0] = 1.0
+
+    def test_filter_run_zero_likelihood_text_and_step(self, mht):
+        acts = [mht.action_index["choose1"], mht.action_index["observe"]]
+        seq = [mht.obs_index["null"], mht.obs_index["heads"]]
+        with pytest.raises(ZeroLikelihood) as err:
+            filter_run(mht, acts, seq)
+        assert err.value.step == 1
+        assert str(err.value) == (
+            "step 1: observation 'heads' has zero likelihood after action 'observe'"
+        )
 
 
 class TestBayesUpdate:
@@ -192,6 +263,31 @@ class TestSimulate:
             np.testing.assert_allclose(
                 counts[s] / total, pomdp.trans_mat[0][s], atol=0.05
             )
+
+
+class TestStateIndexArray:
+    def test_sets_sorted_and_deduplicated(self):
+        idx = state_index_array([3, 1, 3, 0], 4)
+        assert idx.dtype == np.intp and idx.tolist() == [0, 1, 3]
+        assert not idx.flags.writeable
+
+    def test_cells_keep_their_order(self):
+        assert state_index_array((3, 1), 4, sort=False).tolist() == [3, 1]
+        assert state_index_array([], 4).size == 0
+
+    @pytest.mark.parametrize("states", [[4], [-1], [0, 5]])
+    def test_out_of_range(self, states):
+        with pytest.raises(ModelError, match="state set out of range"):
+            state_index_array(states, 4)
+        with pytest.raises(ModelError, match="state set out of range"):
+            state_index_array(states, 4, sort=False)
+
+    def test_functionals_range_check(self):
+        b = Belief(np.full(4, 0.25))
+        with pytest.raises(ModelError):
+            marginal_prob(b, {4})
+        with pytest.raises(ModelError):  # a negative index no longer wraps around
+            marginal_dist(b, [(0, 1), (2, -1)])
 
 
 class TestBeliefFunctionals:

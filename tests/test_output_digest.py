@@ -1,5 +1,5 @@
-"""The output digest names every run once and prints the same lines on
-every invocation."""
+"""The output digest names every run once, prints the same lines on
+every invocation, and matches the checked-in digest byte for byte."""
 
 import os
 import subprocess
@@ -7,6 +7,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# ``--limit 3`` output of the tree before the last intended output change.
+# A change that moves an output on purpose regenerates this file with
+# ``PYTHONPATH=src python scripts/output_digest.py --limit 3`` and lists the
+# moved lines in CHANGES.md.
+PINNED = ROOT / "tests" / "data" / "output_digest_limit3.txt"
 
 
 def _digest() -> str:
@@ -30,3 +35,7 @@ def test_digest_is_deterministic():
     assert len({line.split()[0] for line in lines}) == len(lines)
     assert all(" feasible=" in line and " paths=0x" in line for line in lines)
     assert _digest() == first
+
+
+def test_digest_matches_pinned_file():
+    assert _digest() == PINNED.read_text(encoding="utf-8")

@@ -2,24 +2,36 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtlmon.errors import DegeneratePearson, ModelError
 from dtlmon.logic import Eventually, formula_text
-from dtlmon.model import Pomdp, bayes_update, marginal_dist, simulate
+from dtlmon.model import (
+    Belief,
+    Pomdp,
+    bayes_update,
+    entropy_bits,
+    marginal_dist,
+    marginal_prob,
+    simulate,
+)
 from dtlmon.monitor import acceptance_probability
 from dtlmon.studies import (
     EntropyCutoffPolicy,
     MhtThresholdPolicy,
     RescueParams,
     TimeSharePolicy,
+    _cell_masses,
+    _compile_cells,
+    _mass,
     build_mht,
     build_rescue,
     mht_success_fn,
     monte_carlo,
     pearson_r,
     rescue_success_fn,
+    run_rescue_study,
     trial_seed,
 )
 
@@ -215,6 +227,189 @@ class TestPolicies:
         if chooses:
             report = acceptance_probability(pomdp, formula, execution)
             assert report.feasible
+
+
+class _MarginalReads:
+    """The rescue policies' decisions read through ``marginal_prob`` and
+    ``marginal_dist`` on the model's own sets at every call."""
+
+    def reset(self, pomdp, horizon, seed=None):
+        super().reset(pomdp, horizon, seed)
+        self._pomdp = pomdp
+
+    def _current_room(self, belief):
+        return 1 if marginal_prob(belief, self._pomdp.named_sets["room1"]) >= 0.5 else 2
+
+    def _triggered(self, belief, room):
+        sets = self._pomdp.named_sets
+        return (
+            marginal_prob(belief, sets[f"surv{room}"]) > self.p1
+            and marginal_prob(belief, sets[f"unsafe{room}"]) > self.p2
+        )
+
+    def _room_certain(self, belief, room):
+        cells = self._pomdp.factor_cells
+        safe_h = entropy_bits(marginal_dist(belief, cells[f"env_safe{room}"]))
+        surv_h = entropy_bits(marginal_dist(belief, cells[f"env_surv{room}"]))
+        return safe_h < self.h3 and surv_h < self.h4
+
+
+class _MarginalTimeShare(_MarginalReads, TimeSharePolicy):
+    pass
+
+
+class _MarginalCutoff(_MarginalReads, EntropyCutoffPolicy):
+    pass
+
+
+_RESCUE, _ = build_rescue()
+_THRESHOLDS = {"surv": RescueParams().p1, "unsafe": RescueParams().p2}
+
+
+@st.composite
+def rescue_pmfs(draw):
+    """A 64-state pmf with an arbitrary shape, zeros included."""
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=64, max_size=64)))
+    if not weights.sum() > 0:
+        weights[draw(st.integers(0, 63))] = 1.0
+    return Belief(weights / weights.sum())
+
+
+@st.composite
+def tie_pmfs(draw):
+    """A pmf whose ``P(survj)`` or ``P(unsafej)``, summed as
+    ``marginal_prob`` sums it, is its threshold or one ulp to either side.
+    Three to six members of the set share the mass unevenly, so the sum
+    depends on the order of its terms; the rest sits outside the set."""
+    kind = draw(st.sampled_from(sorted(_THRESHOLDS)))
+    room = draw(st.sampled_from((1, 2)))
+    name = f"{kind}{room}"
+    members = sorted(_RESCUE.named_sets[name])
+    outside = sorted(set(range(_RESCUE.num_states)) - set(members))
+    threshold = _THRESHOLDS[kind]
+    target = float(np.nextafter(threshold, threshold + draw(st.sampled_from((-1, 0, 1)))))
+    chosen = draw(st.lists(st.sampled_from(members), min_size=3, max_size=6, unique=True))
+    shares = st.lists(st.floats(0.01, 1.0), min_size=len(chosen), max_size=len(chosen))
+    weights = np.array(draw(shares))
+    probs = np.zeros(_RESCUE.num_states)
+    probs[chosen] = target * weights / weights.sum()
+    for _ in range(8):  # nudge the largest share until the set sums to the target
+        gap = target - float(probs[members].sum())
+        if gap == 0.0:
+            break
+        probs[chosen[int(np.argmax(weights))]] += gap
+    assume(float(probs[members].sum()) == target)
+    rest = draw(st.lists(st.sampled_from(outside), min_size=1, max_size=4, unique=True))
+    probs[rest] = (1.0 - target) / len(rest)
+    return name, target, Belief(probs)
+
+
+def _assert_reads_match(policy, belief):
+    """Every compiled read equals its ``marginal_prob``/``marginal_dist``
+    value bit for bit, and every decision equals the reference one."""
+    sets, cells = _RESCUE.named_sets, _RESCUE.factor_cells
+    assert _mass(belief, policy._room1) == marginal_prob(belief, sets["room1"])
+    reference = _MarginalCutoff(0.3, 0.3, 2)
+    reference.reset(_RESCUE, 16, 0)
+    assert policy._current_room(belief) == reference._current_room(belief)
+    for j in (1, 2):
+        assert _mass(belief, policy._surv[j]) == marginal_prob(belief, sets[f"surv{j}"])
+        assert _mass(belief, policy._unsafe[j]) == marginal_prob(belief, sets[f"unsafe{j}"])
+        for compiled, factor in ((policy._safe_cells, "safe"), (policy._surv_cells, "surv")):
+            got = _cell_masses(belief, compiled[j])
+            assert got.tobytes() == marginal_dist(belief, cells[f"env_{factor}{j}"]).tobytes()
+        assert policy._triggered(belief, j) == reference._triggered(belief, j)
+        assert policy._room_certain(belief, j) == reference._room_certain(belief, j)
+
+
+class TestCompiledPolicyReads:
+    """The policies read precompiled index arrays; every value and every
+    decision must equal the one from ``marginal_prob``/``marginal_dist``."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(rescue_pmfs())
+    def test_random_pmfs(self, belief):
+        policy = EntropyCutoffPolicy(0.3, 0.3, 2)
+        policy.reset(_RESCUE, 16, 0)
+        _assert_reads_match(policy, belief)
+
+    @settings(deadline=None, max_examples=150)
+    @given(tie_pmfs())
+    def test_threshold_ties(self, case):
+        name, target, belief = case
+        assert marginal_prob(belief, _RESCUE.named_sets[name]) == target
+        policy = EntropyCutoffPolicy(0.3, 0.3, 2)
+        policy.reset(_RESCUE, 16, 0)
+        _assert_reads_match(policy, belief)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(st.one_of(rescue_pmfs(), tie_pmfs().map(lambda c: c[2])), min_size=1, max_size=12)
+    )
+    def test_action_sequences(self, beliefs):
+        for compiled, reference in (
+            (TimeSharePolicy(3), _MarginalTimeShare(3)),
+            (EntropyCutoffPolicy(0.3, 0.3, 2), _MarginalCutoff(0.3, 0.3, 2)),
+        ):
+            compiled.reset(_RESCUE, len(beliefs), 0)
+            reference.reset(_RESCUE, len(beliefs), 0)
+            assert [compiled.act(b, t) for t, b in enumerate(beliefs)] == [
+                reference.act(b, t) for t, b in enumerate(beliefs)
+            ]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12).filter(lambda w: sum(w) > 0))
+    def test_mht_policy(self, weights):
+        pomdp, _ = build_mht(0.25, 0.5, 0.75, 0.8)
+        belief = Belief(np.array(weights) / sum(weights))
+        policy = MhtThresholdPolicy(0.8)
+        policy.reset(pomdp, 4, 0)
+        dist = marginal_dist(belief, pomdp.factor_cells["hyp"])
+        assert _cell_masses(belief, policy._hyp_cells).tobytes() == dist.tobytes()
+        if entropy_bits(dist) < 0.8:
+            expected = pomdp.action_index[f"choose{int(np.argmax(dist)) + 1}"]
+        else:
+            expected = pomdp.action_index["observe"]
+        assert policy.act(belief, 0) == expected
+
+    def test_unequal_cells_read_one_by_one(self):
+        # Cells of different sizes cannot share one index matrix.
+        pomdp = Pomdp(
+            [("a", {"k": 0}), ("b", {"k": 1}), ("c", {"k": 1})],
+            ["go"],
+            ["tick"],
+            [0.2, 0.3, 0.5],
+            {(s, "go", s): 1.0 for s in "abc"},
+            {(s, "go", "tick"): 1.0 for s in "abc"},
+            factors={"k": "k"},
+        )
+        cells = _compile_cells(pomdp, "k")
+        assert isinstance(cells, tuple) and [c.tolist() for c in cells] == [[0], [1, 2]]
+        got = _cell_masses(pomdp.prior, cells)
+        assert got.tobytes() == marginal_dist(pomdp.prior, pomdp.factor_cells["k"]).tobytes()
+
+    def test_compiled_sets_are_read_only(self):
+        policy = TimeSharePolicy(3)
+        policy.reset(_RESCUE, 16, 0)
+        for idx in (policy._room1, policy._surv[1], policy._safe_cells[2]):
+            assert idx.dtype == np.intp and not idx.flags.writeable
+
+    def test_reset_checks_each_new_model(self, mht):
+        policy = TimeSharePolicy(3)
+        policy.reset(_RESCUE, 16, 0)
+        with pytest.raises(ModelError):
+            policy.reset(mht[0], 16, 0)
+        pinned, _ = certain_env_rescue((0, 1, 1, 0))
+        policy.reset(pinned, 6, 0)
+        assert pinned.actions[policy.act(pinned.prior, 0)] == "pickup"
+
+
+def test_rescue_study_means_are_pinned():
+    # Bit-exact study means at the study defaults; an intended last-bit
+    # change must update these values and say so.
+    out = run_rescue_study(250, 16, 2024)
+    means = {name: run["stats"].mean_prob.hex() for name, run in out["policies"].items()}
+    assert means == {"timeshare": "0x1.80a512e2d4ce2p-1", "entropy_cutoff": "0x1.a99c73f92f918p-1"}
 
 
 class TestPearson:
