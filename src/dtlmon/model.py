@@ -425,16 +425,22 @@ def filter_run(pomdp: Pomdp, actions: Sequence[int], observations: Sequence[int]
 # -- belief functionals ----------------------------------------------------------
 
 
-def state_index_array(states: Iterable[int], num_states: int, *, sort: bool = True) -> np.ndarray:
-    """A state set as a read-only ``np.intp`` index array, range-checked.
+def summation_order(states: Iterable[int], *, sort: bool = True) -> tuple[int, ...]:
+    """The order in which belief mass over a state set is summed.
 
-    With ``sort`` the indices are deduplicated and ascending, the order in
-    which ``marginal_prob`` sums a set; without it they keep their given
-    order, the order in which ``marginal_dist`` sums a partition cell.
-    Readers that precompile sets this way sum ``probs.take(idx)`` in the
-    same order as these two functions, bit for bit.
+    With ``sort`` the indices are deduplicated and ascending, the order of
+    a ``P(A)`` set in ``marginal_prob``; without it they keep their given
+    order, the order of a partition cell in ``marginal_dist``.  Every
+    reader of set masses (``state_index_array`` and the monitor's
+    ``BeliefPredicates``) orders its indices here, so sums agree bit for bit.
     """
-    idx = sorted(set(states)) if sort else list(states)
+    return tuple(sorted(set(states))) if sort else tuple(states)
+
+
+def state_index_array(states: Iterable[int], num_states: int, *, sort: bool = True) -> np.ndarray:
+    """A state set as a read-only ``np.intp`` index array in
+    ``summation_order``, range-checked against ``num_states``."""
+    idx = summation_order(states, sort=sort)
     if idx and not (0 <= min(idx) and max(idx) < num_states):
         raise ModelError("state set out of range")
     arr = np.array(idx, dtype=np.intp)

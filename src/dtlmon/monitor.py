@@ -90,6 +90,7 @@ from .model import (
     filter_run,
     load_json,
     save_json,
+    summation_order,
 )
 
 # -- proposition maps ---------------------------------------------------------
@@ -231,15 +232,16 @@ class BeliefPredicates:
     column.  The masses of all beliefs come from one gather per distinct
     set size, and each expression is then a few array operations over the
     beliefs.  Values are bit-identical to ``eval_belief_expr`` on each
-    belief: a set mass is reduced along a C-contiguous last axis, which
-    sums in the order of the 1-d ``probs[idx].sum()``, and ``Callback``
-    runs once per belief.
+    belief: column indices are in ``summation_order``, a set mass is
+    reduced along a C-contiguous last axis, which sums in the order of the
+    1-d ``probs[idx].sum()``, and ``Callback`` runs once per belief.
     """
 
     def __init__(self, exprs: Sequence[BeliefExpr]):
         self._columns: dict[tuple[int, ...], int] = {}
-        self._prob_indices: set[int] = set()
         self._programs = [self._compile(e) for e in exprs]
+        indices = [i for key in self._columns for i in key]
+        self._index_range = (min(indices), max(indices)) if indices else None
         by_size: dict[int, list[tuple[int, ...]]] = {}
         for key in self._columns:
             by_size.setdefault(len(key), []).append(key)
@@ -261,13 +263,11 @@ class BeliefPredicates:
             value = expr.value
             return lambda masses, beliefs: value
         if isinstance(expr, Prob):
-            # Sorted like ``marginal_prob``, so the summation order matches.
-            col = self._column(tuple(sorted(expr.indices)))
-            self._prob_indices.update(expr.indices)
+            col = self._column(summation_order(expr.indices))
             return lambda masses, beliefs: masses[:, col]
         if isinstance(expr, EntropyBits):
-            # Cells keep their own order, like ``marginal_dist``.
-            cols = np.array([self._column(tuple(c)) for c in expr.cells], dtype=np.intp)
+            keys = [summation_order(c, sort=False) for c in expr.cells]
+            cols = np.array([self._column(k) for k in keys], dtype=np.intp)
             return lambda masses, beliefs: _entropy_rows(np.ascontiguousarray(masses[:, cols]))
         if isinstance(expr, Callback):
             fn = expr.fn
@@ -285,8 +285,8 @@ class BeliefPredicates:
         """Expression values: row j holds expression j on every belief."""
         probs = np.stack([b.probs for b in beliefs])
         rows, num_states = probs.shape
-        if self._prob_indices and not (
-            min(self._prob_indices) >= 0 and max(self._prob_indices) < num_states
+        if self._index_range and not (
+            self._index_range[0] >= 0 and self._index_range[1] < num_states
         ):
             raise ModelError("state set out of range")
         masses = np.empty((rows, len(self._columns)))

@@ -341,25 +341,15 @@ def _mass(belief: Belief, idx: np.ndarray) -> float:
     return float(belief.probs.take(idx).sum())
 
 
-def _cell_masses(belief: Belief, cells) -> np.ndarray:
+def _cell_masses(belief: Belief, cells: tuple[np.ndarray, ...]) -> np.ndarray:
     """``marginal_dist`` over cells compiled by ``_compile_cells``."""
-    if isinstance(cells, np.ndarray):
-        # Each row is reduced along a C-contiguous last axis, which sums in
-        # the order of the 1-d ``probs.take(cell).sum()``.
-        return belief.probs[cells].sum(axis=1)
     return np.array([_mass(belief, c) for c in cells])
 
 
-def _compile_cells(pomdp: Pomdp, factor: str):
-    """A factor's cells as one read-only ``(cells, size)`` index matrix when
-    they are equally large, else as a tuple of index arrays."""
+def _compile_cells(pomdp: Pomdp, factor: str) -> tuple[np.ndarray, ...]:
+    """A factor's cells as read-only index arrays in ``marginal_dist`` order."""
     n = pomdp.num_states
-    cells = tuple(state_index_array(c, n, sort=False) for c in pomdp.factor_cells[factor])
-    if len({c.size for c in cells}) > 1:
-        return cells
-    matrix = np.stack(cells)
-    matrix.flags.writeable = False
-    return matrix
+    return tuple(state_index_array(c, n, sort=False) for c in pomdp.factor_cells[factor])
 
 
 class _ReactiveRescuePolicy(Policy):

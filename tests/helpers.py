@@ -29,6 +29,16 @@ from dtlmon.model import (
 )
 from dtlmon.automaton import PropAtom
 
+# Bit-exact pins (the checked-in output digest, the rescue study means)
+# depend on float results of BLAS matrix products, and OpenBLAS picks its
+# kernel from the CPU at run time.  This names where they were recorded.
+PIN_ENVIRONMENT = (
+    "bit-exact pin recorded with numpy 2.4.6 and scipy-openblas 0.3.31 "
+    "(DYNAMIC_ARCH) on an x86_64 Intel Xeon with AVX-512; on another numpy/BLAS "
+    "build or CPU, compare with a run of the parent commit on the same host "
+    "before treating a mismatch as a regression"
+)
+
 
 def tiny_two_state() -> Pomdp:
     """Two states, one action, two informative observations."""

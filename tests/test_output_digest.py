@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import PIN_ENVIRONMENT
+
 ROOT = Path(__file__).resolve().parent.parent
 # ``--limit 3`` output of the tree before the last intended output change.
 # A change that moves an output on purpose regenerates this file with
@@ -38,4 +40,4 @@ def test_digest_is_deterministic():
 
 
 def test_digest_matches_pinned_file():
-    assert _digest() == PINNED.read_text(encoding="utf-8")
+    assert _digest() == PINNED.read_text(encoding="utf-8"), PIN_ENVIRONMENT

@@ -3,9 +3,11 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtlmon.errors import ModelError
 from dtlmon.logic import (
     Add,
     Callback,
@@ -133,6 +135,23 @@ def test_fixed_shapes_bit_identical():
     for j, expr in enumerate(exprs):
         for r, belief in enumerate(bels):
             assert bits(values[j, r]) == bits(eval_belief_expr(expr, belief))
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Prob("far", frozenset({0, 4})),
+        Prob("neg", frozenset({-1})),
+        EntropyBits("far", ((0, 1), (2, 4))),
+        EntropyBits("neg", ((0, 1), (2, -1))),
+    ],
+)
+def test_out_of_range_sets_rejected_like_reference(expr):
+    bels = [Belief(np.full(4, 0.25))]
+    with pytest.raises(ModelError, match="state set out of range"):
+        eval_belief_expr(expr, bels[0])
+    with pytest.raises(ModelError, match="state set out of range"):
+        BeliefPredicates([expr]).values(bels)
 
 
 def _labels_from_signatures(formula, execution):
