@@ -488,33 +488,50 @@ class _Parser:
         raise FormulaSyntaxError(f"expected a belief term, found {text!r}", pos)
 
 
-def _height(formula: Formula) -> int:
+_PAIR_NODES = frozenset({And, Or, Until, Add, Sub, Mul})
+_CHILD_NODES = frozenset({Next, Eventually})
+
+
+def _walk(formula: Formula) -> tuple[int, list]:
     """Levels below the root of the syntax tree, belief expressions
-    included; iterative, so it is safe on a tree of any depth."""
-    height, stack = 0, [(formula, 0)]
+    included, and the formula's atoms in left-to-right order; iterative, so
+    it is safe on a tree of any depth."""
+    height, found, stack = 0, [], [(formula, 0)]
     while stack:
         node, depth = stack.pop()
-        height = max(height, depth)
-        if isinstance(node, (And, Or, Until, Add, Sub, Mul)):
-            children = (node.left, node.right)
-        elif isinstance(node, (Next, Eventually)):
-            children = (node.child,)
-        elif isinstance(node, BeliefAtom):
-            children = (node.expr,)
-        elif isinstance(node, Neg):
-            children = (node.operand,)
-        else:
-            children = ()
-        stack.extend((child, depth + 1) for child in children)
-    return height
+        if depth > height:
+            height = depth
+        kind = type(node)
+        depth += 1
+        if kind in _PAIR_NODES:
+            stack.append((node.right, depth))
+            stack.append((node.left, depth))
+        elif kind in _CHILD_NODES:
+            stack.append((node.child, depth))
+        elif kind is BeliefAtom:
+            found.append(node)
+            stack.append((node.expr, depth))
+        elif kind is Neg:
+            stack.append((node.operand, depth))
+        elif kind is StateAtom:
+            found.append(node)
+    return height, found
+
+
+def checked_atoms(formula: Formula, position: int = 0) -> list:
+    """The formula's atoms in left-to-right order, after the check of
+    ``check_nesting``, from one iterative walk."""
+    height, found = _walk(formula)
+    if height > MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", position)
+    return found
 
 
 def check_nesting(formula: Formula, position: int = 0) -> None:
     """Raise ``FormulaSyntaxError`` when ``formula`` (or a propositional
     skeleton) nests deeper than ``MAX_NESTING`` levels.  Formulas built
     through the API are checked with this before any recursive walk."""
-    if _height(formula) > MAX_NESTING:
-        raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", position)
+    checked_atoms(formula, position)
 
 
 def _check_boolean_atoms(formula: Formula, pos: int) -> None:

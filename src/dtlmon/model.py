@@ -150,17 +150,34 @@ class Pomdp:
     def _dense_table(
         self, entries: Mapping, kind: str, targets: Mapping[str, int], target_kind: str
     ) -> np.ndarray:
-        """Sum ``(s, a, t) -> p`` entries into a read-only ``[a, s, t]`` array with unit rows."""
-        table = np.zeros((self.num_actions, self.num_states, len(targets)))
+        """Sum ``(s, a, t) -> p`` entries into a read-only ``[a, s, t]`` array with unit rows.
+
+        Each entry is checked in turn, its probability before its labels, and
+        the entries are summed in their given order."""
+        states, actions = self.state_index, self.action_index
+        index: list[tuple[int, int, int]] = []
+        probs: list[float] = []
         for (s, a, t), p in entries.items():
             p = float(p)
             if not 0 <= p <= 1 + SUM_TOL:  # written so that NaN fails too
                 raise ModelError(f"{kind} probability {p!r} outside [0, 1]")
             if p == 0.0:
                 continue
-            s = _as_index(s, self.state_index, "state")
-            a = _as_index(a, self.action_index, "action")
-            table[a, s, _as_index(t, targets, target_kind)] += p
+            # A name resolves by one lookup; anything else, or an unknown
+            # name, goes through ``_as_index`` for its checks and message.
+            si = states.get(s) if isinstance(s, str) else None
+            if si is None:
+                si = _as_index(s, states, "state")
+            ai = actions.get(a) if isinstance(a, str) else None
+            if ai is None:
+                ai = _as_index(a, actions, "action")
+            ti = targets.get(t) if isinstance(t, str) else None
+            if ti is None:
+                ti = _as_index(t, targets, target_kind)
+            index.append((ai, si, ti))
+            probs.append(p)
+        table = np.zeros((self.num_actions, self.num_states, len(targets)))
+        np.add.at(table, tuple(np.array(index, dtype=np.intp).reshape(-1, 3).T), probs)
         row_err = np.abs(table.sum(axis=2) - 1.0)
         if (row_err > SUM_TOL).any():
             a, s = np.unravel_index(int(row_err.argmax()), row_err.shape)
@@ -431,8 +448,8 @@ def summation_order(states: Iterable[int], *, sort: bool = True) -> tuple[int, .
     With ``sort`` the indices are deduplicated and ascending, the order of
     a ``P(A)`` set in ``marginal_prob``; without it they keep their given
     order, the order of a partition cell in ``marginal_dist``.  Every
-    reader of set masses (``state_index_array`` and the monitor's
-    ``BeliefPredicates``) orders its indices here, so sums agree bit for bit.
+    reader of set masses (``state_index_array`` and ``StateSetReader``)
+    orders its indices here, so sums agree bit for bit.
     """
     return tuple(sorted(set(states))) if sort else tuple(states)
 
@@ -466,6 +483,94 @@ def entropy_bits(pmf) -> float:
     arr = np.asarray(pmf, dtype=float)
     nz = arr[arr > 0]
     return float(-(nz * np.log2(nz)).sum()) + 0.0
+
+
+# From this many cells on, numpy sums a row pairwise in eight lanes, so the
+# zero terms of empty cells would regroup the sum; below it the sum is a
+# left fold, where adding zeros changes no bit.
+_PAIRWISE_CELLS = 8
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class StateSetReader:
+    """The masses of fixed state sets and the entropies of fixed factors,
+    read from one belief or from a stack of beliefs at once.
+
+    ``sets`` are ``P(A)`` sets and ``factors`` partitions into cells, both
+    summed in ``summation_order``.  Every distinct index tuple is one mass
+    column, and the columns are numbered by size, so that a read is one
+    gather through a read-only ``(columns, size)`` index matrix and one row
+    sum per size, joined in column order.  numpy reduces a C-contiguous
+    last axis in the pairwise order of the 1-d ``probs.take(idx).sum()``,
+    so every mass equals ``marginal_prob`` or ``marginal_dist`` bit for
+    bit.  The entropies of all factors with fewer than 8 cells come from
+    one pass over their cell masses, each factor padded with zero-mass
+    cells to the widest, which sums in the order ``entropy_bits`` does;
+    larger factors go row by row through ``entropy_bits``.
+    """
+
+    def __init__(self, sets: Iterable[Iterable[int]] = (), factors: Iterable[Sequence] = ()):
+        set_keys = [summation_order(s) for s in sets]
+        cell_keys = [[summation_order(c, sort=False) for c in cells] for cells in factors]
+        small = [f for f, cells in enumerate(cell_keys) if len(cells) < _PAIRWISE_CELLS]
+        large = [f for f, cells in enumerate(cell_keys) if len(cells) >= _PAIRWISE_CELLS]
+        width = max((len(cell_keys[f]) for f in small), default=0)
+        pad = [()] if any(len(cell_keys[f]) < width for f in small) else []
+        keys = [*set_keys, *(k for cells in cell_keys for k in cells), *pad]
+        self.columns: tuple[tuple[int, ...], ...] = tuple(sorted(dict.fromkeys(keys), key=len))
+        column = {k: j for j, k in enumerate(self.columns)}
+        self.set_columns = tuple(column[k] for k in set_keys)
+        self.cell_columns = tuple(tuple(column[k] for k in cells) for cells in cell_keys)
+        flat = [i for k in self.columns for i in k]
+        self._index_range = (min(flat), max(flat)) if flat else None
+        self._gathers = []
+        for size in sorted({len(k) for k in self.columns}):
+            group = [k for k in self.columns if len(k) == size]
+            self._gathers.append(_read_only(np.array(group, dtype=np.intp).reshape(len(group), size)))
+        self._num_factors = len(cell_keys)
+        self._small = small
+        padded = [self.cell_columns[f] + (column.get(()),) * (width - len(cell_keys[f])) for f in small]
+        self._small_cells = _read_only(np.array(padded, dtype=np.intp).reshape(len(small), width))
+        self._large = [(f, np.array(self.cell_columns[f], dtype=np.intp)) for f in large]
+
+    def check_range(self, num_states: int) -> None:
+        """Raise ``ModelError`` unless every state index is below ``num_states``."""
+        lo_hi = self._index_range
+        if lo_hi is not None and not (lo_hi[0] >= 0 and lo_hi[1] < num_states):
+            raise ModelError("state set out of range")
+
+    def read(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The column masses and the factor entropies of ``probs``, a pmf or
+        a stack of pmfs in rows; both results keep the stack's leading axis."""
+        sums = [probs.take(idx, axis=-1).sum(axis=-1) for idx in self._gathers]
+        if len(sums) == 1:
+            masses = sums[0]
+        elif sums:
+            masses = np.concatenate(sums, axis=-1)
+        else:
+            masses = np.zeros(probs.shape[:-1] + (0,))
+        if not self._num_factors:
+            return masses, masses[..., :0]
+        if not self._large:
+            return masses, _entropy_rows(masses.take(self._small_cells, axis=-1))
+        entropies = np.empty(probs.shape[:-1] + (self._num_factors,))
+        entropies[..., self._small] = _entropy_rows(masses.take(self._small_cells, axis=-1))
+        for f, cols in self._large:
+            cells = masses.take(cols, axis=-1)
+            rows = [entropy_bits(row) for row in cells.reshape(-1, cells.shape[-1])]
+            entropies[..., f] = np.array(rows).reshape(cells.shape[:-1])
+        return masses, entropies
+
+
+def _entropy_rows(masses: np.ndarray) -> np.ndarray:
+    """``entropy_bits`` of each last-axis row of a C-contiguous cell-mass
+    array whose rows have fewer than ``_PAIRWISE_CELLS`` cells."""
+    terms = masses * np.log2(np.where(masses > 0, masses, 1.0))
+    return 0.0 - terms.sum(axis=-1)  # ``-x + 0.0`` in one operation
 
 
 # -- policies and simulation ------------------------------------------------------

@@ -63,20 +63,25 @@ from .automaton import Dfa, PropAtom, PropFormula, dfa_accepts
 from .errors import AllZero, CapExceeded, InconsistentState, ModelError
 from .logic import (
     Add,
+    And,
     BeliefAtom,
     BeliefExpr,
     Callback,
     Const,
     EntropyBits,
+    Eventually,
     Formula,
     Mul,
     Neg,
+    Next,
+    Or,
     Prob,
     StateAtom,
     Sub,
-    atoms,
+    Until,
     belief_expr_text,
     check_nesting,
+    checked_atoms,
     eval_belief_expr,
     map_atoms,
     semantics_eval,
@@ -85,12 +90,11 @@ from .model import (
     Belief,
     Execution,
     Pomdp,
+    StateSetReader,
     check_against_filter,
-    entropy_bits,
     filter_run,
     load_json,
     save_json,
-    summation_order,
 )
 
 # -- proposition maps ---------------------------------------------------------
@@ -118,23 +122,26 @@ class PropositionMaps:
     """
 
     def __init__(self, formula: Formula):
-        check_nesting(formula)
         belief_exprs: list[BeliefExpr] = []
         belief_index: dict[BeliefExpr, int] = {}
         state_sets: list[frozenset[int]] = []
         state_index: dict[frozenset[int], int] = {}
         state_names: list[str] = []
 
-        def register_belief(expr: BeliefExpr) -> None:
+        relaxed: dict[StateAtom, int] = {}
+
+        def register_belief(expr: BeliefExpr) -> int:
             if expr not in belief_index:
                 belief_index[expr] = len(belief_exprs)
                 belief_exprs.append(expr)
+            return belief_index[expr]
 
-        for atom in atoms(formula):
+        # The nesting check comes with the walk, before any recursive one.
+        for atom in checked_atoms(formula):
             if isinstance(atom, BeliefAtom):
                 register_belief(atom.expr)
-            else:
-                register_belief(_relaxed_atom_expr(atom))
+            elif atom not in relaxed:
+                relaxed[atom] = register_belief(_relaxed_atom_expr(atom))
                 if atom.indices not in state_index:
                     state_index[atom.indices] = len(state_sets)
                     state_sets.append(atom.indices)
@@ -143,6 +150,7 @@ class PropositionMaps:
         self.belief_props: tuple[BeliefExpr, ...] = tuple(belief_exprs)
         self.state_props: tuple[frozenset[int], ...] = tuple(state_sets)
         self._belief_index = belief_index
+        self._relaxed_index = relaxed
         self._state_index = state_index
         self._state_names = tuple(state_names)
         self._state_bits: dict[int, np.ndarray] = {}
@@ -161,6 +169,10 @@ class PropositionMaps:
 
     def belief_prop(self, expr: BeliefExpr) -> int:
         return self._belief_index[expr]
+
+    def relaxed_prop(self, atom: StateAtom) -> int:
+        """The belief proposition that relaxes a hidden-state atom."""
+        return self._relaxed_index[atom]
 
     def state_prop(self, indices: frozenset[int]) -> int:
         """Global proposition index (offset past the belief propositions)."""
@@ -210,92 +222,103 @@ def region_signature(belief: Belief, maps: PropositionMaps) -> RegionSignature:
 
 
 _BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-# From this many cells on, numpy sums a row pairwise in eight lanes, so the
-# zero terms of empty cells would regroup the sum; below it the sum is a
-# left fold, where adding zeros changes no bit.
-_PAIRWISE_CELLS = 8
+_LEAVES = (Const, Prob, EntropyBits)
 
 
-def _entropy_rows(masses: np.ndarray) -> np.ndarray:
-    """``entropy_bits`` of each row of a C-contiguous cell-mass matrix."""
-    if masses.shape[1] >= _PAIRWISE_CELLS:
-        return np.array([entropy_bits(row) for row in masses])
-    terms = masses * np.log2(np.where(masses > 0, masses, 1.0))
-    return -terms.sum(axis=1) + 0.0
+def _index_rows(items: list[tuple[int, ...]]):
+    """The columns of a list of equal-length index tuples as ``np.intp``
+    arrays, or ``None`` for an empty list."""
+    return tuple(np.array(items, dtype=np.intp).T) if items else None
 
 
 class BeliefPredicates:
     """Belief expressions compiled for evaluation over a whole execution.
 
-    Every distinct ``P(A)`` index set and ``H(F)`` cell becomes one mass
-    column.  The masses of all beliefs come from one gather per distinct
-    set size, and each expression is then a few array operations over the
-    beliefs.  Values are bit-identical to ``eval_belief_expr`` on each
-    belief: column indices are in ``summation_order``, a set mass is
-    reduced along a C-contiguous last axis, which sums in the order of the
-    1-d ``probs[idx].sum()``, and ``Callback`` runs once per belief.
+    The leaves are the columns of one matrix per execution: the mass of
+    every distinct ``P(A)`` set and the entropy of every distinct ``H(F)``
+    factor, both read by one ``StateSetReader``, and the constants.  Every
+    ``Sub`` of two leaves (the shape of a parsed atom) is one gather and
+    subtraction of that matrix, and every ``Neg(Prob)`` (a relaxed
+    hidden-state atom) one negation of the masses; other shapes run as
+    closures over the leaves, with ``Callback`` once per belief.  Values
+    are bit-identical to ``eval_belief_expr`` on each belief, because the
+    reader's masses and entropies are bit-identical to ``marginal_prob``,
+    ``marginal_dist`` and ``entropy_bits``.
     """
 
     def __init__(self, exprs: Sequence[BeliefExpr]):
-        self._columns: dict[tuple[int, ...], int] = {}
-        self._programs = [self._compile(e) for e in exprs]
-        indices = [i for key in self._columns for i in key]
-        self._index_range = (min(indices), max(indices)) if indices else None
-        by_size: dict[int, list[tuple[int, ...]]] = {}
-        for key in self._columns:
-            by_size.setdefault(len(key), []).append(key)
-        self._gathers = [
-            (
-                size,
-                np.array([self._columns[k] for k in keys], dtype=np.intp),
-                np.array([i for k in keys for i in k], dtype=np.intp),
-            )
-            for size, keys in sorted(by_size.items())
-        ]
+        self._sets: dict[frozenset[int], int] = {}
+        self._factors: dict[tuple, int] = {}
+        self._const_values: list[float] = []
+        subs, negs, self._programs = [], [], []
+        for j, expr in enumerate(exprs):
+            if type(expr) is Sub and isinstance(expr.left, _LEAVES) and isinstance(expr.right, _LEAVES):
+                subs.append((j, self._leaf(expr.left), self._leaf(expr.right)))
+            elif type(expr) is Neg and type(expr.operand) is Prob:
+                negs.append((j, self._leaf(expr.operand)))
+            else:
+                self._programs.append((j, self._compile(expr)))
+        self._reader = StateSetReader(self._sets, self._factors)
+        self._consts = np.array(self._const_values, dtype=float)
+        self._num_exprs = len(exprs)
+        self._subs = _index_rows([(j, self._column(a), self._column(b)) for j, a, b in subs])
+        self._negs = _index_rows([(j, self._column(leaf)) for j, leaf in negs])
 
-    def _column(self, indices: tuple[int, ...]) -> int:
-        return self._columns.setdefault(indices, len(self._columns))
+    def _leaf(self, expr) -> tuple[str, int]:
+        """Register a leaf: a set, a factor or a constant."""
+        if isinstance(expr, Prob):
+            return "set", self._sets.setdefault(expr.indices, len(self._sets))
+        if isinstance(expr, EntropyBits):
+            return "factor", self._factors.setdefault(expr.cells, len(self._factors))
+        self._const_values.append(expr.value)
+        return "const", len(self._const_values) - 1
+
+    def _column(self, leaf: tuple[str, int]) -> int:
+        """A leaf's column in the leaf matrix: the reader's masses, then one
+        entropy per factor, then the constants."""
+        kind, k = leaf
+        if kind == "set":
+            return self._reader.set_columns[k]
+        num_masses = len(self._reader.columns)
+        return num_masses + k if kind == "factor" else num_masses + len(self._factors) + k
 
     def _compile(self, expr: BeliefExpr):
-        """Closure mapping (masses, beliefs) to the expression's values."""
+        """Closure mapping (leaves, beliefs) to the expression's values."""
         if isinstance(expr, Const):
             value = expr.value
-            return lambda masses, beliefs: value
-        if isinstance(expr, Prob):
-            col = self._column(summation_order(expr.indices))
-            return lambda masses, beliefs: masses[:, col]
-        if isinstance(expr, EntropyBits):
-            keys = [summation_order(c, sort=False) for c in expr.cells]
-            cols = np.array([self._column(k) for k in keys], dtype=np.intp)
-            return lambda masses, beliefs: _entropy_rows(np.ascontiguousarray(masses[:, cols]))
+            return lambda leaves, beliefs: value
+        if isinstance(expr, (Prob, EntropyBits)):
+            leaf = self._leaf(expr)
+            return lambda leaves, beliefs: leaves[:, self._column(leaf)]
         if isinstance(expr, Callback):
             fn = expr.fn
-            return lambda masses, beliefs: np.array([float(fn(b)) for b in beliefs])
+            return lambda leaves, beliefs: np.array([float(fn(b)) for b in beliefs])
         if isinstance(expr, Neg):
             operand = self._compile(expr.operand)
-            return lambda masses, beliefs: -operand(masses, beliefs)
+            return lambda leaves, beliefs: -operand(leaves, beliefs)
         if type(expr) in _BINARY_OPS:
             op = _BINARY_OPS[type(expr)]
             left, right = self._compile(expr.left), self._compile(expr.right)
-            return lambda masses, beliefs: op(left(masses, beliefs), right(masses, beliefs))
+            return lambda leaves, beliefs: op(left(leaves, beliefs), right(leaves, beliefs))
         raise TypeError(f"not a belief expression: {expr!r}")
 
     def values(self, beliefs: Sequence[Belief]) -> np.ndarray:
         """Expression values: row j holds expression j on every belief."""
         probs = np.stack([b.probs for b in beliefs])
-        rows, num_states = probs.shape
-        if self._index_range and not (
-            self._index_range[0] >= 0 and self._index_range[1] < num_states
-        ):
-            raise ModelError("state set out of range")
-        masses = np.empty((rows, len(self._columns)))
-        for size, cols, idx in self._gathers:
-            gathered = np.ascontiguousarray(probs[:, idx])
-            masses[:, cols] = gathered.reshape(rows, len(cols), size).sum(axis=2)
-        out = np.empty((len(self._programs), rows))
-        for j, program in enumerate(self._programs):
-            out[j] = program(masses, beliefs)
+        rows = len(probs)
+        self._reader.check_range(probs.shape[1])
+        masses, entropies = self._reader.read(probs)
+        consts = np.broadcast_to(self._consts, (rows, len(self._consts)))
+        leaves = np.concatenate((masses, entropies, consts), axis=1)
+        out = np.empty((self._num_exprs, rows))
+        if self._subs is not None:
+            at, left, right = self._subs
+            out[at] = (leaves.take(left, axis=1) - leaves.take(right, axis=1)).T
+        if self._negs is not None:
+            at, cols = self._negs
+            out[at] = -masses.take(cols, axis=1).T
+        for j, program in self._programs:
+            out[j] = program(leaves, beliefs)
         return out
 
     def signatures(self, beliefs: Sequence[Belief]) -> list[RegionSignature]:
@@ -309,26 +332,24 @@ class BeliefPredicates:
         ]
 
 
-def _to_prop_formula(formula: Formula, maps: PropositionMaps):
-    """The propositional skeleton: every atom becomes its proposition.  On a
-    relaxed formula only belief propositions occur (feasibility skeleton)."""
-
-    def prop(atom):
-        if isinstance(atom, StateAtom):
-            return PropAtom(maps.state_prop(atom.indices), atom.negated)
-        return PropAtom(maps.belief_prop(atom.expr), atom.negated)
-
-    return map_atoms(formula, prop)
-
-
-def _skeleton(
-    formula: Formula, maps: PropositionMaps, relaxed: bool
-) -> tuple[PropFormula, int]:
-    """The feasibility (``relaxed``) or acceptance skeleton and its
-    proposition count; the belief propositions come first in both."""
-    if relaxed:
-        return _to_prop_formula(relax(formula), maps), maps.num_belief_props
-    return _to_prop_formula(formula, maps), maps.num_props
+def _skeletons(formula: Formula, maps: PropositionMaps) -> tuple[PropFormula, PropFormula]:
+    """The feasibility and the acceptance skeleton, built in one walk: every
+    atom becomes its proposition, except that a hidden-state atom stands for
+    its relaxed belief proposition in the feasibility skeleton, which so has
+    belief propositions only."""
+    if isinstance(formula, StateAtom):
+        full = PropAtom(maps.state_prop(formula.indices), formula.negated)
+        return PropAtom(maps.relaxed_prop(formula)), full
+    if isinstance(formula, BeliefAtom):
+        atom = PropAtom(maps.belief_prop(formula.expr), formula.negated)
+        return atom, atom
+    if isinstance(formula, (And, Or, Until)):
+        left, right = _skeletons(formula.left, maps), _skeletons(formula.right, maps)
+        return type(formula)(left[0], right[0]), type(formula)(left[1], right[1])
+    if isinstance(formula, (Next, Eventually)):
+        child = _skeletons(formula.child, maps)
+        return type(formula)(child[0]), type(formula)(child[1])
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 # Automata shared by every compiled formula with the same skeleton, such as
@@ -363,8 +384,9 @@ class CompiledMonitor:
         self.maps = PropositionMaps(formula)
         self.predicates = BeliefPredicates(self.maps.belief_props)
         self.prop_names: tuple[str, ...] = tuple(self.maps.prop_names())
-        self.feasibility_dfa = _shared_dfa(*_skeleton(formula, self.maps, relaxed=True))
-        self.acceptance_dfa = _shared_dfa(*_skeleton(formula, self.maps, relaxed=False))
+        relaxed, full = _skeletons(formula, self.maps)
+        self.feasibility_dfa = _shared_dfa(relaxed, self.maps.num_belief_props)
+        self.acceptance_dfa = _shared_dfa(full, self.maps.num_props)
 
 
 COMPILE_CACHE_SIZE = 128
@@ -404,7 +426,10 @@ def build_monitor_dfa(formula: Formula, relaxed: bool = False) -> Dfa:
     and it carries this formula's proposition names.
     """
     maps = PropositionMaps(formula)
-    skeleton, num_props = _skeleton(formula, maps, relaxed)
+    skeletons = _skeletons(formula, maps)
+    skeleton, num_props = (
+        (skeletons[0], maps.num_belief_props) if relaxed else (skeletons[1], maps.num_props)
+    )
     return Dfa(skeleton, num_props, prop_names=maps.prop_names()[:num_props])
 
 
@@ -432,7 +457,8 @@ def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
             raise ModelError("execution beliefs do not match the model dimension")
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.feasibility_dfa, sigs)
-    return ok, tuple(frozenset(_set_bits(sig)) for sig in sigs), sigs
+    label = {sig: frozenset(_set_bits(sig)) for sig in set(sigs)}
+    return ok, tuple(label[sig] for sig in sigs), sigs
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -590,30 +616,31 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     live = np.flatnonzero(prior)
     counts = np.ones((1, len(live)), dtype=np.int64)
     bound = 1
-    # Step 0 moves the initial state's mass on the first letter.
-    states, mass, sinks = _fold_step(
+    # Step 0 moves the initial state's mass on the first letter.  ``out``
+    # holds the dead row, the accept row and the open rows.
+    states, out = _fold_step(
         dfa, [dfa.initial], sigs[0], sbits.take(live).tolist(), prior.take(live)[None, :]
     )
+    sinks, mass = out[:2], out[2:]
     dp_pairs = int(np.count_nonzero(mass))
 
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
         rows = pomdp.trans_mat[a].take(live, axis=0) * pomdp.obs_mat[a][:, o]
         adj = rows != 0
-        live = np.flatnonzero(adj.any(axis=0))
+        live = adj.any(axis=0).nonzero()[0]
         # A new limb sums at most one limb per previous column.
         if bound * len(adj) > _LIMB_CAP:
             counts, bound = _carry(counts, bound)
         counts = counts @ adj.take(live, axis=1)
         bound *= len(adj)
         rows = rows.take(live, axis=1)
-        states, mass, reached = _fold_step(
-            dfa, states, sigs[i + 1], sbits.take(live).tolist(), mass @ rows
-        )
-        sinks = sinks @ rows + reached
-        total = sinks.sum() + mass.sum()
+        states, out = _fold_step(dfa, states, sigs[i + 1], sbits.take(live).tolist(), mass @ rows)
+        out[:2] += sinks @ rows
+        total = out[:2].sum() + out[2:].sum()
         if not total:
             raise AllZero("the recorded run is impossible under the model")
-        mass, sinks = mass / total, sinks / total
+        out /= total
+        sinks, mass = out[:2], out[2:]
         dp_pairs += int(np.count_nonzero(mass))
 
     # After a carry pass every limb is below 2^32, so each limb's sum over
@@ -656,7 +683,7 @@ def _carry(counts: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
 
 def _fold_step(
     dfa: Dfa, states: Sequence[int], letter: int, col_bits: Sequence[int], mass: np.ndarray
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+) -> tuple[list[int], np.ndarray]:
     """Move one step's mass through the automaton.
 
     ``mass[r, j]`` sits in automaton state ``states[r]`` and hidden column
@@ -664,9 +691,10 @@ def _fold_step(
     Returns the open successor states, numbered in the order their first
     cell is met in a row-major scan (so the order depends only on the
     formula and the execution, never on what the automaton has cached),
-    their mass matrix, and the two-row matrix of the mass that reached the
-    dead state (row 0) and the accept sink (row 1).  Successors are looked
-    up only for cells that hold mass, once per row and distinct state bits.
+    and one mass matrix: the mass that reached the dead state (row 0) and
+    the accept sink (row 1), then one row per open successor.  Successors
+    are looked up only for cells that hold mass, once per row and distinct
+    state bits.
     """
     delta = dfa._delta
     width = mass.shape[1]
@@ -694,9 +722,9 @@ def _fold_step(
                     targets[key] = target
             codes.append(target * width + j)
     height = len(open_rows) + 2
-    out = np.bincount(codes, weights=mass.ravel(), minlength=height * width)
-    out = out.reshape(height, width)
-    return list(open_rows), out[2:], out[:2]
+    out = np.bincount(np.array(codes, dtype=np.intp), weights=mass.ravel(), minlength=height * width)
+    # Without open rows there are no codes, and bincount then counts in int64.
+    return list(open_rows), out.astype(float, copy=False).reshape(height, width)
 
 
 DEFAULT_ORACLE_CAP = 100_000_000

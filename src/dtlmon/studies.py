@@ -30,10 +30,9 @@ from .model import (
     Execution,
     Policy,
     Pomdp,
-    entropy_bits,
+    StateSetReader,
     execution_from_actions,
     simulate,
-    state_index_array,
 )
 from .monitor import acceptance_probability
 
@@ -336,22 +335,6 @@ def mht_success_fn(pomdp: Pomdp) -> Callable[[int], bool]:
 # -- rescue policies --------------------------------------------------------------
 
 
-def _mass(belief: Belief, idx: np.ndarray) -> float:
-    """``marginal_prob`` over a set compiled by ``state_index_array``."""
-    return float(belief.probs.take(idx).sum())
-
-
-def _cell_masses(belief: Belief, cells: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``marginal_dist`` over cells compiled by ``_compile_cells``."""
-    return np.array([_mass(belief, c) for c in cells])
-
-
-def _compile_cells(pomdp: Pomdp, factor: str) -> tuple[np.ndarray, ...]:
-    """A factor's cells as read-only index arrays in ``marginal_dist`` order."""
-    n = pomdp.num_states
-    return tuple(state_index_array(c, n, sort=False) for c in pomdp.factor_cells[factor])
-
-
 class _ReactiveRescuePolicy(Policy):
     """Shared scaffolding for the rescue policies.
 
@@ -359,10 +342,15 @@ class _ReactiveRescuePolicy(Policy):
     says the robot's room holds a survivor with probability above ``p1``
     and is unsafe with probability above ``p2``, the policy issues pickup,
     then switch, then putdown on three consecutive steps before resuming.
-    The state sets it reads are compiled into index arrays, summed in the
-    order ``marginal_prob`` and ``marginal_dist`` use, on the first
-    ``reset`` with a model and kept while later resets pass the same one.
+    The state sets and factors a policy reads are compiled into one
+    ``StateSetReader`` on the first ``reset`` with a model, kept while later
+    resets pass the same one, and read once per step that the overlay does
+    not decide.
     """
+
+    # The factors whose entropies the base schedule reads, beyond the sets
+    # that the room and the overlay read.
+    _FACTORS: tuple[str, ...] = ()
 
     def __init__(self, p1: float = 0.9, p2: float = 0.25):
         self.p1 = p1
@@ -387,44 +375,51 @@ class _ReactiveRescuePolicy(Policy):
             or any(n not in pomdp.action_index for n in needed_actions)
         ):
             raise ModelError("this policy needs the rescue model's sets, factors, and actions")
-        n = pomdp.num_states
-        sets = {name: state_index_array(pomdp.named_sets[name], n) for name in needed_sets}
+        reader = StateSetReader(
+            [pomdp.named_sets[n] for n in needed_sets],
+            [pomdp.factor_cells[f] for f in self._FACTORS],
+        )
+        reader.check_range(pomdp.num_states)
+        room1, surv1, surv2, unsafe1, unsafe2 = reader.set_columns
+        self._reader = reader
         self._act = {name: i for i, name in enumerate(pomdp.actions)}
-        self._room1 = sets["room1"]
-        self._surv = {1: sets["surv1"], 2: sets["surv2"]}
-        self._unsafe = {1: sets["unsafe1"], 2: sets["unsafe2"]}
-        self._safe_cells = {j: _compile_cells(pomdp, f"env_safe{j}") for j in (1, 2)}
-        self._surv_cells = {j: _compile_cells(pomdp, f"env_surv{j}") for j in (1, 2)}
+        self._room1 = room1
+        self._surv = {1: surv1, 2: surv2}
+        self._unsafe = {1: unsafe1, 2: unsafe2}
         self._model = pomdp
 
     def _reset_schedule(self) -> None:
         pass
 
-    def _current_room(self, belief: Belief) -> int:
-        return 1 if _mass(belief, self._room1) >= 0.5 else 2
+    def _read(self, belief: Belief) -> tuple[list[float], list[float]]:
+        """The masses and entropies of one belief, as Python floats."""
+        masses, entropies = self._reader.read(belief.probs)
+        return masses.tolist(), entropies.tolist()
 
-    def _triggered(self, belief: Belief, room: int) -> bool:
-        return (
-            _mass(belief, self._surv[room]) > self.p1
-            and _mass(belief, self._unsafe[room]) > self.p2
-        )
+    def _current_room(self, reads) -> int:
+        return 1 if reads[0][self._room1] >= 0.5 else 2
+
+    def _triggered(self, reads, room: int) -> bool:
+        masses = reads[0]
+        return masses[self._surv[room]] > self.p1 and masses[self._unsafe[room]] > self.p2
 
     def act(self, belief: Belief, step: int) -> int:
         self._since_switch += 1
         if self._overlay:
             action = self._overlay.pop(0)
         else:
-            room = self._current_room(belief)
-            if self._triggered(belief, room):
+            reads = self._read(belief)
+            room = self._current_room(reads)
+            if self._triggered(reads, room):
                 action = self._act["pickup"]
                 self._overlay = [self._act["switch"], self._act["putdown"]]
             else:
-                action = self._base_action(belief, step, room)
+                action = self._base_action(reads, step, room)
         if action == self._act["switch"]:
             self._since_switch = 0
         return action
 
-    def _base_action(self, belief: Belief, step: int, room: int) -> int:
+    def _base_action(self, reads, step: int, room: int) -> int:
         raise NotImplementedError
 
 
@@ -440,7 +435,7 @@ class TimeSharePolicy(_ReactiveRescuePolicy):
     def _reset_schedule(self) -> None:
         self._period = math.ceil(self._horizon / self.a)
 
-    def _base_action(self, belief: Belief, step: int, room: int) -> int:
+    def _base_action(self, reads, step: int, room: int) -> int:
         if step > 0 and step % self._period == 0:
             return self._act["switch"]
         return self._act["stay"]
@@ -455,6 +450,11 @@ class EntropyCutoffPolicy(_ReactiveRescuePolicy):
     switch waits until ``rho`` steps have passed since the last one.
     """
 
+    _FACTORS = ("env_safe1", "env_safe2", "env_surv1", "env_surv2")
+    # Where a room's safety and survivor entropies sit among the factors.
+    _SAFE_H = {1: 0, 2: 1}
+    _SURV_H = {1: 2, 2: 3}
+
     def __init__(self, h3: float, h4: float, rho: int, p1: float = 0.9, p2: float = 0.25):
         super().__init__(p1, p2)
         if rho < 0:
@@ -467,16 +467,16 @@ class EntropyCutoffPolicy(_ReactiveRescuePolicy):
         # Lets a switch fire on the very first step when already certain.
         self._since_switch = self.rho - 1
 
-    def _room_certain(self, belief: Belief, room: int) -> bool:
+    def _room_certain(self, reads, room: int) -> bool:
+        entropies = reads[1]
         return (
-            entropy_bits(_cell_masses(belief, self._safe_cells[room])) < self.h3
-            and entropy_bits(_cell_masses(belief, self._surv_cells[room])) < self.h4
+            entropies[self._SAFE_H[room]] < self.h3 and entropies[self._SURV_H[room]] < self.h4
         )
 
-    def _base_action(self, belief: Belief, step: int, room: int) -> int:
+    def _base_action(self, reads, step: int, room: int) -> int:
         other = 2 if room == 1 else 1
-        if self._room_certain(belief, room):
-            if self._room_certain(belief, other):
+        if self._room_certain(reads, room):
+            if self._room_certain(reads, other):
                 if self._since_switch >= self.rho:
                     return self._act["switch"]
                 return self._act["stay"]
@@ -506,19 +506,24 @@ class MhtThresholdPolicy(Policy):
 
     def __init__(self, h: float):
         self.h = h
+        self._model: Pomdp | None = None
 
     def reset(self, pomdp: Pomdp, horizon: int, seed: int | None = None) -> None:
-        if "hyp" not in pomdp.factor_cells or "observe" not in pomdp.action_index:
-            raise ModelError("this policy needs the coin model's factor and actions")
-        self._act = {name: i for i, name in enumerate(pomdp.actions)}
-        self._hyp_cells = _compile_cells(pomdp, "hyp")
+        if pomdp is not self._model:
+            if "hyp" not in pomdp.factor_cells or "observe" not in pomdp.action_index:
+                raise ModelError("this policy needs the coin model's factor and actions")
+            self._act = {name: i for i, name in enumerate(pomdp.actions)}
+            self._reader = StateSetReader(factors=[pomdp.factor_cells["hyp"]])
+            self._hyp_cells = np.array(self._reader.cell_columns[0], dtype=np.intp)
+            self._model = pomdp
         self._committed: int | None = None
 
     def act(self, belief: Belief, step: int) -> int:
         if self._committed is not None:
             return self._act["observe"]
-        dist = _cell_masses(belief, self._hyp_cells)
-        if entropy_bits(dist) < self.h:
+        masses, entropies = self._reader.read(belief.probs)
+        dist = masses.take(self._hyp_cells)
+        if entropies[0] < self.h:
             self._committed = int(np.argmax(dist)) + 1
             return self._act[f"choose{self._committed}"]
         return self._act["observe"]
@@ -615,13 +620,13 @@ def monte_carlo(
         raise ModelError("need at least 2 trials")
     if not isinstance(entropy_factor, str) or entropy_factor not in pomdp.factor_cells:
         raise ModelError(f"unknown factor {entropy_factor!r}")
-    cells = _compile_cells(pomdp, entropy_factor)
+    reader = StateSetReader(factors=[pomdp.factor_cells[entropy_factor]])
     records = []
     for k in range(trials):
         seed = trial_seed(master_seed, k)
         hidden, execution = simulate(pomdp, policy, horizon, seed)
         report = acceptance_probability(pomdp, formula, execution)
-        terminal_entropy = entropy_bits(_cell_masses(execution.beliefs[-1], cells))
+        terminal_entropy = float(reader.read(execution.beliefs[-1].probs)[1][0])
         records.append(
             TrialRecord(
                 trial=k,

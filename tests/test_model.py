@@ -376,6 +376,39 @@ class TestValidation:
                 {("a", "go", "x"): 1.0, ("a", "go", "y"): math.nan},
             )
 
+    def test_earlier_unknown_name_wins_over_later_bad_probability(self):
+        with pytest.raises(ModelError, match="unknown state name 'zz'"):
+            Pomdp(
+                ["a", "b"], ["go"], ["x"], [1.0, 0.0],
+                {("zz", "go", "a"): 1.0, ("a", "go", "b"): 1.5, ("b", "go", "b"): 1.0},
+                {("a", "go", "x"): 1.0, ("b", "go", "x"): 1.0},
+            )
+
+    @pytest.mark.parametrize("cell", [(True, "go", "a"), ("a", True, "a"), ("a", "go", True)])
+    def test_boolean_label_rejected(self, cell):
+        with pytest.raises(ModelError, match="label True is neither a name nor an index"):
+            Pomdp(
+                ["a", "b"], ["go"], ["x"], [1.0, 0.0],
+                {cell: 1.0, ("b", "go", "b"): 1.0},
+                {("a", "go", "x"): 1.0, ("b", "go", "x"): 1.0},
+            )
+
+    def test_name_and_index_for_one_cell_are_summed(self):
+        pomdp = Pomdp(
+            ["a", "b"], ["go"], ["x"], [1.0, 0.0],
+            {("a", "go", "b"): 0.75, (0, 0, 1): 0.25, ("b", "go", "b"): 1.0},
+            {("a", "go", "x"): 1.0, ("b", "go", "x"): 1.0},
+        )
+        np.testing.assert_array_equal(pomdp.trans_mat[0], [[0.0, 1.0], [0.0, 1.0]])
+
+    def test_zero_probability_entry_with_unknown_name_is_ignored(self):
+        pomdp = Pomdp(
+            ["a", "b"], ["go"], ["x"], [1.0, 0.0],
+            {("a", "go", "a"): 1.0, ("zz", "nope", "b"): 0.0, ("b", "go", "b"): 1.0},
+            {("a", "go", "x"): 1.0, ("b", "go", "x"): 1.0, ("a", "go", "zz"): 0.0},
+        )
+        np.testing.assert_array_equal(pomdp.trans_mat[0], [[1.0, 0.0], [0.0, 1.0]])
+
     def test_missing_factor_tag(self):
         with pytest.raises(ModelError):
             Pomdp(

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtlmon.errors import ModelError
@@ -68,15 +68,34 @@ def cells(draw, num_states):
     return tuple(tuple(s for s in order if assign[s] == k) for k in range(count))
 
 
-def belief_exprs(num_states):
+def prob_leaves(num_states):
     states = range(num_states)
-    leaves = st.one_of(
-        st.floats(-2.0, 2.0).map(Const),
+    return st.one_of(
         st.frozensets(st.sampled_from(states)).map(lambda ix: Prob("A", ix)),
         st.just(Prob("all", frozenset(states))),
-        cells(num_states).map(lambda c: EntropyBits("F", c)),
-        st.just(FIRST_MASS),
     )
+
+
+def leaf_exprs(num_states):
+    return st.one_of(
+        st.floats(-2.0, 2.0).map(Const),
+        prob_leaves(num_states),
+        cells(num_states).map(lambda c: EntropyBits("F", c)),
+    )
+
+
+def atom_exprs(num_states):
+    """The shapes the monitor evaluates in groups: a parsed atom
+    ``Sub(leaf, leaf)`` and a relaxed hidden-state atom ``Neg(Prob)``."""
+    leaves = leaf_exprs(num_states)
+    return st.one_of(
+        st.tuples(leaves, leaves).map(lambda t: Sub(*t)),
+        prob_leaves(num_states).map(Neg),
+    )
+
+
+def belief_exprs(num_states):
+    leaves = st.one_of(leaf_exprs(num_states), st.just(FIRST_MASS))
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
@@ -92,7 +111,9 @@ def belief_exprs(num_states):
 @st.composite
 def cases(draw):
     num_states = draw(st.integers(1, MAX_STATES))
-    exprs = draw(st.lists(belief_exprs(num_states), min_size=1, max_size=5))
+    exprs = draw(
+        st.lists(st.one_of(atom_exprs(num_states), belief_exprs(num_states)), min_size=1, max_size=8)
+    )
     return exprs, draw(beliefs(num_states))
 
 
@@ -100,8 +121,29 @@ def bits(x) -> int:
     return int(np.float64(x).view(np.int64))
 
 
+_MANY_CELLS = tuple((i,) for i in range(9)) + ((9, 10, 11),)
+_SHAPES_BELIEFS = [
+    Belief(np.array([0.3, 0.0, 0.1, 0.0, 0.05, 0.05, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05])),
+    Belief(np.array([0.0, 0.0, 1.0] + [0.0] * 9)),
+]
+
+
 @settings(deadline=None, max_examples=300)
 @given(cases())
+@example(
+    (
+        [
+            Neg(Prob("zero", frozenset({1, 3}))),  # -0.0: the sign bit counts
+            Sub(Prob("A", frozenset({0, 2, 5})), Prob("B", frozenset({2, 7, 8, 9}))),
+            Sub(Const(0.5), Const(0.25)),
+            Sub(EntropyBits("many", _MANY_CELLS), Const(1.5)),
+            Sub(Const(0.9), EntropyBits("many", _MANY_CELLS)),
+            FIRST_MASS,
+            Sub(FIRST_MASS, Prob("A", frozenset({0, 2, 5}))),
+        ],
+        _SHAPES_BELIEFS,
+    )
+)
 def test_values_bit_identical_to_reference(case):
     exprs, bels = case
     values = BeliefPredicates(exprs).values(bels)

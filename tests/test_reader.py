@@ -1,0 +1,139 @@
+"""The compiled state-set reader against the 1-d references, bit for bit.
+
+``StateSetReader`` sums each set as a row of a gather matrix; numpy's
+pairwise summation of a row changes grouping at 8 and at 128 terms, so set
+sizes run past both.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtlmon.errors import ModelError
+from dtlmon.model import Belief, StateSetReader, entropy_bits, marginal_dist, marginal_prob
+
+BLOCK_EDGES = (1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 300)
+THRESHOLDS = (0.9, 0.25)  # the rescue study's p1 and p2
+
+
+def bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def set_sizes():
+    return st.one_of(st.integers(0, 300), st.sampled_from(BLOCK_EDGES))
+
+
+@st.composite
+def reader_cases(draw):
+    """Beliefs over up to 320 states, some entries exactly zero, with sets
+    of mixed sizes and factors of 1 to 12 cells in a random order."""
+    num_states = draw(st.integers(1, 320))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from((0.0, 0.5, 0.95)))
+    rows = draw(st.integers(1, 4))
+    probs = rng.random((rows, num_states)) * (rng.random((rows, num_states)) >= zero_share)
+    probs[np.arange(rows), rng.integers(num_states, size=rows)] = 1.0
+    beliefs = [Belief(row / row.sum()) for row in probs]
+    sets = [
+        frozenset(rng.choice(num_states, size=min(size, num_states), replace=False).tolist())
+        for size in draw(st.lists(set_sizes(), min_size=0, max_size=6))
+    ]
+    factors = []
+    for count in draw(st.lists(st.integers(1, 12), min_size=0, max_size=4)):
+        order = rng.permutation(num_states)
+        assign = rng.integers(count, size=num_states)
+        factors.append(tuple(tuple(int(s) for s in order if assign[s] == k) for k in range(count)))
+    return beliefs, sets, factors
+
+
+def _assert_matches_references(reader, sets, factors, belief, masses, entropies):
+    for k, states in enumerate(sets):
+        assert bits(masses[reader.set_columns[k]]) == bits(marginal_prob(belief, states))
+    for f, cells in enumerate(factors):
+        dist = marginal_dist(belief, cells)
+        got = np.array([masses[c] for c in reader.cell_columns[f]])
+        assert got.tobytes() == dist.tobytes()
+        assert bits(entropies[f]) == bits(entropy_bits(dist))
+
+
+@settings(deadline=None, max_examples=200)
+@given(reader_cases())
+def test_one_belief_matches_references(case):
+    beliefs, sets, factors = case
+    reader = StateSetReader(sets, factors)
+    for belief in beliefs:
+        masses, entropies = reader.read(belief.probs)
+        assert masses.shape == (len(reader.columns),)
+        assert entropies.shape == (len(factors),)
+        _assert_matches_references(reader, sets, factors, belief, masses, entropies)
+
+
+@settings(deadline=None, max_examples=200)
+@given(reader_cases())
+def test_stacked_beliefs_match_references(case):
+    beliefs, sets, factors = case
+    reader = StateSetReader(sets, factors)
+    masses, entropies = reader.read(np.stack([b.probs for b in beliefs]))
+    assert masses.shape == (len(beliefs), len(reader.columns))
+    assert entropies.shape == (len(beliefs), len(factors))
+    for r, belief in enumerate(beliefs):
+        _assert_matches_references(reader, sets, factors, belief, masses[r], entropies[r])
+
+
+@st.composite
+def tie_cases(draw):
+    """A pmf whose mass on one set, summed as ``marginal_prob`` sums it, is a
+    rescue threshold or one ulp to either side; the mass is shared unevenly
+    by up to 300 members, so the sum depends on the order of its terms."""
+    size = draw(set_sizes().filter(lambda n: n >= 3))
+    num_states = size + draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    threshold = draw(st.sampled_from(THRESHOLDS))
+    target = float(np.nextafter(threshold, threshold + draw(st.sampled_from((-1, 0, 1)))))
+    order = rng.permutation(num_states)
+    members, outside = np.sort(order[:size]), order[size:]
+    weights = rng.random(size) + 0.01
+    probs = np.zeros(num_states)
+    probs[members] = target * weights / weights.sum()
+    for _ in range(8):  # nudge the largest share until the set sums to the target
+        gap = target - float(probs[members].sum())
+        if gap == 0.0:
+            break
+        probs[members[int(np.argmax(weights))]] += gap
+    probs[outside] = (1.0 - float(probs[members].sum())) / len(outside)
+    return frozenset(members.tolist()), threshold, Belief(probs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(tie_cases())
+def test_threshold_ties_read_like_marginal_prob(case):
+    states, threshold, belief = case
+    reader = StateSetReader([states, frozenset(range(len(belief)))])
+    masses, _ = reader.read(belief.probs)
+    mass = masses[reader.set_columns[0]]
+    assert bits(mass) == bits(marginal_prob(belief, states))
+    assert (mass > threshold) == (marginal_prob(belief, states) > threshold)
+
+
+def test_empty_set_and_padded_factors():
+    belief = Belief(np.array([0.5, 0.0, 0.25, 0.25]))
+    factors = [((0,), (1, 2), (3,)), ((3, 0), (2, 1)), tuple((i,) for i in range(4)) + ((),) * 5]
+    reader = StateSetReader([frozenset(), frozenset({1})], factors)
+    masses, entropies = reader.read(belief.probs)
+    _assert_matches_references(reader, [frozenset(), frozenset({1})], factors, belief, masses, entropies)
+    assert reader.columns[0] == ()
+
+
+def test_gather_matrices_are_read_only():
+    reader = StateSetReader([frozenset({0, 1}), frozenset({2})], [((0,), (1, 2))])
+    for matrix in (*reader._gathers, reader._small_cells):
+        assert matrix.dtype == np.intp and not matrix.flags.writeable
+
+
+def test_range_check():
+    StateSetReader([frozenset({0, 4})], [((0,), (1, 2))]).check_range(5)
+    for sets, factors in (([frozenset({0, 4})], []), ([frozenset({-1})], []), ([], [((0,), (4,))])):
+        with pytest.raises(ModelError, match="state set out of range"):
+            StateSetReader(sets, factors).check_range(4)

@@ -10,6 +10,7 @@ from dtlmon.logic import Eventually, formula_text
 from dtlmon.model import (
     Belief,
     Pomdp,
+    StateSetReader,
     bayes_update,
     entropy_bits,
     marginal_dist,
@@ -22,9 +23,6 @@ from dtlmon.studies import (
     MhtThresholdPolicy,
     RescueParams,
     TimeSharePolicy,
-    _cell_masses,
-    _compile_cells,
-    _mass,
     build_mht,
     build_rescue,
     mht_success_fn,
@@ -233,11 +231,15 @@ class TestPolicies:
 
 class _MarginalReads:
     """The rescue policies' decisions read through ``marginal_prob`` and
-    ``marginal_dist`` on the model's own sets at every call."""
+    ``marginal_dist`` on the model's own sets at every call: the belief
+    itself stands in for the compiled reads."""
 
     def reset(self, pomdp, horizon, seed=None):
         super().reset(pomdp, horizon, seed)
         self._pomdp = pomdp
+
+    def _read(self, belief):
+        return belief
 
     def _current_room(self, belief):
         return 1 if marginal_prob(belief, self._pomdp.named_sets["room1"]) >= 0.5 else 2
@@ -306,22 +308,31 @@ def tie_pmfs(draw):
     return name, target, Belief(probs)
 
 
+def _cell_masses(policy, belief, factor):
+    """The cutoff policy's compiled masses of one factor's cells."""
+    masses, _ = policy._read(belief)
+    cols = policy._reader.cell_columns[policy._FACTORS.index(factor)]
+    return np.array([masses[c] for c in cols])
+
+
 def _assert_reads_match(policy, belief):
     """Every compiled read equals its ``marginal_prob``/``marginal_dist``
     value bit for bit, and every decision equals the reference one."""
     sets, cells = _RESCUE.named_sets, _RESCUE.factor_cells
-    assert _mass(belief, policy._room1) == marginal_prob(belief, sets["room1"])
+    reads = policy._read(belief)
+    masses = reads[0]
+    assert masses[policy._room1] == marginal_prob(belief, sets["room1"])
     reference = _MarginalCutoff(0.3, 0.3, 2)
     reference.reset(_RESCUE, 16, 0)
-    assert policy._current_room(belief) == reference._current_room(belief)
+    assert policy._current_room(reads) == reference._current_room(belief)
     for j in (1, 2):
-        assert _mass(belief, policy._surv[j]) == marginal_prob(belief, sets[f"surv{j}"])
-        assert _mass(belief, policy._unsafe[j]) == marginal_prob(belief, sets[f"unsafe{j}"])
-        for compiled, factor in ((policy._safe_cells, "safe"), (policy._surv_cells, "surv")):
-            got = _cell_masses(belief, compiled[j])
-            assert got.tobytes() == marginal_dist(belief, cells[f"env_{factor}{j}"]).tobytes()
-        assert policy._triggered(belief, j) == reference._triggered(belief, j)
-        assert policy._room_certain(belief, j) == reference._room_certain(belief, j)
+        assert masses[policy._surv[j]] == marginal_prob(belief, sets[f"surv{j}"])
+        assert masses[policy._unsafe[j]] == marginal_prob(belief, sets[f"unsafe{j}"])
+        for factor in (f"env_safe{j}", f"env_surv{j}"):
+            got = _cell_masses(policy, belief, factor)
+            assert got.tobytes() == marginal_dist(belief, cells[factor]).tobytes()
+        assert policy._triggered(reads, j) == reference._triggered(belief, j)
+        assert policy._room_certain(reads, j) == reference._room_certain(belief, j)
 
 
 class TestCompiledPolicyReads:
@@ -367,7 +378,8 @@ class TestCompiledPolicyReads:
         policy = MhtThresholdPolicy(0.8)
         policy.reset(pomdp, 4, 0)
         dist = marginal_dist(belief, pomdp.factor_cells["hyp"])
-        assert _cell_masses(belief, policy._hyp_cells).tobytes() == dist.tobytes()
+        masses, _ = policy._reader.read(belief.probs)
+        assert masses.take(policy._hyp_cells).tobytes() == dist.tobytes()
         if entropy_bits(dist) < 0.8:
             expected = pomdp.action_index[f"choose{int(np.argmax(dist)) + 1}"]
         else:
@@ -385,15 +397,17 @@ class TestCompiledPolicyReads:
             {(s, "go", "tick"): 1.0 for s in "abc"},
             factors={"k": "k"},
         )
-        cells = _compile_cells(pomdp, "k")
-        assert [c.tolist() for c in cells] == [[0], [1, 2]]
-        got = _cell_masses(pomdp.prior, cells)
+        reader = StateSetReader(factors=[pomdp.factor_cells["k"]])
+        cells = [reader.columns[c] for c in reader.cell_columns[0]]
+        assert [list(c) for c in cells] == [[0], [1, 2]]
+        masses, _ = reader.read(pomdp.prior.probs)
+        got = np.array([masses[c] for c in reader.cell_columns[0]])
         assert got.tobytes() == marginal_dist(pomdp.prior, pomdp.factor_cells["k"]).tobytes()
 
     def test_compiled_sets_are_read_only(self):
-        policy = TimeSharePolicy(3)
+        policy = EntropyCutoffPolicy(0.3, 0.3, 2)
         policy.reset(_RESCUE, 16, 0)
-        for idx in (policy._room1, policy._surv[1], *policy._safe_cells[2]):
+        for idx in (*policy._reader._gathers, policy._reader._small_cells):
             assert idx.dtype == np.intp and not idx.flags.writeable
 
     def test_reset_checks_each_new_model(self, mht):
