@@ -562,8 +562,10 @@ class StudyStats:
 
 
 def _rescaled(deviations: list[float]) -> list[float]:
+    # Inside this window a sum of squares lies between 1e-100 and n * 1e100,
+    # so the product of two such sums neither underflows nor overflows.
     scale = max(abs(d) for d in deviations)
-    if scale == 0.0 or 1e-100 < scale < 1e100:
+    if scale == 0.0 or 1e-50 < scale < 1e50:
         return deviations
     return [d / scale for d in deviations]
 
@@ -572,9 +574,10 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample correlation coefficient.
 
     Raises ``DegeneratePearson`` when fewer than two points or when either
-    sample variance is zero.  Deviations too small or too large to square
-    without underflow or overflow are first divided by their largest
-    magnitude (the coefficient does not depend on scale).
+    sample variance is zero.  Deviations too small or too large for the
+    product of their sums of squares to stay finite and non-zero are first
+    divided by their largest magnitude (the coefficient does not depend on
+    scale).
     """
     if len(xs) != len(ys):
         raise ModelError("samples must have equal length")

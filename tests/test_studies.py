@@ -461,6 +461,13 @@ class TestPearson:
         assert pearson_r([1e200, 0.0, 3e200], [1, 0, 2]) == pytest.approx(
             pearson_r([1.0, 0.0, 3.0], [1, 0, 2])
         )
+        # Each sum of squares near 1e-191 is a normal float, but their
+        # product underflows to zero; near 1e99 it overflows.
+        tiny = [0.0, 4.856901992637461e-96]
+        assert pearson_r(tiny, tiny) == pytest.approx(1.0)
+        assert pearson_r([0.0, 1e99, 3e99], [1e99, 0.0, 2e99]) == pytest.approx(
+            pearson_r([0.0, 1.0, 3.0], [1.0, 0.0, 2.0])
+        )
 
     def test_perfect_anticorrelation(self):
         assert pearson_r([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
