@@ -31,6 +31,8 @@ import sys
 import time
 from pathlib import Path
 
+RUN_TIMEOUT_S = 900.0  # a run of bench/run.py that takes longer than this has hung
+
 
 def _seeds(text: str) -> list[int]:
     """``"1-3,7"`` -> ``[1, 2, 3, 7]``."""
@@ -41,13 +43,10 @@ def _seeds(text: str) -> list[int]:
     return out
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float, timeout: float) -> dict:
-    cmd = [
-        sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-    ]
+def _run(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(
-        cmd, cwd=checkout, capture_output=True, text=True, timeout=timeout, check=False
+        cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=False
     )
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -102,8 +101,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=_seeds, required=True, help="e.g. 301-310 or 5,9,12")
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per run")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--title", default="")
     parser.add_argument("--parent-rev", default="", help="the parent's commit, for the record")
@@ -115,7 +112,7 @@ def main(argv=None) -> int:
     doc = {
         "title": args.title,
         "parent": args.parent_rev,
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": "python3 bench/run.py --workload W --seed S --trace 0",
         "method": (
             "Each side is a checkout of its tree. One parent run and one change run per seed, "
             "back to back; which side runs first alternates from seed to seed, starting with "
@@ -138,7 +135,7 @@ def main(argv=None) -> int:
             result = {}
             for side in order:
                 start = time.perf_counter()
-                result[side] = _run(sides[side], workload, seed, args.seconds, args.timeout)
+                result[side] = _run(sides[side], workload, seed)
                 print(
                     f"bench_pairs: {workload} seed {seed} {side}: "
                     f"{json.dumps({m: v['value'] for m, v in result[side]['metrics'].items()})} "

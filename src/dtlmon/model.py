@@ -154,7 +154,6 @@ class Pomdp:
 
         Each entry is checked in turn, its probability before its labels, and
         the entries are summed in their given order."""
-        states, actions = self.state_index, self.action_index
         index: list[tuple[int, int, int]] = []
         probs: list[float] = []
         for (s, a, t), p in entries.items():
@@ -163,18 +162,9 @@ class Pomdp:
                 raise ModelError(f"{kind} probability {p!r} outside [0, 1]")
             if p == 0.0:
                 continue
-            # A name resolves by one lookup; anything else, or an unknown
-            # name, goes through ``_as_index`` for its checks and message.
-            si = states.get(s) if isinstance(s, str) else None
-            if si is None:
-                si = _as_index(s, states, "state")
-            ai = actions.get(a) if isinstance(a, str) else None
-            if ai is None:
-                ai = _as_index(a, actions, "action")
-            ti = targets.get(t) if isinstance(t, str) else None
-            if ti is None:
-                ti = _as_index(t, targets, target_kind)
-            index.append((ai, si, ti))
+            s = _as_index(s, self.state_index, "state")
+            a = _as_index(a, self.action_index, "action")
+            index.append((a, s, _as_index(t, targets, target_kind)))
             probs.append(p)
         table = np.zeros((self.num_actions, self.num_states, len(targets)))
         np.add.at(table, tuple(np.array(index, dtype=np.intp).reshape(-1, 3).T), probs)

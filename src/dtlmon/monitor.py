@@ -222,103 +222,60 @@ def region_signature(belief: Belief, maps: PropositionMaps) -> RegionSignature:
 
 
 _BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-_LEAVES = (Const, Prob, EntropyBits)
-
-
-def _index_rows(items: list[tuple[int, ...]]):
-    """The columns of a list of equal-length index tuples as ``np.intp``
-    arrays, or ``None`` for an empty list."""
-    return tuple(np.array(items, dtype=np.intp).T) if items else None
 
 
 class BeliefPredicates:
     """Belief expressions compiled for evaluation over a whole execution.
 
-    The leaves are the columns of one matrix per execution: the mass of
-    every distinct ``P(A)`` set and the entropy of every distinct ``H(F)``
-    factor, both read by one ``StateSetReader``, and the constants.  Every
-    ``Sub`` of two leaves (the shape of a parsed atom) is one gather and
-    subtraction of that matrix, and every ``Neg(Prob)`` (a relaxed
-    hidden-state atom) one negation of the masses; other shapes run as
-    closures over the leaves, with ``Callback`` once per belief.  Values
-    are bit-identical to ``eval_belief_expr`` on each belief, because the
-    reader's masses and entropies are bit-identical to ``marginal_prob``,
-    ``marginal_dist`` and ``entropy_bits``.
+    One ``StateSetReader`` reads the mass of every distinct ``P(A)`` set and
+    the entropy of every distinct ``H(F)`` factor of all beliefs at once;
+    each expression then runs as a closure over those columns, with
+    ``Callback`` once per belief.  Values are bit-identical to
+    ``eval_belief_expr`` on each belief, because the reader's masses and
+    entropies are bit-identical to ``marginal_prob``, ``marginal_dist`` and
+    ``entropy_bits``.
     """
 
     def __init__(self, exprs: Sequence[BeliefExpr]):
         self._sets: dict[frozenset[int], int] = {}
         self._factors: dict[tuple, int] = {}
-        self._const_values: list[float] = []
-        subs, negs, self._programs = [], [], []
-        for j, expr in enumerate(exprs):
-            if type(expr) is Sub and isinstance(expr.left, _LEAVES) and isinstance(expr.right, _LEAVES):
-                subs.append((j, self._leaf(expr.left), self._leaf(expr.right)))
-            elif type(expr) is Neg and type(expr.operand) is Prob:
-                negs.append((j, self._leaf(expr.operand)))
-            else:
-                self._programs.append((j, self._compile(expr)))
+        self._programs = [self._compile(expr) for expr in exprs]
         self._reader = StateSetReader(self._sets, self._factors)
-        self._consts = np.array(self._const_values, dtype=float)
-        self._num_exprs = len(exprs)
-        self._subs = _index_rows([(j, self._column(a), self._column(b)) for j, a, b in subs])
-        self._negs = _index_rows([(j, self._column(leaf)) for j, leaf in negs])
-
-    def _leaf(self, expr) -> tuple[str, int]:
-        """Register a leaf: a set, a factor or a constant."""
-        if isinstance(expr, Prob):
-            return "set", self._sets.setdefault(expr.indices, len(self._sets))
-        if isinstance(expr, EntropyBits):
-            return "factor", self._factors.setdefault(expr.cells, len(self._factors))
-        self._const_values.append(expr.value)
-        return "const", len(self._const_values) - 1
-
-    def _column(self, leaf: tuple[str, int]) -> int:
-        """A leaf's column in the leaf matrix: the reader's masses, then one
-        entropy per factor, then the constants."""
-        kind, k = leaf
-        if kind == "set":
-            return self._reader.set_columns[k]
-        num_masses = len(self._reader.columns)
-        return num_masses + k if kind == "factor" else num_masses + len(self._factors) + k
+        self._set_columns = np.array(self._reader.set_columns, dtype=np.intp)
 
     def _compile(self, expr: BeliefExpr):
-        """Closure mapping (leaves, beliefs) to the expression's values."""
+        """Closure mapping (set masses, factor entropies, beliefs) to the
+        expression's values; set and factor k are column k."""
         if isinstance(expr, Const):
             value = expr.value
-            return lambda leaves, beliefs: value
-        if isinstance(expr, (Prob, EntropyBits)):
-            leaf = self._leaf(expr)
-            return lambda leaves, beliefs: leaves[:, self._column(leaf)]
+            return lambda masses, entropies, beliefs: value
+        if isinstance(expr, Prob):
+            k = self._sets.setdefault(expr.indices, len(self._sets))
+            return lambda masses, entropies, beliefs: masses[:, k]
+        if isinstance(expr, EntropyBits):
+            k = self._factors.setdefault(expr.cells, len(self._factors))
+            return lambda masses, entropies, beliefs: entropies[:, k]
         if isinstance(expr, Callback):
             fn = expr.fn
-            return lambda leaves, beliefs: np.array([float(fn(b)) for b in beliefs])
+            return lambda masses, entropies, beliefs: np.array([float(fn(b)) for b in beliefs])
         if isinstance(expr, Neg):
             operand = self._compile(expr.operand)
-            return lambda leaves, beliefs: -operand(leaves, beliefs)
+            return lambda *args: -operand(*args)
         if type(expr) in _BINARY_OPS:
             op = _BINARY_OPS[type(expr)]
             left, right = self._compile(expr.left), self._compile(expr.right)
-            return lambda leaves, beliefs: op(left(leaves, beliefs), right(leaves, beliefs))
+            return lambda *args: op(left(*args), right(*args))
         raise TypeError(f"not a belief expression: {expr!r}")
 
     def values(self, beliefs: Sequence[Belief]) -> np.ndarray:
         """Expression values: row j holds expression j on every belief."""
         probs = np.stack([b.probs for b in beliefs])
-        rows = len(probs)
         self._reader.check_range(probs.shape[1])
         masses, entropies = self._reader.read(probs)
-        consts = np.broadcast_to(self._consts, (rows, len(self._consts)))
-        leaves = np.concatenate((masses, entropies, consts), axis=1)
-        out = np.empty((self._num_exprs, rows))
-        if self._subs is not None:
-            at, left, right = self._subs
-            out[at] = (leaves.take(left, axis=1) - leaves.take(right, axis=1)).T
-        if self._negs is not None:
-            at, cols = self._negs
-            out[at] = -masses.take(cols, axis=1).T
-        for j, program in self._programs:
-            out[j] = program(leaves, beliefs)
+        masses = masses.take(self._set_columns, axis=1)
+        out = np.empty((len(self._programs), len(probs)))
+        for j, program in enumerate(self._programs):
+            out[j] = program(masses, entropies, beliefs)
         return out
 
     def signatures(self, beliefs: Sequence[Belief]) -> list[RegionSignature]:

@@ -367,11 +367,10 @@ class _ReactiveRescuePolicy(Policy):
 
     def _compile(self, pomdp: Pomdp) -> None:
         needed_sets = ("room1", "surv1", "surv2", "unsafe1", "unsafe2")
-        needed_factors = ("env_safe1", "env_safe2", "env_surv1", "env_surv2")
         needed_actions = ("stay", "switch", "pickup", "putdown")
         if (
             any(n not in pomdp.named_sets for n in needed_sets)
-            or any(n not in pomdp.factor_cells for n in needed_factors)
+            or any(n not in pomdp.factor_cells for n in self._FACTORS)
             or any(n not in pomdp.action_index for n in needed_actions)
         ):
             raise ModelError("this policy needs the rescue model's sets, factors, and actions")

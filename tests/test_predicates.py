@@ -85,7 +85,7 @@ def leaf_exprs(num_states):
 
 
 def atom_exprs(num_states):
-    """The shapes the monitor evaluates in groups: a parsed atom
+    """The shapes of almost every atom a formula carries: a parsed atom
     ``Sub(leaf, leaf)`` and a relaxed hidden-state atom ``Neg(Prob)``."""
     leaves = leaf_exprs(num_states)
     return st.one_of(

@@ -192,6 +192,18 @@ class TestPolicies:
         names = [pomdp.actions[a] for a in execution.actions]
         assert names.count("switch") == 0  # the only epoch boundary is step 16
 
+    def test_time_share_accepts_model_without_env_factors(self):
+        # Time-share reads no factor, so a model without the env_* factors
+        # runs it as it runs the full model; the cutoff policy needs them.
+        full, _ = certain_env_rescue((1, 1, 0, 0))
+        doc = full.to_json_dict()
+        doc["factors"] = {"room": "room"}
+        bare = Pomdp.from_json_dict(doc)
+        runs = [simulate(m, TimeSharePolicy(3), 16, seed=1)[1].actions for m in (full, bare)]
+        assert runs[0] == runs[1]
+        with pytest.raises(ModelError, match="needs the rescue model"):
+            EntropyCutoffPolicy(0.3, 0.3, 2).reset(bare, 16, 0)
+
     def test_trigger_overlay_preempts_schedule(self):
         # Certain survivor in an unsafe room 1 fires the overlay immediately.
         pomdp, _ = certain_env_rescue((0, 1, 1, 0))
