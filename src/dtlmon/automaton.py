@@ -43,7 +43,11 @@ from typing import Iterable, Sequence, Union
 from .errors import StateBlowup
 from .logic import And, Eventually, Next, Or, Until, check_nesting
 
-DEFAULT_STATE_CAP = 2**20
+STATE_CAP = 2**20
+
+# ``materialize`` walks all 2^n letters from every state, so it refuses
+# automata over more propositions than this.
+MATERIALIZE_PROP_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -70,18 +74,13 @@ class Dfa:
     States are dense integers; 0 is initial.  ``transition`` computes and
     caches successors on demand under a lock, so concurrent acceptance
     queries are safe.  ``materialize`` forces every (state, letter) pair,
-    which is only practical for small proposition counts.  A skeleton
+    which is only practical for small proposition counts.  Discovering
+    more than ``STATE_CAP`` states raises ``StateBlowup``; a skeleton
     nested deeper than ``logic.MAX_NESTING`` levels raises
     ``FormulaSyntaxError``.
     """
 
-    def __init__(
-        self,
-        phi: PropFormula,
-        num_props: int,
-        max_states: int = DEFAULT_STATE_CAP,
-        prop_names: Sequence[str] | None = None,
-    ):
+    def __init__(self, phi: PropFormula, num_props: int):
         if num_props < 0:
             raise ValueError("num_props must be nonnegative")
         check_nesting(phi)
@@ -93,12 +92,6 @@ class Dfa:
         self._children: list[tuple] = []
         self._masks: list[int] = []
         root = self._intern(phi)
-        self.max_states = max_states
-        self.prop_names = (
-            tuple(prop_names) if prop_names is not None else tuple(f"p{i}" for i in range(num_props))
-        )
-        if len(self.prop_names) != num_props:
-            raise ValueError("prop_names length must equal num_props")
         self._lock = threading.Lock()
         self._options_memo: dict[tuple[int, int], frozenset] = {}
         self._subset_ids: dict[frozenset, int] = {}
@@ -173,8 +166,8 @@ class Dfa:
         sid = self._subset_ids.get(subset)
         if sid is not None:
             return sid
-        if len(self._subsets) >= self.max_states:
-            raise StateBlowup(f"determinization exceeded {self.max_states} states")
+        if len(self._subsets) >= STATE_CAP:
+            raise StateBlowup(f"determinization exceeded {STATE_CAP} states")
         sid = len(self._subsets)
         self._subset_ids[subset] = sid
         self._subsets.append(subset)
@@ -212,10 +205,6 @@ class Dfa:
         """States discovered so far (all states, once materialized)."""
         return len(self._subsets)
 
-    @property
-    def accepting(self) -> frozenset[int]:
-        return frozenset(self._accepting)
-
     def is_accepting(self, state: int) -> bool:
         return state in self._accepting
 
@@ -241,17 +230,28 @@ class Dfa:
             self._delta[key] = target
             return target
 
-    def materialize(self) -> None:
-        """Explore every (state, letter) pair reachable from the initial state."""
-        frontier = [self.initial]
+    def materialize(self) -> list[int]:
+        """Explore every (state, letter) pair reachable from the initial state.
+
+        Returns the reachable states breadth first from the initial state,
+        letters ascending, so the order does not depend on which transitions
+        were cached before.  Raises ``StateBlowup`` above
+        ``MATERIALIZE_PROP_CAP`` propositions.
+        """
+        if self.num_props > MATERIALIZE_PROP_CAP:
+            raise StateBlowup(
+                f"materializing {self.num_props} propositions walks 2^{self.num_props} "
+                f"letters per state; the bound is {MATERIALIZE_PROP_CAP} propositions"
+            )
+        order = [self.initial]
         seen = {self.initial}
-        while frontier:
-            state = frontier.pop()
+        for state in order:  # the loop also visits the states appended below
             for letter in range(1 << self.num_props):
                 nxt = self.transition(state, letter)
                 if nxt not in seen:
                     seen.add(nxt)
-                    frontier.append(nxt)
+                    order.append(nxt)
+        return order
 
 
 def dfa_accepts(dfa: Dfa, word: Iterable[int]) -> bool:
@@ -294,36 +294,27 @@ def prop_eval(phi: PropFormula, word: Sequence[int], position: int = 0) -> bool:
 # -- exploration and export ------------------------------------------------------
 
 
-def _canonical_order(dfa: Dfa) -> tuple[list[int], dict[int, int]]:
-    """BFS order from the initial state with letters ascending, so exports do
-    not depend on which transitions happened to be cached first."""
-    dfa.materialize()
-    order = [dfa.initial]
-    renum = {dfa.initial: 0}
-    i = 0
-    while i < len(order):
-        state = order[i]
-        i += 1
-        for letter in range(1 << dfa.num_props):
-            nxt = dfa.transition(state, letter)
-            if nxt not in renum:
-                renum[nxt] = len(order)
-                order.append(nxt)
-    return order, renum
+def _canonical_order(dfa: Dfa, prop_names: Sequence[str]) -> tuple[list[int], dict[int, int]]:
+    """The materialized states in canonical order, and each one's position."""
+    if len(prop_names) != dfa.num_props:
+        raise ValueError("prop_names length must equal num_props")
+    order = dfa.materialize()
+    return order, {state: k for k, state in enumerate(order)}
 
 
-def _letter_text(dfa: Dfa, letter: int) -> str:
-    names = [dfa.prop_names[i] for i in range(dfa.num_props) if (letter >> i) & 1]
+def _letter_text(prop_names: Sequence[str], letter: int) -> str:
+    names = [name for i, name in enumerate(prop_names) if (letter >> i) & 1]
     return "{" + ",".join(names) + "}"
 
 
-def export_dot(dfa: Dfa) -> str:
-    """GraphViz DOT text; accepting states are double circles.
+def export_dot(dfa: Dfa, prop_names: Sequence[str]) -> str:
+    """GraphViz DOT text, letters named by ``prop_names``; accepting states
+    are double circles.
 
     Materializes the full alphabet, so use only with small proposition
     counts.  Output is deterministic for identical inputs.
     """
-    order, renum = _canonical_order(dfa)
+    order, renum = _canonical_order(dfa, prop_names)
     lines = ["digraph dfa {", "  rankdir=LR;", '  __start [shape=point,label=""];']
     for state in order:
         shape = "doublecircle" if dfa.is_accepting(state) else "circle"
@@ -334,15 +325,16 @@ def export_dot(dfa: Dfa) -> str:
         for letter in range(1 << dfa.num_props):
             edges.setdefault(dfa.transition(state, letter), []).append(letter)
         for target in sorted(edges, key=lambda t: renum[t]):
-            label = ",".join(_letter_text(dfa, x) for x in edges[target])
+            label = ",".join(_letter_text(prop_names, x) for x in edges[target])
             lines.append(f'  q{renum[state]} -> q{renum[target]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def export_json_dict(dfa: Dfa) -> dict:
-    """Materialized automaton as {states, initial, accepting, transitions}."""
-    order, renum = _canonical_order(dfa)
+def export_json_dict(dfa: Dfa, prop_names: Sequence[str]) -> dict:
+    """Materialized automaton as {states, initial, accepting, propositions,
+    transitions}, letters named by ``prop_names``."""
+    order, renum = _canonical_order(dfa, prop_names)
     transitions = []
     for state in order:
         for letter in range(1 << dfa.num_props):
@@ -351,6 +343,6 @@ def export_json_dict(dfa: Dfa) -> dict:
         "states": len(order),
         "initial": 0,
         "accepting": sorted(renum[s] for s in order if dfa.is_accepting(s)),
-        "propositions": list(dfa.prop_names),
+        "propositions": list(prop_names),
         "transitions": transitions,
     }

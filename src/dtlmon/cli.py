@@ -23,7 +23,7 @@ from .monitor import (
     DEFAULT_ORACLE_CAP,
     acceptance_probability,
     acceptance_probability_oracle,
-    build_monitor_dfa,
+    compile_monitor,
     load_trace,
     save_trace,
 )
@@ -74,7 +74,7 @@ def _numbers(config: dict, keys) -> dict:
     """The config's entries for ``keys``, each of which must be a number."""
     picked = {k: config[k] for k in keys if k in config}
     for k, v in picked.items():
-        if not isinstance(v, (int, float)):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ModelError(f"config value {k!r} must be a number, not {v!r}")
     return picked
 
@@ -90,7 +90,10 @@ def _mht_settings(config: dict) -> dict:
 def _build_study(study: str, config: dict):
     """Model and formula of a bundled study, with the config's overrides."""
     if study == "mht":
-        return build_mht(**_mht_settings(config), eventually=config.get("eventually", False))
+        eventually = config.get("eventually", False)
+        if not isinstance(eventually, bool):
+            raise ModelError(f"config value 'eventually' must be true or false, not {eventually!r}")
+        return build_mht(**_mht_settings(config), eventually=eventually)
     return build_rescue(
         _rescue_params(config), prior_mode=config.get("prior_mode", "safe_somewhere")
     )
@@ -164,9 +167,11 @@ def _success_fn(args, pomdp: Pomdp):
     return lambda state: False  # no success notion for ad-hoc models
 
 
-def _entropy_factor(args, pomdp: Pomdp) -> str:
+def _entropy_factor(args, pomdp: Pomdp, config: dict) -> str:
     if args.entropy_factor:
         return args.entropy_factor
+    if "entropy_factor" in config:
+        return config["entropy_factor"]
     if getattr(args, "casestudy", None) == "rescue":
         return "env"
     if getattr(args, "casestudy", None) == "mht":
@@ -209,7 +214,7 @@ def cmd_simulate(args) -> int:
         args.trials,
         args.horizon,
         args.seed,
-        _entropy_factor(args, pomdp),
+        _entropy_factor(args, pomdp, config),
         _success_fn(args, pomdp),
     )
     out = Path(args.out)
@@ -233,17 +238,19 @@ def cmd_simulate(args) -> int:
 def cmd_compile(args) -> int:
     config = _load_config(args.config)
     _, formula = _resolve_model_formula(args, config)
-    dfa = build_monitor_dfa(formula, relaxed=args.relaxed)
+    comp = compile_monitor(formula)
+    dfa = comp.feasibility_dfa if args.relaxed else comp.acceptance_dfa
+    names = comp.prop_names[: dfa.num_props]
     dfa.materialize()
     print(f"formula: {formula_text(formula)}")
     print(f"propositions: {dfa.num_props}")
     print(f"states: {dfa.num_states}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(export_dot(dfa))
+            fh.write(export_dot(dfa, names))
         print(f"wrote {args.dot}")
     if args.json:
-        save_json(export_json_dict(dfa), args.json)
+        save_json(export_json_dict(dfa, names), args.json)
         print(f"wrote {args.json}")
     return EXIT_OK
 

@@ -47,7 +47,8 @@ class NonAtomicNegation(DtlmonError):
 
 
 class StateBlowup(DtlmonError):
-    """Determinization exceeded the configured state cap."""
+    """Determinization exceeded the state cap, or materializing an automaton
+    would walk more letters than the proposition bound allows."""
 
 
 class CapExceeded(DtlmonError):

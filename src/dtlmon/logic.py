@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import FormulaSyntaxError, NonAtomicNegation, UnknownSymbol
 from .model import Belief, entropy_bits, marginal_dist, marginal_prob
@@ -229,19 +229,6 @@ Formula = Union[StateAtom, BeliefAtom, And, Or, Until, Next, Eventually]
 Atom = (StateAtom, BeliefAtom)
 
 
-def atoms(formula: Formula):
-    """Yield the formula's atoms in left-to-right order."""
-    if isinstance(formula, Atom):
-        yield formula
-    elif isinstance(formula, (And, Or, Until)):
-        yield from atoms(formula.left)
-        yield from atoms(formula.right)
-    elif isinstance(formula, (Next, Eventually)):
-        yield from atoms(formula.child)
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-
-
 def map_atoms(formula: Formula, fn: Callable):
     """Rebuild the formula's temporal and Boolean structure with every atom
     replaced by ``fn(atom)``."""
@@ -280,15 +267,6 @@ def formula_text(formula: Formula) -> str:
     if isinstance(formula, Eventually):
         return f"F {formula_text(formula.child)}"
     raise TypeError(f"not a formula: {formula!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolTable:
-    """Minimal symbol table when no full model is available."""
-
-    num_states: int
-    named_sets: Mapping[str, frozenset[int]]
-    factor_cells: Mapping[str, tuple[tuple[int, ...], ...]]
 
 
 # -- parsing ---------------------------------------------------------------------

@@ -97,7 +97,7 @@ from .model import (
     save_json,
 )
 
-# -- proposition maps ---------------------------------------------------------
+# -- propositions ---------------------------------------------------------------
 
 
 def _relaxed_atom_expr(atom: StateAtom) -> BeliefExpr:
@@ -112,93 +112,6 @@ def _relaxed_atom_expr(atom: StateAtom) -> BeliefExpr:
     return Neg(Prob(f"!{atom.name}", complement))
 
 
-class PropositionMaps:
-    """Dense, disjoint proposition indexing for a formula's predicates.
-
-    Belief propositions come first: one per distinct belief expression
-    appearing in the formula, plus one per relaxed hidden-state atom (used
-    by the feasibility automaton).  State propositions follow, one per
-    distinct hidden-state set.
-    """
-
-    def __init__(self, formula: Formula):
-        belief_exprs: list[BeliefExpr] = []
-        belief_index: dict[BeliefExpr, int] = {}
-        state_sets: list[frozenset[int]] = []
-        state_index: dict[frozenset[int], int] = {}
-        state_names: list[str] = []
-
-        relaxed: dict[StateAtom, int] = {}
-
-        def register_belief(expr: BeliefExpr) -> int:
-            if expr not in belief_index:
-                belief_index[expr] = len(belief_exprs)
-                belief_exprs.append(expr)
-            return belief_index[expr]
-
-        # The nesting check comes with the walk, before any recursive one.
-        for atom in checked_atoms(formula):
-            if isinstance(atom, BeliefAtom):
-                register_belief(atom.expr)
-            elif atom not in relaxed:
-                relaxed[atom] = register_belief(_relaxed_atom_expr(atom))
-                if atom.indices not in state_index:
-                    state_index[atom.indices] = len(state_sets)
-                    state_sets.append(atom.indices)
-                    state_names.append(atom.name)
-
-        self.belief_props: tuple[BeliefExpr, ...] = tuple(belief_exprs)
-        self.state_props: tuple[frozenset[int], ...] = tuple(state_sets)
-        self._belief_index = belief_index
-        self._relaxed_index = relaxed
-        self._state_index = state_index
-        self._state_names = tuple(state_names)
-        self._state_bits: dict[int, np.ndarray] = {}
-
-    @property
-    def num_belief_props(self) -> int:
-        return len(self.belief_props)
-
-    @property
-    def num_state_props(self) -> int:
-        return len(self.state_props)
-
-    @property
-    def num_props(self) -> int:
-        return self.num_belief_props + self.num_state_props
-
-    def belief_prop(self, expr: BeliefExpr) -> int:
-        return self._belief_index[expr]
-
-    def relaxed_prop(self, atom: StateAtom) -> int:
-        """The belief proposition that relaxes a hidden-state atom."""
-        return self._relaxed_index[atom]
-
-    def state_prop(self, indices: frozenset[int]) -> int:
-        """Global proposition index (offset past the belief propositions)."""
-        return self.num_belief_props + self._state_index[indices]
-
-    def prop_names(self) -> list[str]:
-        names = [f"[{belief_expr_text(e)} < 0]" for e in self.belief_props]
-        names += [f"in({n})" for n in self._state_names]
-        return names
-
-    def state_bits(self, num_states: int) -> np.ndarray:
-        """Per-hidden-state bitmask of the state propositions it satisfies,
-        computed once per model dimension, as a read-only array of Python
-        ints (a formula may have more than 63 propositions)."""
-        bits = self._state_bits.get(num_states)
-        if bits is None:
-            bits = np.zeros(num_states, dtype=object)
-            for k, indices in enumerate(self.state_props):
-                mask = 1 << (self.num_belief_props + k)
-                for s in indices:
-                    bits[s] |= mask
-            bits.flags.writeable = False
-            self._state_bits[num_states] = bits
-        return bits
-
-
 def relax(formula: Formula) -> Formula:
     """Replace every hidden-state atom by its positive-mass belief predicate."""
     return map_atoms(
@@ -211,11 +124,11 @@ RegionSignature = int
 """Bitmask over belief propositions; bit j marks predicate j holding."""
 
 
-def region_signature(belief: Belief, maps: PropositionMaps) -> RegionSignature:
-    """Bitmask over the belief propositions: bit j is set iff predicate j
-    evaluates strictly below zero on ``belief``."""
+def region_signature(belief: Belief, comp: CompiledMonitor) -> RegionSignature:
+    """Bitmask over the compiled formula's belief propositions: bit j is set
+    iff predicate j evaluates strictly below zero on ``belief``."""
     sig = 0
-    for j, expr in enumerate(maps.belief_props):
+    for j, expr in enumerate(comp.belief_props):
         if eval_belief_expr(expr, belief) < 0:
             sig |= 1 << j
     return sig
@@ -289,26 +202,6 @@ class BeliefPredicates:
         ]
 
 
-def _skeletons(formula: Formula, maps: PropositionMaps) -> tuple[PropFormula, PropFormula]:
-    """The feasibility and the acceptance skeleton, built in one walk: every
-    atom becomes its proposition, except that a hidden-state atom stands for
-    its relaxed belief proposition in the feasibility skeleton, which so has
-    belief propositions only."""
-    if isinstance(formula, StateAtom):
-        full = PropAtom(maps.state_prop(formula.indices), formula.negated)
-        return PropAtom(maps.relaxed_prop(formula)), full
-    if isinstance(formula, BeliefAtom):
-        atom = PropAtom(maps.belief_prop(formula.expr), formula.negated)
-        return atom, atom
-    if isinstance(formula, (And, Or, Until)):
-        left, right = _skeletons(formula.left, maps), _skeletons(formula.right, maps)
-        return type(formula)(left[0], right[0]), type(formula)(left[1], right[1])
-    if isinstance(formula, (Next, Eventually)):
-        child = _skeletons(formula.child, maps)
-        return type(formula)(child[0]), type(formula)(child[1])
-    raise TypeError(f"not a formula: {formula!r}")
-
-
 # Automata shared by every compiled formula with the same skeleton, such as
 # formulas that differ only in belief thresholds.  Held weakly, so an
 # automaton lives exactly as long as a compiled formula uses it.
@@ -327,23 +220,75 @@ def _shared_dfa(skeleton: PropFormula, num_props: int) -> Dfa:
 
 
 class CompiledMonitor:
-    """Formula artifacts shared across executions: proposition maps, the
-    compiled belief predicates, the feasibility DFA (belief propositions
-    only) and the acceptance DFA (belief and state propositions).
+    """Everything monitoring reads of one formula, compiled once.
 
-    The automata depend only on the propositional skeleton, so compiled
-    formulas with equal skeletons share the same ``Dfa`` objects, built
-    without proposition names; ``prop_names`` names this formula's.
+    Propositions are numbered densely in first-seen order.  Belief
+    propositions come first (``belief_props``): one per distinct belief
+    expression of the formula, plus one per relaxed hidden-state atom.
+    State propositions follow (``state_props``), one per distinct
+    hidden-state set.  ``prop_names`` names them all.  The feasibility
+    automaton reads the belief propositions only, each hidden-state atom
+    standing for its relaxed predicate; the acceptance automaton reads all
+    of them.  The automata depend only on the propositional skeleton, so
+    compiled formulas with equal skeletons share the same unnamed ``Dfa``
+    objects.
     """
 
     def __init__(self, formula: Formula):
         self.formula = formula
-        self.maps = PropositionMaps(formula)
-        self.predicates = BeliefPredicates(self.maps.belief_props)
-        self.prop_names: tuple[str, ...] = tuple(self.maps.prop_names())
-        relaxed, full = _skeletons(formula, self.maps)
-        self.feasibility_dfa = _shared_dfa(relaxed, self.maps.num_belief_props)
-        self.acceptance_dfa = _shared_dfa(full, self.maps.num_props)
+        belief: dict[BeliefExpr, int] = {}
+        relaxed: dict[StateAtom, int] = {}
+        state_names: dict[frozenset[int], str] = {}
+        # The nesting check comes with the walk, before the recursive map.
+        for atom in checked_atoms(formula):
+            if isinstance(atom, BeliefAtom):
+                belief.setdefault(atom.expr, len(belief))
+            elif atom not in relaxed:
+                relaxed[atom] = belief.setdefault(_relaxed_atom_expr(atom), len(belief))
+                state_names.setdefault(atom.indices, atom.name)
+        state = {indices: len(belief) + k for k, indices in enumerate(state_names)}
+        self.belief_props: tuple[BeliefExpr, ...] = tuple(belief)
+        self.state_props: tuple[frozenset[int], ...] = tuple(state_names)
+        self.prop_names: tuple[str, ...] = tuple(
+            [f"[{belief_expr_text(e)} < 0]" for e in belief]
+            + [f"in({name})" for name in state_names.values()]
+        )
+        self.predicates = BeliefPredicates(self.belief_props)
+        self._state_bits: dict[int, np.ndarray] = {}
+
+        def skeletons(phi: Formula) -> tuple[PropFormula, PropFormula]:
+            """The feasibility and the acceptance skeleton of ``phi``."""
+            if isinstance(phi, StateAtom):
+                return PropAtom(relaxed[phi]), PropAtom(state[phi.indices], phi.negated)
+            if isinstance(phi, BeliefAtom):
+                atom = PropAtom(belief[phi.expr], phi.negated)
+                return atom, atom
+            if isinstance(phi, (And, Or, Until)):
+                (left, full_left), (right, full_right) = skeletons(phi.left), skeletons(phi.right)
+                return type(phi)(left, right), type(phi)(full_left, full_right)
+            if isinstance(phi, (Next, Eventually)):
+                child, full_child = skeletons(phi.child)
+                return type(phi)(child), type(phi)(full_child)
+            raise TypeError(f"not a formula: {phi!r}")
+
+        relaxed_skeleton, full_skeleton = skeletons(formula)
+        self.feasibility_dfa = _shared_dfa(relaxed_skeleton, len(belief))
+        self.acceptance_dfa = _shared_dfa(full_skeleton, len(self.prop_names))
+
+    def state_bits(self, num_states: int) -> np.ndarray:
+        """Per-hidden-state bitmask of the state propositions it satisfies,
+        computed once per model dimension, as a read-only array of Python
+        ints (a formula may have more than 63 propositions)."""
+        bits = self._state_bits.get(num_states)
+        if bits is None:
+            bits = np.zeros(num_states, dtype=object)
+            for k, indices in enumerate(self.state_props):
+                mask = 1 << (len(self.belief_props) + k)
+                for s in indices:
+                    bits[s] |= mask
+            bits.flags.writeable = False
+            self._state_bits[num_states] = bits
+        return bits
 
 
 COMPILE_CACHE_SIZE = 128
@@ -371,23 +316,6 @@ def compile_monitor(formula: Formula) -> CompiledMonitor:
 
 compile_monitor.cache_info = _compile_cached.cache_info
 compile_monitor.cache_clear = _compile_cached.cache_clear
-
-
-def build_monitor_dfa(formula: Formula, relaxed: bool = False) -> Dfa:
-    """Fresh automaton for a formula, for export or inspection.
-
-    With ``relaxed`` the belief-only feasibility skeleton is compiled
-    (hidden-state atoms relaxed to positive-mass predicates); otherwise the
-    full acceptance skeleton over belief and state propositions.  Never
-    shared with compiled formulas: callers may materialize the automaton,
-    and it carries this formula's proposition names.
-    """
-    maps = PropositionMaps(formula)
-    skeletons = _skeletons(formula, maps)
-    skeleton, num_props = (
-        (skeletons[0], maps.num_belief_props) if relaxed else (skeletons[1], maps.num_props)
-    )
-    return Dfa(skeleton, num_props, prop_names=maps.prop_names()[:num_props])
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -470,19 +398,16 @@ def smoothed_initial(pomdp: Pomdp, bl: BackwardLikelihoods) -> np.ndarray:
     return weights / total
 
 
-def path_transition(pomdp: Pomdp, bl: BackwardLikelihoods, i: int, s: int, s2: int) -> float:
-    """Smoothed one-step transition probability from ``s`` to ``s2`` at time i.
-
-    Rows sum to one over ``s2`` for any state with positive backward
-    likelihood, by the backward recurrence.
-    """
-    return float(_path_transition_rows(pomdp, bl, i, [s])[0, s2])
-
-
-def _path_transition_rows(
+def path_transition(
     pomdp: Pomdp, bl: BackwardLikelihoods, i: int, states: Sequence[int]
 ) -> np.ndarray:
-    """Smoothed transition rows at time i, one per state in ``states``."""
+    """Smoothed one-step transition rows at time i, one per state in
+    ``states``: entry ``[r, s2]`` is the probability of moving from
+    ``states[r]`` to ``s2``.
+
+    Each row sums to one, by the backward recurrence.  Raises
+    ``InconsistentState`` for a state with zero backward likelihood.
+    """
     denom = bl.values[i].take(states)
     if not denom.all():
         s = states[int(np.flatnonzero(denom == 0.0)[0])]
@@ -563,7 +488,7 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
             {"dp_pairs": 0, "consistent_paths": 0, "propositions": legend},
         )
 
-    sbits = comp.maps.state_bits(pomdp.num_states)
+    sbits = comp.state_bits(pomdp.num_states)
     dfa = comp.acceptance_dfa
     prior = pomdp.prior.probs
 
@@ -726,7 +651,7 @@ def acceptance_probability_oracle(
         s = path[-1]
         row = rows[i].get(s)
         if row is None:
-            row = _path_transition_rows(pomdp, bl, i, [s])[0]
+            row = path_transition(pomdp, bl, i, [s])[0]
             rows[i][s] = row
         for s2 in np.nonzero(row)[0]:
             s2 = int(s2)

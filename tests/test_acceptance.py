@@ -136,9 +136,7 @@ def test_criterion_4_smoothing_normalization():
             for s in range(pomdp.num_states):
                 if bl.values[i][s] == 0.0:
                     continue
-                row = sum(
-                    path_transition(pomdp, bl, i, s, s2) for s2 in range(pomdp.num_states)
-                )
+                row = sum(path_transition(pomdp, bl, i, [s])[0].tolist())
                 worst_row = max(worst_row, abs(row - 1.0))
         full = StateAtom("all", frozenset(range(pomdp.num_states)), pomdp.num_states)
         mass = acceptance_probability_oracle(pomdp, full, execution)

@@ -1,5 +1,7 @@
 """DFA construction against the direct finite-word semantics."""
 
+import hashlib
+import json
 import random
 import sys
 import threading
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtlmon.automaton
 from dtlmon.automaton import (
     Dfa,
     PropAtom,
@@ -18,8 +21,8 @@ from dtlmon.automaton import (
 )
 from dtlmon.errors import StateBlowup
 from dtlmon.logic import And, Eventually, Next, Or, Until, parse_formula
-from dtlmon.monitor import build_monitor_dfa
-from dtlmon.studies import build_rescue
+from dtlmon.monitor import CompiledMonitor, _shared_dfas, compile_monitor
+from dtlmon.studies import build_mht, build_rescue
 
 from helpers import random_letter_word, random_prop_formula, tiny_two_state
 
@@ -128,7 +131,7 @@ class TestMinimalObligations:
         sets over four letters; the ⊆-minimal ones are 12 throughout."""
         pomdp = tiny_two_state()
         formula = parse_formula("F " * 12 + "in(lit) U " * 98 + "in(lit)", pomdp)
-        dfa = build_monitor_dfa(formula)
+        dfa = CompiledMonitor(formula).acceptance_dfa
         state = dfa.initial
         for _ in range(6):
             state = dfa.transition(state, 0)
@@ -161,6 +164,14 @@ class TestWideAlphabets:
                 state = dfa.transition(state, letter)
 
 
+def _fresh_acceptance_dfa(formula):
+    """A new automaton over the formula's acceptance skeleton, shared with
+    no compiled formula."""
+    shared = compile_monitor(formula).acceptance_dfa
+    skeleton, num_props = next(key for key, dfa in _shared_dfas.items() if dfa is shared)
+    return Dfa(skeleton, num_props)
+
+
 class TestDfaStructure:
     def test_total_and_deterministic(self):
         dfa = Dfa(Until(P0, And(P1, Next(P0))), 2)
@@ -185,13 +196,14 @@ class TestDfaStructure:
                 for letter in range(4):
                     assert dfa.is_accepting(dfa.transition(state, letter))
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
         phi = And(
             Until(P0, And(P1, Next(And(P0, Next(P1))))),
             Eventually(And(P0, Next(P1))),
         )
+        monkeypatch.setattr(dtlmon.automaton, "STATE_CAP", 2)
         with pytest.raises(StateBlowup):
-            dfa = Dfa(phi, 2, max_states=2)
+            dfa = Dfa(phi, 2)
             dfa.materialize()
 
     def test_concurrent_queries_agree(self):
@@ -233,9 +245,9 @@ class TestDfaStructure:
         try:
             for _ in range(250):
                 letters = [rng.randrange(1 << 30) for _ in range(24)]
-                serial = build_monitor_dfa(formula)
+                serial = _fresh_acceptance_dfa(formula)
                 expected = walk(serial, letters)
-                shared = build_monitor_dfa(formula)
+                shared = _fresh_acceptance_dfa(formula)
                 start = threading.Barrier(4)
                 results = [None] * 4
 
@@ -257,9 +269,9 @@ class TestDfaStructure:
 
 class TestExport:
     def test_dot_shapes_and_determinism(self):
-        dfa = Dfa(Eventually(P0), 1, prop_names=["ready"])
-        dot = export_dot(dfa)
-        assert dot == export_dot(dfa)
+        dfa = Dfa(Eventually(P0), 1)
+        dot = export_dot(dfa, ["ready"])
+        assert dot == export_dot(dfa, ["ready"])
         assert "doublecircle" in dot
         assert "{ready}" in dot
         assert dot.count("[shape=circle]") + dot.count("[shape=doublecircle]") == dfa.num_states
@@ -268,12 +280,12 @@ class TestExport:
         fresh = Dfa(Until(P0, P1), 2)
         warmed = Dfa(Until(P0, P1), 2)
         dfa_accepts(warmed, letters({1}, {0}, set()))  # populate caches in odd order
-        assert export_dot(fresh) == export_dot(warmed)
+        assert export_dot(fresh, ["p", "q"]) == export_dot(warmed, ["p", "q"])
 
     def test_json_dump_round_trip_language(self):
         phi = Until(P0, P1)
         dfa = Dfa(phi, 2)
-        doc = export_json_dict(dfa)
+        doc = export_json_dict(dfa, ["p", "q"])
         assert doc["states"] == dfa.num_states
         assert doc["initial"] == 0
         delta = {(src, letter): dst for src, letter, dst in doc["transitions"]}
@@ -285,3 +297,42 @@ class TestExport:
             for letter in word:
                 state = delta[(state, letter)]
             assert (state in accepting) == dfa_accepts(dfa, word)
+
+    def test_materialize_refuses_more_than_16_propositions(self, monkeypatch):
+        def no_walk(self, state, letter):
+            pytest.fail("materialize walked the alphabet")
+
+        dfa = Dfa(Eventually(PropAtom(16)), 17)
+        monkeypatch.setattr(Dfa, "transition", no_walk)
+        with pytest.raises(StateBlowup, match="materializing 17 propositions.*bound is 16"):
+            dfa.materialize()
+        with pytest.raises(StateBlowup):
+            export_dot(dfa, [f"p{i}" for i in range(17)])
+
+    def test_names_must_match_the_propositions(self):
+        with pytest.raises(ValueError, match="prop_names length"):
+            export_json_dict(Dfa(Until(P0, P1), 2), ["p"])
+
+
+# sha256 of the exports of the coin formula ``build_mht(0.25, 0.5, 0.75, 0.8)``:
+# (relaxed, format) -> digest.
+MHT_EXPORT_SHA256 = {
+    (False, "dot"): "a6f18044f6b1573862ae41979c0f841cfdea25d15678f9c3909caecc97db1681",
+    (True, "dot"): "e233e44ca3b5859f4c4706a0a75816b0053bd6cd27f799d153f314080412b176",
+    (False, "json"): "6f8da0cbc51445922cecdb0b75afd5db9a391a94e362ec1608e22148671d85b1",
+    (True, "json"): "b36dd9c165bdc599828ef1a2b65d8acd99d5dc7e3d15005e4fad384900f7be7f",
+}
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["full", "relaxed"])
+def test_mht_exports_are_pinned(relaxed):
+    comp = compile_monitor(build_mht(0.25, 0.5, 0.75, 0.8)[1])
+    dfa = comp.feasibility_dfa if relaxed else comp.acceptance_dfa
+    names = comp.prop_names[: dfa.num_props]
+    texts = {
+        "dot": export_dot(dfa, names),
+        "json": json.dumps(export_json_dict(dfa, names), indent=2) + "\n",
+    }
+    for fmt, text in texts.items():
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == MHT_EXPORT_SHA256[relaxed, fmt], fmt

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dtlmon
+from dtlmon.automaton import Dfa
 from dtlmon.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from dtlmon.logic import load_formula
 from dtlmon.model import save_model
@@ -231,6 +232,24 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert "policy needs" in capsys.readouterr().err
 
+    def test_config_entropy_factor_is_honoured(self, tmp_path):
+        def run(out, *extra):
+            args = [
+                "simulate", "--casestudy", "rescue", "--policy", "timeshare",
+                "--trials", "3", "--horizon", "4", "--seed", "9", "--out", str(out), *extra,
+            ]
+            assert main(args) == EXIT_OK
+            return read_bytes(out / "timeshare_trials.csv")
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"entropy_factor": "room"}))
+        default = run(tmp_path / "default")
+        from_config = run(tmp_path / "config", "--config", str(config))
+        from_flag = run(tmp_path / "flag", "--entropy-factor", "room")
+        flag_first = run(tmp_path / "both", "--config", str(config), "--entropy-factor", "env")
+        assert from_config == from_flag != default
+        assert flag_first == default
+
     def test_seed_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DTLMON_SEED", "77")
         from dtlmon.cli import build_parser
@@ -281,6 +300,21 @@ class TestCompile:
         assert code == EXIT_ERROR
         assert "negation" in capsys.readouterr().err
 
+    def test_rescue_formula_is_refused_at_once(self, tmp_path, capsys, monkeypatch):
+        # Its 30 propositions (20 relaxed) would mean 2^30 letters per state.
+        def no_walk(self, state, letter):
+            pytest.fail("compile walked the alphabet")
+
+        monkeypatch.setattr(Dfa, "transition", no_walk)
+        for extra in ([], ["--relaxed"]):
+            code = main(
+                ["compile", "--casestudy", "rescue", "--json", str(tmp_path / "r.json"), *extra]
+            )
+            assert code == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "bound is 16 propositions" in err
+            assert not (tmp_path / "r.json").exists()
+
     def test_deterministic_dot(self, mht_dir, tmp_path):
         formula = tmp_path / "f.dtl"
         formula.write_text("F in(chosen1)\n")
@@ -328,6 +362,24 @@ class TestCasestudy:
         assert code == EXIT_OK
         formula_line = (out / "formula.dtl").read_text().splitlines()[1]
         assert formula_line.startswith("F ")
+
+    def test_non_boolean_eventually_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eventually": "no"}))
+        code = main(["casestudy", "mht", "--out", str(tmp_path / "mht"), "--config", str(config)])
+        assert code == EXIT_ERROR
+        assert "'eventually' must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["share_a", "rho", "p_fail"])
+    def test_boolean_numbers_are_rejected(self, tmp_path, capsys, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: True}))
+        code = main(
+            ["casestudy", "rescue", "--out", str(tmp_path / "rescue"), "--trials", "1",
+             "--horizon", "2", "--config", str(config)]
+        )
+        assert code == EXIT_ERROR
+        assert f"config value {key!r} must be a number, not True" in capsys.readouterr().err
 
     def test_rescue_small_run(self, tmp_path):
         out = tmp_path / "rescue"

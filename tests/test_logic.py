@@ -25,7 +25,7 @@ from dtlmon.logic import (
     StateAtom,
     Sub,
     Until,
-    atoms,
+    checked_atoms,
     eval_belief_expr,
     formula_text,
     map_atoms,
@@ -35,9 +35,9 @@ from dtlmon.logic import (
 from dtlmon.model import Belief, execution_from_actions, filter_run
 from dtlmon.automaton import Dfa, PropAtom
 from dtlmon.monitor import (
+    CompiledMonitor,
     acceptance_probability,
     acceptance_probability_oracle,
-    build_monitor_dfa,
     compile_monitor,
     feasibility_check,
     relax,
@@ -156,7 +156,7 @@ class TestNestingBound:
     def test_deepest_accepted_formula_runs(self, shape):
         pomdp = tiny_two_state()
         formula = parse_formula(NESTED_TEXT[shape](MAX_NESTING), pomdp)
-        assert list(atoms(map_atoms(formula, lambda atom: atom)))
+        assert checked_atoms(map_atoms(formula, lambda atom: atom))
         compile_monitor(formula)
         execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "lo"])
         report = acceptance_probability(pomdp, formula, execution)
@@ -188,7 +188,7 @@ class TestNestingBound:
         # No path of four positions satisfies a hundred nested X.
         nexts = _chain(Next, lit, MAX_NESTING)
         assert acceptance_probability_oracle(pomdp, nexts, execution) == 0.0
-        build_monitor_dfa(nexts, relaxed=True)
+        CompiledMonitor(nexts)
         Dfa(_chain(Next, PropAtom(0), MAX_NESTING), 1)
 
     @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 2000])
@@ -203,7 +203,7 @@ class TestNestingBound:
             lambda: feasibility_check(pomdp, formula, execution),
             lambda: acceptance_probability(pomdp, formula, execution),
             lambda: acceptance_probability_oracle(pomdp, formula, execution),
-            lambda: build_monitor_dfa(formula),
+            lambda: CompiledMonitor(formula),
             lambda: Dfa(_chain(Next, PropAtom(0), levels), 1),
         ]
         for call in calls:
@@ -422,5 +422,5 @@ def test_map_atoms_rebuilds_the_formula_around_mapped_atoms(seed):
     formula = random_cosafe_formula(rng, random_pomdp(rng))
     assert map_atoms(formula, lambda atom: atom) == formula
     negated = map_atoms(formula, _negate_atom)
-    assert list(atoms(negated)) == [_negate_atom(a) for a in atoms(formula)]
-    assert not any(isinstance(a, StateAtom) for a in atoms(relax(formula)))
+    assert checked_atoms(negated) == [_negate_atom(a) for a in checked_atoms(formula)]
+    assert not any(isinstance(a, StateAtom) for a in checked_atoms(relax(formula)))

@@ -11,7 +11,17 @@ from hypothesis import strategies as st
 
 from dtlmon.automaton import export_json_dict
 from dtlmon.errors import AllZero, CapExceeded, InconsistentState, ModelError
-from dtlmon.logic import BeliefAtom, Const, Eventually, Neg, Next, Prob, StateAtom, parse_formula
+from dtlmon.logic import (
+    BeliefAtom,
+    Const,
+    Eventually,
+    Neg,
+    Next,
+    Prob,
+    StateAtom,
+    parse_formula,
+    semantics_eval,
+)
 from dtlmon.model import (
     Belief,
     Execution,
@@ -22,11 +32,8 @@ from dtlmon.model import (
     simulate,
 )
 from dtlmon.monitor import (
-    PropositionMaps,
-    _path_transition_rows,
     _shared_dfas,
     acceptance_probability,
-    build_monitor_dfa,
     compile_monitor,
     acceptance_probability_oracle,
     backward_likelihoods,
@@ -101,36 +108,40 @@ class TestRelax:
         assert relax(atom) == atom
 
 
-class TestPropositionMaps:
+class TestPropositions:
     def test_indices_dense_and_disjoint(self):
         rng = random.Random(99)
         for _ in range(30):
             pomdp = random_pomdp(rng)
             formula = random_cosafe_formula(rng, pomdp)
-            maps = PropositionMaps(formula)
-            belief_ids = [maps.belief_prop(e) for e in maps.belief_props]
-            state_ids = [maps.state_prop(s) for s in maps.state_props]
-            assert belief_ids == list(range(maps.num_belief_props))
-            assert state_ids == list(
-                range(maps.num_belief_props, maps.num_props)
-            )
-            assert len(maps.prop_names()) == maps.num_props
+            comp = compile_monitor(formula)
+            num_belief = len(comp.belief_props)
+            num_props = num_belief + len(comp.state_props)
+            assert len(set(comp.belief_props)) == num_belief
+            assert len(set(comp.state_props)) == len(comp.state_props)
+            assert len(comp.prop_names) == num_props
+            assert comp.feasibility_dfa.num_props == num_belief
+            assert comp.acceptance_dfa.num_props == num_props
+            # State proposition k is bit num_belief + k of every state's bits.
+            bits = comp.state_bits(pomdp.num_states)
+            for s in range(pomdp.num_states):
+                held = [k for k, indices in enumerate(comp.state_props) if s in indices]
+                assert bits[s] == sum(1 << (num_belief + k) for k in held)
 
     def test_duplicate_predicates_share_a_proposition(self):
         pomdp = tiny_two_state()
         formula = parse_formula("F [0.5 - P(lit) < 0] & [0.5 - P(lit) < 0]", pomdp)
-        maps = PropositionMaps(formula)
-        assert maps.num_belief_props == 1
+        assert len(compile_monitor(formula).belief_props) == 1
 
 
 class TestRegionSignature:
     def test_constant_negative(self):
-        maps = PropositionMaps(BeliefAtom(Const(-1.0)))
-        assert region_signature(Belief(np.array([1.0])), maps) == 1
+        comp = compile_monitor(BeliefAtom(Const(-1.0)))
+        assert region_signature(Belief(np.array([1.0])), comp) == 1
 
     def test_exact_zero_is_clear(self):
-        maps = PropositionMaps(BeliefAtom(Const(0.0)))
-        assert region_signature(Belief(np.array([1.0])), maps) == 0
+        comp = compile_monitor(BeliefAtom(Const(0.0)))
+        assert region_signature(Belief(np.array([1.0])), comp) == 0
 
     def test_mht_uniform_ties_not_strict(self, mht):
         pomdp, _ = mht
@@ -138,8 +149,7 @@ class TestRegionSignature:
             "[H(hyp) - 0.8 < 0] | [P(hyp2) - P(hyp1) < 0] | [P(hyp3) - P(hyp1) < 0]"
         )
         formula = parse_formula(text, pomdp)
-        maps = PropositionMaps(formula)
-        assert region_signature(pomdp.prior, maps) == 0
+        assert region_signature(pomdp.prior, compile_monitor(formula)) == 0
 
 
 class TestFeasibility:
@@ -165,14 +175,27 @@ class TestFeasibility:
         execution = mht_reference_trace(pomdp)
         ok, labels = feasibility_check(pomdp, formula, execution)
         assert ok
-        maps = PropositionMaps(formula)
+        belief_props = compile_monitor(formula).belief_props
         entropy_prop = 0  # first predicate encountered in the formula
-        two_below_one = maps.belief_prop(parse_formula("[P(hyp2) < P(hyp1)]", pomdp).expr)
-        three_below_one = maps.belief_prop(parse_formula("[P(hyp3) < P(hyp1)]", pomdp).expr)
+        two_below_one = belief_props.index(parse_formula("[P(hyp2) < P(hyp1)]", pomdp).expr)
+        three_below_one = belief_props.index(parse_formula("[P(hyp3) < P(hyp1)]", pomdp).expr)
         final = labels[-1]
         assert {entropy_prop, two_below_one, three_below_one} <= final
         # The uniform start satisfies nothing: ties are not strict.
         assert labels[0] == frozenset()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 10**9))
+def test_feasibility_is_the_relaxed_formula_on_the_beliefs(seed):
+    # The relaxed formula reads beliefs only, so the hidden state is moot.
+    rng = random.Random(seed)
+    pomdp = random_pomdp(rng)
+    formula = random_cosafe_formula(rng, pomdp)
+    execution = random_execution(pomdp, rng)
+    word = [(0, belief) for belief in execution.beliefs]
+    ok, _ = feasibility_check(pomdp, formula, execution)
+    assert ok == semantics_eval(relax(formula), word, 0)
 
 
 class TestSmoothing:
@@ -245,10 +268,7 @@ class TestSmoothing:
                 for s in range(pomdp.num_states):
                     if bl.values[i][s] == 0.0:
                         continue
-                    row = sum(
-                        path_transition(pomdp, bl, i, s, s2)
-                        for s2 in range(pomdp.num_states)
-                    )
+                    row = sum(path_transition(pomdp, bl, i, [s])[0].tolist())
                     assert row == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_dynamics_self_transition(self, mht):
@@ -256,7 +276,7 @@ class TestSmoothing:
         execution = execution_from_actions(pomdp, ["observe", "observe"], ["tails", "heads"])
         bl = backward_likelihoods(pomdp, execution.actions, execution.observations)
         watch = pomdp.state_index["coin2_watch"]
-        assert path_transition(pomdp, bl, 0, watch, watch) == pytest.approx(1.0)
+        assert path_transition(pomdp, bl, 0, [watch])[0, watch] == pytest.approx(1.0)
 
     def test_inconsistent_state_raises(self, mht):
         pomdp, _ = mht
@@ -264,7 +284,7 @@ class TestSmoothing:
         bl = backward_likelihoods(pomdp, execution.actions, execution.observations)
         chosen = pomdp.state_index["coin1_chose2"]
         with pytest.raises(InconsistentState):
-            path_transition(pomdp, bl, 0, chosen, chosen)
+            path_transition(pomdp, bl, 0, [chosen])
 
     def test_backward_values_in_unit_interval(self):
         rng = random.Random(11)
@@ -319,12 +339,12 @@ class TestAcceptanceProbability:
             formula = random_cosafe_formula(rng, pomdp)
             execution = random_execution(pomdp, rng)
             report = acceptance_probability(pomdp, formula, execution)
-            maps = PropositionMaps(formula)
+            comp = compile_monitor(formula)
             assert len(report.step_labels) == len(execution.beliefs)
             for label, belief in zip(report.step_labels, execution.beliefs):
-                sig = region_signature(belief, maps)
+                sig = region_signature(belief, comp)
                 assert label == frozenset(
-                    j for j in range(maps.num_belief_props) if (sig >> j) & 1
+                    j for j in range(len(comp.belief_props)) if (sig >> j) & 1
                 )
 
     def test_evicted_formula_recompiles_to_identical_report(self, mht):
@@ -382,7 +402,7 @@ class TestArrayDp:
         for i in range(execution.horizon):
             following: dict[int, int] = {}
             for s, c in counts.items():
-                row = _path_transition_rows(pomdp, bl, i, [s])[0]
+                row = path_transition(pomdp, bl, i, [s])[0]
                 for s2 in np.flatnonzero(row).tolist():
                     following[s2] = following.get(s2, 0) + c
             counts = following
@@ -533,14 +553,14 @@ class TestSharedAutomata:
             assert together == alone
 
     def test_exported_automata_keep_their_own_names(self):
-        formulas = [build_mht(0.25, 0.5, 0.75, h)[1] for h in (0.8, 0.6)]
-        assert compile_monitor(formulas[0]).acceptance_dfa is compile_monitor(formulas[1]).acceptance_dfa
+        comps = [compile_monitor(build_mht(0.25, 0.5, 0.75, h)[1]) for h in (0.8, 0.6)]
+        assert comps[0].acceptance_dfa is comps[1].acceptance_dfa
         for relaxed in (False, True):
-            dfas = [build_monitor_dfa(f, relaxed=relaxed) for f in formulas]
-            for formula, dfa in zip(formulas, dfas):
-                assert dfa.prop_names == compile_monitor(formula).prop_names[: dfa.num_props]
-            assert dfas[0].prop_names != dfas[1].prop_names
-            docs = [export_json_dict(dfa) for dfa in dfas]
+            docs = []
+            for comp in comps:
+                dfa = comp.feasibility_dfa if relaxed else comp.acceptance_dfa
+                docs.append(export_json_dict(dfa, comp.prop_names[: dfa.num_props]))
+            assert docs[0]["propositions"] != docs[1]["propositions"]
             assert docs[0]["transitions"] == docs[1]["transitions"]
 
     def test_cache_clear_releases_shared_automata(self, variants):
@@ -558,7 +578,7 @@ def _first_sink_step(pomdp, formula, execution) -> int:
     comp = compile_monitor(formula)
     dfa = comp.acceptance_dfa
     sigs = comp.predicates.signatures(execution.beliefs)
-    sbits = comp.maps.state_bits(pomdp.num_states)
+    sbits = comp.state_bits(pomdp.num_states)
     bl = backward_likelihoods(pomdp, execution.actions, execution.observations)
     pairs = {
         (s, dfa.transition(dfa.initial, sigs[0] | sbits[s]))
@@ -571,7 +591,7 @@ def _first_sink_step(pomdp, formula, execution) -> int:
             pairs = {
                 (s2, dfa.transition(q, sigs[i + 1] | sbits[s2]))
                 for s, q in pairs
-                for s2 in np.flatnonzero(_path_transition_rows(pomdp, bl, i, [s])[0]).tolist()
+                for s2 in np.flatnonzero(path_transition(pomdp, bl, i, [s])[0]).tolist()
             }
     return execution.horizon + 1
 

@@ -22,8 +22,8 @@ from dtlmon.logic import (
 from dtlmon.model import Belief, simulate
 from dtlmon.monitor import (
     BeliefPredicates,
-    PropositionMaps,
     acceptance_probability,
+    compile_monitor,
     region_signature,
 )
 from dtlmon.studies import EntropyCutoffPolicy, TimeSharePolicy, build_rescue, trial_seed
@@ -197,10 +197,10 @@ def test_out_of_range_sets_rejected_like_reference(expr):
 
 
 def _labels_from_signatures(formula, execution):
-    maps = PropositionMaps(formula)
+    comp = compile_monitor(formula)
     return tuple(
-        frozenset(j for j in range(maps.num_belief_props) if (sig >> j) & 1)
-        for sig in (region_signature(b, maps) for b in execution.beliefs)
+        frozenset(j for j in range(len(comp.belief_props)) if (sig >> j) & 1)
+        for sig in (region_signature(b, comp) for b in execution.beliefs)
     )
 
 
