@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dtlmon.automaton
 from dtlmon.automaton import (
     Dfa,
     PropAtom,
@@ -201,7 +200,7 @@ class TestDfaStructure:
             Until(P0, And(P1, Next(And(P0, Next(P1))))),
             Eventually(And(P0, Next(P1))),
         )
-        monkeypatch.setattr(dtlmon.automaton, "STATE_CAP", 2)
+        monkeypatch.setattr("dtlmon.automaton.STATE_CAP", 2)
         with pytest.raises(StateBlowup):
             dfa = Dfa(phi, 2)
             dfa.materialize()
