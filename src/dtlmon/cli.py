@@ -55,18 +55,26 @@ MHT_DEFAULTS = {"p1": 0.25, "p2": 0.5, "p3": 0.75, "h": 0.8}
 # Config keys passed on to ``studies.rescue_policies``.
 RESCUE_POLICY_KEYS = ("share_a", "h3", "h4", "rho")
 
+# The config keys each bundled study reads; a --model run may use any of them.
+RESCUE_KEYS = {*RescueParams.__dataclass_fields__, *RESCUE_POLICY_KEYS, "prior_mode"}
+CONFIG_KEYS = {"rescue": RESCUE_KEYS, "mht": {*MHT_DEFAULTS, "eventually"}}
+
 
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     return int(raw) if raw else 0
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, study: str | None) -> dict:
     if not path:
         return {}
     config = load_json(path, "config")
     if not isinstance(config, dict):
         raise ModelError(f"config file {path!r} must hold a JSON object")
+    known = CONFIG_KEYS.get(study, RESCUE_KEYS | CONFIG_KEYS["mht"]) | {"entropy_factor"}
+    for key in config:
+        if key not in known:
+            raise ModelError(f"unknown config key {key!r} for {study or 'a model file'}")
     return config
 
 
@@ -101,15 +109,15 @@ def _build_study(study: str, config: dict):
 
 def _resolve_model_formula(args, config: dict):
     """Model and formula from --casestudy or from explicit files."""
-    if getattr(args, "casestudy", None):
+    if args.casestudy:
         pomdp, formula = _build_study(args.casestudy, config)
-        if getattr(args, "formula", None):
+        if args.formula:
             formula = load_formula(args.formula, pomdp)
         return pomdp, formula
-    if not getattr(args, "model", None):
+    if not args.model:
         raise DtlmonError("either --model or --casestudy is required")
     pomdp = load_model(args.model)
-    if not getattr(args, "formula", None):
+    if not args.formula:
         raise DtlmonError("--formula is required with --model")
     return pomdp, load_formula(args.formula, pomdp)
 
@@ -118,7 +126,7 @@ def _resolve_model_formula(args, config: dict):
 
 
 def cmd_check(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.casestudy)
     pomdp, formula = _resolve_model_formula(args, config)
     execution = load_trace(pomdp, args.trace)
     report = acceptance_probability(pomdp, formula, execution)
@@ -160,9 +168,9 @@ def _build_policy(args, config: dict):
 
 
 def _success_fn(args, pomdp: Pomdp):
-    if getattr(args, "casestudy", None) == "rescue":
+    if args.casestudy == "rescue":
         return rescue_success_fn(pomdp)
-    if getattr(args, "casestudy", None) == "mht":
+    if args.casestudy == "mht":
         return mht_success_fn(pomdp)
     return lambda state: False  # no success notion for ad-hoc models
 
@@ -172,9 +180,9 @@ def _entropy_factor(args, pomdp: Pomdp, config: dict) -> str:
         return args.entropy_factor
     if "entropy_factor" in config:
         return config["entropy_factor"]
-    if getattr(args, "casestudy", None) == "rescue":
+    if args.casestudy == "rescue":
         return "env"
-    if getattr(args, "casestudy", None) == "mht":
+    if args.casestudy == "mht":
         return "hyp"
     if pomdp.factor_cells:
         return next(iter(pomdp.factor_cells))
@@ -204,7 +212,7 @@ def _write_results(
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.casestudy)
     pomdp, formula = _resolve_model_formula(args, config)
     policy = _build_policy(args, config)
     records, stats = monte_carlo(
@@ -236,7 +244,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.casestudy)
     _, formula = _resolve_model_formula(args, config)
     comp = compile_monitor(formula)
     dfa = comp.feasibility_dfa if args.relaxed else comp.acceptance_dfa
@@ -261,7 +269,7 @@ def cmd_compile(args) -> int:
 def cmd_casestudy(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _load_config(args.config)
+    config = _load_config(args.config, args.study)
     if args.study == "mht":
         return _casestudy_mht(args, out, config)
     return _casestudy_rescue(args, out, config)

@@ -377,17 +377,17 @@ class _Parser:
                 raise NonAtomicNegation(
                     f"negation must apply to an atom, found {t!r} at position {p}"
                 )
-            return _negate_nnf(self._atom())
+            return _negate_nnf(self._atom(), pos)
         if text == "(":
             self._next()
             inner = self._nested(self._disj, pos)
             if self._at("=>"):
                 _, _, arrow_pos = self._next()
                 check_nesting(inner, pos)
-                _check_boolean_atoms(inner, arrow_pos)
+                antecedent = _negate_nnf(inner, arrow_pos)
                 consequent = self._nested(self._disj, pos)
                 self._expect(")")
-                return Or(_negate_nnf(inner), consequent)
+                return Or(antecedent, consequent)
             self._expect(")")
             return inner
         return self._atom()
@@ -512,28 +512,19 @@ def check_nesting(formula: Formula, position: int = 0) -> None:
     checked_atoms(formula, position)
 
 
-def _check_boolean_atoms(formula: Formula, pos: int) -> None:
+def _negate_nnf(formula: Formula, pos: int) -> Formula:
+    """Dual of a Boolean combination of atoms, with negation pushed to atoms;
+    any other node fails the implication whose ``=>`` is at ``pos``."""
     if isinstance(formula, Atom):
-        return
-    if isinstance(formula, (And, Or)):
-        _check_boolean_atoms(formula.left, pos)
-        _check_boolean_atoms(formula.right, pos)
-        return
+        return replace(formula, negated=not formula.negated)
+    if isinstance(formula, And):
+        return Or(_negate_nnf(formula.left, pos), _negate_nnf(formula.right, pos))
+    if isinstance(formula, Or):
+        return And(_negate_nnf(formula.left, pos), _negate_nnf(formula.right, pos))
     raise NonAtomicNegation(
         "implication antecedent must be a Boolean combination of atoms "
         f"(offending '=>' at position {pos})"
     )
-
-
-def _negate_nnf(formula: Formula) -> Formula:
-    """Dual of a Boolean combination of atoms, with negation pushed to atoms."""
-    if isinstance(formula, Atom):
-        return replace(formula, negated=not formula.negated)
-    if isinstance(formula, And):
-        return Or(_negate_nnf(formula.left), _negate_nnf(formula.right))
-    if isinstance(formula, Or):
-        return And(_negate_nnf(formula.left), _negate_nnf(formula.right))
-    raise NonAtomicNegation("cannot negate a temporal subformula")
 
 
 def parse_formula(text: str, symbols) -> Formula:

@@ -214,11 +214,6 @@ class Pomdp:
     def num_observations(self) -> int:
         return len(self.observations)
 
-    def set_indices(self, name: str) -> frozenset[int]:
-        if name not in self.named_sets:
-            raise ModelError(f"unknown state set {name!r}")
-        return self.named_sets[name]
-
     # -- JSON interchange ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -344,35 +339,30 @@ class Execution:
     def horizon(self) -> int:
         return len(self.actions)
 
-    def validate_against(self, pomdp: Pomdp, tol: float = SUM_TOL) -> None:
-        """Recompute the filter and require per-entry agreement within ``tol``."""
+    def validate_against(self, pomdp: Pomdp) -> None:
+        """Recompute the filter and require per-entry agreement within ``SUM_TOL``."""
         check_against_filter(
-            [b.probs for b in self.beliefs],
-            filter_run(pomdp, self.actions, self.observations),
-            tol,
+            [b.probs for b in self.beliefs], filter_run(pomdp, self.actions, self.observations)
         )
 
 
 def check_against_filter(
-    recorded: Sequence[Sequence[float]],
-    filtered: Sequence[Belief],
-    tol: float = SUM_TOL,
-    label: str = "belief",
+    recorded: Sequence[Sequence[float]], filtered: Sequence[Belief], label: str = "belief"
 ) -> None:
     """Require each recorded belief vector to match the filter's belief at the
-    same step, entry by entry within ``tol``; the first failing step is the
-    one reported.  All steps are compared in one array expression."""
+    same step, entry by entry within ``SUM_TOL``; the first failing step is
+    the one reported.  All steps are compared in one array expression."""
     steps = min(len(recorded), len(filtered))
     for i in range(steps):
         if len(recorded[i]) != len(filtered[i]):
-            check_against_filter(recorded[:i], filtered[:i], tol, label)  # earlier steps first
+            check_against_filter(recorded[:i], filtered[:i], label)  # earlier steps first
             raise ModelError(f"{label} {i} has wrong dimension")
     if not steps:
         return
     got = np.asarray(recorded[:steps], dtype=float)
     want = np.stack([b.probs for b in filtered[:steps]])
     err = np.abs(got - want).max(axis=1)
-    bad = np.flatnonzero(~(err <= tol))  # written so that NaN fails too
+    bad = np.flatnonzero(~(err <= SUM_TOL))  # written so that NaN fails too
     if bad.size:
         i = int(bad[0])
         raise ModelError(f"{label} {i} deviates from the filter by {float(err[i])!r}")
@@ -574,7 +564,7 @@ class Policy:
     internal memory and stay reproducible.
     """
 
-    def reset(self, pomdp: Pomdp, horizon: int, seed: int | None = None) -> None:
+    def reset(self, pomdp: Pomdp, horizon: int, seed: int) -> None:
         pass
 
     def act(self, belief: Belief, step: int) -> int:
@@ -590,7 +580,7 @@ class ScriptedPolicy(Policy):
         self._resolved: list[int] = []
         self._pad_idx: int | None = None
 
-    def reset(self, pomdp: Pomdp, horizon: int, seed: int | None = None) -> None:
+    def reset(self, pomdp: Pomdp, horizon: int, seed: int) -> None:
         self._resolved = [_as_index(a, pomdp.action_index, "action") for a in self._script]
         self._pad_idx = (
             None if self._pad is None else _as_index(self._pad, pomdp.action_index, "action")
@@ -607,13 +597,8 @@ class ScriptedPolicy(Policy):
 class RandomActionPolicy(Policy):
     """Uniform random action choice from a per-trajectory seeded stream."""
 
-    def __init__(self, seed: int = 0):
-        self._fallback = seed
-        self._rng = random.Random(seed)
-        self._num_actions = 1
-
-    def reset(self, pomdp: Pomdp, horizon: int, seed: int | None = None) -> None:
-        self._rng = random.Random(self._fallback if seed is None else seed + 1_000_003)
+    def reset(self, pomdp: Pomdp, horizon: int, seed: int) -> None:
+        self._rng = random.Random(seed + 1_000_003)
         self._num_actions = pomdp.num_actions
 
     def act(self, belief: Belief, step: int) -> int:

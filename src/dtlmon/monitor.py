@@ -53,7 +53,7 @@ from __future__ import annotations
 import operator
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -334,12 +334,20 @@ def feasibility_check(
     return ok, labels
 
 
+def _check_execution(pomdp: Pomdp, exec: Execution) -> None:
+    """Raise ``ModelError`` unless the execution's beliefs, actions and
+    observations fit the model."""
+    if any(len(b) != pomdp.num_states for b in exec.beliefs):
+        raise ModelError("execution beliefs do not match the model dimension")
+    for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
+        if not (0 <= a < pomdp.num_actions and 0 <= o < pomdp.num_observations):
+            raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
+
+
 def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     """Relaxed verdict, per-step labels, and the per-step signatures they
     come from, which the acceptance dynamic program reuses."""
-    for b in exec.beliefs:
-        if len(b) != pomdp.num_states:
-            raise ModelError("execution beliefs do not match the model dimension")
+    _check_execution(pomdp, exec)
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.feasibility_dfa, sigs)
     label = {sig: frozenset(_set_bits(sig)) for sig in set(sigs)}
@@ -436,15 +444,16 @@ class MonitorReport:
     """Monitoring verdict for one execution.
 
     ``step_labels[i]`` is the set of belief propositions satisfied at step
-    i; ``diagnostics`` carries dynamic-program and path counts.  An
-    infeasible execution always reports probability zero.  In the JSON
-    form, a count longer than 13 000 bits is the exact ``hex(n)`` string.
+    i; ``diagnostics`` carries dynamic-program and path counts.  The
+    dynamic program does not run on an infeasible execution: it reports
+    probability zero, and ``dp_pairs`` and ``consistent_paths`` read 0.
+    In the JSON form, a count longer than 13 000 bits is ``hex(n)``.
     """
 
     feasible: bool
     probability: float
     step_labels: tuple[frozenset[int], ...]
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -623,6 +632,7 @@ def acceptance_probability_oracle(
     and again if the consistent paths actually expanded exceed it.
     """
     check_nesting(formula)
+    _check_execution(pomdp, exec)
     t = exec.horizon
     if pomdp.num_states ** (t + 1) > cap:
         raise CapExceeded(
@@ -723,18 +733,16 @@ def _lookup(table, name, kind):
     return table[name]
 
 
-def execution_to_json_dict(pomdp: Pomdp, exec: Execution, include_beliefs: bool = True) -> dict:
-    doc = {
+def execution_to_json_dict(pomdp: Pomdp, exec: Execution) -> dict:
+    return {
         "actions": [pomdp.actions[a] for a in exec.actions],
         "observations": [pomdp.observations[o] for o in exec.observations],
-    }
-    if include_beliefs:
-        doc["beliefs"] = [
+        "beliefs": [
             {pomdp.state_names[i]: float(p) for i, p in enumerate(b.probs) if p > 0}
             for b in exec.beliefs
-        ]
-    return doc
+        ],
+    }
 
 
-def save_trace(pomdp: Pomdp, exec: Execution, path, include_beliefs: bool = True) -> None:
-    save_json(execution_to_json_dict(pomdp, exec, include_beliefs), path)
+def save_trace(pomdp: Pomdp, exec: Execution, path) -> None:
+    save_json(execution_to_json_dict(pomdp, exec), path)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,11 +114,11 @@ def build_mht(
     return pomdp, parse_formula(text, pomdp)
 
 
-def mht_reference_trace(pomdp: Pomdp, num_obs: int = 4) -> Execution:
-    """The bundled demonstration run: tails ``num_obs`` times, then commit
-    to coin 1 (the coin those observations favor)."""
-    actions = ["observe"] * num_obs + ["choose1"]
-    observations = ["tails"] * num_obs + ["null"]
+def mht_reference_trace(pomdp: Pomdp) -> Execution:
+    """The bundled demonstration run: tails four times, then commit to
+    coin 1 (the coin those observations favor)."""
+    actions = ["observe"] * 4 + ["choose1"]
+    observations = ["tails"] * 4 + ["null"]
     return execution_from_actions(pomdp, actions, observations)
 
 
@@ -357,7 +357,7 @@ class _ReactiveRescuePolicy(Policy):
         self.p2 = p2
         self._model: Pomdp | None = None
 
-    def reset(self, pomdp: Pomdp, horizon: int, seed: int | None = None) -> None:
+    def reset(self, pomdp: Pomdp, horizon: int, seed: int) -> None:
         if pomdp is not self._model:
             self._compile(pomdp)
         self._horizon = horizon
@@ -507,7 +507,7 @@ class MhtThresholdPolicy(Policy):
         self.h = h
         self._model: Pomdp | None = None
 
-    def reset(self, pomdp: Pomdp, horizon: int, seed: int | None = None) -> None:
+    def reset(self, pomdp: Pomdp, horizon: int, seed: int) -> None:
         if pomdp is not self._model:
             if "hyp" not in pomdp.factor_cells or "observe" not in pomdp.action_index:
                 raise ModelError("this policy needs the coin model's factor and actions")
@@ -550,14 +550,7 @@ class StudyStats:
     pearson_r: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean_prob": self.mean_prob,
-            "var_prob": self.var_prob,
-            "mean_entropy": self.mean_entropy,
-            "var_entropy": self.var_entropy,
-            "success_rate": self.success_rate,
-            "pearson_r": self.pearson_r,
-        }
+        return asdict(self)
 
 
 def _rescaled(deviations: list[float]) -> list[float]:

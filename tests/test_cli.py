@@ -370,6 +370,34 @@ class TestCasestudy:
         assert code == EXIT_ERROR
         assert "'eventually' must be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["casestudy", "mht"], {"prior_mode": "uniform"}, "'prior_mode' for mht"),
+            (["casestudy", "rescue", "--trials", "1", "--horizon", "2"], {"h": 0.5},
+             "'h' for rescue"),
+            (["simulate", "--casestudy", "rescue", "--policy", "timeshare", "--trials", "2",
+              "--horizon", "2"], {"p_fial": 0.9}, "'p_fial' for rescue"),
+            (["simulate", "--model", "{model}", "--formula", "{formula}", "--trials", "1",
+              "--horizon", "2"], {"p1": 0.5, "seed": 3}, "'seed' for a model file"),
+        ],
+        ids=["rescue-key-for-mht", "mht-key-for-rescue", "misspelt-key", "key-of-no-study"],
+    )
+    def test_config_keys_the_study_does_not_read_are_rejected(
+        self, tmp_path, capsys, argv, config, message
+    ):
+        model = tmp_path / "model.json"
+        save_model(tiny_two_state(), model)
+        formula = tmp_path / "goal.dtl"
+        formula.write_text("F in(lit)\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [arg.format(model=model, formula=formula) for arg in argv]
+        code = main([*argv, "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: unknown config key {message}\n"
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("key", ["share_a", "rho", "p_fail"])
     def test_boolean_numbers_are_rejected(self, tmp_path, capsys, key):
         config = tmp_path / "cfg.json"

@@ -98,7 +98,7 @@ def _load(loader, text: str) -> None:
 
 
 def _load_rescue_config(path) -> None:
-    config = _load_config(path)
+    config = _load_config(path, "rescue")
     rescue_policies(_rescue_params(config), **_numbers(config, RESCUE_POLICY_KEYS))
 
 
@@ -208,6 +208,7 @@ BAD_INPUTS = {
     "deeply nested formula": ("formula", b"(" * 300 + b"in(lit)" + b")" * 300),
     "list config": ("config", [1, 2]),
     "string p_fail": ("config", {"p_fail": "0.4"}),
+    "misspelt config key": ("config", {"p_fial": 0.9}),
 }
 
 

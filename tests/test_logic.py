@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -85,8 +86,25 @@ class TestParser:
         assert isinstance(f.right.child, StateAtom) and f.right.child.name == "all"
 
     def test_temporal_antecedent_rejected(self, mht):
-        with pytest.raises(NonAtomicNegation):
+        with pytest.raises(NonAtomicNegation) as err:
             parse_formula("(X in(all) => in(all))", mht)
+        assert str(err.value) == (
+            "implication antecedent must be a Boolean combination of atoms "
+            "(offending '=>' at position 11)"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(in(all) & F in(all) => in(all))",
+            "F (in(all) | (in(all) U in(all)) => X in(all))",
+            "((in(all) => X in(all)) => in(all))",
+        ],
+    )
+    def test_antecedent_error_names_the_outer_arrow(self, mht, text):
+        arrow = text.rindex("=>")
+        with pytest.raises(NonAtomicNegation, match=re.escape(f"'=>' at position {arrow})")):
+            parse_formula(text, mht)
 
     def test_unknown_set(self, mht):
         with pytest.raises(UnknownSymbol):

@@ -616,6 +616,27 @@ class TestOracle:
         with pytest.raises(CapExceeded):
             acceptance_probability_oracle(pomdp, formula, execution, cap=100)
 
+    @pytest.mark.parametrize(
+        "action, obs, message",
+        [
+            (-3, -1, "step 4: action -3 or observation -1 is out of range"),
+            (7, 2, "step 4: action 7 or observation 2 is out of range"),
+            (0, 4, "step 4: action 0 or observation 4 is out of range"),
+        ],
+        ids=["negative", "action-too-large", "observation-too-large"],
+    )
+    def test_out_of_range_indices_raise_model_error(self, mht, action, obs, message):
+        # An API-built execution is only length-checked on construction:
+        # negative indices would wrap and large ones would index past the tables.
+        pomdp, formula = mht
+        ref = mht_reference_trace(pomdp)
+        execution = Execution(
+            ref.beliefs, ref.actions[:-1] + (action,), ref.observations[:-1] + (obs,)
+        )
+        for monitor in (feasibility_check, acceptance_probability, acceptance_probability_oracle):
+            with pytest.raises(ModelError, match=re.escape(message)):
+                monitor(pomdp, formula, execution)
+
     def test_agrees_with_dynamic_program(self):
         rng = random.Random(12)
         for _ in range(25):
@@ -683,8 +704,8 @@ class TestTraceDocuments:
     def test_beliefs_recomputed_when_absent(self, mht):
         pomdp, _ = mht
         execution = mht_reference_trace(pomdp)
-        doc = execution_to_json_dict(pomdp, execution, include_beliefs=False)
-        assert "beliefs" not in doc
+        doc = execution_to_json_dict(pomdp, execution)
+        del doc["beliefs"]
         again = execution_from_json_dict(pomdp, doc)
         for a, b in zip(again.beliefs, execution.beliefs):
             np.testing.assert_array_equal(a.probs, b.probs)
