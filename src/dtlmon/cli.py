@@ -55,9 +55,23 @@ MHT_DEFAULTS = {"p1": 0.25, "p2": 0.5, "p3": 0.75, "h": 0.8}
 # Config keys passed on to ``studies.rescue_policies``.
 RESCUE_POLICY_KEYS = ("share_a", "h3", "h4", "rho")
 
-# The config keys each bundled study reads; a --model run may use any of them.
-RESCUE_KEYS = {*RescueParams.__dataclass_fields__, *RESCUE_POLICY_KEYS, "prior_mode"}
-CONFIG_KEYS = {"rescue": RESCUE_KEYS, "mht": {*MHT_DEFAULTS, "eventually"}}
+# The config keys that change each bundled study's model or formula.
+STUDY_KEYS = {
+    "rescue": {*RescueParams.__dataclass_fields__, "prior_mode"},
+    "mht": {*MHT_DEFAULTS, "eventually"},
+}
+# The config keys each ``simulate`` policy reads.
+POLICY_KEYS = {
+    "timeshare": {"p1", "p2", "share_a"},
+    "entropy-cutoff": {"p1", "p2", "h3", "h4", "rho"},
+    "mht-threshold": {"h"},
+    "random": set(),
+}
+# The config keys each ``casestudy`` reads.
+CASESTUDY_KEYS = {
+    "rescue": {*STUDY_KEYS["rescue"], *RESCUE_POLICY_KEYS, "entropy_factor"},
+    "mht": STUDY_KEYS["mht"],
+}
 
 
 def _default_seed() -> int:
@@ -65,15 +79,16 @@ def _default_seed() -> int:
     return int(raw) if raw else 0
 
 
-def _load_config(path: str | None, study: str | None) -> dict:
+def _load_config(path: str | None, study: str | None, keys) -> dict:
+    """The config file's overrides, each of whose keys must be in ``keys``,
+    the keys that can change the command's output."""
     if not path:
         return {}
     config = load_json(path, "config")
     if not isinstance(config, dict):
         raise ModelError(f"config file {path!r} must hold a JSON object")
-    known = CONFIG_KEYS.get(study, RESCUE_KEYS | CONFIG_KEYS["mht"]) | {"entropy_factor"}
     for key in config:
-        if key not in known:
+        if key not in keys:
             raise ModelError(f"unknown config key {key!r} for {study or 'a model file'}")
     return config
 
@@ -125,22 +140,28 @@ def _resolve_model_formula(args, config: dict):
 # -- check -------------------------------------------------------------------------
 
 
+def _checked_oracle(pomdp: Pomdp, formula, execution, report, cap: int) -> float:
+    """The enumeration oracle's probability, which must agree with the
+    report's within ``ORACLE_AGREEMENT_TOL``."""
+    oracle_value = acceptance_probability_oracle(pomdp, formula, execution, cap=cap)
+    if abs(oracle_value - report.probability) > ORACLE_AGREEMENT_TOL:
+        raise DtlmonError(
+            f"oracle disagreement: dynamic program {report.probability!r} "
+            f"vs enumeration {oracle_value!r}"
+        )
+    return oracle_value
+
+
 def cmd_check(args) -> int:
-    config = _load_config(args.config, args.casestudy)
+    config = _load_config(args.config, args.casestudy, STUDY_KEYS.get(args.casestudy, ()))
     pomdp, formula = _resolve_model_formula(args, config)
     execution = load_trace(pomdp, args.trace)
     report = acceptance_probability(pomdp, formula, execution)
     doc = report.to_json_dict()
     if args.oracle:
-        oracle_value = acceptance_probability_oracle(
-            pomdp, formula, execution, cap=args.oracle_cap
+        doc["oracle_probability"] = _checked_oracle(
+            pomdp, formula, execution, report, args.oracle_cap
         )
-        doc["oracle_probability"] = oracle_value
-        if abs(oracle_value - report.probability) > ORACLE_AGREEMENT_TOL:
-            raise DtlmonError(
-                f"oracle disagreement: dynamic program {report.probability!r} "
-                f"vs enumeration {oracle_value!r}"
-            )
     print(f"feasible: {report.feasible}")
     print(f"probability: {report.probability!r}")
     if args.oracle:
@@ -212,7 +233,8 @@ def _write_results(
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config, args.casestudy)
+    keys = {*STUDY_KEYS.get(args.casestudy, ()), *POLICY_KEYS[args.policy], "entropy_factor"}
+    config = _load_config(args.config, args.casestudy, keys)
     pomdp, formula = _resolve_model_formula(args, config)
     policy = _build_policy(args, config)
     records, stats = monte_carlo(
@@ -244,7 +266,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    config = _load_config(args.config, args.casestudy)
+    config = _load_config(args.config, args.casestudy, STUDY_KEYS.get(args.casestudy, ()))
     _, formula = _resolve_model_formula(args, config)
     comp = compile_monitor(formula)
     dfa = comp.feasibility_dfa if args.relaxed else comp.acceptance_dfa
@@ -269,7 +291,7 @@ def cmd_compile(args) -> int:
 def cmd_casestudy(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = _load_config(args.config, args.study)
+    config = _load_config(args.config, args.study, CASESTUDY_KEYS[args.study])
     if args.study == "mht":
         return _casestudy_mht(args, out, config)
     return _casestudy_rescue(args, out, config)
@@ -285,7 +307,9 @@ def _casestudy_mht(args, out: Path, config: dict) -> int:
     save_trace(pomdp, execution, out / "reference_trace.json")
     report = acceptance_probability(pomdp, formula, execution)
     doc = report.to_json_dict()
-    doc["oracle_probability"] = acceptance_probability_oracle(pomdp, formula, execution)
+    doc["oracle_probability"] = _checked_oracle(
+        pomdp, formula, execution, report, DEFAULT_ORACLE_CAP
+    )
     save_json(doc, out / "reference_report.json")
     print(f"reference trace feasible: {report.feasible}")
     print(f"reference trace probability: {report.probability!r}")
@@ -346,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = subs.add_parser("check", help="monitor a recorded trace")
     _add_model_args(check, include_trace=True)
     check.add_argument("--oracle", action="store_true", help="cross-check by enumeration")
-    check.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    check.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+                       help="refuse the oracle when more hidden paths than this are "
+                            "consistent with the trace")
     check.add_argument("--report", help="write the monitor report JSON here")
     check.add_argument("--strict", action="store_true", help="exit 2 when infeasible")
     check.set_defaults(func=cmd_check)

@@ -339,34 +339,6 @@ class Execution:
     def horizon(self) -> int:
         return len(self.actions)
 
-    def validate_against(self, pomdp: Pomdp) -> None:
-        """Recompute the filter and require per-entry agreement within ``SUM_TOL``."""
-        check_against_filter(
-            [b.probs for b in self.beliefs], filter_run(pomdp, self.actions, self.observations)
-        )
-
-
-def check_against_filter(
-    recorded: Sequence[Sequence[float]], filtered: Sequence[Belief], label: str = "belief"
-) -> None:
-    """Require each recorded belief vector to match the filter's belief at the
-    same step, entry by entry within ``SUM_TOL``; the first failing step is
-    the one reported.  All steps are compared in one array expression."""
-    steps = min(len(recorded), len(filtered))
-    for i in range(steps):
-        if len(recorded[i]) != len(filtered[i]):
-            check_against_filter(recorded[:i], filtered[:i], label)  # earlier steps first
-            raise ModelError(f"{label} {i} has wrong dimension")
-    if not steps:
-        return
-    got = np.asarray(recorded[:steps], dtype=float)
-    want = np.stack([b.probs for b in filtered[:steps]])
-    err = np.abs(got - want).max(axis=1)
-    bad = np.flatnonzero(~(err <= SUM_TOL))  # written so that NaN fails too
-    if bad.size:
-        i = int(bad[0])
-        raise ModelError(f"{label} {i} deviates from the filter by {float(err[i])!r}")
-
 
 def execution_from_actions(pomdp: Pomdp, actions: Sequence, observations: Sequence) -> Execution:
     """Build a validated execution by filtering the given action/observation record."""

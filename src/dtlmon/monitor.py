@@ -87,11 +87,11 @@ from .logic import (
     semantics_eval,
 )
 from .model import (
+    SUM_TOL,
     Belief,
     Execution,
     Pomdp,
     StateSetReader,
-    check_against_filter,
     filter_run,
     load_json,
     save_json,
@@ -226,12 +226,13 @@ class CompiledMonitor:
     propositions come first (``belief_props``): one per distinct belief
     expression of the formula, plus one per relaxed hidden-state atom.
     State propositions follow (``state_props``), one per distinct
-    hidden-state set.  ``prop_names`` names them all.  The feasibility
-    automaton reads the belief propositions only, each hidden-state atom
-    standing for its relaxed predicate; the acceptance automaton reads all
-    of them.  The automata depend only on the propositional skeleton, so
-    compiled formulas with equal skeletons share the same unnamed ``Dfa``
-    objects.
+    hidden-state set.  ``prop_names`` names them all, and ``state_atoms``
+    keeps the hidden-state atoms, whose state count must be the model's.
+    The feasibility automaton reads the belief propositions only, each
+    hidden-state atom standing for its relaxed predicate; the acceptance
+    automaton reads all of them.  The automata depend only on the
+    propositional skeleton, so compiled formulas with equal skeletons
+    share the same unnamed ``Dfa`` objects.
     """
 
     def __init__(self, formula: Formula):
@@ -253,6 +254,7 @@ class CompiledMonitor:
             [f"[{belief_expr_text(e)} < 0]" for e in belief]
             + [f"in({name})" for name in state_names.values()]
         )
+        self.state_atoms: tuple[StateAtom, ...] = tuple(relaxed)
         self.predicates = BeliefPredicates(self.belief_props)
         self._state_bits: dict[int, np.ndarray] = {}
 
@@ -334,9 +336,15 @@ def feasibility_check(
     return ok, labels
 
 
-def _check_execution(pomdp: Pomdp, exec: Execution) -> None:
-    """Raise ``ModelError`` unless the execution's beliefs, actions and
-    observations fit the model."""
+def _check_execution(pomdp: Pomdp, exec: Execution, atoms: Sequence) -> None:
+    """Raise ``ModelError`` unless the formula's hidden-state ``atoms``, and
+    the execution's beliefs, actions and observations, fit the model."""
+    for atom in atoms:
+        if isinstance(atom, StateAtom) and atom.num_states != pomdp.num_states:
+            raise ModelError(
+                f"in({atom.name}) was resolved against {atom.num_states} states, "
+                f"the model has {pomdp.num_states}"
+            )
     if any(len(b) != pomdp.num_states for b in exec.beliefs):
         raise ModelError("execution beliefs do not match the model dimension")
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
@@ -347,7 +355,7 @@ def _check_execution(pomdp: Pomdp, exec: Execution) -> None:
 def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     """Relaxed verdict, per-step labels, and the per-step signatures they
     come from, which the acceptance dynamic program reuses."""
-    _check_execution(pomdp, exec)
+    _check_execution(pomdp, exec, comp.state_atoms)
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.feasibility_dfa, sigs)
     label = {sig: frozenset(_set_bits(sig)) for sig in set(sigs)}
@@ -371,14 +379,21 @@ def _set_bits(mask: int) -> list[int]:
 class BackwardLikelihoods:
     """Backward observation likelihoods for a recorded action/observation run.
 
-    ``values[i, s]`` is the probability of the observations after time i
-    given the hidden state is ``s`` at time i and the recorded actions are
-    taken; the last row is identically one.
+    ``values[i, s] * 2**-shifts[i]`` is the probability of the observations
+    after time i given the hidden state is ``s`` at time i and the recorded
+    actions are taken; the last row is identically one.  A row is scaled up
+    by the exact power of two ``2**shifts[i]`` only where its largest entry
+    would fall below ``2**-512``, so long runs do not underflow; on other
+    runs every shift is zero.
     """
 
     values: np.ndarray
+    shifts: np.ndarray
     actions: tuple[int, ...]
     observations: tuple[int, ...]
+
+
+_RESCALE_BELOW = 2.0**-512
 
 
 def backward_likelihoods(
@@ -388,13 +403,20 @@ def backward_likelihoods(
         raise ModelError("actions and observations must have equal length")
     t = len(actions)
     values = np.ones((t + 1, pomdp.num_states))
+    shifts = np.zeros(t + 1, dtype=np.int64)
     for i in range(t - 1, -1, -1):
         a, o = actions[i], observations[i]
         values[i] = pomdp.trans_mat[a] @ (pomdp.obs_mat[a][:, o] * values[i + 1])
+        top = values[i].max()
+        # Below the threshold, lift the largest entry into [1/2, 1).
+        shift = -int(np.frexp(top)[1]) if 0.0 < top < _RESCALE_BELOW else 0
+        values[i] = np.ldexp(values[i], shift)
+        shifts[i] = shifts[i + 1] + shift
     if float((pomdp.prior.probs * values[0]).sum()) == 0.0:
         raise AllZero("the recorded run is impossible under the model")
     values.flags.writeable = False
-    return BackwardLikelihoods(values, tuple(actions), tuple(observations))
+    shifts.flags.writeable = False
+    return BackwardLikelihoods(values, shifts, tuple(actions), tuple(observations))
 
 
 def smoothed_initial(pomdp: Pomdp, bl: BackwardLikelihoods) -> np.ndarray:
@@ -426,7 +448,7 @@ def path_transition(
     return (
         pomdp.trans_mat[a].take(states, axis=0)
         * pomdp.obs_mat[a][:, o]
-        * bl.values[i + 1]
+        * np.ldexp(bl.values[i + 1], bl.shifts[i] - bl.shifts[i + 1])
         / denom[:, None]
     )
 
@@ -627,44 +649,41 @@ def acceptance_probability_oracle(
     """Reference value by explicit enumeration of consistent hidden paths.
 
     Each positive-probability path is scored with the direct recursive
-    word semantics, bypassing the automaton and the dynamic program.
-    Raises ``CapExceeded`` when the worst-case path count exceeds ``cap``,
-    and again if the consistent paths actually expanded exceed it.
+    word semantics, bypassing the automaton and the dynamic program.  Each
+    step's smoothed rows are built once, for the states a consistent path
+    can hold, while the consistent paths are counted exactly.  The count
+    never falls from one step to the next, so ``CapExceeded`` is raised as
+    soon as it passes ``cap``, before any path is enumerated.
     """
-    check_nesting(formula)
-    _check_execution(pomdp, exec)
+    _check_execution(pomdp, exec, checked_atoms(formula))
     t = exec.horizon
-    if pomdp.num_states ** (t + 1) > cap:
-        raise CapExceeded(
-            f"{pomdp.num_states}^{t + 1} potential paths exceed the cap {cap}"
-        )
     bl = backward_likelihoods(pomdp, exec.actions, exec.observations)
     alpha0 = smoothed_initial(pomdp, bl)
-    rows: list[dict[int, np.ndarray]] = [{} for _ in range(t)]
+    states = np.flatnonzero(alpha0)
+    counts = np.ones(len(states), dtype=object)  # paths ending in each state
+    rows: list[dict[int, np.ndarray]] = []
+    for i in range(t):
+        if counts.sum() > cap:
+            break
+        step = path_transition(pomdp, bl, i, states)
+        rows.append(dict(zip(states.tolist(), step)))
+        support = step != 0
+        states = support.any(axis=0).nonzero()[0]
+        counts = counts @ support.take(states, axis=1)
+    if counts.sum() > cap:
+        raise CapExceeded(f"more than {cap} consistent paths by step {len(rows)}")
 
     total = 0.0
-    leaves = 0
-    stack: list[tuple[list[int], float]] = [
-        ([s], float(alpha0[s])) for s in range(pomdp.num_states) if alpha0[s] > 0.0
-    ]
+    stack = [([s], float(alpha0[s])) for s in np.flatnonzero(alpha0).tolist()]
     while stack:
         path, prob = stack.pop()
         i = len(path) - 1
         if i == t:
-            leaves += 1
-            if leaves > cap:
-                raise CapExceeded(f"consistent paths exceed the cap {cap}")
-            word = list(zip(path, exec.beliefs))
-            if semantics_eval(formula, word, 0):
+            if semantics_eval(formula, list(zip(path, exec.beliefs)), 0):
                 total += prob
             continue
-        s = path[-1]
-        row = rows[i].get(s)
-        if row is None:
-            row = path_transition(pomdp, bl, i, [s])[0]
-            rows[i][s] = row
-        for s2 in np.nonzero(row)[0]:
-            s2 = int(s2)
+        row = rows[i][path[-1]]
+        for s2 in np.flatnonzero(row).tolist():
             stack.append((path + [s2], prob * float(row[s2])))
     return total
 
@@ -704,10 +723,23 @@ def execution_from_json_dict(pomdp: Pomdp, doc) -> Execution:
                 rows.append(_recorded_belief(pomdp, entry))
             except ModelError:
                 # A deviation at an earlier step is the first failure.
-                check_against_filter(rows, beliefs[:i], label="recorded belief")
+                _check_against_filter(rows, beliefs[:i])
                 raise
-        check_against_filter(rows, beliefs, label="recorded belief")
+        _check_against_filter(rows, beliefs)
     return Execution(beliefs, actions, observations)
+
+
+def _check_against_filter(recorded: list[list[float]], filtered: Sequence[Belief]) -> None:
+    """Require each recorded belief to match the filter's belief at the same
+    step, entry by entry within ``SUM_TOL``; the first failing step is the
+    one reported.  All steps are compared in one array expression."""
+    if not recorded:
+        return
+    err = np.abs(np.array(recorded) - np.stack([b.probs for b in filtered])).max(axis=1)
+    bad = np.flatnonzero(~(err <= SUM_TOL))  # written so that NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        raise ModelError(f"recorded belief {i} deviates from the filter by {float(err[i])!r}")
 
 
 def _recorded_belief(pomdp: Pomdp, entry) -> list[float]:

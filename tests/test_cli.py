@@ -13,8 +13,9 @@ import dtlmon
 from dtlmon.automaton import Dfa
 from dtlmon.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 from dtlmon.logic import load_formula
-from dtlmon.model import save_model
-from dtlmon.monitor import acceptance_probability, load_trace
+from dtlmon.model import execution_from_actions, save_model
+from dtlmon.monitor import acceptance_probability, load_trace, save_trace
+from dtlmon.studies import build_mht, mht_reference_trace
 
 from helpers import tiny_two_state
 
@@ -373,27 +374,47 @@ class TestCasestudy:
     @pytest.mark.parametrize(
         "argv, config, message",
         [
-            (["casestudy", "mht"], {"prior_mode": "uniform"}, "'prior_mode' for mht"),
-            (["casestudy", "rescue", "--trials", "1", "--horizon", "2"], {"h": 0.5},
-             "'h' for rescue"),
+            (["casestudy", "mht", "--out", "{out}"], {"prior_mode": "uniform"},
+             "'prior_mode' for mht"),
+            (["casestudy", "rescue", "--out", "{out}", "--trials", "1", "--horizon", "2"],
+             {"h": 0.5}, "'h' for rescue"),
             (["simulate", "--casestudy", "rescue", "--policy", "timeshare", "--trials", "2",
-              "--horizon", "2"], {"p_fial": 0.9}, "'p_fial' for rescue"),
+              "--horizon", "2", "--out", "{out}"], {"p_fial": 0.9}, "'p_fial' for rescue"),
             (["simulate", "--model", "{model}", "--formula", "{formula}", "--trials", "1",
-              "--horizon", "2"], {"p1": 0.5, "seed": 3}, "'seed' for a model file"),
+              "--horizon", "2", "--out", "{out}"], {"entropy_factor": "bit", "seed": 3},
+             "'seed' for a model file"),
+            (["check", "--casestudy", "mht", "--trace", "{mht_trace}"],
+             {"entropy_factor": "nope"}, "'entropy_factor' for mht"),
+            (["check", "--model", "{model}", "--formula", "{formula}", "--trace", "{trace}"],
+             {"p_fail": 0.5}, "'p_fail' for a model file"),
         ],
-        ids=["rescue-key-for-mht", "mht-key-for-rescue", "misspelt-key", "key-of-no-study"],
+        ids=[
+            "rescue-key-for-mht",
+            "mht-key-for-rescue",
+            "misspelt-key",
+            "key-of-no-study",
+            "simulate-key-for-check",
+            "study-key-for-model-file",
+        ],
     )
     def test_config_keys_the_study_does_not_read_are_rejected(
         self, tmp_path, capsys, argv, config, message
     ):
         model = tmp_path / "model.json"
-        save_model(tiny_two_state(), model)
+        pomdp = tiny_two_state()
+        save_model(pomdp, model)
         formula = tmp_path / "goal.dtl"
         formula.write_text("F in(lit)\n")
+        trace = tmp_path / "trace.json"
+        save_trace(pomdp, execution_from_actions(pomdp, ["poke"], ["hi"]), trace)
+        mht_trace = tmp_path / "reference_trace.json"
+        mht_model, _ = build_mht(0.25, 0.5, 0.75, 0.8)
+        save_trace(mht_model, mht_reference_trace(mht_model), mht_trace)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        argv = [arg.format(model=model, formula=formula) for arg in argv]
-        code = main([*argv, "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        paths = {"model": model, "formula": formula, "trace": trace, "mht_trace": mht_trace}
+        argv = [arg.format(out=tmp_path / "out", **paths) for arg in argv]
+        code = main([*argv, "--config", str(cfg)])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: unknown config key {message}\n"
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

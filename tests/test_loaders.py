@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtlmon.cli import (
+    CASESTUDY_KEYS,
     EXIT_ERROR,
     RESCUE_POLICY_KEYS,
     _load_config,
@@ -98,7 +99,7 @@ def _load(loader, text: str) -> None:
 
 
 def _load_rescue_config(path) -> None:
-    config = _load_config(path, "rescue")
+    config = _load_config(path, "rescue", CASESTUDY_KEYS["rescue"])
     rescue_policies(_rescue_params(config), **_numbers(config, RESCUE_POLICY_KEYS))
 
 

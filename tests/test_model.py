@@ -423,17 +423,6 @@ class TestValidation:
         with pytest.raises(ModelError):
             Execution((b,), (0,), ())
 
-    def test_execution_validate_against(self, mht):
-        execution = execution_from_actions(mht, ["observe"], ["heads"])
-        execution.validate_against(mht)
-        tampered = Execution(
-            (execution.beliefs[0], execution.beliefs[0]),
-            execution.actions,
-            execution.observations,
-        )
-        with pytest.raises(ModelError):
-            tampered.validate_against(mht)
-
 
 class TestJsonRoundTrip:
     def test_round_trip_preserves_tables(self, mht):

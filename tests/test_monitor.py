@@ -68,6 +68,19 @@ def mht():
     return build_mht(0.25, 0.5, 0.75, 0.8)
 
 
+@pytest.fixture(scope="module")
+def rescue_runs():
+    """The rescue study's model, formula and first 25 runs of each policy at
+    master seed 2024."""
+    pomdp, formula = build_rescue()
+    executions = [
+        simulate(pomdp, policy, 16, trial_seed(2024, k))[1]
+        for policy in rescue_policies().values()
+        for k in range(25)
+    ]
+    return pomdp, formula, executions
+
+
 def full_atom(pomdp):
     return StateAtom("all", frozenset(range(pomdp.num_states)), pomdp.num_states)
 
@@ -285,6 +298,18 @@ class TestSmoothing:
         chosen = pomdp.state_index["coin1_chose2"]
         with pytest.raises(InconsistentState):
             path_transition(pomdp, bl, 0, [chosen])
+
+    def test_long_run_rows_are_rescaled(self):
+        # Over 1000 steps the backward rows would underflow to zero.
+        pomdp, formula = build_rescue()
+        _, execution = simulate(pomdp, rescue_policies()["timeshare"], 1000, 5)
+        bl = backward_likelihoods(pomdp, execution.actions, execution.observations)
+        assert bl.shifts[0] > 0
+        report = acceptance_probability(pomdp, formula, execution)
+        assert report.probability == 1.0
+        assert report.diagnostics["consistent_paths"] == 18
+        oracle = acceptance_probability_oracle(pomdp, formula, execution)
+        assert oracle == pytest.approx(1.0, abs=1e-9)
 
     def test_backward_values_in_unit_interval(self):
         rng = random.Random(11)
@@ -611,10 +636,67 @@ class TestOracle:
         assert acceptance_probability_oracle(pomdp, empty_atom(pomdp), execution) == 0.0
 
     def test_cap(self, mht):
+        # The coin reference trace has 3 consistent paths.
         pomdp, formula = mht
         execution = mht_reference_trace(pomdp)
         with pytest.raises(CapExceeded):
-            acceptance_probability_oracle(pomdp, formula, execution, cap=100)
+            acceptance_probability_oracle(pomdp, formula, execution, cap=2)
+
+    def test_cap_is_the_consistent_path_count(self, rescue_runs):
+        pomdp, formula, executions = rescue_runs
+        runs = [(pomdp, formula, execution) for execution in executions]
+        rng = random.Random(12)
+        for _ in range(100):
+            model = random_pomdp(rng)
+            runs.append((model, random_cosafe_formula(rng, model), random_execution(model, rng)))
+        checked = 0
+        for model, formula, execution in runs:
+            report = acceptance_probability(model, formula, execution)
+            if not report.feasible:
+                continue
+            paths = report.diagnostics["consistent_paths"]
+            acceptance_probability_oracle(model, formula, execution, cap=paths)
+            with pytest.raises(CapExceeded):
+                acceptance_probability_oracle(model, formula, execution, cap=paths - 1)
+            checked += 1
+        assert checked >= 100
+
+    def test_cap_refuses_before_enumerating(self):
+        pomdp = grid_walk()
+        _, execution = simulate(pomdp, RandomActionPolicy(), 30, 5)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            acceptance_probability_oracle(pomdp, full_atom(pomdp), execution)
+        assert time.perf_counter() - start < 0.1
+
+    def test_referees_the_rescue_study(self, rescue_runs):
+        pomdp, formula, executions = rescue_runs
+        for execution in executions:
+            report = acceptance_probability(pomdp, formula, execution)
+            oracle = acceptance_probability_oracle(pomdp, formula, execution)
+            assert report.probability == pytest.approx(oracle, abs=1e-9)
+
+    def test_formula_of_another_model_raises_model_error(self):
+        # Relaxed, the negated atom reads its complement from the state count
+        # it was resolved against: {b} here, which misses the third state.
+        def model(names):
+            return Pomdp(
+                [(name, {}) for name in names],
+                ["go"],
+                ["x"],
+                [0.0] * (len(names) - 1) + [1.0],
+                {(name, "go", name): 1.0 for name in names},
+                {(name, "go", "x"): 1.0 for name in names},
+                named_sets={"A": ["a"]},
+            )
+
+        formula = parse_formula("F !in(A)", model(["a", "b"]))
+        three = model(["a", "b", "c"])
+        execution = Execution((three.prior,), (), ())
+        message = "in(A) was resolved against 2 states, the model has 3"
+        for monitor in (feasibility_check, acceptance_probability, acceptance_probability_oracle):
+            with pytest.raises(ModelError, match=re.escape(message)):
+                monitor(three, formula, execution)
 
     @pytest.mark.parametrize(
         "action, obs, message",
