@@ -308,8 +308,8 @@ def _letter_text(prop_names: Sequence[str], letter: int) -> str:
 
 
 def export_dot(dfa: Dfa, prop_names: Sequence[str]) -> str:
-    """GraphViz DOT text, letters named by ``prop_names``; accepting states
-    are double circles.
+    """GraphViz DOT text, letters named by ``prop_names`` (with ``\\`` and
+    ``"`` escaped); accepting states are double circles.
 
     Materializes the full alphabet, so use only with small proposition
     counts.  Output is deterministic for identical inputs.
@@ -326,6 +326,7 @@ def export_dot(dfa: Dfa, prop_names: Sequence[str]) -> str:
             edges.setdefault(dfa.transition(state, letter), []).append(letter)
         for target in sorted(edges, key=lambda t: renum[t]):
             label = ",".join(_letter_text(prop_names, x) for x in edges[target])
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  q{renum[state]} -> q{renum[target]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -269,8 +269,12 @@ def cmd_compile(args) -> int:
     config = _load_config(args.config, args.casestudy, STUDY_KEYS.get(args.casestudy, ()))
     _, formula = _resolve_model_formula(args, config)
     comp = compile_monitor(formula)
-    dfa = comp.feasibility_dfa if args.relaxed else comp.acceptance_dfa
-    names = comp.prop_names[: dfa.num_props]
+    dfa = comp.dfa
+    names = list(comp.prop_names)
+    if not args.relaxed:
+        # Name each hidden-state letter by the first atom that reads it.
+        for atom, bit in reversed(comp.state_atoms.items()):
+            names[bit] = formula_text(atom)
     dfa.materialize()
     print(f"formula: {formula_text(formula)}")
     print(f"propositions: {dfa.num_props}")
@@ -392,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = subs.add_parser("compile", help="compile a formula to an automaton")
     _add_model_args(comp)
     comp.add_argument("--relaxed", action="store_true",
-                      help="compile the belief-relaxed feasibility skeleton")
+                      help="name hidden-state letters by their relaxed predicates")
     comp.add_argument("--dot", help="write GraphViz DOT here")
     comp.add_argument("--json", help="write the automaton JSON here")
     comp.set_defaults(func=cmd_compile)

@@ -30,13 +30,15 @@ likelihoods (another factorization of the same posterior) cross-checks it.
 Both stages read the same per-step belief-predicate signatures, computed
 once per execution by the formula's compiled ``BeliefPredicates``;
 ``region_signature`` is the per-belief reference they agree with bit for
-bit.
+bit.  Both run one automaton over the propositional skeleton, in which
+every belief predicate is just a proposition and each hidden-state atom
+is the proposition of its relaxed predicate.  Feasibility feeds it the
+signatures as they are; acceptance overwrites the relaxed bits with the
+hidden state's membership in each atom's set.
 
-Both automata are built over the propositional skeleton, in which every
-belief predicate is just a proposition, so they do not depend on the
-predicates' thresholds.  Compiled formulas with equal skeletons share one
-feasibility and one acceptance ``Dfa`` from a weak table keyed by
-(skeleton, proposition count): a threshold sweep builds its automata
+The automaton does not depend on the predicates' thresholds.  Compiled
+formulas with equal skeletons share one ``Dfa`` from a weak table keyed
+by (skeleton, proposition count): a threshold sweep builds its automaton
 once, and an automaton lives as long as a cached compiled formula uses
 it.  No result depends on what a shared automaton has discovered, because
 the dynamic program numbers its rows per execution.  An automaton state
@@ -55,30 +57,25 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .automaton import Dfa, PropAtom, PropFormula, dfa_accepts
+from .automaton import Dfa, PropAtom, dfa_accepts
 from .errors import AllZero, CapExceeded, InconsistentState, ModelError
 from .logic import (
     Add,
-    And,
     BeliefAtom,
     BeliefExpr,
     Callback,
     Const,
     EntropyBits,
-    Eventually,
     Formula,
     Mul,
     Neg,
-    Next,
-    Or,
     Prob,
     StateAtom,
     Sub,
-    Until,
     belief_expr_text,
     check_nesting,
     checked_atoms,
@@ -209,85 +206,68 @@ _shared_dfas: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _shared_dfas_lock = threading.Lock()
 
 
-def _shared_dfa(skeleton: PropFormula, num_props: int) -> Dfa:
-    """The one unnamed automaton for ``(skeleton, num_props)`` in use."""
-    key = (skeleton, num_props)
-    with _shared_dfas_lock:
-        dfa = _shared_dfas.get(key)
-        if dfa is None:
-            dfa = _shared_dfas[key] = Dfa(skeleton, num_props)
-        return dfa
-
-
 class CompiledMonitor:
     """Everything monitoring reads of one formula, compiled once.
 
-    Propositions are numbered densely in first-seen order.  Belief
-    propositions come first (``belief_props``): one per distinct belief
-    expression of the formula, plus one per relaxed hidden-state atom.
-    State propositions follow (``state_props``), one per distinct
-    hidden-state set.  ``prop_names`` names them all, and ``state_atoms``
-    keeps the hidden-state atoms, whose state count must be the model's.
-    The feasibility automaton reads the belief propositions only, each
-    hidden-state atom standing for its relaxed predicate; the acceptance
-    automaton reads all of them.  The automata depend only on the
-    propositional skeleton, so compiled formulas with equal skeletons
-    share the same unnamed ``Dfa`` objects.
+    Propositions are numbered densely in first-seen order
+    (``belief_props``, named by ``prop_names``): one per distinct belief
+    expression of the formula's belief atoms, and one per distinct relaxed
+    predicate of its hidden-state atoms.  A relaxed predicate never shares
+    its proposition with a belief atom, since acceptance overwrites it.
+    ``state_atoms`` maps each hidden-state atom, whose state count must be
+    the model's, to the proposition it reads: the first relaxed one of its
+    (state set, sign) class.  ``dfa`` runs the one skeleton: feasibility
+    feeds it the signatures as they are, so a hidden-state atom reads
+    "positive mass"; acceptance clears the relaxed bits (``relaxed_mask``)
+    and sets those of the classes the hidden state satisfies
+    (``state_bits``).  The automaton depends only on the propositional
+    skeleton, so compiled formulas with equal skeletons share one unnamed
+    ``Dfa``.
     """
 
     def __init__(self, formula: Formula):
         self.formula = formula
-        belief: dict[BeliefExpr, int] = {}
-        relaxed: dict[StateAtom, int] = {}
-        state_names: dict[frozenset[int], str] = {}
+        props: dict[tuple[BeliefExpr, bool], int] = {}  # (expression, relaxed?) -> bit
+        classes: dict[tuple[frozenset[int], bool], int] = {}  # (state set, sign) -> bit
+        self.state_atoms: dict[StateAtom, int] = {}
+        self.relaxed_mask = 0
         # The nesting check comes with the walk, before the recursive map.
         for atom in checked_atoms(formula):
             if isinstance(atom, BeliefAtom):
-                belief.setdefault(atom.expr, len(belief))
-            elif atom not in relaxed:
-                relaxed[atom] = belief.setdefault(_relaxed_atom_expr(atom), len(belief))
-                state_names.setdefault(atom.indices, atom.name)
-        state = {indices: len(belief) + k for k, indices in enumerate(state_names)}
-        self.belief_props: tuple[BeliefExpr, ...] = tuple(belief)
-        self.state_props: tuple[frozenset[int], ...] = tuple(state_names)
+                props.setdefault((atom.expr, False), len(props))
+            elif atom not in self.state_atoms:
+                bit = props.setdefault((_relaxed_atom_expr(atom), True), len(props))
+                self.relaxed_mask |= 1 << bit
+                self.state_atoms[atom] = classes.setdefault((atom.indices, atom.negated), bit)
+        self.belief_props: tuple[BeliefExpr, ...] = tuple(expr for expr, _ in props)
         self.prop_names: tuple[str, ...] = tuple(
-            [f"[{belief_expr_text(e)} < 0]" for e in belief]
-            + [f"in({name})" for name in state_names.values()]
+            f"[{belief_expr_text(e)} < 0]" for e in self.belief_props
         )
-        self.state_atoms: tuple[StateAtom, ...] = tuple(relaxed)
         self.predicates = BeliefPredicates(self.belief_props)
         self._state_bits: dict[int, np.ndarray] = {}
-
-        def skeletons(phi: Formula) -> tuple[PropFormula, PropFormula]:
-            """The feasibility and the acceptance skeleton of ``phi``."""
-            if isinstance(phi, StateAtom):
-                return PropAtom(relaxed[phi]), PropAtom(state[phi.indices], phi.negated)
-            if isinstance(phi, BeliefAtom):
-                atom = PropAtom(belief[phi.expr], phi.negated)
-                return atom, atom
-            if isinstance(phi, (And, Or, Until)):
-                (left, full_left), (right, full_right) = skeletons(phi.left), skeletons(phi.right)
-                return type(phi)(left, right), type(phi)(full_left, full_right)
-            if isinstance(phi, (Next, Eventually)):
-                child, full_child = skeletons(phi.child)
-                return type(phi)(child), type(phi)(full_child)
-            raise TypeError(f"not a formula: {phi!r}")
-
-        relaxed_skeleton, full_skeleton = skeletons(formula)
-        self.feasibility_dfa = _shared_dfa(relaxed_skeleton, len(belief))
-        self.acceptance_dfa = _shared_dfa(full_skeleton, len(self.prop_names))
+        skeleton = map_atoms(
+            formula,
+            lambda atom: PropAtom(self.state_atoms[atom])
+            if isinstance(atom, StateAtom)
+            else PropAtom(props[atom.expr, False], atom.negated),
+        )
+        key = (skeleton, len(props))
+        with _shared_dfas_lock:
+            self.dfa = _shared_dfas.get(key)
+            if self.dfa is None:
+                self.dfa = _shared_dfas[key] = Dfa(skeleton, len(props))
 
     def state_bits(self, num_states: int) -> np.ndarray:
-        """Per-hidden-state bitmask of the state propositions it satisfies,
-        computed once per model dimension, as a read-only array of Python
-        ints (a formula may have more than 63 propositions)."""
+        """Per-hidden-state bitmask of the hidden-state propositions it
+        satisfies, computed once per model dimension, as a read-only array
+        of Python ints (a formula may have more than 63 propositions)."""
         bits = self._state_bits.get(num_states)
         if bits is None:
             bits = np.zeros(num_states, dtype=object)
-            for k, indices in enumerate(self.state_props):
-                mask = 1 << (len(self.belief_props) + k)
-                for s in indices:
-                    bits[s] |= mask
+            for atom, bit in self.state_atoms.items():
+                for s in range(num_states):
+                    if (s in atom.indices) != atom.negated:
+                        bits[s] |= 1 << bit
             bits.flags.writeable = False
             self._state_bits[num_states] = bits
         return bits
@@ -328,15 +308,16 @@ def feasibility_check(
 ) -> tuple[bool, tuple[frozenset[int], ...]]:
     """Necessary condition for a positive satisfaction probability.
 
-    Runs the relaxed, belief-only skeleton over the per-step predicate
-    signatures of the recorded beliefs.  Returns the verdict and the
-    per-step sets of satisfied belief propositions.
+    Runs the formula's automaton over the per-step predicate signatures of
+    the recorded beliefs, where each hidden-state atom reads its relaxed
+    predicate.  Returns the verdict and the per-step sets of satisfied
+    belief propositions.
     """
     ok, labels, _ = _feasibility(compile_monitor(formula), pomdp, exec)
     return ok, labels
 
 
-def _check_execution(pomdp: Pomdp, exec: Execution, atoms: Sequence) -> None:
+def _check_execution(pomdp: Pomdp, exec: Execution, atoms: Iterable) -> None:
     """Raise ``ModelError`` unless the formula's hidden-state ``atoms``, and
     the execution's beliefs, actions and observations, fit the model."""
     for atom in atoms:
@@ -357,7 +338,7 @@ def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     come from, which the acceptance dynamic program reuses."""
     _check_execution(pomdp, exec, comp.state_atoms)
     sigs = comp.predicates.signatures(exec.beliefs)
-    ok = dfa_accepts(comp.feasibility_dfa, sigs)
+    ok = dfa_accepts(comp.dfa, sigs)
     label = {sig: frozenset(_set_bits(sig)) for sig in set(sigs)}
     return ok, tuple(label[sig] for sig in sigs), sigs
 
@@ -498,7 +479,8 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     work when it fails.  Otherwise carries the filtered path measure
     forward over (automaton state, hidden state) cells; the automaton
     consumes, at step i in hidden state s, the belief-predicate signature
-    of the step's belief joined with the state propositions s satisfies.
+    of the step's belief with its relaxed bits replaced by those of the
+    hidden-state classes s satisfies.
     Dead and accepted mass stays in two sink rows and every step is
     rescaled by the filter's normalizer.  The result is the accepted share
     of the final mass: exactly 1.0 when every consistent path accepts, 0.0
@@ -520,7 +502,9 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
         )
 
     sbits = comp.state_bits(pomdp.num_states)
-    dfa = comp.acceptance_dfa
+    dfa = comp.dfa
+    # A hidden-state atom reads its state bit, not its relaxed predicate.
+    sigs = [sig & ~comp.relaxed_mask for sig in sigs]
     prior = pomdp.prior.probs
 
     # The columns are the hidden states the record so far allows, ascending

@@ -1,7 +1,6 @@
 """DFA construction against the direct finite-word semantics."""
 
 import hashlib
-import json
 import random
 import sys
 import threading
@@ -18,10 +17,11 @@ from dtlmon.automaton import (
     export_json_dict,
     prop_eval,
 )
+from dtlmon.cli import EXIT_OK, main
 from dtlmon.errors import StateBlowup
-from dtlmon.logic import And, Eventually, Next, Or, Until, parse_formula
+from dtlmon.logic import And, BeliefAtom, Callback, Eventually, Next, Or, Until, parse_formula
 from dtlmon.monitor import CompiledMonitor, _shared_dfas, compile_monitor
-from dtlmon.studies import build_mht, build_rescue
+from dtlmon.studies import build_rescue
 
 from helpers import random_letter_word, random_prop_formula, tiny_two_state
 
@@ -130,7 +130,7 @@ class TestMinimalObligations:
         sets over four letters; the ⊆-minimal ones are 12 throughout."""
         pomdp = tiny_two_state()
         formula = parse_formula("F " * 12 + "in(lit) U " * 98 + "in(lit)", pomdp)
-        dfa = CompiledMonitor(formula).acceptance_dfa
+        dfa = CompiledMonitor(formula).dfa
         state = dfa.initial
         for _ in range(6):
             state = dfa.transition(state, 0)
@@ -163,10 +163,10 @@ class TestWideAlphabets:
                 state = dfa.transition(state, letter)
 
 
-def _fresh_acceptance_dfa(formula):
-    """A new automaton over the formula's acceptance skeleton, shared with
-    no compiled formula."""
-    shared = compile_monitor(formula).acceptance_dfa
+def _fresh_dfa(formula):
+    """A new automaton over the formula's skeleton, shared with no compiled
+    formula."""
+    shared = compile_monitor(formula).dfa
     skeleton, num_props = next(key for key, dfa in _shared_dfas.items() if dfa is shared)
     return Dfa(skeleton, num_props)
 
@@ -243,10 +243,10 @@ class TestDfaStructure:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(250):
-                letters = [rng.randrange(1 << 30) for _ in range(24)]
-                serial = _fresh_acceptance_dfa(formula)
+                serial = _fresh_dfa(formula)
+                letters = [rng.randrange(1 << serial.num_props) for _ in range(24)]
                 expected = walk(serial, letters)
-                shared = _fresh_acceptance_dfa(formula)
+                shared = _fresh_dfa(formula)
                 start = threading.Barrier(4)
                 results = [None] * 4
 
@@ -263,7 +263,7 @@ class TestDfaStructure:
                 assert shared.num_states == serial.num_states
         finally:
             sys.setswitchinterval(interval)
-        assert serial.num_props == 30
+        assert serial.num_props == 20
 
 
 class TestExport:
@@ -312,26 +312,27 @@ class TestExport:
         with pytest.raises(ValueError, match="prop_names length"):
             export_json_dict(Dfa(Until(P0, P1), 2), ["p"])
 
+    def test_dot_escapes_quotes_and_backslashes_in_names(self):
+        comp = compile_monitor(Eventually(BeliefAtom(Callback('say "hi" \\ bye', lambda b: -1.0))))
+        text = export_dot(comp.dfa, comp.prop_names)
+        assert r'q0 -> q1 [label="{[<say \"hi\" \\ bye> < 0]}"];' in text
 
-# sha256 of the exports of the coin formula ``build_mht(0.25, 0.5, 0.75, 0.8)``:
-# (relaxed, format) -> digest.
+
+# sha256 of the files that ``compile --casestudy mht`` writes for the coin
+# formula ``build_mht(0.25, 0.5, 0.75, 0.8)``: (relaxed, format) -> digest.
 MHT_EXPORT_SHA256 = {
-    (False, "dot"): "a6f18044f6b1573862ae41979c0f841cfdea25d15678f9c3909caecc97db1681",
+    (False, "dot"): "c6a884bff4ac82373fd6e89230abc3a6f62cc0907abd696785666d9a626dd090",
     (True, "dot"): "e233e44ca3b5859f4c4706a0a75816b0053bd6cd27f799d153f314080412b176",
-    (False, "json"): "6f8da0cbc51445922cecdb0b75afd5db9a391a94e362ec1608e22148671d85b1",
+    (False, "json"): "5ab797a59db97b0015a7804a06b9cf80314ea1eedc3f6b8982666d1e1003ccaf",
     (True, "json"): "b36dd9c165bdc599828ef1a2b65d8acd99d5dc7e3d15005e4fad384900f7be7f",
 }
 
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["full", "relaxed"])
-def test_mht_exports_are_pinned(relaxed):
-    comp = compile_monitor(build_mht(0.25, 0.5, 0.75, 0.8)[1])
-    dfa = comp.feasibility_dfa if relaxed else comp.acceptance_dfa
-    names = comp.prop_names[: dfa.num_props]
-    texts = {
-        "dot": export_dot(dfa, names),
-        "json": json.dumps(export_json_dict(dfa, names), indent=2) + "\n",
-    }
-    for fmt, text in texts.items():
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+def test_mht_exports_are_pinned(relaxed, tmp_path):
+    args = ["compile", "--casestudy", "mht", "--dot", str(tmp_path / "a.dot")]
+    args += ["--json", str(tmp_path / "a.json")] + ["--relaxed"] * relaxed
+    assert main(args) == EXIT_OK
+    for fmt in ("dot", "json"):
+        digest = hashlib.sha256((tmp_path / f"a.{fmt}").read_bytes()).hexdigest()
         assert digest == MHT_EXPORT_SHA256[relaxed, fmt], fmt

@@ -302,7 +302,7 @@ class TestCompile:
         assert "negation" in capsys.readouterr().err
 
     def test_rescue_formula_is_refused_at_once(self, tmp_path, capsys, monkeypatch):
-        # Its 30 propositions (20 relaxed) would mean 2^30 letters per state.
+        # Its 20 propositions would mean 2^20 letters per state.
         def no_walk(self, state, letter):
             pytest.fail("compile walked the alphabet")
 

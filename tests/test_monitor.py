@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 from dtlmon.automaton import export_json_dict
 from dtlmon.errors import AllZero, CapExceeded, InconsistentState, ModelError
 from dtlmon.logic import (
+    And,
     BeliefAtom,
     Const,
     Eventually,
     Neg,
     Next,
+    Or,
     Prob,
     StateAtom,
+    checked_atoms,
     parse_formula,
     semantics_eval,
 )
@@ -128,23 +131,65 @@ class TestPropositions:
             pomdp = random_pomdp(rng)
             formula = random_cosafe_formula(rng, pomdp)
             comp = compile_monitor(formula)
-            num_belief = len(comp.belief_props)
-            num_props = num_belief + len(comp.state_props)
-            assert len(set(comp.belief_props)) == num_belief
-            assert len(set(comp.state_props)) == len(comp.state_props)
-            assert len(comp.prop_names) == num_props
-            assert comp.feasibility_dfa.num_props == num_belief
-            assert comp.acceptance_dfa.num_props == num_props
-            # State proposition k is bit num_belief + k of every state's bits.
+            atoms = checked_atoms(formula)
+            num_props = len(comp.belief_props)
+            assert len(comp.prop_names) == comp.dfa.num_props == num_props
+            assert comp.relaxed_mask >> num_props == 0
+            relaxed = [(comp.relaxed_mask >> j) & 1 for j in range(num_props)]
+            # Belief atoms and relaxed predicates each number their distinct
+            # expressions once, in first-seen order, and never share a bit.
+            belief_exprs = [a.expr for a in atoms if isinstance(a, BeliefAtom)]
+            relaxed_exprs = [relax(a).expr for a in atoms if isinstance(a, StateAtom)]
+            for flag, exprs in ((0, belief_exprs), (1, relaxed_exprs)):
+                owned = [e for e, r in zip(comp.belief_props, relaxed) if r == flag]
+                assert owned == list(dict.fromkeys(exprs))
+            # A hidden-state atom reads the relaxed bit of the first atom of
+            # its (state set, sign) class.
+            classes = {}  # (state set, sign) -> relaxed predicate of its first atom
+            for atom in atoms:
+                if isinstance(atom, StateAtom):
+                    first = classes.setdefault((atom.indices, atom.negated), relax(atom).expr)
+                    bit = comp.state_atoms[atom]
+                    assert relaxed[bit] and comp.belief_props[bit] == first
             bits = comp.state_bits(pomdp.num_states)
             for s in range(pomdp.num_states):
-                held = [k for k, indices in enumerate(comp.state_props) if s in indices]
-                assert bits[s] == sum(1 << (num_belief + k) for k in held)
+                held = {bit for a, bit in comp.state_atoms.items() if (s in a.indices) != a.negated}
+                assert bits[s] == sum(1 << bit for bit in held)
 
     def test_duplicate_predicates_share_a_proposition(self):
         pomdp = tiny_two_state()
         formula = parse_formula("F [0.5 - P(lit) < 0] & [0.5 - P(lit) < 0]", pomdp)
         assert len(compile_monitor(formula).belief_props) == 1
+
+    def test_belief_atom_never_shares_a_relaxed_bit(self):
+        """A belief atom with the expression of a hidden-state atom's relaxed
+        predicate keeps its own proposition: acceptance overwrites the relaxed
+        bit with the hidden state's membership."""
+        for seed in range(300):
+            pomdp = random_pomdp(random.Random(seed))
+            _, execution = simulate(pomdp, RandomActionPolicy(), 4, seed)
+            set_a = frozenset(pomdp.named_sets["setA"])
+            in_a = StateAtom("setA", set_a, pomdp.num_states)
+            formula = Or(
+                Next(And(in_a, Eventually(in_a))),
+                Next(BeliefAtom(Neg(Prob("setA", set_a)), negated=True)),
+            )
+            report = acceptance_probability(pomdp, formula, execution)
+            oracle = acceptance_probability_oracle(pomdp, formula, execution)
+            assert report.probability == pytest.approx(oracle, abs=1e-9), seed
+
+    def test_hidden_state_atoms_of_one_set_and_sign_read_one_bit(self):
+        """Here two atoms of one (set, sign) class would, with a bit each,
+        make the automaton tell apart states it should merge."""
+        rng = random.Random(3570)
+        pomdp = random_pomdp(rng, max_states=5)
+        formula = random_cosafe_formula(rng, pomdp, 5, 3, 5)
+        execution = random_execution(pomdp, rng, max_t=8)
+        report = acceptance_probability(pomdp, formula, execution)
+        assert report.feasible
+        assert report.probability == 1.0
+        assert report.diagnostics["dp_pairs"] == 3
+        assert report.diagnostics["consistent_paths"] == 3
 
 
 class TestRegionSignature:
@@ -408,12 +453,12 @@ class TestArrayDp:
         for k, target in enumerate(executions):
             compile_monitor.cache_clear()
             cold = _verdict(acceptance_probability(pomdp, formula, target))
-            cold_states = compile_monitor(formula).acceptance_dfa.num_states
+            cold_states = compile_monitor(formula).dfa.num_states
             warm = _verdict(acceptance_probability(pomdp, formula, target))
             compile_monitor.cache_clear()
             for other in executions[:k] + executions[k + 1 :]:
                 acceptance_probability(pomdp, formula, other)
-            grown_states = compile_monitor(formula).acceptance_dfa.num_states
+            grown_states = compile_monitor(formula).dfa.num_states
             grown = _verdict(acceptance_probability(pomdp, formula, target))
             assert cold == warm == grown
             grew |= grown_states > cold_states  # the others found states it never meets
@@ -554,11 +599,8 @@ class TestSharedAutomata:
         _, near, far, _ = variants
         a, b = compile_monitor(near), compile_monitor(far)
         assert a is not b
-        assert a.acceptance_dfa is b.acceptance_dfa
-        assert a.feasibility_dfa is b.feasibility_dfa
-        other = compile_monitor(Eventually(near))
-        assert other.acceptance_dfa is not a.acceptance_dfa
-        assert other.feasibility_dfa is not a.feasibility_dfa
+        assert a.dfa is b.dfa
+        assert compile_monitor(Eventually(near)).dfa is not a.dfa
 
     def test_reports_identical_alone_or_interleaved(self, variants):
         pomdp, near, far, executions = variants
@@ -579,14 +621,10 @@ class TestSharedAutomata:
 
     def test_exported_automata_keep_their_own_names(self):
         comps = [compile_monitor(build_mht(0.25, 0.5, 0.75, h)[1]) for h in (0.8, 0.6)]
-        assert comps[0].acceptance_dfa is comps[1].acceptance_dfa
-        for relaxed in (False, True):
-            docs = []
-            for comp in comps:
-                dfa = comp.feasibility_dfa if relaxed else comp.acceptance_dfa
-                docs.append(export_json_dict(dfa, comp.prop_names[: dfa.num_props]))
-            assert docs[0]["propositions"] != docs[1]["propositions"]
-            assert docs[0]["transitions"] == docs[1]["transitions"]
+        assert comps[0].dfa is comps[1].dfa
+        docs = [export_json_dict(comp.dfa, comp.prop_names) for comp in comps]
+        assert docs[0]["propositions"] != docs[1]["propositions"]
+        assert docs[0]["transitions"] == docs[1]["transitions"]
 
     def test_cache_clear_releases_shared_automata(self, variants):
         _, near, far, _ = variants
@@ -598,11 +636,11 @@ class TestSharedAutomata:
 
 def _first_sink_step(pomdp, formula, execution) -> int:
     """First step at which some consistent hidden path has driven the
-    acceptance automaton into the accept sink or the dead state, by plain
-    reachability over (hidden state, automaton state) pairs."""
+    automaton into the accept sink or the dead state, by plain reachability
+    over (hidden state, automaton state) pairs."""
     comp = compile_monitor(formula)
-    dfa = comp.acceptance_dfa
-    sigs = comp.predicates.signatures(execution.beliefs)
+    dfa = comp.dfa
+    sigs = [sig & ~comp.relaxed_mask for sig in comp.predicates.signatures(execution.beliefs)]
     sbits = comp.state_bits(pomdp.num_states)
     bl = backward_likelihoods(pomdp, execution.actions, execution.observations)
     pairs = {
