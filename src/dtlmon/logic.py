@@ -2,9 +2,9 @@
 
 Formulas combine two kinds of atoms: ``in(A)`` holds when the hidden state
 lies in the named set ``A``, and ``[e1 < e2]`` holds when the belief
-expression ``e1 - e2`` evaluates below zero on the current belief.  Belief
-expressions are arithmetic over constants, set masses ``P(A)``, and factor
-entropies ``H(F)`` in bits.
+expression ``e1 - e2`` evaluates below the tie band ``-TIE_TOL`` on the
+current belief (``model.below_zero``).  Belief expressions are arithmetic
+over constants, set masses ``P(A)``, and factor entropies ``H(F)`` in bits.
 
 Concrete grammar (``#`` starts a comment line)::
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 from .errors import FormulaSyntaxError, NonAtomicNegation, UnknownSymbol
-from .model import Belief, entropy_bits, marginal_dist, marginal_prob
+from .model import Belief, below_zero, entropy_bits, marginal_dist, marginal_prob
 
 # -- syntax-tree nodes -------------------------------------------------------------
 
@@ -556,8 +556,9 @@ TraceWord = Sequence[tuple[int, Belief]]
 def semantics_eval(formula: Formula, word: TraceWord, position: int = 0) -> bool:
     """Direct recursive satisfaction of ``formula`` at ``position`` in ``word``.
 
-    Belief atoms are strict: the atom holds when its expression is below
-    zero, and its negation holds when the expression is at or above zero.
+    A belief atom holds when its expression is ``below_zero``, below the
+    tie band ``-TIE_TOL``, and its negation holds otherwise, so a value
+    within rounding of its threshold does not satisfy the atom.
     Each subformula is decided at most once per position in one call, so
     nested ``F`` and ``U`` cost time linear in their nesting, not
     exponential.
@@ -578,7 +579,7 @@ def _holds(formula: Formula, word: TraceWord, position: int, memo: dict) -> bool
     if isinstance(formula, StateAtom):
         value = (state in formula.indices) != formula.negated
     elif isinstance(formula, BeliefAtom):
-        value = (eval_belief_expr(formula.expr, belief) < 0) != formula.negated
+        value = below_zero(eval_belief_expr(formula.expr, belief)) != formula.negated
     elif isinstance(formula, And):
         value = _holds(formula.left, word, position, memo) and _holds(
             formula.right, word, position, memo

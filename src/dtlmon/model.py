@@ -394,40 +394,39 @@ def filter_run(pomdp: Pomdp, actions: Sequence[int], observations: Sequence[int]
 # -- belief functionals ----------------------------------------------------------
 
 
-def summation_order(states: Iterable[int], *, sort: bool = True) -> tuple[int, ...]:
-    """The order in which belief mass over a state set is summed.
+TIE_TOL = 1e-12
 
-    With ``sort`` the indices are deduplicated and ascending, the order of
-    a ``P(A)`` set in ``marginal_prob``; without it they keep their given
-    order, the order of a partition cell in ``marginal_dist``.  Every
-    reader of set masses (``state_index_array`` and ``StateSetReader``)
-    orders its indices here, so sums agree bit for bit.
+
+def below_zero(values):
+    """The tie band of belief predicates: a value, or each of an array of
+    values, holds as below zero only when it is below ``-TIE_TOL``.
+
+    A belief value sums at most a few hundred masses, so its rounding error
+    lies far inside the band (Higham, 2002, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 4): a value in the band reads "not below
+    zero" whatever order its terms were summed in.
     """
-    return tuple(sorted(set(states))) if sort else tuple(states)
+    return values < -TIE_TOL
 
 
-def state_index_array(states: Iterable[int], num_states: int, *, sort: bool = True) -> np.ndarray:
-    """A state set as a read-only ``np.intp`` index array in
-    ``summation_order``, range-checked against ``num_states``."""
-    idx = summation_order(states, sort=sort)
-    if idx and not (0 <= min(idx) and max(idx) < num_states):
+def _checked(states: Iterable[int], num_states: int) -> list[int]:
+    """A state set's indices, deduplicated and ascending; ``ModelError``
+    unless each lies in ``range(num_states)``."""
+    idx = sorted(set(states))
+    if idx and not (idx[0] >= 0 and idx[-1] < num_states):
         raise ModelError("state set out of range")
-    arr = np.array(idx, dtype=np.intp)
-    arr.flags.writeable = False
-    return arr
+    return idx
 
 
 def marginal_prob(belief: Belief, states: Iterable[int]) -> float:
     """Total belief mass on a set of state indices."""
-    return float(belief.probs.take(state_index_array(states, len(belief))).sum())
+    return float(belief.probs.take(_checked(states, len(belief))).sum())
 
 
 def marginal_dist(belief: Belief, cells: Sequence[Sequence[int]]) -> np.ndarray:
     """Belief mass per cell of a partition of the state indices."""
     n = len(belief)
-    return np.array(
-        [float(belief.probs.take(state_index_array(c, n, sort=False)).sum()) for c in cells]
-    )
+    return np.array([float(belief.probs.take(_checked(c, n)).sum()) for c in cells])
 
 
 def entropy_bits(pmf) -> float:
@@ -435,12 +434,6 @@ def entropy_bits(pmf) -> float:
     arr = np.asarray(pmf, dtype=float)
     nz = arr[arr > 0]
     return float(-(nz * np.log2(nz)).sum()) + 0.0
-
-
-# From this many cells on, numpy sums a row pairwise in eight lanes, so the
-# zero terms of empty cells would regroup the sum; below it the sum is a
-# left fold, where adding zeros changes no bit.
-_PAIRWISE_CELLS = 8
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -452,77 +445,49 @@ class StateSetReader:
     """The masses of fixed state sets and the entropies of fixed factors,
     read from one belief or from a stack of beliefs at once.
 
-    ``sets`` are ``P(A)`` sets and ``factors`` partitions into cells, both
-    summed in ``summation_order``.  Every distinct index tuple is one mass
-    column, and the columns are numbered by size, so that a read is one
-    gather through a read-only ``(columns, size)`` index matrix and one row
-    sum per size, joined in column order.  numpy reduces a C-contiguous
-    last axis in the pairwise order of the 1-d ``probs.take(idx).sum()``,
-    so every mass equals ``marginal_prob`` or ``marginal_dist`` bit for
-    bit.  The entropies of all factors with fewer than 8 cells come from
-    one pass over their cell masses, each factor padded with zero-mass
-    cells to the widest, which sums in the order ``entropy_bits`` does;
-    larger factors go row by row through ``entropy_bits``.
+    ``sets`` are ``P(A)`` sets and ``factors`` partitions into cells.  Every
+    distinct state set is one column of a read-only 0/1 incidence matrix,
+    built once per state count, so a read is one ``probs @ M``; the last
+    column is always empty.  The entropies of all factors come from one
+    pass over their cell masses, each factor padded to the widest with the
+    empty column, whose zero mass adds no term.  A mass sums at most
+    ``num_states`` terms, so it differs from ``marginal_prob`` or
+    ``marginal_dist`` by a few rounding errors at most, far inside the band
+    of ``below_zero``.
     """
 
     def __init__(self, sets: Iterable[Iterable[int]] = (), factors: Iterable[Sequence] = ()):
-        set_keys = [summation_order(s) for s in sets]
-        cell_keys = [[summation_order(c, sort=False) for c in cells] for cells in factors]
-        small = [f for f, cells in enumerate(cell_keys) if len(cells) < _PAIRWISE_CELLS]
-        large = [f for f, cells in enumerate(cell_keys) if len(cells) >= _PAIRWISE_CELLS]
-        width = max((len(cell_keys[f]) for f in small), default=0)
-        pad = [()] if any(len(cell_keys[f]) < width for f in small) else []
-        keys = [*set_keys, *(k for cells in cell_keys for k in cells), *pad]
-        self.columns: tuple[tuple[int, ...], ...] = tuple(sorted(dict.fromkeys(keys), key=len))
+        set_keys = [frozenset(s) for s in sets]
+        cell_keys = [[frozenset(c) for c in cells] for cells in factors]
+        keys = [*set_keys, *(k for cells in cell_keys for k in cells)]
+        self.columns: tuple[frozenset[int], ...] = tuple(dict.fromkeys(keys))
         column = {k: j for j, k in enumerate(self.columns)}
         self.set_columns = tuple(column[k] for k in set_keys)
         self.cell_columns = tuple(tuple(column[k] for k in cells) for cells in cell_keys)
-        flat = [i for k in self.columns for i in k]
-        self._index_range = (min(flat), max(flat)) if flat else None
-        self._gathers = []
-        for size in sorted({len(k) for k in self.columns}):
-            group = [k for k in self.columns if len(k) == size]
-            self._gathers.append(_read_only(np.array(group, dtype=np.intp).reshape(len(group), size)))
-        self._num_factors = len(cell_keys)
-        self._small = small
-        padded = [self.cell_columns[f] + (column.get(()),) * (width - len(cell_keys[f])) for f in small]
-        self._small_cells = _read_only(np.array(padded, dtype=np.intp).reshape(len(small), width))
-        self._large = [(f, np.array(self.cell_columns[f], dtype=np.intp)) for f in large]
+        width = max(map(len, self.cell_columns), default=0)
+        padded = [c + (len(self.columns),) * (width - len(c)) for c in self.cell_columns]
+        self._cells = _read_only(np.array(padded, dtype=np.intp).reshape(len(padded), width))
+        self._matrices: dict[int, np.ndarray] = {}
 
-    def check_range(self, num_states: int) -> None:
-        """Raise ``ModelError`` unless every state index is below ``num_states``."""
-        lo_hi = self._index_range
-        if lo_hi is not None and not (lo_hi[0] >= 0 and lo_hi[1] < num_states):
-            raise ModelError("state set out of range")
+    def incidence(self, num_states: int) -> np.ndarray:
+        """The ``(num_states, columns + 1)`` matrix whose column j marks the
+        states of ``columns[j]``.  Raises ``ModelError`` when a set holds an
+        index outside ``range(num_states)``."""
+        matrix = self._matrices.get(num_states)
+        if matrix is None:
+            matrix = np.zeros((num_states, len(self.columns) + 1))
+            for j, states in enumerate(self.columns):
+                matrix[_checked(states, num_states), j] = 1.0
+            self._matrices[num_states] = matrix = _read_only(matrix)
+        return matrix
 
     def read(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The column masses and the factor entropies of ``probs``, a pmf or
         a stack of pmfs in rows; both results keep the stack's leading axis."""
-        sums = [probs.take(idx, axis=-1).sum(axis=-1) for idx in self._gathers]
-        if len(sums) == 1:
-            masses = sums[0]
-        elif sums:
-            masses = np.concatenate(sums, axis=-1)
-        else:
-            masses = np.zeros(probs.shape[:-1] + (0,))
-        if not self._num_factors:
-            return masses, masses[..., :0]
-        if not self._large:
-            return masses, _entropy_rows(masses.take(self._small_cells, axis=-1))
-        entropies = np.empty(probs.shape[:-1] + (self._num_factors,))
-        entropies[..., self._small] = _entropy_rows(masses.take(self._small_cells, axis=-1))
-        for f, cols in self._large:
-            cells = masses.take(cols, axis=-1)
-            rows = [entropy_bits(row) for row in cells.reshape(-1, cells.shape[-1])]
-            entropies[..., f] = np.array(rows).reshape(cells.shape[:-1])
-        return masses, entropies
-
-
-def _entropy_rows(masses: np.ndarray) -> np.ndarray:
-    """``entropy_bits`` of each last-axis row of a C-contiguous cell-mass
-    array whose rows have fewer than ``_PAIRWISE_CELLS`` cells."""
-    terms = masses * np.log2(np.where(masses > 0, masses, 1.0))
-    return 0.0 - terms.sum(axis=-1)  # ``-x + 0.0`` in one operation
+        masses = probs @ self.incidence(probs.shape[-1])
+        cells = masses.take(self._cells, axis=-1)
+        terms = cells * np.log2(np.where(cells > 0, cells, 1.0))
+        return masses, 0.0 - terms.sum(axis=-1)  # ``-x + 0.0`` in one operation
 
 
 # -- policies and simulation ------------------------------------------------------

@@ -29,10 +29,10 @@ likelihoods (another factorization of the same posterior) cross-checks it.
 
 Both stages read the same per-step belief-predicate signatures, computed
 once per execution by the formula's compiled ``BeliefPredicates``;
-``region_signature`` is the per-belief reference they agree with bit for
-bit.  Both run one automaton over the propositional skeleton, in which
-every belief predicate is just a proposition and each hidden-state atom
-is the proposition of its relaxed predicate.  Feasibility feeds it the
+``region_signature`` is the per-belief reference they agree with.  Both
+run one automaton over the propositional skeleton, in which every belief
+predicate is just a proposition and each hidden-state atom is the
+proposition of its relaxed predicate.  Feasibility feeds it the
 signatures as they are; acceptance overwrites the relaxed bits with the
 hidden state's membership in each atom's set.
 
@@ -46,8 +46,13 @@ keeps only the ⊆-minimal obligation sets of its subset (an antichain; see
 ``automaton``), so deeply nested eventualities and untils do not grow the
 states that a shared automaton keeps.
 
-Boundary rule: a belief predicate with value exactly zero does not hold,
-so floating-point grazing of thresholds resolves deterministically.
+Tie rule: a belief predicate holds only when its value is below
+``-TIE_TOL`` (``model.below_zero``), so a value that grazes its threshold
+reads "does not hold" whatever order its masses were summed in; the
+policies and the enumeration oracle decide by the same band.  A relaxed
+predicate, minus a sum of nonnegative masses, keeps its sign under any
+rounding and is compared with zero exactly, so feasibility never rejects a
+run for a real but tiny mass.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ from .model import (
     Execution,
     Pomdp,
     StateSetReader,
+    below_zero,
     filter_run,
     load_json,
     save_json,
@@ -123,10 +129,12 @@ RegionSignature = int
 
 def region_signature(belief: Belief, comp: CompiledMonitor) -> RegionSignature:
     """Bitmask over the compiled formula's belief propositions: bit j is set
-    iff predicate j evaluates strictly below zero on ``belief``."""
+    iff predicate j's value on ``belief`` is ``below_zero``, or, for a
+    relaxed predicate, below zero at all."""
     sig = 0
     for j, expr in enumerate(comp.belief_props):
-        if eval_belief_expr(expr, belief) < 0:
+        value = eval_belief_expr(expr, belief)
+        if (value < 0) if comp.relaxed_mask >> j & 1 else below_zero(value):
             sig |= 1 << j
     return sig
 
@@ -140,18 +148,19 @@ class BeliefPredicates:
     One ``StateSetReader`` reads the mass of every distinct ``P(A)`` set and
     the entropy of every distinct ``H(F)`` factor of all beliefs at once;
     each expression then runs as a closure over those columns, with
-    ``Callback`` once per belief.  Values are bit-identical to
-    ``eval_belief_expr`` on each belief, because the reader's masses and
-    entropies are bit-identical to ``marginal_prob``, ``marginal_dist`` and
-    ``entropy_bits``.
+    ``Callback`` once per belief.  Values agree with ``eval_belief_expr``
+    on each belief up to the rounding of the reader's sums.  The
+    expressions whose bits are set in ``exact`` (the relaxed predicates)
+    hold below zero at all, the others only ``below_zero``.
     """
 
-    def __init__(self, exprs: Sequence[BeliefExpr]):
+    def __init__(self, exprs: Sequence[BeliefExpr], exact: int):
         self._sets: dict[frozenset[int], int] = {}
         self._factors: dict[tuple, int] = {}
         self._programs = [self._compile(expr) for expr in exprs]
         self._reader = StateSetReader(self._sets, self._factors)
         self._set_columns = np.array(self._reader.set_columns, dtype=np.intp)
+        self._exact = np.array([exact >> j & 1 for j in range(len(exprs))], dtype=bool)[:, None]
 
     def _compile(self, expr: BeliefExpr):
         """Closure mapping (set masses, factor entropies, beliefs) to the
@@ -180,7 +189,6 @@ class BeliefPredicates:
     def values(self, beliefs: Sequence[Belief]) -> np.ndarray:
         """Expression values: row j holds expression j on every belief."""
         probs = np.stack([b.probs for b in beliefs])
-        self._reader.check_range(probs.shape[1])
         masses, entropies = self._reader.read(probs)
         masses = masses.take(self._set_columns, axis=1)
         out = np.empty((len(self._programs), len(probs)))
@@ -190,7 +198,9 @@ class BeliefPredicates:
 
     def signatures(self, beliefs: Sequence[Belief]) -> list[RegionSignature]:
         """``region_signature`` of every belief, from one evaluation."""
-        packed = np.packbits(self.values(beliefs) < 0, axis=0, bitorder="little")
+        values = self.values(beliefs)
+        holds = np.where(self._exact, values < 0, below_zero(values))
+        packed = np.packbits(holds, axis=0, bitorder="little")
         width = packed.shape[0]
         data = packed.T.tobytes()
         return [
@@ -211,12 +221,12 @@ class CompiledMonitor:
 
     Propositions are numbered densely in first-seen order
     (``belief_props``, named by ``prop_names``): one per distinct belief
-    expression of the formula's belief atoms, and one per distinct relaxed
-    predicate of its hidden-state atoms.  A relaxed predicate never shares
-    its proposition with a belief atom, since acceptance overwrites it.
-    ``state_atoms`` maps each hidden-state atom, whose state count must be
-    the model's, to the proposition it reads: the first relaxed one of its
-    (state set, sign) class.  ``dfa`` runs the one skeleton: feasibility
+    expression of the formula's belief atoms, and one per (state set, sign)
+    class of its hidden-state atoms, the relaxed predicate of the class's
+    first atom.  A relaxed predicate never shares its proposition with a
+    belief atom, since acceptance overwrites it.  ``state_atoms`` maps each
+    hidden-state atom, whose state count must be the model's, to the
+    proposition of its class.  ``dfa`` runs the one skeleton: feasibility
     feeds it the signatures as they are, so a hidden-state atom reads
     "positive mass"; acceptance clears the relaxed bits (``relaxed_mask``)
     and sets those of the classes the hidden state satisfies
@@ -236,14 +246,17 @@ class CompiledMonitor:
             if isinstance(atom, BeliefAtom):
                 props.setdefault((atom.expr, False), len(props))
             elif atom not in self.state_atoms:
-                bit = props.setdefault((_relaxed_atom_expr(atom), True), len(props))
-                self.relaxed_mask |= 1 << bit
-                self.state_atoms[atom] = classes.setdefault((atom.indices, atom.negated), bit)
+                bit = classes.get((atom.indices, atom.negated))
+                if bit is None:
+                    bit = props.setdefault((_relaxed_atom_expr(atom), True), len(props))
+                    classes[atom.indices, atom.negated] = bit
+                    self.relaxed_mask |= 1 << bit
+                self.state_atoms[atom] = bit
         self.belief_props: tuple[BeliefExpr, ...] = tuple(expr for expr, _ in props)
         self.prop_names: tuple[str, ...] = tuple(
             f"[{belief_expr_text(e)} < 0]" for e in self.belief_props
         )
-        self.predicates = BeliefPredicates(self.belief_props)
+        self.predicates = BeliefPredicates(self.belief_props, self.relaxed_mask)
         self._state_bits: dict[int, np.ndarray] = {}
         skeleton = map_atoms(
             formula,
@@ -339,18 +352,10 @@ def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     _check_execution(pomdp, exec, comp.state_atoms)
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.dfa, sigs)
-    label = {sig: frozenset(_set_bits(sig)) for sig in set(sigs)}
+    label = {
+        sig: frozenset([j for j in range(sig.bit_length()) if sig >> j & 1]) for sig in set(sigs)
+    }
     return ok, tuple(label[sig] for sig in sigs), sigs
-
-
-def _set_bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 # -- smoothing ------------------------------------------------------------------

@@ -31,7 +31,10 @@ from .model import (
     Policy,
     Pomdp,
     StateSetReader,
+    below_zero,
+    entropy_bits,
     execution_from_actions,
+    marginal_dist,
     simulate,
 )
 from .monitor import acceptance_probability
@@ -345,7 +348,9 @@ class _ReactiveRescuePolicy(Policy):
     The state sets and factors a policy reads are compiled into one
     ``StateSetReader`` on the first ``reset`` with a model, kept while later
     resets pass the same one, and read once per step that the overlay does
-    not decide.
+    not decide.  Every threshold comparison goes through ``below_zero``, the
+    monitor's tie band, so the overlay fires exactly when the formula's duty
+    antecedent holds.
     """
 
     # The factors whose entropies the base schedule reads, beyond the sets
@@ -378,7 +383,6 @@ class _ReactiveRescuePolicy(Policy):
             [pomdp.named_sets[n] for n in needed_sets],
             [pomdp.factor_cells[f] for f in self._FACTORS],
         )
-        reader.check_range(pomdp.num_states)
         room1, surv1, surv2, unsafe1, unsafe2 = reader.set_columns
         self._reader = reader
         self._act = {name: i for i, name in enumerate(pomdp.actions)}
@@ -396,11 +400,13 @@ class _ReactiveRescuePolicy(Policy):
         return masses.tolist(), entropies.tolist()
 
     def _current_room(self, reads) -> int:
-        return 1 if reads[0][self._room1] >= 0.5 else 2
+        return 2 if below_zero(reads[0][self._room1] - 0.5) else 1
 
     def _triggered(self, reads, room: int) -> bool:
         masses = reads[0]
-        return masses[self._surv[room]] > self.p1 and masses[self._unsafe[room]] > self.p2
+        return below_zero(self.p1 - masses[self._surv[room]]) and below_zero(
+            self.p2 - masses[self._unsafe[room]]
+        )
 
     def act(self, belief: Belief, step: int) -> int:
         self._since_switch += 1
@@ -468,8 +474,8 @@ class EntropyCutoffPolicy(_ReactiveRescuePolicy):
 
     def _room_certain(self, reads, room: int) -> bool:
         entropies = reads[1]
-        return (
-            entropies[self._SAFE_H[room]] < self.h3 and entropies[self._SURV_H[room]] < self.h4
+        return below_zero(entropies[self._SAFE_H[room]] - self.h3) and below_zero(
+            entropies[self._SURV_H[room]] - self.h4
         )
 
     def _base_action(self, reads, step: int, room: int) -> int:
@@ -522,7 +528,7 @@ class MhtThresholdPolicy(Policy):
             return self._act["observe"]
         masses, entropies = self._reader.read(belief.probs)
         dist = masses.take(self._hyp_cells)
-        if entropies[0] < self.h:
+        if below_zero(entropies[0] - self.h):
             self._committed = int(np.argmax(dist)) + 1
             return self._act[f"choose{self._committed}"]
         return self._act["observe"]
@@ -615,13 +621,13 @@ def monte_carlo(
         raise ModelError("need at least 2 trials")
     if not isinstance(entropy_factor, str) or entropy_factor not in pomdp.factor_cells:
         raise ModelError(f"unknown factor {entropy_factor!r}")
-    reader = StateSetReader(factors=[pomdp.factor_cells[entropy_factor]])
+    cells = pomdp.factor_cells[entropy_factor]
     records = []
     for k in range(trials):
         seed = trial_seed(master_seed, k)
         hidden, execution = simulate(pomdp, policy, horizon, seed)
         report = acceptance_probability(pomdp, formula, execution)
-        terminal_entropy = float(reader.read(execution.beliefs[-1].probs)[1][0])
+        terminal_entropy = entropy_bits(marginal_dist(execution.beliefs[-1], cells))
         records.append(
             TrialRecord(
                 trial=k,

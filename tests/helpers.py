@@ -40,6 +40,45 @@ PIN_ENVIRONMENT = (
 )
 
 
+# Rounding bounds for two evaluations of the same state-set sums in
+# different orders, such as ``StateSetReader``'s ``probs @ M`` against
+# ``marginal_prob``.  A float sum of n terms, in any order, lies within
+# gamma(n - 1) * sum |x_i| of the exact sum (Higham, 2002, *Accuracy and
+# Stability of Numerical Algorithms*, ch. 4).
+UNIT_ROUNDOFF = 2.0**-53
+# numpy's vectorised log2 is accurate to a few units in the last place.
+LOG2_ULPS = 4
+
+
+def gamma(k: int) -> float:
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def mass_gap_bound(num_states: int, mass: float) -> float:
+    """Largest gap between two sums, in any orders, of one belief's masses
+    on one state set, given one of them: ``mass``."""
+    g = gamma(num_states - 1)
+    return 2 * g / (1 - g) * mass
+
+
+def entropy_gap_bound(num_states: int, masses) -> float:
+    """Largest gap between the entropies, in bits, of two evaluations of one
+    belief's cell masses, given one of them: ``masses``.  Each mass moves by
+    at most ``mass_gap_bound``, which moves its term ``-m log2 m`` by at
+    most that times the slope ``|log2 m| + 1/ln 2``; each side also rounds
+    its log2, its product and its sum over the cells."""
+    terms = 0.0
+    spread = 0.0
+    for m in map(float, masses):
+        if m == 0.0:  # a sum of nonnegative masses is zero only if each is
+            continue
+        gap = mass_gap_bound(num_states, m)
+        spread += gap * (abs(np.log2(m - gap)) + 1 / np.log(2))
+        terms += abs(m * np.log2(m))
+    rounding = 2 * ((LOG2_ULPS + 1) * UNIT_ROUNDOFF + gamma(max(len(masses) - 1, 0)))
+    return spread + rounding * terms
+
+
 def tiny_two_state() -> Pomdp:
     """Two states, one action, two informative observations."""
     return Pomdp(

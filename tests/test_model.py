@@ -15,14 +15,16 @@ from dtlmon.model import (
     Execution,
     Pomdp,
     ScriptedPolicy,
+    StateSetReader,
+    TIE_TOL,
     bayes_update,
+    below_zero,
     entropy_bits,
     execution_from_actions,
     filter_run,
     marginal_dist,
     marginal_prob,
     simulate,
-    state_index_array,
 )
 from dtlmon.studies import build_mht, build_rescue
 
@@ -265,22 +267,18 @@ class TestSimulate:
             )
 
 
-class TestStateIndexArray:
-    def test_sets_sorted_and_deduplicated(self):
-        idx = state_index_array([3, 1, 3, 0], 4)
-        assert idx.dtype == np.intp and idx.tolist() == [0, 1, 3]
-        assert not idx.flags.writeable
-
-    def test_cells_keep_their_order(self):
-        assert state_index_array((3, 1), 4, sort=False).tolist() == [3, 1]
-        assert state_index_array([], 4).size == 0
-
+class TestStateSetRange:
     @pytest.mark.parametrize("states", [[4], [-1], [0, 5]])
     def test_out_of_range(self, states):
-        with pytest.raises(ModelError, match="state set out of range"):
-            state_index_array(states, 4)
-        with pytest.raises(ModelError, match="state set out of range"):
-            state_index_array(states, 4, sort=False)
+        b = Belief(np.full(4, 0.25))
+        for read in (
+            lambda: marginal_prob(b, states),
+            lambda: marginal_dist(b, [(0,), states]),
+            lambda: StateSetReader([states]).incidence(4),
+            lambda: StateSetReader(factors=[[(0,), states]]).read(b.probs),
+        ):
+            with pytest.raises(ModelError, match="state set out of range"):
+                read()
 
     def test_functionals_range_check(self):
         b = Belief(np.full(4, 0.25))
@@ -291,6 +289,19 @@ class TestStateIndexArray:
 
 
 class TestBeliefFunctionals:
+    def test_below_zero_is_a_band(self):
+        # A value holds as below zero only beneath the band: a sum rounded
+        # within 1e-12 of its threshold reads "not below", in either order.
+        assert TIE_TOL == 1e-12
+        values = np.array([-1.0, -np.nextafter(TIE_TOL, 1.0), -TIE_TOL, -1e-16, -0.0, 0.0, 1.0])
+        assert below_zero(values).tolist() == [True, True, False, False, False, False, False]
+        assert [below_zero(float(v)) for v in values] == below_zero(values).tolist()
+        # Summed in two orders, 0.1, 0.2 and 0.3 land one ulp apart, on
+        # either side of 0.6 - ... < 0; the band reads both alike.
+        forward, backward = 0.6 - ((0.1 + 0.2) + 0.3), 0.6 - ((0.3 + 0.2) + 0.1)
+        assert forward < 0 <= backward
+        assert not below_zero(forward) and not below_zero(backward)
+
     def test_marginal_prob_extremes(self):
         b = Belief(np.array([1 / 6, 1 / 3, 1 / 2]))
         assert marginal_prob(b, range(3)) == pytest.approx(1.0)

@@ -1,4 +1,7 @@
-"""Compiled belief predicates against the reference evaluator, bit for bit."""
+"""Compiled belief predicates against the reference evaluator.
+
+Values agree within the rounding bound of their sums; verdicts, decided by
+the tie band of ``below_zero``, agree exactly."""
 
 import random
 
@@ -19,7 +22,7 @@ from dtlmon.logic import (
     Sub,
     eval_belief_expr,
 )
-from dtlmon.model import Belief, simulate
+from dtlmon.model import TIE_TOL, Belief, below_zero, marginal_dist, marginal_prob, simulate
 from dtlmon.monitor import (
     BeliefPredicates,
     acceptance_probability,
@@ -28,7 +31,14 @@ from dtlmon.monitor import (
 )
 from dtlmon.studies import EntropyCutoffPolicy, TimeSharePolicy, build_rescue, trial_seed
 
-from helpers import random_cosafe_formula, random_execution, random_pomdp
+from helpers import (
+    UNIT_ROUNDOFF,
+    entropy_gap_bound,
+    mass_gap_bound,
+    random_cosafe_formula,
+    random_execution,
+    random_pomdp,
+)
 
 MAX_STATES = 16
 
@@ -117,8 +127,44 @@ def cases(draw):
     return exprs, draw(beliefs(num_states))
 
 
-def bits(x) -> int:
-    return int(np.float64(x).view(np.int64))
+def gap_bound(expr, belief) -> tuple[float, float]:
+    """``eval_belief_expr(expr, belief)`` and a bound on its gap to any
+    evaluation that sums the same masses in other orders: the mass and
+    entropy bounds at the leaves, carried through each operation, which
+    rounds on both sides."""
+    n = len(belief)
+    if isinstance(expr, Const):
+        return expr.value, 0.0
+    if isinstance(expr, Callback):
+        return float(expr.fn(belief)), 0.0
+    if isinstance(expr, Prob):
+        mass = marginal_prob(belief, expr.indices)
+        return mass, mass_gap_bound(n, mass)
+    if isinstance(expr, EntropyBits):
+        return eval_belief_expr(expr, belief), entropy_gap_bound(n, marginal_dist(belief, expr.cells))
+    if isinstance(expr, Neg):
+        value, gap = gap_bound(expr.operand, belief)
+        return -value, gap
+    (left, left_gap), (right, right_gap) = gap_bound(expr.left, belief), gap_bound(expr.right, belief)
+    if isinstance(expr, Mul):
+        value = left * right
+        gap = abs(left) * right_gap + abs(right) * left_gap + left_gap * right_gap
+    else:
+        value = left + right if isinstance(expr, Add) else left - right
+        gap = left_gap + right_gap
+    return value, gap + 3 * UNIT_ROUNDOFF * (abs(value) + gap)
+
+
+def assert_values_match(exprs, bels):
+    values = BeliefPredicates(exprs, 0).values(bels)
+    assert values.shape == (len(exprs), len(bels))
+    for j, expr in enumerate(exprs):
+        for r, belief in enumerate(bels):
+            reference, gap = gap_bound(expr, belief)
+            assert reference == eval_belief_expr(expr, belief)
+            assert abs(values[j, r] - reference) <= gap, (expr, r)
+            if abs(reference + TIE_TOL) > gap:  # off the band's edge, the verdict is exact
+                assert below_zero(values[j, r]) == below_zero(reference), (expr, r)
 
 
 _MANY_CELLS = tuple((i,) for i in range(9)) + ((9, 10, 11),)
@@ -133,7 +179,7 @@ _SHAPES_BELIEFS = [
 @example(
     (
         [
-            Neg(Prob("zero", frozenset({1, 3}))),  # -0.0: the sign bit counts
+            Neg(Prob("zero", frozenset({1, 3}))),  # -0.0
             Sub(Prob("A", frozenset({0, 2, 5})), Prob("B", frozenset({2, 7, 8, 9}))),
             Sub(Const(0.5), Const(0.25)),
             Sub(EntropyBits("many", _MANY_CELLS), Const(1.5)),
@@ -144,19 +190,15 @@ _SHAPES_BELIEFS = [
         _SHAPES_BELIEFS,
     )
 )
-def test_values_bit_identical_to_reference(case):
+def test_values_match_reference_within_sum_bound(case):
     exprs, bels = case
-    values = BeliefPredicates(exprs).values(bels)
-    assert values.shape == (len(exprs), len(bels))
-    for j, expr in enumerate(exprs):
-        for r, belief in enumerate(bels):
-            assert bits(values[j, r]) == bits(eval_belief_expr(expr, belief)), (expr, r)
+    assert_values_match(exprs, bels)
 
 
-def test_fixed_shapes_bit_identical():
+def test_fixed_shapes_match_reference():
     # Pin the cases the property is meant to cover: empty, full and
-    # 8-or-more-element sets, entropies on both sides of the pairwise
-    # threshold with zero-mass cells, and a callback.
+    # 8-or-more-element sets, entropies of fewer and of more than 8 cells
+    # with zero-mass cells, and a callback.
     rng = np.random.default_rng(3)
     n = 12
     probs = rng.random((5, n)) * (rng.random((5, n)) > 0.3)
@@ -173,10 +215,7 @@ def test_fixed_shapes_bit_identical():
         EntropyBits("many", many),
         Mul(Add(EntropyBits("many", many), Const(-1.5)), Neg(FIRST_MASS)),
     ]
-    values = BeliefPredicates(exprs).values(bels)
-    for j, expr in enumerate(exprs):
-        for r, belief in enumerate(bels):
-            assert bits(values[j, r]) == bits(eval_belief_expr(expr, belief))
+    assert_values_match(exprs, bels)
 
 
 @pytest.mark.parametrize(
@@ -193,7 +232,7 @@ def test_out_of_range_sets_rejected_like_reference(expr):
     with pytest.raises(ModelError, match="state set out of range"):
         eval_belief_expr(expr, bels[0])
     with pytest.raises(ModelError, match="state set out of range"):
-        BeliefPredicates([expr]).values(bels)
+        BeliefPredicates([expr], 0).values(bels)
 
 
 def _labels_from_signatures(formula, execution):

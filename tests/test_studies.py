@@ -6,18 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtlmon.errors import DegeneratePearson, ModelError
-from dtlmon.logic import Eventually, formula_text
+from dtlmon.logic import Const, Eventually, Prob, Sub, formula_text
 from dtlmon.model import (
     Belief,
     Pomdp,
     StateSetReader,
     bayes_update,
+    below_zero,
     entropy_bits,
     marginal_dist,
     marginal_prob,
     simulate,
 )
-from dtlmon.monitor import acceptance_probability
+from dtlmon.monitor import acceptance_probability, compile_monitor
 from dtlmon.studies import (
     EntropyCutoffPolicy,
     MhtThresholdPolicy,
@@ -33,7 +34,7 @@ from dtlmon.studies import (
     trial_seed,
 )
 
-from helpers import PIN_ENVIRONMENT
+from helpers import PIN_ENVIRONMENT, entropy_gap_bound, mass_gap_bound
 
 
 @pytest.fixture(scope="module")
@@ -243,8 +244,8 @@ class TestPolicies:
 
 class _MarginalReads:
     """The rescue policies' decisions read through ``marginal_prob`` and
-    ``marginal_dist`` on the model's own sets at every call: the belief
-    itself stands in for the compiled reads."""
+    ``marginal_dist`` on the model's own sets at every call, and decided by
+    the tie band: the belief itself stands in for the compiled reads."""
 
     def reset(self, pomdp, horizon, seed=None):
         super().reset(pomdp, horizon, seed)
@@ -254,20 +255,19 @@ class _MarginalReads:
         return belief
 
     def _current_room(self, belief):
-        return 1 if marginal_prob(belief, self._pomdp.named_sets["room1"]) >= 0.5 else 2
+        return 2 if below_zero(marginal_prob(belief, self._pomdp.named_sets["room1"]) - 0.5) else 1
 
     def _triggered(self, belief, room):
         sets = self._pomdp.named_sets
-        return (
-            marginal_prob(belief, sets[f"surv{room}"]) > self.p1
-            and marginal_prob(belief, sets[f"unsafe{room}"]) > self.p2
+        return below_zero(self.p1 - marginal_prob(belief, sets[f"surv{room}"])) and below_zero(
+            self.p2 - marginal_prob(belief, sets[f"unsafe{room}"])
         )
 
     def _room_certain(self, belief, room):
         cells = self._pomdp.factor_cells
         safe_h = entropy_bits(marginal_dist(belief, cells[f"env_safe{room}"]))
         surv_h = entropy_bits(marginal_dist(belief, cells[f"env_surv{room}"]))
-        return safe_h < self.h3 and surv_h < self.h4
+        return below_zero(safe_h - self.h3) and below_zero(surv_h - self.h4)
 
 
 class _MarginalTimeShare(_MarginalReads, TimeSharePolicy):
@@ -278,7 +278,7 @@ class _MarginalCutoff(_MarginalReads, EntropyCutoffPolicy):
     pass
 
 
-_RESCUE, _ = build_rescue()
+_RESCUE, _RESCUE_FORMULA = build_rescue()
 _THRESHOLDS = {"surv": RescueParams().p1, "unsafe": RescueParams().p2}
 
 
@@ -328,28 +328,37 @@ def _cell_masses(policy, belief, factor):
 
 
 def _assert_reads_match(policy, belief):
-    """Every compiled read equals its ``marginal_prob``/``marginal_dist``
-    value bit for bit, and every decision equals the reference one."""
+    """Every compiled read lies within the rounding bound of its
+    ``marginal_prob``/``marginal_dist`` value, and every decision equals
+    the reference one."""
+    n = _RESCUE.num_states
     sets, cells = _RESCUE.named_sets, _RESCUE.factor_cells
     reads = policy._read(belief)
-    masses = reads[0]
-    assert masses[policy._room1] == marginal_prob(belief, sets["room1"])
+    masses, entropies = reads
     reference = _MarginalCutoff(0.3, 0.3, 2)
     reference.reset(_RESCUE, 16, 0)
     assert policy._current_room(reads) == reference._current_room(belief)
+    columns = {"room1": policy._room1}
     for j in (1, 2):
-        assert masses[policy._surv[j]] == marginal_prob(belief, sets[f"surv{j}"])
-        assert masses[policy._unsafe[j]] == marginal_prob(belief, sets[f"unsafe{j}"])
+        columns[f"surv{j}"], columns[f"unsafe{j}"] = policy._surv[j], policy._unsafe[j]
+    for name, column in columns.items():
+        mass = marginal_prob(belief, sets[name])
+        assert abs(masses[column] - mass) <= mass_gap_bound(n, mass)
+    for j in (1, 2):
         for factor in (f"env_safe{j}", f"env_surv{j}"):
-            got = _cell_masses(policy, belief, factor)
-            assert got.tobytes() == marginal_dist(belief, cells[factor]).tobytes()
+            dist = marginal_dist(belief, cells[factor])
+            for got, mass in zip(_cell_masses(policy, belief, factor), dist):
+                assert abs(got - mass) <= mass_gap_bound(n, mass)
+            entropy = entropies[policy._FACTORS.index(factor)]
+            assert abs(entropy - entropy_bits(dist)) <= entropy_gap_bound(n, dist)
         assert policy._triggered(reads, j) == reference._triggered(belief, j)
         assert policy._room_certain(reads, j) == reference._room_certain(belief, j)
 
 
 class TestCompiledPolicyReads:
-    """The policies read precompiled index arrays; every value and every
-    decision must equal the one from ``marginal_prob``/``marginal_dist``."""
+    """The policies read a precompiled incidence matrix; every value must lie
+    within the rounding bound of ``marginal_prob``/``marginal_dist``, and
+    every decision must equal the one from those references."""
 
     @settings(deadline=None, max_examples=150)
     @given(rescue_pmfs())
@@ -366,6 +375,14 @@ class TestCompiledPolicyReads:
         policy = EntropyCutoffPolicy(0.3, 0.3, 2)
         policy.reset(_RESCUE, 16, 0)
         _assert_reads_match(policy, belief)
+        # The tied mass is not above its threshold, for the policy's read
+        # and for the monitor's predicate of the formula's atom.
+        threshold = _THRESHOLDS[name[:-1]]
+        column = getattr(policy, f"_{name[:-1]}")[int(name[-1])]
+        assert not below_zero(threshold - policy._read(belief)[0][column])
+        comp = compile_monitor(_RESCUE_FORMULA)
+        j = comp.belief_props.index(Sub(Const(threshold), Prob(name, _RESCUE.named_sets[name])))
+        assert not comp.predicates.signatures([belief])[0] >> j & 1
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -390,16 +407,18 @@ class TestCompiledPolicyReads:
         policy = MhtThresholdPolicy(0.8)
         policy.reset(pomdp, 4, 0)
         dist = marginal_dist(belief, pomdp.factor_cells["hyp"])
-        masses, _ = policy._reader.read(belief.probs)
-        assert masses.take(policy._hyp_cells).tobytes() == dist.tobytes()
-        if entropy_bits(dist) < 0.8:
+        masses, entropies = policy._reader.read(belief.probs)
+        for got, mass in zip(masses.take(policy._hyp_cells), dist):
+            assert abs(got - mass) <= mass_gap_bound(12, mass)
+        assert abs(entropies[0] - entropy_bits(dist)) <= entropy_gap_bound(12, dist)
+        if below_zero(entropy_bits(dist) - 0.8):
             expected = pomdp.action_index[f"choose{int(np.argmax(dist)) + 1}"]
         else:
             expected = pomdp.action_index["observe"]
         assert policy.act(belief, 0) == expected
 
     def test_unequal_cells(self):
-        # ``monte_carlo`` reads any factor, cells of different sizes included.
+        # The reader reads any factor, cells of different sizes included.
         pomdp = Pomdp(
             [("a", {"k": 0}), ("b", {"k": 1}), ("c", {"k": 1})],
             ["go"],
@@ -411,16 +430,20 @@ class TestCompiledPolicyReads:
         )
         reader = StateSetReader(factors=[pomdp.factor_cells["k"]])
         cells = [reader.columns[c] for c in reader.cell_columns[0]]
-        assert [list(c) for c in cells] == [[0], [1, 2]]
-        masses, _ = reader.read(pomdp.prior.probs)
-        got = np.array([masses[c] for c in reader.cell_columns[0]])
-        assert got.tobytes() == marginal_dist(pomdp.prior, pomdp.factor_cells["k"]).tobytes()
+        assert cells == [frozenset({0}), frozenset({1, 2})]
+        masses, entropies = reader.read(pomdp.prior.probs)
+        dist = marginal_dist(pomdp.prior, pomdp.factor_cells["k"])
+        for c, mass in zip(reader.cell_columns[0], dist):
+            assert abs(masses[c] - mass) <= mass_gap_bound(3, mass)
+        assert abs(entropies[0] - entropy_bits(dist)) <= entropy_gap_bound(3, dist)
 
     def test_compiled_sets_are_read_only(self):
         policy = EntropyCutoffPolicy(0.3, 0.3, 2)
         policy.reset(_RESCUE, 16, 0)
-        for idx in (*policy._reader._gathers, policy._reader._small_cells):
-            assert idx.dtype == np.intp and not idx.flags.writeable
+        matrix = policy._reader.incidence(_RESCUE.num_states)
+        assert matrix.shape == (_RESCUE.num_states, len(policy._reader.columns) + 1)
+        for array in (matrix, policy._reader._cells):
+            assert not array.flags.writeable
 
     def test_reset_checks_each_new_model(self, mht):
         policy = TimeSharePolicy(3)
@@ -438,8 +461,8 @@ def test_rescue_study_means_are_pinned():
     out = run_rescue_study(250, 16, 2024)
     means = {name: run["stats"].mean_prob.hex() for name, run in out["policies"].items()}
     assert means == {
-        "timeshare": "0x1.80a512e2d4ce2p-1",
-        "entropy_cutoff": "0x1.a99c73f92f918p-1",
+        "timeshare": "0x1.7ea63e0c271dep-1",
+        "entropy_cutoff": "0x1.a8cf80c72e977p-1",
     }, PIN_ENVIRONMENT
 
 
