@@ -76,7 +76,10 @@ CASESTUDY_KEYS = {
 
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else 0
+    try:
+        return int(raw) if raw else 0
+    except ValueError:
+        raise ModelError(f"{SEED_ENV_VAR} must be an integer, not {raw!r}") from None
 
 
 def _load_config(path: str | None, study: str | None, keys) -> dict:
@@ -233,6 +236,7 @@ def _write_results(
 
 
 def cmd_simulate(args) -> int:
+    args.seed = _default_seed() if args.seed is None else args.seed
     keys = {*STUDY_KEYS.get(args.casestudy, ()), *POLICY_KEYS[args.policy], "entropy_factor"}
     config = _load_config(args.config, args.casestudy, keys)
     pomdp, formula = _resolve_model_formula(args, config)
@@ -293,6 +297,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
+    args.seed = _default_seed() if args.seed is None else args.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = _load_config(args.config, args.study, CASESTUDY_KEYS[args.study])
@@ -387,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["timeshare", "entropy-cutoff", "mht-threshold", "random"])
     sim.add_argument("--trials", type=int, default=2)
     sim.add_argument("--horizon", type=int, default=16)
-    sim.add_argument("--seed", type=int, default=_default_seed())
+    sim.add_argument("--seed", type=int)
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--dump-traces", action="store_true")
     sim.add_argument("--entropy-factor", help="factor for the terminal entropy column")
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument("--out", required=True, help="output directory")
     case.add_argument("--trials", type=int, default=250)
     case.add_argument("--horizon", type=int, default=16)
-    case.add_argument("--seed", type=int, default=_default_seed())
+    case.add_argument("--seed", type=int)
     case.add_argument("--config", help="JSON file of study parameter overrides")
     case.set_defaults(func=cmd_casestudy)
 

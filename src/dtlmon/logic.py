@@ -161,6 +161,11 @@ def eval_belief_expr(expr: BeliefExpr, belief: Belief) -> float:
     raise TypeError(f"not a belief expression: {expr!r}")
 
 
+def exact_sign(expr: BeliefExpr) -> bool:
+    """Whether ``expr`` is minus one set mass, whose sign no rounding flips."""
+    return isinstance(expr, Neg) and isinstance(expr.operand, Prob)
+
+
 def belief_expr_text(expr: BeliefExpr) -> str:
     if isinstance(expr, Const):
         return repr(expr.value)
@@ -556,9 +561,9 @@ TraceWord = Sequence[tuple[int, Belief]]
 def semantics_eval(formula: Formula, word: TraceWord, position: int = 0) -> bool:
     """Direct recursive satisfaction of ``formula`` at ``position`` in ``word``.
 
-    A belief atom holds when its expression is ``below_zero``, below the
-    tie band ``-TIE_TOL``, and its negation holds otherwise, so a value
-    within rounding of its threshold does not satisfy the atom.
+    A belief atom holds when its expression is ``below_zero`` (one of
+    ``exact_sign``: below zero at all), and its negation holds otherwise, so
+    a value within rounding of its threshold does not satisfy the atom.
     Each subformula is decided at most once per position in one call, so
     nested ``F`` and ``U`` cost time linear in their nesting, not
     exponential.
@@ -579,7 +584,8 @@ def _holds(formula: Formula, word: TraceWord, position: int, memo: dict) -> bool
     if isinstance(formula, StateAtom):
         value = (state in formula.indices) != formula.negated
     elif isinstance(formula, BeliefAtom):
-        value = below_zero(eval_belief_expr(formula.expr, belief)) != formula.negated
+        value = eval_belief_expr(formula.expr, belief)
+        value = ((value < 0) if exact_sign(formula.expr) else below_zero(value)) != formula.negated
     elif isinstance(formula, And):
         value = _holds(formula.left, word, position, memo) and _holds(
             formula.right, word, position, memo

@@ -447,13 +447,13 @@ class StateSetReader:
 
     ``sets`` are ``P(A)`` sets and ``factors`` partitions into cells.  Every
     distinct state set is one column of a read-only 0/1 incidence matrix,
-    built once per state count, so a read is one ``probs @ M``; the last
-    column is always empty.  The entropies of all factors come from one
-    pass over their cell masses, each factor padded to the widest with the
-    empty column, whose zero mass adds no term.  A mass sums at most
-    ``num_states`` terms, so it differs from ``marginal_prob`` or
-    ``marginal_dist`` by a few rounding errors at most, far inside the band
-    of ``below_zero``.
+    built once per state count, so a read is one ``probs @ M``: the distinct
+    sets in the given order, the other cells, then an always empty column.
+    The entropies of all factors come from one pass over their cell masses,
+    each factor padded to the widest with the empty column, whose zero mass
+    adds no term.  A mass sums at most ``num_states`` terms, so it differs
+    from ``marginal_prob`` or ``marginal_dist`` by a few rounding errors at
+    most, far inside the band of ``below_zero``.
     """
 
     def __init__(self, sets: Iterable[Iterable[int]] = (), factors: Iterable[Sequence] = ()):

@@ -10,22 +10,23 @@ whole action/observation record) satisfies the formula when paired with
 the belief sequence.
 
 The sum over satisfying paths is one forward pass over the filtered path
-measure.  Its mass is a matrix whose rows are the open automaton states
-and whose columns are the hidden states the record so far allows.  Each
-step multiplies by the step's transition and observation likelihoods,
-scatters every cell that holds mass to its successor automaton state, and
-divides by the total carried mass, the Bayes filter's normalizer, so long
-runs do not underflow.  Mass that reaches the dead state or the accept
-sink (the bad and good prefixes of co-safe properties; Kupferman & Vardi,
-"Model checking of safety properties", 2001) stays in two sink rows,
-because later observations still weigh its paths.  The accept row's share
-of the final mass is the probability under the smoothed posterior: exactly
-1.0 when every consistent path accepts and 0.0 when none does.  Consistent
-hidden paths are counted exactly alongside: each column's count is a
-column of base-2^31 int64 limbs, advanced by one small integer matmul with
-the step's support, and joined into one Python integer at the end.  A
-brute-force enumeration oracle over the smoothed chain built from backward
-likelihoods (another factorization of the same posterior) cross-checks it.
+measure.  Its mass is one matrix whose columns are the hidden states the
+record so far allows.  Rows 0 and 1 hold the mass that has reached the
+dead state or the accept sink (the bad and good prefixes of co-safe
+properties; Kupferman & Vardi, "Model checking of safety properties",
+2001), which stays there because later observations still weigh its
+paths; the other rows are the open automaton states.  Each step is one
+product with the step's transition and observation likelihoods, one
+division by the total, the Bayes filter's normalizer, so long runs do not
+underflow, and one fold of every cell into its successor's row.  The
+accept row's share of the final mass is the probability under the
+smoothed posterior: exactly 1.0 when every consistent path accepts and
+0.0 when none does.  Consistent hidden paths are counted exactly
+alongside: each column's count is a column of base-2^31 int64 limbs,
+advanced by one small integer matmul with the step's support, and joined
+into one Python integer at the end.  A brute-force enumeration oracle over
+the smoothed chain built from backward likelihoods (another factorization
+of the same posterior) cross-checks it.
 
 Both stages read the same per-step belief-predicate signatures, computed
 once per execution by the formula's compiled ``BeliefPredicates``;
@@ -49,10 +50,10 @@ states that a shared automaton keeps.
 Tie rule: a belief predicate holds only when its value is below
 ``-TIE_TOL`` (``model.below_zero``), so a value that grazes its threshold
 reads "does not hold" whatever order its masses were summed in; the
-policies and the enumeration oracle decide by the same band.  A relaxed
-predicate, minus a sum of nonnegative masses, keeps its sign under any
-rounding and is compared with zero exactly, so feasibility never rejects a
-run for a real but tiny mass.
+policies and the enumeration oracle decide by the same band.  Minus one
+set mass (``logic.exact_sign``), the form of every relaxed predicate,
+keeps its sign under any rounding and is compared with zero exactly, so
+feasibility never rejects a run for a real but tiny mass.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ from .logic import (
     check_nesting,
     checked_atoms,
     eval_belief_expr,
+    exact_sign,
     map_atoms,
     semantics_eval,
 )
@@ -129,12 +131,12 @@ RegionSignature = int
 
 def region_signature(belief: Belief, comp: CompiledMonitor) -> RegionSignature:
     """Bitmask over the compiled formula's belief propositions: bit j is set
-    iff predicate j's value on ``belief`` is ``below_zero``, or, for a
-    relaxed predicate, below zero at all."""
+    iff predicate j's value on ``belief`` is ``below_zero``, or, for an
+    ``exact_sign`` predicate, below zero at all."""
     sig = 0
     for j, expr in enumerate(comp.belief_props):
         value = eval_belief_expr(expr, belief)
-        if (value < 0) if comp.relaxed_mask >> j & 1 else below_zero(value):
+        if (value < 0) if exact_sign(expr) else below_zero(value):
             sig |= 1 << j
     return sig
 
@@ -150,17 +152,16 @@ class BeliefPredicates:
     each expression then runs as a closure over those columns, with
     ``Callback`` once per belief.  Values agree with ``eval_belief_expr``
     on each belief up to the rounding of the reader's sums.  The
-    expressions whose bits are set in ``exact`` (the relaxed predicates)
-    hold below zero at all, the others only ``below_zero``.
+    expressions of ``exact_sign`` hold below zero at all, the others only
+    ``below_zero``.
     """
 
-    def __init__(self, exprs: Sequence[BeliefExpr], exact: int):
+    def __init__(self, exprs: Sequence[BeliefExpr]):
         self._sets: dict[frozenset[int], int] = {}
         self._factors: dict[tuple, int] = {}
         self._programs = [self._compile(expr) for expr in exprs]
         self._reader = StateSetReader(self._sets, self._factors)
-        self._set_columns = np.array(self._reader.set_columns, dtype=np.intp)
-        self._exact = np.array([exact >> j & 1 for j in range(len(exprs))], dtype=bool)[:, None]
+        self._exact = np.array([exact_sign(expr) for expr in exprs], dtype=bool)[:, None]
 
     def _compile(self, expr: BeliefExpr):
         """Closure mapping (set masses, factor entropies, beliefs) to the
@@ -190,7 +191,6 @@ class BeliefPredicates:
         """Expression values: row j holds expression j on every belief."""
         probs = np.stack([b.probs for b in beliefs])
         masses, entropies = self._reader.read(probs)
-        masses = masses.take(self._set_columns, axis=1)
         out = np.empty((len(self._programs), len(probs)))
         for j, program in enumerate(self._programs):
             out[j] = program(masses, entropies, beliefs)
@@ -256,7 +256,7 @@ class CompiledMonitor:
         self.prop_names: tuple[str, ...] = tuple(
             f"[{belief_expr_text(e)} < 0]" for e in self.belief_props
         )
-        self.predicates = BeliefPredicates(self.belief_props, self.relaxed_mask)
+        self.predicates = BeliefPredicates(self.belief_props)
         self._state_bits: dict[int, np.ndarray] = {}
         skeleton = map_atoms(
             formula,
@@ -486,8 +486,8 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     consumes, at step i in hidden state s, the belief-predicate signature
     of the step's belief with its relaxed bits replaced by those of the
     hidden-state classes s satisfies.
-    Dead and accepted mass stays in two sink rows and every step is
-    rescaled by the filter's normalizer.  The result is the accepted share
+    Dead and accepted mass stays in rows 0 and 1 of the one mass matrix,
+    and every step is rescaled by the filter's normalizer.  The result is the accepted share
     of the final mass: exactly 1.0 when every consistent path accepts, 0.0
     when none does.  The exact number of consistent hidden paths
     (``consistent_paths``) rides along as int64 limbs, one matmul with the
@@ -497,34 +497,26 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     """
     comp = compile_monitor(formula)
     feasible, labels, sigs = _feasibility(comp, pomdp, exec)
-    legend = list(comp.prop_names)
+    diagnostics = {"dp_pairs": 0, "consistent_paths": 0, "propositions": list(comp.prop_names)}
     if not feasible:
-        return MonitorReport(
-            False,
-            0.0,
-            labels,
-            {"dp_pairs": 0, "consistent_paths": 0, "propositions": legend},
-        )
+        return MonitorReport(False, 0.0, labels, diagnostics)
 
     sbits = comp.state_bits(pomdp.num_states)
     dfa = comp.dfa
     # A hidden-state atom reads its state bit, not its relaxed predicate.
-    sigs = [sig & ~comp.relaxed_mask for sig in sigs]
-    prior = pomdp.prior.probs
+    keep = ~comp.relaxed_mask
 
     # The columns are the hidden states the record so far allows, ascending
     # (``live``).  ``counts[k, j]`` is limb k of column j's exact number of
     # paths, in base 2^31; ``bound`` caps every limb.
-    live = np.flatnonzero(prior)
+    live = np.flatnonzero(pomdp.prior.probs)
     counts = np.ones((1, len(live)), dtype=np.int64)
     bound = 1
-    # Step 0 moves the initial state's mass on the first letter.  ``out``
-    # holds the dead row, the accept row and the open rows.
-    states, out = _fold_step(
-        dfa, [dfa.initial], sigs[0], sbits.take(live).tolist(), prior.take(live)[None, :]
-    )
-    sinks, mass = out[:2], out[2:]
-    dp_pairs = int(np.count_nonzero(mass))
+    # Rows 0 and 1 are the dead and accept sinks, row r + 2 open automaton
+    # state ``states[r]``.  Step 0 moves the prior's mass on the first letter.
+    mass = np.vstack((np.zeros((2, len(live))), pomdp.prior.probs.take(live)))
+    states, mass = _fold_step(dfa, [dfa.initial], sigs[0] & keep, sbits.take(live).tolist(), mass)
+    dp_pairs = int(np.count_nonzero(mass[2:]))
 
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
         rows = pomdp.trans_mat[a].take(live, axis=0) * pomdp.obs_mat[a][:, o]
@@ -535,31 +527,21 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
             counts, bound = _carry(counts, bound)
         counts = counts @ adj.take(live, axis=1)
         bound *= len(adj)
-        rows = rows.take(live, axis=1)
-        states, out = _fold_step(dfa, states, sigs[i + 1], sbits.take(live).tolist(), mass @ rows)
-        out[:2] += sinks @ rows
-        total = out[:2].sum() + out[2:].sum()
+        mass = mass @ rows.take(live, axis=1)
+        total = mass.sum()
         if not total:
             raise AllZero("the recorded run is impossible under the model")
-        out /= total
-        sinks, mass = out[:2], out[2:]
-        dp_pairs += int(np.count_nonzero(mass))
+        mass /= total
+        states, mass = _fold_step(dfa, states, sigs[i + 1] & keep, sbits.take(live).tolist(), mass)
+        dp_pairs += int(np.count_nonzero(mass[2:]))
 
     # After a carry pass every limb is below 2^32, so each limb's sum over
     # the columns fits an int64.
     counts, _ = _carry(counts, bound)
-    limb_sums = counts.sum(axis=1).tolist()
-    accepted, rest = sinks[1].sum(), sinks[0].sum() + mass.sum()
-    return MonitorReport(
-        True,
-        float(accepted / (accepted + rest)),
-        labels,
-        {
-            "dp_pairs": dp_pairs,
-            "consistent_paths": sum(limb << (_LIMB_BITS * k) for k, limb in enumerate(limb_sums)),
-            "propositions": legend,
-        },
-    )
+    paths = sum(limb << (_LIMB_BITS * k) for k, limb in enumerate(counts.sum(axis=1).tolist()))
+    diagnostics.update(dp_pairs=dp_pairs, consistent_paths=paths)
+    accepted, rest = mass[1].sum(), mass[0].sum() + mass[2:].sum()
+    return MonitorReport(True, float(accepted / (accepted + rest)), labels, diagnostics)
 
 
 # Path counts are int64 limbs of ``_LIMB_BITS`` bits.  Carries propagate only
@@ -588,22 +570,21 @@ def _fold_step(
 ) -> tuple[list[int], np.ndarray]:
     """Move one step's mass through the automaton.
 
-    ``mass[r, j]`` sits in automaton state ``states[r]`` and hidden column
-    j, which reads ``letter`` joined with the state bits ``col_bits[j]``.
-    Returns the open successor states, numbered in the order their first
-    cell is met in a row-major scan (so the order depends only on the
-    formula and the execution, never on what the automaton has cached),
-    and one mass matrix: the mass that reached the dead state (row 0) and
-    the accept sink (row 1), then one row per open successor.  Successors
-    are looked up only for cells that hold mass, once per row and distinct
-    state bits.
+    Rows 0 and 1 of ``mass`` are the dead state and the accept sink, whose
+    mass stays put; row r + 2 is open automaton state ``states[r]``.  Column
+    j reads ``letter`` joined with the state bits ``col_bits[j]``.  Returns
+    the open successor states, numbered in the order their first cell is
+    met in a row-major scan (so the order depends only on the formula and
+    the execution, never on what the automaton has cached), and the moved
+    mass in the same layout.  Successors are looked up only for cells that
+    hold mass, once per row and distinct state bits.
     """
     delta = dfa._delta
     width = mass.shape[1]
-    open_rows: dict[int, int] = {}  # open successor -> its row + 2
+    open_rows: dict[int, int] = {}  # open successor -> its row
     targets: dict[tuple[int, int], int] = {}  # (row, state bits) -> target row
-    codes = []
-    for r, values in enumerate(mass.tolist()):
+    codes = list(range(2 * width))  # the sinks keep their cells
+    for r, values in enumerate(mass[2:].tolist()):
         q = states[r]
         for j, m in enumerate(values):
             target = 0
@@ -625,8 +606,7 @@ def _fold_step(
             codes.append(target * width + j)
     height = len(open_rows) + 2
     out = np.bincount(np.array(codes, dtype=np.intp), weights=mass.ravel(), minlength=height * width)
-    # Without open rows there are no codes, and bincount then counts in int64.
-    return list(open_rows), out.astype(float, copy=False).reshape(height, width)
+    return list(open_rows), out.reshape(height, width)
 
 
 DEFAULT_ORACLE_CAP = 100_000_000

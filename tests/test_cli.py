@@ -252,13 +252,50 @@ class TestSimulate:
         assert flag_first == default
 
     def test_seed_env_var_default(self, tmp_path, monkeypatch):
+        args = lambda out, *seed: [
+            "simulate", "--casestudy", "mht", "--trials", "2", "--horizon", "3",
+            "--out", str(out), *seed,
+        ]
+        assert main(args(tmp_path / "flag", "--seed", "77")) == EXIT_OK
         monkeypatch.setenv("DTLMON_SEED", "77")
-        from dtlmon.cli import build_parser
+        assert main(args(tmp_path / "env")) == EXIT_OK
+        assert main(args(tmp_path / "both", "--seed", "5")) == EXIT_OK
+        summary = lambda out: json.loads((tmp_path / out / "random_summary.json").read_text())
+        assert summary("env") == summary("flag")
+        assert summary("env")["master_seed"] == 77
+        assert summary("both")["master_seed"] == 5
 
-        args = build_parser().parse_args(
-            ["simulate", "--casestudy", "mht", "--out", str(tmp_path)]
-        )
-        assert args.seed == 77
+
+class TestSeedEnvVar:
+    """``DTLMON_SEED`` is read only by the seeded commands."""
+
+    def test_malformed_value_leaves_check_and_compile_alone(
+        self, mht_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("DTLMON_SEED", "abc")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--help"])
+        assert exit_info.value.code == 0
+        trace = str(mht_dir / "reference_trace.json")
+        assert main(["check", "--casestudy", "mht", "--trace", trace]) == EXIT_OK
+        assert main(["compile", "--casestudy", "mht", "--json", str(tmp_path / "a.json")]) == EXIT_OK
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--casestudy", "mht", "--trials", "2", "--horizon", "2"],
+            ["casestudy", "mht"],
+            ["casestudy", "rescue", "--trials", "2", "--horizon", "2"],
+        ],
+    )
+    def test_malformed_value_is_an_error_where_it_is_read(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("DTLMON_SEED", "abc")
+        assert main([*command, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: DTLMON_SEED must be an integer, not 'abc'\n"
+        assert main([*command, "--out", str(tmp_path / "out"), "--seed", "3"]) == EXIT_OK
 
 
 class TestCompile:

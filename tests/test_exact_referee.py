@@ -4,8 +4,8 @@ The first 10 trials per policy at master seed 2024 are refiltered in exact
 rational arithmetic (``fractions.Fraction``) over the model's own float
 parameters.  Wherever the monitor's float value of a belief predicate lies
 within ``TIE_TOL`` of zero, its verdict must be the exact sign: the band's
-"not below zero" for a belief predicate, and the exact comparison for a
-relaxed one.
+"not below zero" for a belief predicate, and the exact comparison for one
+of ``exact_sign``, as every relaxed predicate is.
 """
 
 from decimal import Decimal, localcontext
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dtlmon.logic import Add, Const, EntropyBits, Mul, Neg, Prob, Sub
+from dtlmon.logic import Add, Const, EntropyBits, Mul, Neg, Prob, Sub, exact_sign
 from dtlmon.model import TIE_TOL, below_zero, simulate
 from dtlmon.monitor import compile_monitor
 from dtlmon.studies import build_rescue, rescue_policies, trial_seed
@@ -68,19 +68,19 @@ def exact_value(expr, belief: list[Fraction]) -> Fraction:
 def test_band_verdicts_match_exact_signs():
     pomdp, formula = build_rescue()
     comp = compile_monitor(formula)
-    checked = {False: 0, True: 0}  # values in the band, by relaxed
+    checked = {False: 0, True: 0}  # values in the band, by exact sign
     for policy in rescue_policies().values():
         for k in range(TRIALS):
             _, execution = simulate(pomdp, policy, HORIZON, trial_seed(MASTER_SEED, k))
             values = comp.predicates.values(execution.beliefs)
             exact_beliefs = exact_filter(pomdp, execution)
             for j, t in zip(*np.nonzero(np.abs(values) <= TIE_TOL)):
-                relaxed = bool(comp.relaxed_mask >> j & 1)
+                signed = exact_sign(comp.belief_props[j])
                 value = values[j, t]
-                verdict = value < 0 if relaxed else below_zero(value)
+                verdict = value < 0 if signed else below_zero(value)
                 exact = exact_value(comp.belief_props[j], exact_beliefs[t])
                 assert exact == 0 or abs(exact) > 1e-40  # the sign is decided
                 assert verdict == (exact < 0), (policy, k, comp.prop_names[j], t, value, float(exact))
-                checked[relaxed] += 1
+                checked[signed] += 1
     # The duty antecedent's [0.9 < P(surv_j)] sits in the band on many steps.
     assert checked[False] > 0

@@ -20,6 +20,7 @@ from dtlmon.logic import (
     Const,
     EntropyBits,
     Eventually,
+    Neg,
     Next,
     Or,
     Prob,
@@ -28,6 +29,7 @@ from dtlmon.logic import (
     Until,
     checked_atoms,
     eval_belief_expr,
+    exact_sign,
     formula_text,
     map_atoms,
     parse_formula,
@@ -299,6 +301,17 @@ class TestSemantics:
         zero_atom = BeliefAtom(Const(0.0))
         assert not semantics_eval(zero_atom, word, 0)
         assert semantics_eval(BeliefAtom(Const(0.0), negated=True), word, 0)
+
+    def test_only_minus_one_set_mass_is_read_by_its_exact_sign(self):
+        """Minus one set mass holds on any value below zero; every other
+        expression, every parsed atom among them, holds only below the band."""
+        pomdp = tiny_two_state()
+        belief = Belief(np.array([1 - 1e-14, 1e-14]))
+        lit = frozenset(pomdp.named_sets["lit"])
+        exprs = [Neg(Prob("lit", lit)), parse_formula("[0 < P(lit)]", pomdp).expr]
+        verdicts = [semantics_eval(BeliefAtom(e), [(0, belief)], 0) for e in exprs]
+        assert verdicts == [True, False]
+        assert [exact_sign(e) for e in exprs] == verdicts
 
 
 class TestSemanticsProperties:

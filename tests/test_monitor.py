@@ -179,6 +179,9 @@ class TestPropositions:
             report = acceptance_probability(pomdp, formula, execution)
             oracle = acceptance_probability_oracle(pomdp, formula, execution)
             assert report.probability == pytest.approx(oracle, abs=1e-9), seed
+            # Both bits read minus the mass on A by its exact sign.
+            assert len(report.diagnostics["propositions"]) == 2
+            assert all((0 in label) == (1 in label) for label in report.step_labels), seed
 
     def test_hidden_state_atoms_of_one_set_and_sign_read_one_bit(self):
         """Here two atoms of one (set, sign) class would, with a bit each,
@@ -266,10 +269,6 @@ class TestFeasibility:
 @given(st.integers(0, 10**9))
 def test_feasibility_is_the_relaxed_formula_on_the_beliefs(seed):
     # The relaxed formula reads beliefs only, so the hidden state is moot.
-    # ``semantics_eval`` reads its relaxed predicates through the tie band,
-    # feasibility compares them exactly; they agree while no positive mass
-    # on a relaxed set lies within TIE_TOL of zero, and on these small random
-    # models the smallest such mass over seeds 0-19999 is 2.6e-7.
     rng = random.Random(seed)
     pomdp = random_pomdp(rng)
     formula = random_cosafe_formula(rng, pomdp)
@@ -277,6 +276,19 @@ def test_feasibility_is_the_relaxed_formula_on_the_beliefs(seed):
     word = [(0, belief) for belief in execution.beliefs]
     ok, _ = feasibility_check(pomdp, formula, execution)
     assert ok == semantics_eval(relax(formula), word, 0)
+
+
+def test_a_relaxed_mass_inside_the_tie_band_is_feasible_in_both_readings():
+    """Feasibility and the word semantics of the relaxed formula both read
+    minus one set mass by its exact sign, so a mass of 1e-14 on A, far
+    inside the tie band, still leaves ``in(A)`` feasible."""
+    pomdp = tiny_two_state()
+    formula = parse_formula("in(lit)", pomdp)
+    belief = Belief(np.array([1 - 1e-14, 1e-14]))
+    ok, labels = feasibility_check(pomdp, formula, Execution((belief,), (), ()))
+    assert ok and labels == (frozenset({0}),)
+    assert region_signature(belief, compile_monitor(formula)) == 1
+    assert semantics_eval(relax(formula), [(0, belief)], 0)
 
 
 class TestSmoothing:
