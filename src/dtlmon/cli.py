@@ -140,6 +140,12 @@ def _resolve_model_formula(args, config: dict):
     return pomdp, load_formula(args.formula, pomdp)
 
 
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 # -- check -------------------------------------------------------------------------
 
 
@@ -251,8 +257,7 @@ def cmd_simulate(args) -> int:
         _entropy_factor(args, pomdp, config),
         _success_fn(args, pomdp),
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     label = args.policy
     _write_results(out, args, label, records, stats)
     if args.dump_traces:
@@ -297,17 +302,15 @@ def cmd_compile(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
-    args.seed = _default_seed() if args.seed is None else args.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = _load_config(args.config, args.study, CASESTUDY_KEYS[args.study])
     if args.study == "mht":
-        return _casestudy_mht(args, out, config)
-    return _casestudy_rescue(args, out, config)
+        return _casestudy_mht(args, config)
+    return _casestudy_rescue(args, config)
 
 
-def _casestudy_mht(args, out: Path, config: dict) -> int:
+def _casestudy_mht(args, config: dict) -> int:
     pomdp, formula = _build_study("mht", config)
+    out = _out_dir(args)
     save_model(pomdp, out / "model.json")
     with open(out / "formula.dtl", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# commit to the most likely coin once the hypothesis entropy is low\n")
@@ -326,7 +329,9 @@ def _casestudy_mht(args, out: Path, config: dict) -> int:
     return EXIT_OK
 
 
-def _casestudy_rescue(args, out: Path, config: dict) -> int:
+def _casestudy_rescue(args, config: dict) -> int:
+    args.seed = _default_seed() if args.seed is None else args.seed
+    out = _out_dir(args)
     prior_mode = config.get("prior_mode", "safe_somewhere")
     study = run_rescue_study(
         args.trials,
@@ -411,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument("--out", required=True, help="output directory")
     case.add_argument("--trials", type=int, default=250)
     case.add_argument("--horizon", type=int, default=16)
-    case.add_argument("--seed", type=int)
+    case.add_argument("--seed", type=int,
+                      help=f"master seed of the rescue trials (default: {SEED_ENV_VAR} or 0); "
+                           "the mht study ignores it")
     case.add_argument("--config", help="JSON file of study parameter overrides")
     case.set_defaults(func=cmd_casestudy)
 

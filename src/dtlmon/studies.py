@@ -7,7 +7,9 @@ Two models ship with the package:
   hypothesis entropy falls below a threshold.
 * ``build_rescue``: a robot explores a two-room environment with noisy
   safety/survivor sensing and must move survivors out of unsafe rooms
-  while driving its estimate entropy down.
+  while driving its estimate entropy down.  It pairs ``rescue_model``,
+  cached per model parameters, with ``rescue_formula``, which reads only
+  the belief thresholds.
 
 The harness runs seeded trials of a policy, monitors every execution, and
 aggregates summary statistics including the correlation between the
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -145,11 +148,39 @@ class RescueParams:
 
 RESCUE_PRIOR_MODES = ("uniform", "safe_somewhere")
 
+# The ``RescueParams`` fields that shape the model; the rest (``p1``, ``p2``,
+# ``h1``, ``h2``) shape only the formula.
+RESCUE_MODEL_FIELDS = ("p_fail", "fa_safe", "fa_surv", "det_safe", "det_surv")
+
+RESCUE_MODEL_CACHE_SIZE = 8
+
+
+def _check_unit(p: RescueParams, fields: Sequence[str]) -> None:
+    for name in fields:
+        if not 0 < getattr(p, name) < 1:
+            raise ModelError(f"{name} must lie strictly between 0 and 1")
+
 
 def build_rescue(
     params: RescueParams | None = None, prior_mode: str = "safe_somewhere"
 ) -> tuple[Pomdp, Formula]:
-    """Two-room rescue robot model and its mission formula.
+    """Two-room rescue robot model and its mission formula:
+    ``(rescue_model(params, prior_mode), rescue_formula(model, params))``.
+
+    Every parameter is checked first, in field order and then
+    ``prior_mode``.  Calls with equal model fields and ``prior_mode``
+    return the same (immutable) ``Pomdp`` object, so a sweep over the
+    formula thresholds builds the model once.
+    """
+    p = params or RescueParams()
+    _check_unit(p, (*RESCUE_MODEL_FIELDS, "p1", "p2"))
+    pomdp = rescue_model(p, prior_mode)
+    return pomdp, rescue_formula(pomdp, p)
+
+
+def rescue_model(params: RescueParams | None = None, prior_mode: str = "safe_somewhere") -> Pomdp:
+    """Two-room rescue robot model, built once per model fields and
+    ``prior_mode`` (the last ``RESCUE_MODEL_CACHE_SIZE`` are kept).
 
     State components: the robot's room, whether it carries a survivor, a
     static safety bit per room, and a survivor-presence bit per room (64
@@ -168,28 +199,21 @@ def build_rescue(
     with a survivor and no safe room anywhere, which no policy can
     resolve; the restricted prior keeps the mission achievable.
 
-    The mission formula is ``duty U goal``: the duty clause obliges the
-    robot, whenever it is confidently (``p1``) with a survivor in a room
-    that is plausibly (``p2``) unsafe, to pick the survivor up, move to the
-    other room carrying it, and put it down; the goal clause needs every
-    room's safety and survivor entropies below ``h1``/``h2`` and every
-    survivor to sit in a safe room.
+    The parameters are checked before the cache lookup, so an invalid
+    value raises ``ModelError`` even when it cannot be hashed.
     """
     p = params or RescueParams()
-    for name, value in (
-        ("p_fail", p.p_fail),
-        ("fa_safe", p.fa_safe),
-        ("fa_surv", p.fa_surv),
-        ("det_safe", p.det_safe),
-        ("det_surv", p.det_surv),
-        ("p1", p.p1),
-        ("p2", p.p2),
-    ):
-        if not 0 < value < 1:
-            raise ModelError(f"{name} must lie strictly between 0 and 1")
+    _check_unit(p, RESCUE_MODEL_FIELDS)
     if prior_mode not in RESCUE_PRIOR_MODES:
         raise ModelError(f"prior_mode must be one of {RESCUE_PRIOR_MODES}")
+    return _rescue_model_cached(*(getattr(p, name) for name in RESCUE_MODEL_FIELDS), prior_mode)
 
+
+@lru_cache(maxsize=RESCUE_MODEL_CACHE_SIZE)
+def _rescue_model_cached(
+    p_fail: float, fa_safe: float, fa_surv: float, det_safe: float, det_surv: float,
+    prior_mode: str,
+) -> Pomdp:
     def state_name(room, carry, e1, e2, v1, v2):
         return f"r{room}c{carry}e{e1}{e2}v{v1}{v2}"
 
@@ -231,8 +255,8 @@ def build_rescue(
                 picked = state_name(room, 1, e1, e2, 0, v2)
             else:
                 picked = state_name(room, 1, e1, e2, v1, 0)
-            trans[(name, "pickup", picked)] = 1.0 - p.p_fail
-            trans[(name, "pickup", name)] = p.p_fail
+            trans[(name, "pickup", picked)] = 1.0 - p_fail
+            trans[(name, "pickup", name)] = p_fail
         else:
             trans[(name, "pickup", name)] = 1.0
 
@@ -246,8 +270,8 @@ def build_rescue(
             trans[(name, "putdown", name)] = 1.0
 
         safe_here = e1 if room == 1 else e2
-        p_safe_report = p.det_safe if safe_here == 1 else p.fa_safe
-        p_surv_report = p.det_surv if surv_here == 1 else p.fa_surv
+        p_safe_report = det_safe if safe_here == 1 else fa_safe
+        p_surv_report = det_surv if surv_here == 1 else fa_surv
         for sr, vr in itertools.product((0, 1), (0, 1)):
             prob = (p_safe_report if sr else 1 - p_safe_report) * (
                 p_surv_report if vr else 1 - p_surv_report
@@ -287,11 +311,26 @@ def build_rescue(
         "room": "room",
     }
 
-    pomdp = Pomdp(
+    return Pomdp(
         states, actions, observations, prior, trans, obs_model,
         named_sets=named_sets, factors=factors,
     )
 
+
+rescue_model.cache_info = _rescue_model_cached.cache_info
+
+
+def rescue_formula(pomdp: Pomdp, params: RescueParams | None = None) -> Formula:
+    """The rescue mission formula ``duty U goal`` over ``pomdp``'s sets.
+
+    The duty clause obliges the robot, whenever it is confidently
+    (``p1``) with a survivor in a room that is plausibly (``p2``) unsafe,
+    to pick the survivor up, move to the other room carrying it, and put
+    it down; the goal clause needs every room's safety and survivor
+    entropies below ``h1``/``h2`` and every survivor to sit in a safe room.
+    """
+    p = params or RescueParams()
+    _check_unit(p, ("p1", "p2"))
     duty_parts = []
     for j, other in ((1, 2), (2, 1)):
         antecedent = f"in(room{j}) & [{p.p1!r} < P(surv{j})] & [{p.p2!r} < P(unsafe{j})]"
@@ -305,7 +344,7 @@ def build_rescue(
         goal_parts.append(f"((in(safe{i}) & in(surv{i})) | in(no_surv{i}))")
     goal = " & ".join(goal_parts)
     text = f"({duty}) U ({goal})"
-    return pomdp, parse_formula(text, pomdp)
+    return parse_formula(text, pomdp)
 
 
 def rescue_success_fn(pomdp: Pomdp) -> Callable[[int], bool]:

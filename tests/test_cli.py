@@ -285,7 +285,8 @@ class TestSeedEnvVar:
         "command",
         [
             ["simulate", "--casestudy", "mht", "--trials", "2", "--horizon", "2"],
-            ["casestudy", "mht"],
+            ["simulate", "--casestudy", "rescue", "--policy", "timeshare", "--trials", "2",
+             "--horizon", "2"],
             ["casestudy", "rescue", "--trials", "2", "--horizon", "2"],
         ],
     )
@@ -295,7 +296,17 @@ class TestSeedEnvVar:
         monkeypatch.setenv("DTLMON_SEED", "abc")
         assert main([*command, "--out", str(tmp_path / "out")]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: DTLMON_SEED must be an integer, not 'abc'\n"
+        assert not (tmp_path / "out").exists()
         assert main([*command, "--out", str(tmp_path / "out"), "--seed", "3"]) == EXIT_OK
+
+    def test_malformed_value_leaves_casestudy_mht_alone(self, mht_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("DTLMON_SEED", "abc")
+        out = tmp_path / "again"
+        assert main(["casestudy", "mht", "--out", str(out)]) == EXIT_OK
+        names = sorted(p.name for p in mht_dir.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert read_bytes(out / name) == read_bytes(mht_dir / name)
 
 
 class TestCompile:
@@ -412,18 +423,22 @@ class TestCasestudy:
         "argv, config, message",
         [
             (["casestudy", "mht", "--out", "{out}"], {"prior_mode": "uniform"},
-             "'prior_mode' for mht"),
+             "unknown config key 'prior_mode' for mht"),
             (["casestudy", "rescue", "--out", "{out}", "--trials", "1", "--horizon", "2"],
-             {"h": 0.5}, "'h' for rescue"),
+             {"h": 0.5}, "unknown config key 'h' for rescue"),
             (["simulate", "--casestudy", "rescue", "--policy", "timeshare", "--trials", "2",
-              "--horizon", "2", "--out", "{out}"], {"p_fial": 0.9}, "'p_fial' for rescue"),
+              "--horizon", "2", "--out", "{out}"], {"p_fial": 0.9},
+             "unknown config key 'p_fial' for rescue"),
             (["simulate", "--model", "{model}", "--formula", "{formula}", "--trials", "1",
               "--horizon", "2", "--out", "{out}"], {"entropy_factor": "bit", "seed": 3},
-             "'seed' for a model file"),
+             "unknown config key 'seed' for a model file"),
             (["check", "--casestudy", "mht", "--trace", "{mht_trace}"],
-             {"entropy_factor": "nope"}, "'entropy_factor' for mht"),
+             {"entropy_factor": "nope"}, "unknown config key 'entropy_factor' for mht"),
             (["check", "--model", "{model}", "--formula", "{formula}", "--trace", "{trace}"],
-             {"p_fail": 0.5}, "'p_fail' for a model file"),
+             {"p_fail": 0.5}, "unknown config key 'p_fail' for a model file"),
+            # A known key with an unhashable value: checked before any model is looked up.
+            (["compile", "--casestudy", "rescue"], {"prior_mode": ["uniform"]},
+             "prior_mode must be one of ('uniform', 'safe_somewhere')"),
         ],
         ids=[
             "rescue-key-for-mht",
@@ -432,6 +447,7 @@ class TestCasestudy:
             "key-of-no-study",
             "simulate-key-for-check",
             "study-key-for-model-file",
+            "list-prior-mode",
         ],
     )
     def test_config_keys_the_study_does_not_read_are_rejected(
@@ -453,7 +469,7 @@ class TestCasestudy:
         argv = [arg.format(out=tmp_path / "out", **paths) for arg in argv]
         code = main([*argv, "--config", str(cfg)])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: unknown config key {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("key", ["share_a", "rho", "p_fail"])

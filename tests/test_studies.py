@@ -29,6 +29,8 @@ from dtlmon.studies import (
     mht_success_fn,
     monte_carlo,
     pearson_r,
+    rescue_formula,
+    rescue_model,
     rescue_success_fn,
     run_rescue_study,
     trial_seed,
@@ -165,6 +167,62 @@ class TestBuildRescue:
         text = formula_text(formula)
         for token in ("room1", "room2", "carrying", "env_safe1", "env_surv2", "no_surv1"):
             assert token in text
+
+
+class TestRescueModelCache:
+    def test_thresholds_share_one_model(self):
+        pomdp, formula = build_rescue()
+        other_pomdp, other = build_rescue(RescueParams(p1=0.85, p2=0.3, h1=0.4, h2=0.5))
+        assert other_pomdp is pomdp
+        assert formula_text(other) != formula_text(formula)
+        assert rescue_model() is pomdp
+        assert rescue_formula(pomdp) == formula
+
+    @pytest.mark.parametrize(
+        "params, prior_mode",
+        [(RescueParams(p_fail=0.3), "safe_somewhere"), (RescueParams(), "uniform")],
+        ids=["p_fail", "prior_mode"],
+    )
+    def test_model_fields_give_another_model(self, params, prior_mode):
+        pomdp, formula = build_rescue()
+        other_pomdp, other = build_rescue(params, prior_mode)
+        assert other_pomdp is not pomdp
+        assert not (
+            np.array_equal(other_pomdp.trans_mat, pomdp.trans_mat)
+            and np.array_equal(other_pomdp.prior.probs, pomdp.prior.probs)
+        )
+        assert formula_text(other) == formula_text(formula)
+
+    def test_shared_model_arrays_are_read_only(self):
+        pomdp, _ = build_rescue()
+        for arr in (pomdp.trans_mat, pomdp.obs_mat, pomdp.prior.probs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0.5
+
+    @pytest.mark.parametrize("field", ["p1", "p2"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5])
+    def test_out_of_range_threshold_is_refused_with_a_warm_cache(self, field, value):
+        build_rescue()
+        hits = rescue_model.cache_info().hits
+        with pytest.raises(ModelError) as err:
+            build_rescue(RescueParams(**{field: value}))
+        assert str(err.value) == f"{field} must lie strictly between 0 and 1"
+        assert rescue_model.cache_info().hits == hits
+
+    @pytest.mark.parametrize(
+        "params, prior_mode, message",
+        [
+            (RescueParams(p_fail=1.0, p1=2.0), "nowhere", "p_fail must lie"),
+            (RescueParams(det_surv=0.0, p2=0.0), ["uniform"], "det_surv must lie"),
+            (RescueParams(p2=0.0), ["uniform"], "p2 must lie"),
+            (RescueParams(), ["uniform"], "prior_mode must be one of"),
+            (RescueParams(), {"uniform": 1}, "prior_mode must be one of"),
+        ],
+    )
+    def test_parameters_are_checked_in_order_before_the_lookup(self, params, prior_mode, message):
+        with pytest.raises(ModelError, match=f"^{message}"):
+            build_rescue(params, prior_mode)
 
 
 def certain_env_rescue(env, room=1, carry=0):
