@@ -414,8 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     case = subs.add_parser("casestudy", help="reproduce a bundled study")
     case.add_argument("study", choices=["mht", "rescue"])
     case.add_argument("--out", required=True, help="output directory")
-    case.add_argument("--trials", type=int, default=250)
-    case.add_argument("--horizon", type=int, default=16)
+    case.add_argument("--trials", type=int, default=250,
+                      help="trials per policy of the rescue study; the mht study ignores it")
+    case.add_argument("--horizon", type=int, default=16,
+                      help="steps per rescue trial; the mht study ignores it")
     case.add_argument("--seed", type=int,
                       help=f"master seed of the rescue trials (default: {SEED_ENV_VAR} or 0); "
                            "the mht study ignores it")

@@ -318,7 +318,8 @@ class Execution:
 
     ``beliefs`` has one more entry than ``actions`` and ``observations``:
     ``beliefs[i + 1]`` is the filter update of ``beliefs[i]`` under
-    ``actions[i]`` and ``observations[i]``.
+    ``actions[i]`` and ``observations[i]``.  The three are stored as
+    tuples, so an execution hashes by its content, beliefs by identity.
     """
 
     beliefs: tuple[Belief, ...]
@@ -326,6 +327,8 @@ class Execution:
     observations: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("beliefs", "actions", "observations"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.beliefs) == 0:
             raise ModelError("an execution needs at least the initial belief")
         if len(self.actions) != len(self.beliefs) - 1 or len(self.observations) != len(self.actions):

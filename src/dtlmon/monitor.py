@@ -47,6 +47,17 @@ keeps only the ⊆-minimal obligation sets of its subset (an antichain; see
 ``automaton``), so deeply nested eventualities and untils do not grow the
 states that a shared automaton keeps.
 
+The acceptance program reads a formula only through its automaton, its
+hidden states' bits and the signatures with the relaxed bits cleared.  Its
+result is kept per (execution, model, automaton) under the other two:
+formulas of one sweep that share an automaton and meet the same masked
+signature sequence on one execution share one run.  The memo is keyed
+weakly at every level, so it lives exactly as long as the execution, the
+model and the automaton all do, and it keeps none of them alive; the
+record is checked against the model once, when the (execution, model)
+entry is made.  No result depends on the memo: a hit returns the numbers
+the run it stands for would compute, bit for bit.
+
 Tie rule: a belief predicate holds only when its value is below
 ``-TIE_TOL`` (``model.below_zero``), so a value that grazes its threshold
 reads "does not hold" whatever order its masses were summed in; the
@@ -258,6 +269,7 @@ class CompiledMonitor:
         )
         self.predicates = BeliefPredicates(self.belief_props)
         self._state_bits: dict[int, np.ndarray] = {}
+        self._labels: dict[RegionSignature, frozenset[int]] = {}  # signature -> its label
         skeleton = map_atoms(
             formula,
             lambda atom: PropAtom(self.state_atoms[atom])
@@ -330,15 +342,20 @@ def feasibility_check(
     return ok, labels
 
 
-def _check_execution(pomdp: Pomdp, exec: Execution, atoms: Iterable) -> None:
-    """Raise ``ModelError`` unless the formula's hidden-state ``atoms``, and
-    the execution's beliefs, actions and observations, fit the model."""
+def _check_atoms(pomdp: Pomdp, atoms: Iterable) -> None:
+    """Raise ``ModelError`` unless the formula's hidden-state ``atoms`` were
+    resolved against the model's state count."""
     for atom in atoms:
         if isinstance(atom, StateAtom) and atom.num_states != pomdp.num_states:
             raise ModelError(
                 f"in({atom.name}) was resolved against {atom.num_states} states, "
                 f"the model has {pomdp.num_states}"
             )
+
+
+def _check_record(pomdp: Pomdp, exec: Execution) -> None:
+    """Raise ``ModelError`` unless the execution's beliefs, actions and
+    observations fit the model."""
     if any(len(b) != pomdp.num_states for b in exec.beliefs):
         raise ModelError("execution beliefs do not match the model dimension")
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
@@ -346,16 +363,36 @@ def _check_execution(pomdp: Pomdp, exec: Execution, atoms: Iterable) -> None:
             raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
 
 
+# Acceptance results: execution -> model -> automaton -> {(state bits,
+# letters): (probability, dp_pairs, consistent paths)}, weak at every level.
+# Two threads that miss at once both run the DP and store equal results.
+_dp_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_dp_memo_lock = threading.Lock()
+
+
+def _checked_record(pomdp: Pomdp, exec: Execution) -> weakref.WeakKeyDictionary:
+    """The memo of ``exec`` under ``pomdp``, keyed by automaton; the record
+    is checked against the model the first time."""
+    with _dp_memo_lock:
+        by_model = _dp_memo.setdefault(exec, weakref.WeakKeyDictionary())
+        memo = by_model.get(pomdp)
+        if memo is None:
+            _check_record(pomdp, exec)
+            memo = by_model[pomdp] = weakref.WeakKeyDictionary()
+        return memo
+
+
 def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     """Relaxed verdict, per-step labels, and the per-step signatures they
     come from, which the acceptance dynamic program reuses."""
-    _check_execution(pomdp, exec, comp.state_atoms)
+    _check_atoms(pomdp, comp.state_atoms)
+    _checked_record(pomdp, exec)
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.dfa, sigs)
-    label = {
-        sig: frozenset([j for j in range(sig.bit_length()) if sig >> j & 1]) for sig in set(sigs)
-    }
-    return ok, tuple(label[sig] for sig in sigs), sigs
+    labels = comp._labels
+    for sig in set(sigs).difference(labels):
+        labels[sig] = frozenset([j for j in range(sig.bit_length()) if sig >> j & 1])
+    return ok, tuple(map(labels.__getitem__, sigs)), sigs
 
 
 # -- smoothing ------------------------------------------------------------------
@@ -493,7 +530,12 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     (``consistent_paths``) rides along as int64 limbs, one matmul with the
     step's support per step; carries propagate only when a limb could
     pass 2^56.  Raises ``AllZero`` at the first step that leaves no hidden
-    state consistent with the record.
+    state consistent with the record, on every call.
+
+    Formulas that share an automaton, state bits and letters (the
+    signatures with the relaxed bits cleared) on one execution share one
+    run of the program (see the module notes); labels and propositions
+    are the call's own.
     """
     comp = compile_monitor(formula)
     feasible, labels, sigs = _feasibility(comp, pomdp, exec)
@@ -501,11 +543,29 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     if not feasible:
         return MonitorReport(False, 0.0, labels, diagnostics)
 
-    sbits = comp.state_bits(pomdp.num_states)
-    dfa = comp.dfa
     # A hidden-state atom reads its state bit, not its relaxed predicate.
     keep = ~comp.relaxed_mask
+    sbits = comp.state_bits(pomdp.num_states)
+    letters = tuple(sig & keep for sig in sigs)
+    memo = _checked_record(pomdp, exec)
+    with _dp_memo_lock:
+        results = memo.setdefault(comp.dfa, {})
+    key = (tuple(sbits.tolist()), letters)
+    result = results.get(key)
+    if result is None:
+        result = results[key] = _acceptance_dp(pomdp, exec, comp.dfa, letters, sbits)
+    probability, dp_pairs, paths = result
+    diagnostics.update(dp_pairs=dp_pairs, consistent_paths=paths)
+    return MonitorReport(True, probability, labels, diagnostics)
 
+
+def _acceptance_dp(
+    pomdp: Pomdp, exec: Execution, dfa: Dfa, letters: Sequence[int], sbits: np.ndarray
+) -> tuple[float, int, int]:
+    """The dynamic program of ``acceptance_probability`` over the belief
+    letters with the relaxed bits cleared: the accepted share of the final
+    mass, the number of occupied (automaton state, hidden state) cells
+    summed over the steps, and the number of consistent hidden paths."""
     # The columns are the hidden states the record so far allows, ascending
     # (``live``).  ``counts[k, j]`` is limb k of column j's exact number of
     # paths, in base 2^31; ``bound`` caps every limb.
@@ -515,7 +575,7 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     # Rows 0 and 1 are the dead and accept sinks, row r + 2 open automaton
     # state ``states[r]``.  Step 0 moves the prior's mass on the first letter.
     mass = np.vstack((np.zeros((2, len(live))), pomdp.prior.probs.take(live)))
-    states, mass = _fold_step(dfa, [dfa.initial], sigs[0] & keep, sbits.take(live).tolist(), mass)
+    states, mass = _fold_step(dfa, [dfa.initial], letters[0], sbits.take(live).tolist(), mass)
     dp_pairs = int(np.count_nonzero(mass[2:]))
 
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
@@ -532,16 +592,15 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
         if not total:
             raise AllZero("the recorded run is impossible under the model")
         mass /= total
-        states, mass = _fold_step(dfa, states, sigs[i + 1] & keep, sbits.take(live).tolist(), mass)
+        states, mass = _fold_step(dfa, states, letters[i + 1], sbits.take(live).tolist(), mass)
         dp_pairs += int(np.count_nonzero(mass[2:]))
 
     # After a carry pass every limb is below 2^32, so each limb's sum over
     # the columns fits an int64.
     counts, _ = _carry(counts, bound)
     paths = sum(limb << (_LIMB_BITS * k) for k, limb in enumerate(counts.sum(axis=1).tolist()))
-    diagnostics.update(dp_pairs=dp_pairs, consistent_paths=paths)
     accepted, rest = mass[1].sum(), mass[0].sum() + mass[2:].sum()
-    return MonitorReport(True, float(accepted / (accepted + rest)), labels, diagnostics)
+    return float(accepted / (accepted + rest)), dp_pairs, paths
 
 
 # Path counts are int64 limbs of ``_LIMB_BITS`` bits.  Carries propagate only
@@ -624,7 +683,8 @@ def acceptance_probability_oracle(
     never falls from one step to the next, so ``CapExceeded`` is raised as
     soon as it passes ``cap``, before any path is enumerated.
     """
-    _check_execution(pomdp, exec, checked_atoms(formula))
+    _check_atoms(pomdp, checked_atoms(formula))
+    _check_record(pomdp, exec)
     t = exec.horizon
     bl = backward_likelihoods(pomdp, exec.actions, exec.observations)
     alpha0 = smoothed_initial(pomdp, bl)

@@ -388,6 +388,14 @@ class TestCasestudy:
         assert report["feasible"] is True
         assert report["probability"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_mht_ignores_trials_and_horizon(self, mht_dir, tmp_path):
+        out = tmp_path / "again"
+        assert main(["casestudy", "mht", "--out", str(out), "--trials", "2", "--horizon", "3"]) == EXIT_OK
+        names = sorted(p.name for p in mht_dir.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert read_bytes(out / name) == read_bytes(mht_dir / name)
+
     def test_rescue_config_overrides(self, tmp_path):
         config = tmp_path / "params.json"
         config.write_text(json.dumps({"p_fail": 0.2, "prior_mode": "uniform", "rho": 1}))

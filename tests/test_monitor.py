@@ -1,8 +1,12 @@
 """Feasibility, smoothing, and the acceptance-probability dynamic program."""
 
+import gc
 import random
 import re
+import sys
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from dtlmon.automaton import export_json_dict
 from dtlmon.errors import AllZero, CapExceeded, InconsistentState, ModelError
 from dtlmon.logic import (
+    Add,
     And,
     BeliefAtom,
     Const,
@@ -22,6 +27,7 @@ from dtlmon.logic import (
     Prob,
     StateAtom,
     checked_atoms,
+    map_atoms,
     parse_formula,
     semantics_eval,
 )
@@ -35,6 +41,7 @@ from dtlmon.model import (
     simulate,
 )
 from dtlmon.monitor import (
+    _dp_memo,
     _shared_dfas,
     acceptance_probability,
     compile_monitor,
@@ -53,6 +60,7 @@ from dtlmon.studies import (
     build_mht,
     build_rescue,
     mht_reference_trace,
+    rescue_model,
     rescue_policies,
     trial_seed,
 )
@@ -667,6 +675,177 @@ class TestSharedAutomata:
         assert len(_shared_dfas) >= 2
         compile_monitor.cache_clear()
         assert len(_shared_dfas) == 0
+
+
+def _copy(execution: Execution) -> Execution:
+    """The same record and belief values in new ``Belief`` objects, so the
+    copy shares no acceptance memo with ``execution``."""
+    return Execution(
+        tuple(Belief(b.probs) for b in execution.beliefs),
+        execution.actions,
+        execution.observations,
+    )
+
+
+def _shift_thresholds(formula, delta: float):
+    """The formula with every belief atom's threshold moved by ``delta``:
+    same skeleton, same propositions, hence the same automaton."""
+    return map_atoms(
+        formula,
+        lambda atom: BeliefAtom(Add(atom.expr, Const(delta)), atom.negated)
+        if isinstance(atom, BeliefAtom)
+        else atom,
+    )
+
+
+class TestAcceptanceMemo:
+    """Formulas that share an automaton and meet the same letters on one
+    execution share one run of the dynamic program."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        pomdp = rescue_model()
+        rng = random.Random(20)
+        formulas = [
+            build_rescue(
+                RescueParams(
+                    p1=round(rng.uniform(0.80, 0.97), 3),
+                    p2=round(rng.uniform(0.10, 0.45), 3),
+                    h1=round(rng.uniform(0.20, 0.60), 3),
+                    h2=round(rng.uniform(0.20, 0.60), 3),
+                )
+            )[1]
+            for _ in range(16)
+        ]
+        policies = list(rescue_policies().values())
+        executions = [
+            simulate(pomdp, policies[k % 2], 16, trial_seed(20, k))[1] for k in range(3)
+        ]
+        return pomdp, formulas, executions
+
+    def test_memoized_reports_equal_fresh_ones_on_random_formulas(self):
+        rng = random.Random(2020)
+        shared = 0
+        for _ in range(40):
+            pomdp = random_pomdp(rng)
+            base = random_cosafe_formula(rng, pomdp)
+            execution = random_execution(pomdp, rng)
+            variants = [_shift_thresholds(base, rng.choice([0.0, 0.01, -0.01, 0.3, -0.3]))
+                        for _ in range(6)]
+            feasible = 0
+            for formula in variants:
+                assert compile_monitor(formula).dfa is compile_monitor(base).dfa
+                memoized = acceptance_probability(pomdp, formula, execution)
+                fresh = acceptance_probability(pomdp, formula, _copy(execution))
+                assert memoized.feasible == fresh.feasible
+                assert memoized.probability == fresh.probability
+                assert memoized.step_labels == fresh.step_labels
+                assert memoized.diagnostics == fresh.diagnostics
+                feasible += memoized.feasible
+            runs = sum(len(results) for results in _dp_memo[execution][pomdp].values())
+            assert runs <= feasible
+            shared += feasible - runs
+        assert shared > 0
+
+    def test_state_sets_of_one_automaton_get_their_own_runs(self):
+        rng = random.Random(2021)
+        moved = 0
+        for _ in range(30):
+            pomdp = random_pomdp(rng)
+            execution = random_execution(pomdp, rng)
+            formulas = [parse_formula(f"F in({name})", pomdp) for name in ("setA", "setB", "evens")]
+            assert len({compile_monitor(formula).dfa for formula in formulas}) == 1
+            reports = [acceptance_probability(pomdp, formula, execution) for formula in formulas]
+            for formula, report in zip(formulas, reports):
+                fresh = acceptance_probability(pomdp, formula, _copy(execution))
+                assert _verdict(report) == _verdict(fresh)
+            moved += len({report.probability for report in reports}) > 1
+        assert moved
+
+    def test_an_execution_built_from_lists_is_memoized_too(self, sweep):
+        pomdp, formulas, executions = sweep
+        execution = executions[0]
+        listed = Execution(
+            list(_copy(execution).beliefs), list(execution.actions), list(execution.observations)
+        )
+        assert _verdict(acceptance_probability(pomdp, formulas[0], listed)) == _verdict(
+            acceptance_probability(pomdp, formulas[0], execution)
+        )
+        assert listed in _dp_memo
+
+    def test_a_sweep_shares_runs_and_matches_fresh_executions(self, sweep):
+        pomdp, formulas, executions = sweep
+        for execution in executions:
+            for formula in formulas:
+                memoized = acceptance_probability(pomdp, formula, execution)
+                assert _verdict(memoized) == _verdict(
+                    acceptance_probability(pomdp, formula, _copy(execution))
+                )
+            (results,) = _dp_memo[execution][pomdp].values()
+            assert len(results) < len(formulas)
+
+    def test_another_model_of_the_same_dimensions_gets_its_own_run(self, sweep):
+        pomdp, formulas, executions = sweep
+        other = rescue_model(RescueParams(fa_safe=0.3, det_surv=0.7))
+        assert other is not pomdp and other.num_states == pomdp.num_states
+        formula = formulas[0]
+        moved = False
+        for execution in executions:
+            here = acceptance_probability(pomdp, formula, execution)
+            there = acceptance_probability(other, formula, execution)
+            assert set(_dp_memo[execution]) >= {pomdp, other}
+            assert _verdict(there) == _verdict(acceptance_probability(other, formula, _copy(execution)))
+            moved |= here.probability != there.probability
+        assert moved
+
+    def test_the_memo_keeps_no_execution_model_or_automaton_alive(self):
+        pomdp = tiny_two_state()
+        formula = parse_formula("F in(lit)", pomdp)
+        execution = execution_from_actions(pomdp, ["poke", "poke"], ["hi", "lo"])
+        assert acceptance_probability(pomdp, formula, execution).feasible
+        by_model = _dp_memo[execution]
+        (by_dfa,) = by_model.values()
+        assert len(by_dfa) == 1
+        compile_monitor.cache_clear()
+        gc.collect()
+        assert len(by_dfa) == 0
+        model_ref = weakref.ref(pomdp)
+        del pomdp
+        gc.collect()
+        assert model_ref() is None and len(by_model) == 0
+        before = len(_dp_memo)
+        execution_ref = weakref.ref(execution)
+        del execution
+        gc.collect()
+        assert execution_ref() is None and len(_dp_memo) == before - 1
+
+    def test_all_zero_is_raised_on_every_call(self, mht):
+        pomdp, _ = mht
+        actions = (pomdp.action_index["observe"], pomdp.action_index["choose1"])
+        observations = (pomdp.obs_index["tails"], pomdp.obs_index["heads"])
+        execution = Execution((pomdp.prior,) * 3, actions, observations)
+        for _ in range(2):
+            with pytest.raises(AllZero):
+                acceptance_probability(pomdp, full_atom(pomdp), execution)
+        assert not any(_dp_memo[execution][pomdp].values())
+
+    def test_threaded_sweep_agrees_with_a_serial_one(self, sweep):
+        pomdp, formulas, executions = sweep
+        serial = [
+            _verdict(acceptance_probability(pomdp, formula, execution))
+            for execution in map(_copy, executions)
+            for formula in formulas
+        ]
+        jobs = [(formula, execution) for execution in map(_copy, executions) for formula in formulas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(acceptance_probability, pomdp, f, e) for f, e in jobs]
+                threaded = [_verdict(future.result(timeout=120)) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 def _first_sink_step(pomdp, formula, execution) -> int:
