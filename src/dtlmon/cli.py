@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``check`` (monitor a recorded trace), ``simulate`` (seeded
-Monte Carlo trials of a policy, with per-trial CSV and a summary JSON),
+Subcommands: ``check`` (monitor a recorded trace), ``sweep`` (monitor
+recorded traces under several configs), ``simulate`` (seeded Monte Carlo
+trials of a policy, with per-trial CSV and a summary JSON),
 ``compile`` (export a formula's automaton), and ``casestudy`` (reproduce a
 bundled study end to end).  All outputs are deterministic functions of the
 inputs and seeds.  Exit codes: 0 ok, 1 error, 2 infeasible under
@@ -179,6 +180,31 @@ def cmd_check(args) -> int:
         save_json(doc, args.report)
     if args.strict and not report.feasible:
         return EXIT_INFEASIBLE
+    return EXIT_OK
+
+
+# -- sweep -------------------------------------------------------------------------
+
+
+def cmd_sweep(args) -> int:
+    """Monitor every trace under every config, in the order given.  Each
+    trace is loaded once per distinct model, so the configs that change
+    only the formula's thresholds monitor the same executions, and the
+    acceptance runs they share are made once."""
+    keys = STUDY_KEYS.get(args.casestudy, ())
+    executions: dict[Pomdp, list] = {}
+    rows = []
+    for path in args.config or [None]:
+        pomdp, formula = _resolve_model_formula(args, _load_config(path, args.casestudy, keys))
+        if pomdp not in executions:
+            executions[pomdp] = [load_trace(pomdp, trace) for trace in args.trace]
+        for trace, execution in zip(args.trace, executions[pomdp]):
+            report = acceptance_probability(pomdp, formula, execution)
+            print(f"{path or '-'} {trace}: feasible {report.feasible}, "
+                  f"probability {report.probability!r}")
+            rows.append({"config": path, "trace": trace, **report.to_json_dict()})
+    if args.report:
+        save_json(rows, args.report)
     return EXIT_OK
 
 
@@ -365,13 +391,17 @@ def _casestudy_rescue(args, config: dict) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _add_model_args(sub, include_trace=False):
+def _add_model_args(sub, include_trace=False, repeat=False):
+    """The model and formula options; with ``repeat``, ``--config`` and
+    ``--trace`` may be given several times."""
+    again = {"action": "append"} if repeat else {}
+    tail = "; repeat to give several" if repeat else ""
     sub.add_argument("--model", help="model JSON file")
     sub.add_argument("--formula", help="formula text file")
     sub.add_argument("--casestudy", choices=["mht", "rescue"], help="use a bundled model")
-    sub.add_argument("--config", help="JSON file of study parameter overrides")
+    sub.add_argument("--config", **again, help="JSON file of study parameter overrides" + tail)
     if include_trace:
-        sub.add_argument("--trace", required=True, help="trace JSON file")
+        sub.add_argument("--trace", **again, required=True, help="trace JSON file" + tail)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,6 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--report", help="write the monitor report JSON here")
     check.add_argument("--strict", action="store_true", help="exit 2 when infeasible")
     check.set_defaults(func=cmd_check)
+
+    sweep = subs.add_parser("sweep", help="monitor recorded traces under several configs")
+    _add_model_args(sweep, include_trace=True, repeat=True)
+    sweep.add_argument("--report", help="write the reports as one JSON list here")
+    sweep.set_defaults(func=cmd_sweep)
 
     sim = subs.add_parser("simulate", help="run seeded Monte Carlo trials")
     _add_model_args(sim)

@@ -269,7 +269,6 @@ class CompiledMonitor:
         )
         self.predicates = BeliefPredicates(self.belief_props)
         self._state_bits: dict[int, np.ndarray] = {}
-        self._labels: dict[RegionSignature, frozenset[int]] = {}  # signature -> its label
         skeleton = map_atoms(
             formula,
             lambda atom: PropAtom(self.state_atoms[atom])
@@ -338,7 +337,7 @@ def feasibility_check(
     predicate.  Returns the verdict and the per-step sets of satisfied
     belief propositions.
     """
-    ok, labels, _ = _feasibility(compile_monitor(formula), pomdp, exec)
+    ok, labels, _, _ = _feasibility(compile_monitor(formula), pomdp, exec)
     return ok, labels
 
 
@@ -370,29 +369,32 @@ _dp_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _dp_memo_lock = threading.Lock()
 
 
-def _checked_record(pomdp: Pomdp, exec: Execution) -> weakref.WeakKeyDictionary:
-    """The memo of ``exec`` under ``pomdp``, keyed by automaton; the record
-    is checked against the model the first time."""
+def _dp_results(pomdp: Pomdp, exec: Execution, dfa: Dfa) -> dict:
+    """The memo of ``exec`` under ``pomdp`` and ``dfa``; the record is
+    checked against the model when the (execution, model) entry is made."""
     with _dp_memo_lock:
-        by_model = _dp_memo.setdefault(exec, weakref.WeakKeyDictionary())
-        memo = by_model.get(pomdp)
-        if memo is None:
+        by_model = _dp_memo.get(exec)
+        if by_model is None:
+            by_model = _dp_memo[exec] = weakref.WeakKeyDictionary()
+        by_dfa = by_model.get(pomdp)
+        if by_dfa is None:
             _check_record(pomdp, exec)
-            memo = by_model[pomdp] = weakref.WeakKeyDictionary()
-        return memo
+            by_dfa = by_model[pomdp] = weakref.WeakKeyDictionary()
+        return by_dfa.setdefault(dfa, {})
 
 
 def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
-    """Relaxed verdict, per-step labels, and the per-step signatures they
-    come from, which the acceptance dynamic program reuses."""
+    """Relaxed verdict, per-step labels, the per-step signatures they come
+    from, and the memo of acceptance results, which the acceptance dynamic
+    program reuses."""
     _check_atoms(pomdp, comp.state_atoms)
-    _checked_record(pomdp, exec)
+    results = _dp_results(pomdp, exec, comp.dfa)
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.dfa, sigs)
-    labels = comp._labels
-    for sig in set(sigs).difference(labels):
-        labels[sig] = frozenset([j for j in range(sig.bit_length()) if sig >> j & 1])
-    return ok, tuple(map(labels.__getitem__, sigs)), sigs
+    label = {
+        sig: frozenset([j for j in range(sig.bit_length()) if sig >> j & 1]) for sig in set(sigs)
+    }
+    return ok, tuple(label[sig] for sig in sigs), sigs, results
 
 
 # -- smoothing ------------------------------------------------------------------
@@ -538,7 +540,7 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     are the call's own.
     """
     comp = compile_monitor(formula)
-    feasible, labels, sigs = _feasibility(comp, pomdp, exec)
+    feasible, labels, sigs, results = _feasibility(comp, pomdp, exec)
     diagnostics = {"dp_pairs": 0, "consistent_paths": 0, "propositions": list(comp.prop_names)}
     if not feasible:
         return MonitorReport(False, 0.0, labels, diagnostics)
@@ -547,9 +549,6 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     keep = ~comp.relaxed_mask
     sbits = comp.state_bits(pomdp.num_states)
     letters = tuple(sig & keep for sig in sigs)
-    memo = _checked_record(pomdp, exec)
-    with _dp_memo_lock:
-        results = memo.setdefault(comp.dfa, {})
     key = (tuple(sbits.tolist()), letters)
     result = results.get(key)
     if result is None:

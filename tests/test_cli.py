@@ -161,6 +161,80 @@ class TestCheck:
         assert isinstance(diagnostics["dp_pairs"], int)
 
 
+@pytest.fixture(scope="module")
+def rescue_sweep(tmp_path_factory):
+    """Three rescue traces and four configs: three that move one belief
+    threshold a little, and one that changes the model."""
+    root = tmp_path_factory.mktemp("sweep")
+    pomdp, _ = dtlmon.build_rescue()
+    policy = dtlmon.studies.EntropyCutoffPolicy(0.3, 0.3, 2)
+    traces = []
+    for seed in range(3):
+        traces.append(str(root / f"trace_{seed}.json"))
+        save_trace(pomdp, dtlmon.simulate(pomdp, policy, 16, seed)[1], traces[-1])
+    configs = []
+    for k, fields in enumerate([{"h1": 0.37}, {"h1": 0.371}, {"p1": 0.901}, {"p_fail": 0.3}]):
+        configs.append(str(root / f"config_{k}.json"))
+        Path(configs[-1]).write_text(json.dumps(fields))
+    return root, traces, configs
+
+
+class TestSweep:
+    def _sweep(self, rescue_sweep, *extra):
+        _, traces, configs = rescue_sweep
+        args = ["sweep", "--casestudy", "rescue", *extra]
+        for config in configs:
+            args += ["--config", config]
+        for trace in traces:
+            args += ["--trace", trace]
+        return main(args)
+
+    def test_reports_equal_separate_checks(self, rescue_sweep, tmp_path):
+        _, traces, configs = rescue_sweep
+        report = tmp_path / "sweep.json"
+        assert self._sweep(rescue_sweep, "--report", str(report)) == EXIT_OK
+        rows = json.loads(report.read_text())
+        assert [(row.pop("config"), row.pop("trace")) for row in rows] == [
+            (config, trace) for config in configs for trace in traces
+        ]
+        for row, (config, trace) in zip(rows, [(c, t) for c in configs for t in traces]):
+            single = tmp_path / "check.json"
+            args = ["check", "--casestudy", "rescue", "--config", config, "--trace", trace,
+                    "--report", str(single)]
+            assert main(args) == EXIT_OK
+            assert row == json.loads(single.read_text())
+
+    def test_configs_that_share_letters_share_one_run(self, rescue_sweep, monkeypatch):
+        # The three threshold configs meet one letter sequence per trace;
+        # the config with another model loads the traces anew.
+        runs = []
+        real = dtlmon.monitor._acceptance_dp
+
+        def counted(*args):
+            runs.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(dtlmon.monitor, "_acceptance_dp", counted)
+        assert self._sweep(rescue_sweep) == EXIT_OK
+        # One run per loaded execution: 12 feasible (config, trace) pairs.
+        assert len(runs) == len(set(map(id, runs))) == 6
+
+    def test_unknown_config_key_exits_one(self, rescue_sweep, tmp_path, capsys):
+        _, traces, _ = rescue_sweep
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"share_a": 3}))
+        code = main(["sweep", "--casestudy", "rescue", "--config", str(config),
+                     "--trace", traces[0]])
+        assert code == EXIT_ERROR
+        assert "unknown config key 'share_a'" in capsys.readouterr().err
+
+    def test_without_config_monitors_each_trace_once(self, mht_dir, capsys):
+        trace = str(mht_dir / "reference_trace.json")
+        assert main(["sweep", "--casestudy", "mht", "--trace", trace, "--trace", trace]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"- {trace}: feasible True, probability 1.0"] * 2
+
+
 class TestSimulate:
     def test_writes_csv_and_summary(self, tmp_path):
         out = tmp_path / "sim"
