@@ -51,7 +51,8 @@ The acceptance program reads a formula only through its automaton, its
 hidden states' bits and the signatures with the relaxed bits cleared.  Its
 result is kept per (execution, model, automaton) under the other two:
 formulas of one sweep that share an automaton and meet the same masked
-signature sequence on one execution share one run.  The memo is keyed
+signature sequence on one execution share one run (``dtlmon sweep`` loads
+each trace once for all its configs to that end).  The memo is keyed
 weakly at every level, so it lives exactly as long as the execution, the
 model and the automaton all do, and it keeps none of them alive; the
 record is checked against the model once, when the (execution, model)
@@ -355,11 +356,15 @@ def _check_atoms(pomdp: Pomdp, atoms: Iterable) -> None:
 def _check_record(pomdp: Pomdp, exec: Execution) -> None:
     """Raise ``ModelError`` unless the execution's beliefs, actions and
     observations fit the model."""
-    if any(len(b) != pomdp.num_states for b in exec.beliefs):
+    if set(map(len, exec.beliefs)) != {pomdp.num_states}:
         raise ModelError("execution beliefs do not match the model dimension")
-    for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
-        if not (0 <= a < pomdp.num_actions and 0 <= o < pomdp.num_observations):
-            raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
+    acts, obs = exec.actions, exec.observations
+    num_a, num_o = pomdp.num_actions, pomdp.num_observations
+    if acts and (min(acts) < 0 or max(acts) >= num_a or min(obs) < 0 or max(obs) >= num_o):
+        # Name the first step out of range.
+        for i, (a, o) in enumerate(zip(acts, obs)):
+            if not (0 <= a < num_a and 0 <= o < num_o):
+                raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
 
 
 # Acceptance results: execution -> model -> automaton -> {(state bits,
@@ -392,7 +397,8 @@ def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.dfa, sigs)
     label = {
-        sig: frozenset([j for j in range(sig.bit_length()) if sig >> j & 1]) for sig in set(sigs)
+        sig: frozenset([j for j, bit in enumerate(bin(sig)[:1:-1]) if bit == "1"])
+        for sig in set(sigs)
     }
     return ok, tuple(label[sig] for sig in sigs), sigs, results
 
