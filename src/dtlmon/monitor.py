@@ -49,14 +49,14 @@ states that a shared automaton keeps.
 
 The acceptance program reads a formula only through its automaton, its
 hidden states' bits and the signatures with the relaxed bits cleared.  Its
-result is kept per (execution, model, automaton) under the other two:
+result is kept per (model, automaton, execution) under the other two:
 formulas of one sweep that share an automaton and meet the same masked
 signature sequence on one execution share one run (``dtlmon sweep`` loads
 each trace once for all its configs to that end).  The memo is keyed
-weakly at every level, so it lives exactly as long as the execution, the
-model and the automaton all do, and it keeps none of them alive; the
-record is checked against the model once, when the (execution, model)
-entry is made.  No result depends on the memo: a hit returns the numbers
+weakly at every level, so it lives exactly as long as the model, the
+automaton and the execution all do, and it keeps none of them alive; the
+record is checked against the model once per (model, automaton,
+execution), when the entry is made.  No result depends on the memo: a hit returns the numbers
 the run it stands for would compute, bit for bit.
 
 Tie rule: a belief predicate holds only when its value is below
@@ -367,25 +367,29 @@ def _check_record(pomdp: Pomdp, exec: Execution) -> None:
                 raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
 
 
-# Acceptance results: execution -> model -> automaton -> {(state bits,
-# letters): (probability, dp_pairs, consistent paths)}, weak at every level.
-# Two threads that miss at once both run the DP and store equal results.
+# Acceptance results: model -> automaton -> execution -> {(state bits,
+# letters): (probability, dp_pairs, consistent paths)}, weak at every level,
+# so a fresh execution costs one weak entry.  Two threads that miss at once
+# both run the DP and store equal results.
 _dp_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _dp_memo_lock = threading.Lock()
 
 
 def _dp_results(pomdp: Pomdp, exec: Execution, dfa: Dfa) -> dict:
     """The memo of ``exec`` under ``pomdp`` and ``dfa``; the record is
-    checked against the model when the (execution, model) entry is made."""
+    checked against the model when the entry is made."""
     with _dp_memo_lock:
-        by_model = _dp_memo.get(exec)
-        if by_model is None:
-            by_model = _dp_memo[exec] = weakref.WeakKeyDictionary()
-        by_dfa = by_model.get(pomdp)
+        by_dfa = _dp_memo.get(pomdp)
         if by_dfa is None:
+            by_dfa = _dp_memo[pomdp] = weakref.WeakKeyDictionary()
+        by_exec = by_dfa.get(dfa)
+        if by_exec is None:
+            by_exec = by_dfa[dfa] = weakref.WeakKeyDictionary()
+        results = by_exec.get(exec)
+        if results is None:
             _check_record(pomdp, exec)
-            by_dfa = by_model[pomdp] = weakref.WeakKeyDictionary()
-        return by_dfa.setdefault(dfa, {})
+            results = by_exec[exec] = {}
+        return results
 
 
 def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):

@@ -228,7 +228,7 @@ class TestSweep:
         assert code == EXIT_ERROR
         assert "unknown config key 'share_a'" in capsys.readouterr().err
 
-    def test_without_config_monitors_each_trace_once(self, mht_dir, capsys):
+    def test_without_config_monitors_each_trace_under_the_defaults(self, mht_dir, capsys):
         trace = str(mht_dir / "reference_trace.json")
         assert main(["sweep", "--casestudy", "mht", "--trace", trace, "--trace", trace]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()

@@ -742,7 +742,7 @@ class TestAcceptanceMemo:
                 assert memoized.step_labels == fresh.step_labels
                 assert memoized.diagnostics == fresh.diagnostics
                 feasible += memoized.feasible
-            runs = sum(len(results) for results in _dp_memo[execution][pomdp].values())
+            runs = len(_dp_memo[pomdp][compile_monitor(base).dfa][execution])
             assert runs <= feasible
             shared += feasible - runs
         assert shared > 0
@@ -771,18 +771,18 @@ class TestAcceptanceMemo:
         assert _verdict(acceptance_probability(pomdp, formulas[0], listed)) == _verdict(
             acceptance_probability(pomdp, formulas[0], execution)
         )
-        assert listed in _dp_memo
+        assert listed in _dp_memo[pomdp][compile_monitor(formulas[0]).dfa]
 
     def test_a_sweep_shares_runs_and_matches_fresh_executions(self, sweep):
         pomdp, formulas, executions = sweep
+        (dfa,) = {compile_monitor(formula).dfa for formula in formulas}
         for execution in executions:
             for formula in formulas:
                 memoized = acceptance_probability(pomdp, formula, execution)
                 assert _verdict(memoized) == _verdict(
                     acceptance_probability(pomdp, formula, _copy(execution))
                 )
-            (results,) = _dp_memo[execution][pomdp].values()
-            assert len(results) < len(formulas)
+            assert len(_dp_memo[pomdp][dfa][execution]) < len(formulas)
 
     def test_another_model_of_the_same_dimensions_gets_its_own_run(self, sweep):
         pomdp, formulas, executions = sweep
@@ -793,7 +793,8 @@ class TestAcceptanceMemo:
         for execution in executions:
             here = acceptance_probability(pomdp, formula, execution)
             there = acceptance_probability(other, formula, execution)
-            assert set(_dp_memo[execution]) >= {pomdp, other}
+            dfa = compile_monitor(formula).dfa
+            assert execution in _dp_memo[pomdp][dfa] and execution in _dp_memo[other][dfa]
             assert _verdict(there) == _verdict(acceptance_probability(other, formula, _copy(execution)))
             moved |= here.probability != there.probability
         assert moved
@@ -803,21 +804,23 @@ class TestAcceptanceMemo:
         formula = parse_formula("F in(lit)", pomdp)
         execution = execution_from_actions(pomdp, ["poke", "poke"], ["hi", "lo"])
         assert acceptance_probability(pomdp, formula, execution).feasible
-        by_model = _dp_memo[execution]
-        (by_dfa,) = by_model.values()
-        assert len(by_dfa) == 1
-        compile_monitor.cache_clear()
-        gc.collect()
-        assert len(by_dfa) == 0
-        model_ref = weakref.ref(pomdp)
-        del pomdp
-        gc.collect()
-        assert model_ref() is None and len(by_model) == 0
-        before = len(_dp_memo)
+        dfa_ref = weakref.ref(compile_monitor(formula).dfa)
+        by_dfa = _dp_memo[pomdp]
+        by_exec = by_dfa[dfa_ref()]
+        assert list(by_dfa) == [dfa_ref()] and list(by_exec) == [execution]
         execution_ref = weakref.ref(execution)
         del execution
         gc.collect()
-        assert execution_ref() is None and len(_dp_memo) == before - 1
+        assert execution_ref() is None and len(by_exec) == 0
+        del by_exec
+        compile_monitor.cache_clear()
+        gc.collect()
+        assert dfa_ref() is None and len(by_dfa) == 0
+        before = len(_dp_memo)
+        model_ref = weakref.ref(pomdp)
+        del pomdp
+        gc.collect()
+        assert model_ref() is None and len(_dp_memo) == before - 1
 
     def test_all_zero_is_raised_on_every_call(self, mht):
         pomdp, _ = mht
@@ -827,7 +830,7 @@ class TestAcceptanceMemo:
         for _ in range(2):
             with pytest.raises(AllZero):
                 acceptance_probability(pomdp, full_atom(pomdp), execution)
-        assert not any(_dp_memo[execution][pomdp].values())
+        assert _dp_memo[pomdp][compile_monitor(full_atom(pomdp)).dfa][execution] == {}
 
     def test_threaded_sweep_agrees_with_a_serial_one(self, sweep):
         pomdp, formulas, executions = sweep
