@@ -312,14 +312,14 @@ def save_model(pomdp: Pomdp, path) -> None:
 # -- executions ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Execution:
     """Aligned belief/action/observation record of a monitored run.
 
     ``beliefs`` has one more entry than ``actions`` and ``observations``:
     ``beliefs[i + 1]`` is the filter update of ``beliefs[i]`` under
-    ``actions[i]`` and ``observations[i]``.  The three are stored as
-    tuples, so an execution hashes by its content, beliefs by identity.
+    ``actions[i]`` and ``observations[i]``.  Executions, like beliefs,
+    compare and hash by identity.
     """
 
     beliefs: tuple[Belief, ...]
@@ -327,8 +327,6 @@ class Execution:
     observations: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("beliefs", "actions", "observations"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.beliefs) == 0:
             raise ModelError("an execution needs at least the initial belief")
         if len(self.actions) != len(self.beliefs) - 1 or len(self.observations) != len(self.actions):

@@ -56,8 +56,8 @@ each trace once for all its configs to that end).  The memo is keyed
 weakly at every level, so it lives exactly as long as the model, the
 automaton and the execution all do, and it keeps none of them alive; the
 record is checked against the model once per (model, automaton,
-execution), when the entry is made.  No result depends on the memo: a hit returns the numbers
-the run it stands for would compute, bit for bit.
+execution), when the entry is made.  No result depends on the memo: a
+hit returns the numbers the run it stands for would compute, bit for bit.
 
 Tie rule: a belief predicate holds only when its value is below
 ``-TIE_TOL`` (``model.below_zero``), so a value that grazes its threshold

@@ -464,7 +464,8 @@ class TestCasestudy:
 
     def test_mht_ignores_trials_and_horizon(self, mht_dir, tmp_path):
         out = tmp_path / "again"
-        assert main(["casestudy", "mht", "--out", str(out), "--trials", "2", "--horizon", "3"]) == EXIT_OK
+        args = ["casestudy", "mht", "--out", str(out), "--trials", "2", "--horizon", "3"]
+        assert main(args) == EXIT_OK
         names = sorted(p.name for p in mht_dir.iterdir())
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:

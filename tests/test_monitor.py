@@ -795,7 +795,8 @@ class TestAcceptanceMemo:
             there = acceptance_probability(other, formula, execution)
             dfa = compile_monitor(formula).dfa
             assert execution in _dp_memo[pomdp][dfa] and execution in _dp_memo[other][dfa]
-            assert _verdict(there) == _verdict(acceptance_probability(other, formula, _copy(execution)))
+            fresh = acceptance_probability(other, formula, _copy(execution))
+            assert _verdict(there) == _verdict(fresh)
             moved |= here.probability != there.probability
         assert moved
 
@@ -839,7 +840,7 @@ class TestAcceptanceMemo:
             for execution in map(_copy, executions)
             for formula in formulas
         ]
-        jobs = [(formula, execution) for execution in map(_copy, executions) for formula in formulas]
+        jobs = [(f, execution) for execution in map(_copy, executions) for f in formulas]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
