@@ -6,7 +6,7 @@ trials of a policy, with per-trial CSV and a summary JSON),
 ``compile`` (export a formula's automaton), and ``casestudy`` (reproduce a
 bundled study end to end).  All outputs are deterministic functions of the
 inputs and seeds.  Exit codes: 0 ok, 1 error, 2 infeasible under
-``--strict``.
+``--strict`` (a usage error exits 1 too).
 """
 
 from __future__ import annotations
@@ -163,6 +163,8 @@ def _checked_oracle(pomdp: Pomdp, formula, execution, report, cap: int) -> float
 
 
 def cmd_check(args) -> int:
+    if args.oracle_cap < 1:
+        raise DtlmonError(f"--oracle-cap must be at least 1, not {args.oracle_cap}")
     config = _load_config(args.config, args.casestudy, STUDY_KEYS.get(args.casestudy, ()))
     pomdp, formula = _resolve_model_formula(args, config)
     execution = load_trace(pomdp, args.trace)
@@ -404,8 +406,16 @@ def _add_model_args(sub, include_trace=False, repeat=False):
         sub.add_argument("--trace", **again, required=True, help="trace JSON file" + tail)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error (2 means infeasible under ``--strict``)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dtlmon",
         description="Monitor POMDP executions against co-safe temporal specifications.",
     )

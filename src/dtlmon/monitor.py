@@ -49,15 +49,15 @@ states that a shared automaton keeps.
 
 The acceptance program reads a formula only through its automaton, its
 hidden states' bits and the signatures with the relaxed bits cleared.  Its
-result is kept per (model, automaton, execution) under the other two:
-formulas of one sweep that share an automaton and meet the same masked
-signature sequence on one execution share one run (``dtlmon sweep`` loads
-each trace once for all its configs to that end).  The memo is keyed
-weakly at every level, so it lives exactly as long as the model, the
-automaton and the execution all do, and it keeps none of them alive; the
-record is checked against the model once per (model, automaton,
-execution), when the entry is made.  No result depends on the memo: a
-hit returns the numbers the run it stands for would compute, bit for bit.
+result is kept in one weak table keyed by the execution, then by a weak
+reference to the model, then by (weak reference to the automaton, state
+bits, letters): formulas of one sweep that share an automaton and meet the
+same masked signature sequence on one execution share one run (``dtlmon
+sweep`` loads each trace once for all its configs to that end).  The memo
+keeps no model, automaton or execution alive; an entry goes with its
+execution, and one whose model or automaton has died is never hit again.
+The record is checked against the model once per (model, execution).  No
+result depends on the memo: a hit returns, bit for bit, what its run gives.
 
 Tie rule: a belief predicate holds only when its value is below
 ``-TIE_TOL`` (``model.below_zero``), so a value that grazes its threshold
@@ -367,37 +367,23 @@ def _check_record(pomdp: Pomdp, exec: Execution) -> None:
                 raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
 
 
-# Acceptance results: model -> automaton -> execution -> {(state bits,
-# letters): (probability, dp_pairs, consistent paths)}, weak at every level,
-# so a fresh execution costs one weak entry.  Two threads that miss at once
-# both run the DP and store equal results.
+# Acceptance results: execution -> {weakref(model): {(weakref(automaton),
+# state bits, letters): (probability, dp_pairs, consistent paths)}}.  A dead
+# object's weak reference equals only itself, so its entries are never hit.
+# Threads that miss at once both run the DP and store equal results.
 _dp_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_dp_memo_lock = threading.Lock()
-
-
-def _dp_results(pomdp: Pomdp, exec: Execution, dfa: Dfa) -> dict:
-    """The memo of ``exec`` under ``pomdp`` and ``dfa``; the record is
-    checked against the model when the entry is made."""
-    with _dp_memo_lock:
-        by_dfa = _dp_memo.get(pomdp)
-        if by_dfa is None:
-            by_dfa = _dp_memo[pomdp] = weakref.WeakKeyDictionary()
-        by_exec = by_dfa.get(dfa)
-        if by_exec is None:
-            by_exec = by_dfa[dfa] = weakref.WeakKeyDictionary()
-        results = by_exec.get(exec)
-        if results is None:
-            _check_record(pomdp, exec)
-            results = by_exec[exec] = {}
-        return results
 
 
 def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     """Relaxed verdict, per-step labels, the per-step signatures they come
-    from, and the memo of acceptance results, which the acceptance dynamic
-    program reuses."""
+    from, and the acceptance memo of ``exec`` under ``pomdp``, made (and
+    the record checked against the model) on the first call."""
     _check_atoms(pomdp, comp.state_atoms)
-    results = _dp_results(pomdp, exec, comp.dfa)
+    by_model = _dp_memo.setdefault(exec, {})
+    results = by_model.get(weakref.ref(pomdp))
+    if results is None:
+        _check_record(pomdp, exec)
+        results = by_model.setdefault(weakref.ref(pomdp), {})
     sigs = comp.predicates.signatures(exec.beliefs)
     ok = dfa_accepts(comp.dfa, sigs)
     label = {
@@ -545,9 +531,9 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     state consistent with the record, on every call.
 
     Formulas that share an automaton, state bits and letters (the
-    signatures with the relaxed bits cleared) on one execution share one
-    run of the program (see the module notes); labels and propositions
-    are the call's own.
+    signatures with the relaxed bits cleared) on one execution and model
+    share one run, kept as long as the execution lives (see the module
+    notes); labels and propositions are the call's own.
     """
     comp = compile_monitor(formula)
     feasible, labels, sigs, results = _feasibility(comp, pomdp, exec)
@@ -559,7 +545,7 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     keep = ~comp.relaxed_mask
     sbits = comp.state_bits(pomdp.num_states)
     letters = tuple(sig & keep for sig in sigs)
-    key = (tuple(sbits.tolist()), letters)
+    key = (weakref.ref(comp.dfa), tuple(sbits.tolist()), letters)
     result = results.get(key)
     if result is None:
         result = results[key] = _acceptance_dp(pomdp, exec, comp.dfa, letters, sbits)

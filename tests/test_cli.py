@@ -132,6 +132,41 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--casestudy", "mht"], "the following arguments are required: --trace"),
+            (["check", "--casestudy", "mht", "--trace", "t.json", "--oracle-cap", "abc"],
+             "argument --oracle-cap: invalid int value: 'abc'"),
+            (["simulate", "--trials", "x", "--out", "out"], "invalid int value: 'x'"),
+            (["casestudy", "coin", "--out", "out"], "invalid choice: 'coin'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_usage_errors_exit_one(self, argv, message, capsys):
+        # Exit code 2 is kept for an infeasible trace under --strict.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dtlmon") and message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["sweep", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: dtlmon")
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_oracle_cap_below_one_exits_one(self, mht_dir, cap, capsys):
+        trace = str(mht_dir / "reference_trace.json")
+        code = main(
+            ["check", "--casestudy", "mht", "--trace", trace, "--oracle", "--oracle-cap", cap]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: --oracle-cap must be at least 1, not {cap}\n")
+
     def test_huge_path_count_is_written_as_hex(self, tmp_path):
         # 15 000 steps leave 2**15001 consistent paths, a count with more
         # decimal digits than json.dumps writes for an int.

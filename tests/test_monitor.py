@@ -671,7 +671,7 @@ class TestSharedAutomata:
 
     def test_cache_clear_releases_shared_automata(self, variants):
         _, near, far, _ = variants
-        compile_monitor(near), compile_monitor(far)
+        compile_monitor(near), compile_monitor(far), compile_monitor(Eventually(near))
         assert len(_shared_dfas) >= 2
         compile_monitor.cache_clear()
         assert len(_shared_dfas) == 0
@@ -685,6 +685,12 @@ def _copy(execution: Execution) -> Execution:
         execution.actions,
         execution.observations,
     )
+
+
+def _runs(pomdp, dfa, execution) -> list:
+    """The memo keys of the acceptance runs of ``execution`` under ``pomdp``
+    and ``dfa``."""
+    return [key for key in _dp_memo[execution][weakref.ref(pomdp)] if key[0]() is dfa]
 
 
 def _shift_thresholds(formula, delta: float):
@@ -742,7 +748,7 @@ class TestAcceptanceMemo:
                 assert memoized.step_labels == fresh.step_labels
                 assert memoized.diagnostics == fresh.diagnostics
                 feasible += memoized.feasible
-            runs = len(_dp_memo[pomdp][compile_monitor(base).dfa][execution])
+            runs = len(_runs(pomdp, compile_monitor(base).dfa, execution))
             assert runs <= feasible
             shared += feasible - runs
         assert shared > 0
@@ -768,10 +774,9 @@ class TestAcceptanceMemo:
         listed = Execution(
             list(_copy(execution).beliefs), list(execution.actions), list(execution.observations)
         )
-        assert _verdict(acceptance_probability(pomdp, formulas[0], listed)) == _verdict(
-            acceptance_probability(pomdp, formulas[0], execution)
-        )
-        assert listed in _dp_memo[pomdp][compile_monitor(formulas[0]).dfa]
+        report = acceptance_probability(pomdp, formulas[0], listed)
+        assert _verdict(report) == _verdict(acceptance_probability(pomdp, formulas[0], execution))
+        assert len(_runs(pomdp, compile_monitor(formulas[0]).dfa, listed)) == report.feasible
 
     def test_a_sweep_shares_runs_and_matches_fresh_executions(self, sweep):
         pomdp, formulas, executions = sweep
@@ -782,7 +787,7 @@ class TestAcceptanceMemo:
                 assert _verdict(memoized) == _verdict(
                     acceptance_probability(pomdp, formula, _copy(execution))
                 )
-            assert len(_dp_memo[pomdp][dfa][execution]) < len(formulas)
+            assert len(_runs(pomdp, dfa, execution)) < len(formulas)
 
     def test_another_model_of_the_same_dimensions_gets_its_own_run(self, sweep):
         pomdp, formulas, executions = sweep
@@ -794,7 +799,9 @@ class TestAcceptanceMemo:
             here = acceptance_probability(pomdp, formula, execution)
             there = acceptance_probability(other, formula, execution)
             dfa = compile_monitor(formula).dfa
-            assert execution in _dp_memo[pomdp][dfa] and execution in _dp_memo[other][dfa]
+            for model, report in ((pomdp, here), (other, there)):
+                assert weakref.ref(model) in _dp_memo[execution]
+                assert len(_runs(model, dfa, execution)) >= report.feasible
             fresh = acceptance_probability(other, formula, _copy(execution))
             assert _verdict(there) == _verdict(fresh)
             moved |= here.probability != there.probability
@@ -804,24 +811,47 @@ class TestAcceptanceMemo:
         pomdp = tiny_two_state()
         formula = parse_formula("F in(lit)", pomdp)
         execution = execution_from_actions(pomdp, ["poke", "poke"], ["hi", "lo"])
-        assert acceptance_probability(pomdp, formula, execution).feasible
+        report = acceptance_probability(pomdp, formula, execution)
+        assert report.feasible
         dfa_ref = weakref.ref(compile_monitor(formula).dfa)
-        by_dfa = _dp_memo[pomdp]
-        by_exec = by_dfa[dfa_ref()]
-        assert list(by_dfa) == [dfa_ref()] and list(by_exec) == [execution]
-        execution_ref = weakref.ref(execution)
-        del execution
-        gc.collect()
-        assert execution_ref() is None and len(by_exec) == 0
-        del by_exec
+        model_ref = weakref.ref(pomdp)
+        by_model = _dp_memo[execution]
+        assert list(by_model) == [model_ref] and _runs(pomdp, dfa_ref(), execution)
+        # The execution outlives its automaton: the automaton is released,
+        # and a rebuilt one of the same skeleton runs its own program.
         compile_monitor.cache_clear()
         gc.collect()
-        assert dfa_ref() is None and len(by_dfa) == 0
-        before = len(_dp_memo)
-        model_ref = weakref.ref(pomdp)
+        assert dfa_ref() is None
+        assert _verdict(acceptance_probability(pomdp, formula, execution)) == _verdict(report)
+        assert len(by_model[model_ref]) == 2
+        assert len(_runs(pomdp, compile_monitor(formula).dfa, execution)) == 1
+        # It outlives its model too, and its entries go with it.
         del pomdp
         gc.collect()
-        assert model_ref() is None and len(_dp_memo) == before - 1
+        assert model_ref() is None and list(by_model) == [model_ref]
+        before = len(_dp_memo)
+        execution_ref = weakref.ref(execution)
+        del execution, by_model
+        gc.collect()
+        assert execution_ref() is None and len(_dp_memo) == before - 1
+
+    def test_a_memoized_execution_is_checked_against_each_model(self):
+        pomdp = tiny_two_state()
+        formula = parse_formula("F in(lit)", pomdp)
+        execution = execution_from_actions(pomdp, ["poke", "poke"], ["hi", "lo"])
+        assert acceptance_probability(pomdp, formula, execution).feasible
+        mute = Pomdp(
+            [("off", {"bit": 0}), ("on", {"bit": 1})],
+            ["poke"],
+            ["lo"],
+            [0.5, 0.5],
+            {("off", "poke", "off"): 1.0, ("on", "poke", "on"): 1.0},
+            {("off", "poke", "lo"): 1.0, ("on", "poke", "lo"): 1.0},
+        )
+        for _ in range(2):
+            with pytest.raises(ModelError, match="step 0: action 0 or observation 1"):
+                acceptance_probability(mute, formula, execution)
+        assert weakref.ref(mute) not in _dp_memo[execution]
 
     def test_all_zero_is_raised_on_every_call(self, mht):
         pomdp, _ = mht
@@ -831,7 +861,7 @@ class TestAcceptanceMemo:
         for _ in range(2):
             with pytest.raises(AllZero):
                 acceptance_probability(pomdp, full_atom(pomdp), execution)
-        assert _dp_memo[pomdp][compile_monitor(full_atom(pomdp)).dfa][execution] == {}
+        assert _dp_memo[execution][weakref.ref(pomdp)] == {}
 
     def test_threaded_sweep_agrees_with_a_serial_one(self, sweep):
         pomdp, formulas, executions = sweep
