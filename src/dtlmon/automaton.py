@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import StateBlowup
-from .logic import And, Eventually, Next, Or, Until, check_nesting
+from .logic import And, Eventually, Next, Or, Until
 
 STATE_CAP = 2**20
 
@@ -75,15 +75,13 @@ class Dfa:
     caches successors on demand under a lock, so concurrent acceptance
     queries are safe.  ``materialize`` forces every (state, letter) pair,
     which is only practical for small proposition counts.  Discovering
-    more than ``STATE_CAP`` states raises ``StateBlowup``; a skeleton
-    nested deeper than ``logic.MAX_NESTING`` levels raises
-    ``FormulaSyntaxError``.
+    more than ``STATE_CAP`` states raises ``StateBlowup``.  ``phi`` is no
+    deeper than ``logic.MAX_NESTING`` levels, a bound held when it is built.
     """
 
     def __init__(self, phi: PropFormula, num_props: int):
         if num_props < 0:
             raise ValueError("num_props must be nonnegative")
-        check_nesting(phi)
         self.num_props = num_props
         # The node table: node ``i`` has kind ``_kinds[i]``, children
         # ``_children[i]`` and mentions the propositions in ``_masks[i]``.

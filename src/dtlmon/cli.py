@@ -359,7 +359,6 @@ def _casestudy_mht(args, config: dict) -> int:
 
 def _casestudy_rescue(args, config: dict) -> int:
     args.seed = _default_seed() if args.seed is None else args.seed
-    out = _out_dir(args)
     prior_mode = config.get("prior_mode", "safe_somewhere")
     study = run_rescue_study(
         args.trials,
@@ -370,6 +369,7 @@ def _casestudy_rescue(args, config: dict) -> int:
         entropy_factor=config.get("entropy_factor", "env"),
         **_numbers(config, RESCUE_POLICY_KEYS),
     )
+    out = _out_dir(args)
     save_model(study["pomdp"], out / "model.json")
     with open(out / "formula.dtl", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# rescue duty until certainty and survivor safety\n")

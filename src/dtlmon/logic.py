@@ -26,14 +26,14 @@ tighter than ``&``, which binds tighter than ``|``; ``U`` is
 right-associative.  ``X``, ``F``, ``U``, ``in``, ``P``, and ``H`` are
 reserved words.
 
-Formula text may nest at most ``MAX_NESTING`` levels deep: no more than
-that many nested parentheses, ``X``/``F`` prefixes and ``U`` operands, and
-a syntax tree (belief expressions included) no more than that many levels
-below its root.  Deeper text raises ``FormulaSyntaxError``; the bound keeps
-every recursive walk over a parsed formula well inside the interpreter's
-default recursion limit.  Formulas built through the API meet the same
-bound, with the same error, when the monitor, the oracle or an automaton
-first reads them (``check_nesting``).
+Formulas nest at most ``MAX_NESTING`` levels deep: no syntax-tree node
+(belief expressions included) may sit more than that many levels above its
+deepest leaf, and formula text may hold no more than that many nested
+parentheses, ``X``/``F`` prefixes and ``U`` operands.  The bound holds when
+a node is built, through the parser or the API alike: building a deeper
+node raises ``FormulaSyntaxError``.  It keeps every recursive walk over a
+formula (``repr``, equality, hashing, pickling, the monitor's) well inside
+the interpreter's default recursion limit.
 
 Satisfaction is decided on finite words of (hidden state, belief) pairs:
 ``X`` at the last position is false, and ``U`` / ``F`` need their witness
@@ -51,18 +51,44 @@ from .model import Belief, below_zero, entropy_bits, marginal_dist, marginal_pro
 
 # -- syntax-tree nodes -------------------------------------------------------------
 
+MAX_NESTING = 100
+
 
 def _node(cls):
-    """Frozen dataclass for a syntax-tree node that keeps its hash.
+    """Frozen dataclass for a syntax-tree node that keeps its hash and height.
 
     The dataclass hash over the node's fields is computed on first use and
     kept in ``_hash``, a field outside construction, equality, ``repr`` and
     ``dataclasses.replace``, so hashing a formula again (as a cache key)
     does not walk its tree.  Pickles leave it out, since string hashes
     differ between processes.
+
+    ``_height`` counts the levels below the node: 0 for a leaf, else one
+    more than its highest child (a field annotated ``Formula`` or
+    ``BeliefExpr``; a child that is not a node, such as a ``PropAtom``,
+    counts 0).  It is set when the node is built, which fails above
+    ``MAX_NESTING``, and is kept like ``_hash``, except that pickles keep
+    it, so a node built on an unpickled one stays bounded.
     """
     cls.__annotations__["_hash"] = "int | None"
     cls._hash = field(default=None, init=False, repr=False, compare=False)
+    cls.__annotations__["_height"] = "int"
+    cls._height = field(default=0, init=False, repr=False, compare=False)
+    annotations = cls.__annotations__
+    children = [name for name in annotations if annotations[name] in ("Formula", "BeliefExpr")]
+    if children:
+
+        def __post_init__(self):
+            height = 0
+            for name in children:
+                below = getattr(getattr(self, name), "_height", 0)
+                if below >= height:
+                    height = below + 1
+            if height > MAX_NESTING:
+                raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", 0)
+            object.__setattr__(self, "_height", height)
+
+        cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)
     field_hash = cls.__hash__
 
@@ -117,25 +143,25 @@ class Callback:
 
 @_node
 class Neg:
-    operand: "BeliefExpr"
+    operand: BeliefExpr
 
 
 @_node
 class Add:
-    left: "BeliefExpr"
-    right: "BeliefExpr"
+    left: BeliefExpr
+    right: BeliefExpr
 
 
 @_node
 class Sub:
-    left: "BeliefExpr"
-    right: "BeliefExpr"
+    left: BeliefExpr
+    right: BeliefExpr
 
 
 @_node
 class Mul:
-    left: "BeliefExpr"
-    right: "BeliefExpr"
+    left: BeliefExpr
+    right: BeliefExpr
 
 
 BeliefExpr = Union[Const, Prob, EntropyBits, Callback, Neg, Add, Sub, Mul]
@@ -203,30 +229,30 @@ class BeliefAtom:
 
 @_node
 class And:
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 @_node
 class Or:
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 @_node
 class Until:
-    left: "Formula"
-    right: "Formula"
+    left: Formula
+    right: Formula
 
 
 @_node
 class Next:
-    child: "Formula"
+    child: Formula
 
 
 @_node
 class Eventually:
-    child: "Formula"
+    child: Formula
 
 
 Formula = Union[StateAtom, BeliefAtom, And, Or, Until, Next, Eventually]
@@ -285,8 +311,6 @@ _TOKEN_RE = re.compile(
 
 _RESERVED = {"X", "F", "U", "in", "P", "H"}
 
-MAX_NESTING = 100
-
 
 def _tokenize(text: str):
     tokens = []
@@ -343,7 +367,6 @@ class _Parser:
         kind, text, pos = self._peek()
         if kind is not None:
             raise FormulaSyntaxError(f"unexpected trailing input {text!r}", pos)
-        check_nesting(f)
         return f
 
     def _disj(self) -> Formula:
@@ -388,7 +411,6 @@ class _Parser:
             inner = self._nested(self._disj, pos)
             if self._at("=>"):
                 _, _, arrow_pos = self._next()
-                check_nesting(inner, pos)
                 antecedent = _negate_nnf(inner, arrow_pos)
                 consequent = self._nested(self._disj, pos)
                 self._expect(")")
@@ -471,50 +493,24 @@ class _Parser:
         raise FormulaSyntaxError(f"expected a belief term, found {text!r}", pos)
 
 
-_PAIR_NODES = frozenset({And, Or, Until, Add, Sub, Mul})
+_PAIR_NODES = frozenset({And, Or, Until})
 _CHILD_NODES = frozenset({Next, Eventually})
 
 
-def _walk(formula: Formula) -> tuple[int, list]:
-    """Levels below the root of the syntax tree, belief expressions
-    included, and the formula's atoms in left-to-right order; iterative, so
-    it is safe on a tree of any depth."""
-    height, found, stack = 0, [], [(formula, 0)]
+def formula_atoms(formula: Formula) -> list:
+    """The formula's atoms in left-to-right order, from one iterative walk."""
+    found, stack = [], [formula]
     while stack:
-        node, depth = stack.pop()
-        if depth > height:
-            height = depth
+        node = stack.pop()
         kind = type(node)
-        depth += 1
         if kind in _PAIR_NODES:
-            stack.append((node.right, depth))
-            stack.append((node.left, depth))
+            stack.append(node.right)
+            stack.append(node.left)
         elif kind in _CHILD_NODES:
-            stack.append((node.child, depth))
-        elif kind is BeliefAtom:
+            stack.append(node.child)
+        elif kind is BeliefAtom or kind is StateAtom:
             found.append(node)
-            stack.append((node.expr, depth))
-        elif kind is Neg:
-            stack.append((node.operand, depth))
-        elif kind is StateAtom:
-            found.append(node)
-    return height, found
-
-
-def checked_atoms(formula: Formula, position: int = 0) -> list:
-    """The formula's atoms in left-to-right order, after the check of
-    ``check_nesting``, from one iterative walk."""
-    height, found = _walk(formula)
-    if height > MAX_NESTING:
-        raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", position)
     return found
-
-
-def check_nesting(formula: Formula, position: int = 0) -> None:
-    """Raise ``FormulaSyntaxError`` when ``formula`` (or a propositional
-    skeleton) nests deeper than ``MAX_NESTING`` levels.  Formulas built
-    through the API are checked with this before any recursive walk."""
-    checked_atoms(formula, position)
 
 
 def _negate_nnf(formula: Formula, pos: int) -> Formula:

@@ -95,10 +95,9 @@ from .logic import (
     StateAtom,
     Sub,
     belief_expr_text,
-    check_nesting,
-    checked_atoms,
     eval_belief_expr,
     exact_sign,
+    formula_atoms,
     map_atoms,
     semantics_eval,
 )
@@ -253,8 +252,7 @@ class CompiledMonitor:
         classes: dict[tuple[frozenset[int], bool], int] = {}  # (state set, sign) -> bit
         self.state_atoms: dict[StateAtom, int] = {}
         self.relaxed_mask = 0
-        # The nesting check comes with the walk, before the recursive map.
-        for atom in checked_atoms(formula):
+        for atom in formula_atoms(formula):
             if isinstance(atom, BeliefAtom):
                 props.setdefault((atom.expr, False), len(props))
             elif atom not in self.state_atoms:
@@ -311,14 +309,10 @@ def compile_monitor(formula: Formula) -> CompiledMonitor:
     cache is bounded, so a long sweep over formulas (or ``Callback``
     formulas, which hash by function identity) does not grow without end.
     Clearing it also releases the shared automata, so the next compile
-    starts them cold.  A formula nested deeper than ``MAX_NESTING`` levels
-    raises ``FormulaSyntaxError``, even one too deep to hash as a cache key.
+    starts them cold.  No formula is too deep to hash as a cache key: the
+    nesting bound holds when a node is built (``logic.MAX_NESTING``).
     """
-    try:
-        return _compile_cached(formula)
-    except RecursionError:
-        check_nesting(formula)
-        raise
+    return _compile_cached(formula)
 
 
 compile_monitor.cache_info = _compile_cached.cache_info
@@ -678,7 +672,7 @@ def acceptance_probability_oracle(
     never falls from one step to the next, so ``CapExceeded`` is raised as
     soon as it passes ``cap``, before any path is enumerated.
     """
-    _check_atoms(pomdp, checked_atoms(formula))
+    _check_atoms(pomdp, formula_atoms(formula))
     _check_record(pomdp, exec)
     t = exec.horizon
     bl = backward_likelihoods(pomdp, exec.actions, exec.observations)

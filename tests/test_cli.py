@@ -521,6 +521,14 @@ class TestCasestudy:
         assert len(model["prior"]) == 16
         assert json.loads((out / "comparison.json").read_text())["prior_mode"] == "uniform"
 
+    @pytest.mark.parametrize("limit", [["--trials", "0"], ["--horizon", "0"]])
+    def test_rejected_rescue_study_writes_no_directory(self, tmp_path, capsys, limit):
+        out = tmp_path / "rescue"
+        argv = ["casestudy", "rescue", "--out", str(out), "--trials", "2", "--horizon", "2"]
+        assert main(argv + limit) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mht_eventually_variant_via_config(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"eventually": True}))

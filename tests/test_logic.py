@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from dtlmon.errors import FormulaSyntaxError, NonAtomicNegation, UnknownSymbol
 from dtlmon.logic import (
     MAX_NESTING,
+    Add,
     And,
     BeliefAtom,
     Callback,
     Const,
     EntropyBits,
     Eventually,
+    Mul,
     Neg,
     Next,
     Or,
@@ -27,9 +29,9 @@ from dtlmon.logic import (
     StateAtom,
     Sub,
     Until,
-    checked_atoms,
     eval_belief_expr,
     exact_sign,
+    formula_atoms,
     formula_text,
     map_atoms,
     parse_formula,
@@ -42,7 +44,6 @@ from dtlmon.monitor import (
     acceptance_probability,
     acceptance_probability_oracle,
     compile_monitor,
-    feasibility_check,
     relax,
 )
 from dtlmon.studies import build_mht
@@ -169,14 +170,14 @@ NESTED_TEXT = {
 
 
 class TestNestingBound:
-    """Text up to ``MAX_NESTING`` levels deep parses and monitors under the
-    default recursion limit; one level deeper is a syntax error."""
+    """Formulas up to ``MAX_NESTING`` levels deep, parsed or built, monitor
+    under the default recursion limit; one level deeper is a syntax error."""
 
     @pytest.mark.parametrize("shape", sorted(NESTED_TEXT))
     def test_deepest_accepted_formula_runs(self, shape):
         pomdp = tiny_two_state()
         formula = parse_formula(NESTED_TEXT[shape](MAX_NESTING), pomdp)
-        assert checked_atoms(map_atoms(formula, lambda atom: atom))
+        assert formula_atoms(map_atoms(formula, lambda atom: atom))
         compile_monitor(formula)
         execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "lo"])
         report = acceptance_probability(pomdp, formula, execution)
@@ -213,22 +214,73 @@ class TestNestingBound:
 
     @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 2000])
     def test_deeper_api_formula_is_a_syntax_error(self, levels):
-        # 2000 levels overflow the recursion limit in any recursive walk,
-        # hashing included.
-        pomdp = tiny_two_state()
-        formula = _chain(Next, parse_formula("in(lit)", pomdp), levels)
-        execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "lo"])
-        calls = [
-            lambda: compile_monitor(formula),
-            lambda: feasibility_check(pomdp, formula, execution),
-            lambda: acceptance_probability(pomdp, formula, execution),
-            lambda: acceptance_probability_oracle(pomdp, formula, execution),
-            lambda: CompiledMonitor(formula),
-            lambda: Dfa(_chain(Next, PropAtom(0), levels), 1),
-        ]
-        for call in calls:
+        # The bound holds when a node is built, so no formula or skeleton
+        # deeper than it exists for any later walk to overflow on.
+        lit = parse_formula("in(lit)", tiny_two_state())
+        for leaf in (lit, PropAtom(0)):
             with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
-                call()
+                _chain(Next, leaf, levels)
+
+
+_BELIEF_LEVELS = [
+    Neg,
+    lambda e: Add(e, Const(0.25)),
+    lambda e: Add(Const(-0.5), e),
+    lambda e: Mul(e, Const(2.0)),
+    lambda e: Mul(Const(0.5), e),
+]
+
+
+def _formula_levels(lit):
+    """One-argument builders of a formula level over ``lit``."""
+    return [
+        Next,
+        Eventually,
+        lambda f: And(f, lit),
+        lambda f: Or(lit, f),
+        lambda f: Until(lit, f),
+        lambda f: Until(f, lit),
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    levels=st.one_of(
+        st.integers(0, 3000), st.integers(MAX_NESTING - 3, MAX_NESTING + 3), st.just(MAX_NESTING)
+    ),
+    belief_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_api_chains_are_bounded_where_built(levels, belief_share, seed):
+    """A chain built through the API raises exactly at its first level past
+    ``MAX_NESTING``; a shallower one survives every recursive walk, and its
+    unpickled copy keeps its height."""
+    rng = random.Random(seed)
+    pomdp = tiny_two_state()
+    lit = parse_formula("in(lit)", pomdp)
+    # ``belief`` levels of one belief atom (expression levels over P(lit),
+    # then the atom), then formula levels; with none, the chain is on in(lit).
+    belief = round(belief_share * levels)
+    builders = [rng.choice(_BELIEF_LEVELS) for _ in range(belief - 1)]
+    builders += [BeliefAtom] if belief else []
+    builders += [rng.choice(_formula_levels(lit)) for _ in range(levels - len(builders))]
+    node = Prob("lit", frozenset({1})) if belief else lit
+    for level, build in enumerate(builders, start=1):
+        if level > MAX_NESTING:
+            with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
+                build(node)
+            return
+        node = build(node)
+    unpickled = pickle.loads(pickle.dumps(node))
+    assert repr(unpickled) == repr(node) and unpickled == node
+    assert hash(unpickled) == hash(node)
+    assert formula_text(node)
+    compile_monitor(node)
+    execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "lo"])
+    assert 0.0 <= acceptance_probability(pomdp, node, execution).probability <= 1.0
+    deepest = _chain(Next, unpickled, MAX_NESTING - levels)
+    with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING} levels"):
+        Next(deepest)
 
 
 def _chain(op, formula, levels: int):
@@ -453,5 +505,5 @@ def test_map_atoms_rebuilds_the_formula_around_mapped_atoms(seed):
     formula = random_cosafe_formula(rng, random_pomdp(rng))
     assert map_atoms(formula, lambda atom: atom) == formula
     negated = map_atoms(formula, _negate_atom)
-    assert checked_atoms(negated) == [_negate_atom(a) for a in checked_atoms(formula)]
-    assert not any(isinstance(a, StateAtom) for a in checked_atoms(relax(formula)))
+    assert formula_atoms(negated) == [_negate_atom(a) for a in formula_atoms(formula)]
+    assert not any(isinstance(a, StateAtom) for a in formula_atoms(relax(formula)))

@@ -26,7 +26,7 @@ from dtlmon.logic import (
     Or,
     Prob,
     StateAtom,
-    checked_atoms,
+    formula_atoms,
     map_atoms,
     parse_formula,
     semantics_eval,
@@ -139,7 +139,7 @@ class TestPropositions:
             pomdp = random_pomdp(rng)
             formula = random_cosafe_formula(rng, pomdp)
             comp = compile_monitor(formula)
-            atoms = checked_atoms(formula)
+            atoms = formula_atoms(formula)
             num_props = len(comp.belief_props)
             assert len(comp.prop_names) == comp.dfa.num_props == num_props
             assert comp.relaxed_mask >> num_props == 0
