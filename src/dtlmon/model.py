@@ -4,7 +4,9 @@ States carry tag maps (named attributes such as room or carry flags) from
 which named state sets and factor partitions are derived.  Sparse dynamics
 entries (absent entries mean zero) are summed into one store, the read-only
 arrays ``trans_mat[a, s, s']`` and ``obs_mat[a, s', o]`` that filtering,
-simulation and smoothing read.
+simulation and smoothing read.  The monitor reads their product per
+(action, observation) pair from ``Pomdp.step_matrix``, which keeps each pair
+it builds as long as the model lives.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ import numpy as np
 from .errors import ModelError, ZeroLikelihood
 
 SUM_TOL = 1e-9
+
+# A model keeps the step matrices it builds (``Pomdp.step_matrix``) only when
+# the table of all (action, observation) pairs, ``A·O·n²`` float cells, is at
+# most this large: 2 MiB, plus its 256 KiB of supports.
+STEP_TABLE_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +70,18 @@ class Belief:
         return float(self.probs[i])
 
 
+def is_index(value) -> bool:
+    """Whether ``value`` is an integer index: an ``int`` or a numpy integer,
+    but not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_index(label, table: Mapping[str, int], kind: str) -> int:
     if isinstance(label, str):
         if label not in table:
             raise ModelError(f"unknown {kind} name {label!r}")
         return table[label]
-    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+    if not is_index(label):
         raise ModelError(f"{kind} label {label!r} is neither a name nor an index")
     idx = int(label)
     if not 0 <= idx < len(table):
@@ -88,7 +101,8 @@ class Pomdp:
     designated null observation with probability one.
 
     Instances are immutable after construction and safe for concurrent
-    reads.  A ``Pomdp`` doubles as the symbol table used by the formula
+    reads; the table behind ``step_matrix`` only caches products of these
+    arrays.  A ``Pomdp`` doubles as the symbol table used by the formula
     parser (``named_sets``, ``factor_cells``, ``num_states``).
     """
 
@@ -129,6 +143,7 @@ class Pomdp:
 
         self.trans_mat = self._dense_table(trans, "transition", self.state_index, "state")
         self.obs_mat = self._dense_table(obs_model, "observation", self.obs_index, "observation")
+        self._steps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
         self.prior = prior if isinstance(prior, Belief) else Belief(np.asarray(prior, dtype=float))
         if len(self.prior) != self.num_states:
@@ -213,6 +228,24 @@ class Pomdp:
     @property
     def num_observations(self) -> int:
         return len(self.observations)
+
+    def step_matrix(self, action: int, obs: int) -> tuple[np.ndarray, np.ndarray]:
+        """The step matrix ``trans_mat[action] * obs_mat[action][:, obs]``,
+        whose entry ``[s, s2]`` is the probability of moving from ``s`` to
+        ``s2`` and then observing ``obs``, and its support ``!= 0``, both
+        read-only.  The indices must be integers in range.
+
+        A pair is built the first time it is asked for and kept as long as
+        the model lives, unless the model's full table exceeds
+        ``STEP_TABLE_CELLS``; then each call builds it afresh.
+        """
+        pair = self._steps.get((action, obs))
+        if pair is None:
+            step = self.trans_mat[action] * self.obs_mat[action][:, obs]
+            pair = (_read_only(step), _read_only(step != 0))
+            if self.num_actions * self.num_observations * self.num_states**2 <= STEP_TABLE_CELLS:
+                pair = self._steps.setdefault((action, obs), pair)
+        return pair
 
     # -- JSON interchange ------------------------------------------------------
 
@@ -362,12 +395,29 @@ def bayes_update(pomdp: Pomdp, belief: Belief, action: int, obs: int) -> Belief:
     """
     if len(belief) != pomdp.num_states:
         raise ModelError("belief dimension does not match the model")
-    if not 0 <= action < pomdp.num_actions:
-        raise ModelError(f"action index {action} out of range")
-    if not 0 <= obs < pomdp.num_observations:
-        raise ModelError(f"observation index {obs} out of range")
-    predicted = belief.probs @ pomdp.trans_mat[action]
-    posterior = predicted * pomdp.obs_mat[action, :, obs]
+    return Belief._trusted(_bayes_step(pomdp, belief.probs, action, obs))
+
+
+def _bayes_step(
+    pomdp: Pomdp, probs: np.ndarray, action, obs, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``bayes_update`` of the pmf ``probs``, written into ``out`` if given."""
+    if not (
+        type(action) is int
+        and type(obs) is int
+        and 0 <= action < pomdp.num_actions
+        and 0 <= obs < pomdp.num_observations
+    ):
+        # Name the fault; numpy integers in range pass.
+        for kind, index, count in (
+            ("action", action, pomdp.num_actions),
+            ("observation", obs, pomdp.num_observations),
+        ):
+            if not is_index(index):
+                raise ModelError(f"{kind} {index!r} is not an integer index")
+            if not 0 <= index < count:
+                raise ModelError(f"{kind} index {index} out of range")
+    posterior = (probs @ pomdp.trans_mat[action]) * pomdp.obs_mat[action, :, obs]
     norm = float(posterior.sum())
     if norm <= 0.0:
         raise ZeroLikelihood(
@@ -376,20 +426,24 @@ def bayes_update(pomdp: Pomdp, belief: Belief, action: int, obs: int) -> Belief:
         )
     # A valid belief through unit-sum rows with entries in [0, 1], over a
     # positive norm, is a fresh finite pmf: no need to validate it again.
-    return Belief._trusted(posterior / norm)
+    return np.divide(posterior, norm, out=out)
 
 
 def filter_run(pomdp: Pomdp, actions: Sequence[int], observations: Sequence[int]) -> list[Belief]:
-    """Fold ``bayes_update`` over an action/observation record, starting at the prior."""
+    """Fold ``bayes_update`` over an action/observation record, starting at
+    the prior.  The updates fill the rows of one read-only array, and each
+    belief after the prior is a view of its row."""
     if len(actions) != len(observations):
         raise ModelError("actions and observations must have equal length")
-    beliefs = [pomdp.prior]
-    for i, (a, o) in enumerate(zip(actions, observations)):
+    out = np.empty((len(actions), pomdp.num_states))
+    probs = pomdp.prior.probs
+    for i, (a, o, row) in enumerate(zip(actions, observations, out)):
         try:
-            beliefs.append(bayes_update(pomdp, beliefs[-1], a, o))
+            probs = _bayes_step(pomdp, probs, a, o, row)
         except ZeroLikelihood as exc:
             raise ZeroLikelihood(f"step {i}: {exc}", step=i) from exc
-    return beliefs
+    out.flags.writeable = False
+    return [pomdp.prior, *map(Belief._trusted, out)]
 
 
 # -- belief functionals ----------------------------------------------------------

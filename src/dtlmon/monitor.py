@@ -19,9 +19,14 @@ paths; the other rows are the open automaton states.  Each step is one
 product with the step's transition and observation likelihoods, one
 division by the total, the Bayes filter's normalizer, so long runs do not
 underflow, and one fold of every cell into its successor's row.  The
-accept row's share of the final mass is the probability under the
-smoothed posterior: exactly 1.0 when every consistent path accepts and
-0.0 when none does.  Consistent hidden paths are counted exactly
+likelihoods are the allowed states' rows of the model's step matrix for
+the step's (action, observation) pair (``Pomdp.step_matrix``), a read-only
+product built the first time a record visits the pair and kept with the
+model, so a step takes rows instead of multiplying them.  The fold looks a
+successor up once per row and distinct hidden-state bits, in a cache of
+the row's own.  The accept row's share of the final mass is the
+probability under the smoothed posterior: exactly 1.0 when every
+consistent path accepts and 0.0 when none does.  Consistent hidden paths are counted exactly
 alongside: each column's count is a column of base-2^31 int64 limbs,
 advanced by one small integer matmul with the step's support, and joined
 into one Python integer at the end.  A brute-force enumeration oracle over
@@ -109,6 +114,7 @@ from .model import (
     StateSetReader,
     below_zero,
     filter_run,
+    is_index,
     load_json,
     save_json,
 )
@@ -354,9 +360,15 @@ def _check_record(pomdp: Pomdp, exec: Execution) -> None:
         raise ModelError("execution beliefs do not match the model dimension")
     acts, obs = exec.actions, exec.observations
     num_a, num_o = pomdp.num_actions, pomdp.num_observations
-    if acts and (min(acts) < 0 or max(acts) >= num_a or min(obs) < 0 or max(obs) >= num_o):
-        # Name the first step out of range.
+    if acts and not (
+        {*map(type, acts), *map(type, obs)} == {int}
+        and 0 <= min(acts) and max(acts) < num_a and 0 <= min(obs) and max(obs) < num_o
+    ):
+        # Name the first bad step; numpy integers in range pass.
         for i, (a, o) in enumerate(zip(acts, obs)):
+            for kind, index in (("action", a), ("observation", o)):
+                if not is_index(index):
+                    raise ModelError(f"step {i}: {kind} {index!r} is not an integer index")
             if not (0 <= a < num_a and 0 <= o < num_o):
                 raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
 
@@ -459,10 +471,9 @@ def path_transition(
         raise InconsistentState(
             f"state {pomdp.state_names[s]!r} cannot produce the remaining observations"
         )
-    a, o = bl.actions[i], bl.observations[i]
+    step, _ = pomdp.step_matrix(bl.actions[i], bl.observations[i])
     return (
-        pomdp.trans_mat[a].take(states, axis=0)
-        * pomdp.obs_mat[a][:, o]
+        step.take(states, axis=0)
         * np.ldexp(bl.values[i + 1], bl.shifts[i] - bl.shifts[i + 1])
         / denom[:, None]
     )
@@ -516,7 +527,11 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     of the step's belief with its relaxed bits replaced by those of the
     hidden-state classes s satisfies.
     Dead and accepted mass stays in rows 0 and 1 of the one mass matrix,
-    and every step is rescaled by the filter's normalizer.  The result is the accepted share
+    and every step is rescaled by the filter's normalizer.  A step takes
+    the live states' rows of the model's step matrix for its (action,
+    observation) pair and their support (``Pomdp.step_matrix``, built once
+    per pair and model), and the fold looks each row's successors up once
+    per distinct hidden-state bits.  The result is the accepted share
     of the final mass: exactly 1.0 when every consistent path accepts, 0.0
     when none does.  The exact number of consistent hidden paths
     (``consistent_paths``) rides along as int64 limbs, one matmul with the
@@ -568,8 +583,9 @@ def _acceptance_dp(
     dp_pairs = int(np.count_nonzero(mass[2:]))
 
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
-        rows = pomdp.trans_mat[a].take(live, axis=0) * pomdp.obs_mat[a][:, o]
-        adj = rows != 0
+        step, support = pomdp.step_matrix(a, o)
+        rows = step.take(live, axis=0)
+        adj = support.take(live, axis=0)
         live = adj.any(axis=0).nonzero()[0]
         # A new limb sums at most one limb per previous column.
         if bound * len(adj) > _LIMB_CAP:
@@ -630,17 +646,17 @@ def _fold_step(
     delta = dfa._delta
     width = mass.shape[1]
     open_rows: dict[int, int] = {}  # open successor -> its row
-    targets: dict[tuple[int, int], int] = {}  # (row, state bits) -> target row
     codes = list(range(2 * width))  # the sinks keep their cells
     for r, values in enumerate(mass[2:].tolist()):
         q = states[r]
+        targets: dict[int, int] = {}  # state bits -> target row, for row r
         for j, m in enumerate(values):
             target = 0
             if m:
-                key = (r, col_bits[j])
-                target = targets.get(key)
+                bits = col_bits[j]
+                target = targets.get(bits)
                 if target is None:
-                    full = letter | key[1]
+                    full = letter | bits
                     q2 = delta.get((q, full))
                     if q2 is None:
                         q2 = dfa.transition(q, full)
@@ -650,7 +666,7 @@ def _fold_step(
                         target = 0
                     else:
                         target = open_rows.setdefault(q2, len(open_rows) + 2)
-                    targets[key] = target
+                    targets[bits] = target
             codes.append(target * width + j)
     height = len(open_rows) + 2
     out = np.bincount(np.array(codes, dtype=np.intp), weights=mass.ravel(), minlength=height * width)
@@ -720,10 +736,12 @@ def load_trace(pomdp: Pomdp, path) -> Execution:
 
 def execution_from_json_dict(pomdp: Pomdp, doc) -> Execution:
     try:
-        action_names = list(doc["actions"])
-        obs_names = list(doc["observations"])
+        action_names, obs_names = doc["actions"], doc["observations"]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed trace document: {exc}") from exc
+    for kind, names in (("actions", action_names), ("observations", obs_names)):
+        if not isinstance(names, (list, tuple)):
+            raise ModelError(f"trace {kind} must be a list")
     actions = tuple(_lookup(pomdp.action_index, a, "action") for a in action_names)
     observations = tuple(_lookup(pomdp.obs_index, o, "observation") for o in obs_names)
     beliefs = tuple(filter_run(pomdp, actions, observations))

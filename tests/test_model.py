@@ -3,12 +3,14 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtlmon import model as model_module
 from dtlmon.errors import ModelError, ZeroLikelihood
 from dtlmon.model import (
     Belief,
@@ -172,10 +174,61 @@ class TestBayesUpdate:
         with pytest.raises(ZeroLikelihood):
             bayes_update(mht, committed, mht.action_index["observe"], mht.obs_index["heads"])
 
+    @pytest.mark.parametrize(
+        "action, obs, message",
+        [
+            (0.0, 0, "action 0.0 is not an integer index"),
+            (True, 0, "action True is not an integer index"),
+            (0, 1.0, "observation 1.0 is not an integer index"),
+            (99, 0, "action index 99 out of range"),
+            (np.int64(0), np.int64(-1), "observation index -1 out of range"),
+        ],
+    )
+    def test_bad_indices_raise_model_error(self, mht, action, obs, message):
+        # A float or bool must not reach the tables, where 1.0 raises IndexError.
+        with pytest.raises(ModelError, match=re.escape(message)):
+            bayes_update(mht, mht.prior, action, obs)
+        with pytest.raises(ModelError, match=re.escape(message)):
+            filter_run(mht, [mht.action_index["observe"], action], [mht.obs_index["heads"], obs])
+
+    def test_numpy_integer_indices_accepted(self, mht):
+        observe, heads = mht.action_index["observe"], mht.obs_index["heads"]
+        want = bayes_update(mht, mht.prior, observe, heads)
+        got = bayes_update(mht, mht.prior, np.int64(observe), np.intp(heads))
+        assert got.probs.tobytes() == want.probs.tobytes()
+
 
 class TestFilterRun:
     def test_empty_record(self, mht):
         assert filter_run(mht, [], []) == [mht.prior]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_bayes_update_fold(self, seed):
+        # Any observation may be recorded, so some records hit ZeroLikelihood.
+        rng = random.Random(seed)
+        pomdp = random_pomdp(rng, max_states=5, max_actions=3, max_obs=3)
+        t = rng.randint(0, 8)
+        actions = [rng.randrange(pomdp.num_actions) for _ in range(t)]
+        observations = [rng.randrange(pomdp.num_observations) for _ in range(t)]
+        want, failure = [pomdp.prior], None
+        for i, (a, o) in enumerate(zip(actions, observations)):
+            try:
+                want.append(bayes_update(pomdp, want[-1], a, o))
+            except ZeroLikelihood as exc:
+                failure = (i, f"step {i}: {exc}")
+                break
+        if failure is not None:
+            with pytest.raises(ZeroLikelihood) as err:
+                filter_run(pomdp, actions, observations)
+            assert (err.value.step, str(err.value)) == failure
+            return
+        got = filter_run(pomdp, actions, observations)
+        assert got[0] is pomdp.prior
+        assert [b.probs.tobytes() for b in got] == [b.probs.tobytes() for b in want]
+        for belief in got[1:]:
+            assert not belief.probs.flags.writeable
+            assert belief.probs.base is got[1].probs.base
+            assert not belief.probs.base.flags.writeable
 
     def test_four_tails(self, mht):
         obs = mht.action_index["observe"]
@@ -506,3 +559,31 @@ def _assert_exact_round_trip(pomdp: Pomdp) -> None:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert clone.to_json_dict() == doc
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_entries_are_the_product_read_only(self, seed):
+        pomdp = random_pomdp(random.Random(seed), max_states=5, max_actions=3, max_obs=3)
+        for a in range(pomdp.num_actions):
+            for o in range(pomdp.num_observations):
+                step, support = pomdp.step_matrix(a, o)
+                want = pomdp.trans_mat[a] * pomdp.obs_mat[a][:, o]
+                assert step.dtype == want.dtype and step.tobytes() == want.tobytes()
+                np.testing.assert_array_equal(support, want != 0)
+                assert support.dtype == bool
+                assert not step.flags.writeable and not support.flags.writeable
+                again = pomdp.step_matrix(a, o)
+                assert again[0] is step and again[1] is support
+
+    def test_large_model_builds_each_pair_afresh(self, monkeypatch):
+        pomdp = tiny_two_state()
+        size = pomdp.num_actions * pomdp.num_observations * pomdp.num_states**2
+        monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", size - 1)
+        first, again = pomdp.step_matrix(0, 1), pomdp.step_matrix(0, 1)
+        assert pomdp._steps == {}
+        assert first[0] is not again[0]
+        assert first[0].tobytes() == again[0].tobytes() and not first[0].flags.writeable
+        monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", size)
+        pomdp.step_matrix(0, 1)
+        assert set(pomdp._steps) == {(0, 1)}

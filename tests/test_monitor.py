@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dtlmon import model as model_module
 from dtlmon.automaton import export_json_dict
 from dtlmon.errors import AllZero, CapExceeded, InconsistentState, ModelError
 from dtlmon.logic import (
@@ -583,6 +584,58 @@ def _complete_model(n: int):
     )
 
 
+class TestStepTable:
+    def test_only_visited_pairs_are_built(self, rescue_runs):
+        rescue, formula, executions = rescue_runs
+        pomdp = Pomdp.from_json_dict(rescue.to_json_dict())  # a model no other test read
+        visited = set()
+        for execution in executions[:10]:
+            if acceptance_probability(pomdp, formula, execution).feasible:
+                visited |= set(zip(execution.actions, execution.observations))
+            assert set(pomdp._steps) == visited
+        assert visited and len(visited) < pomdp.num_actions * pomdp.num_observations
+
+    def test_oracle_reads_the_same_table(self):
+        pomdp = grid_walk(3)
+        execution = execution_from_actions(pomdp, ["walk"] * 3, ["lo", "lo", "lo"])
+        assert pomdp._steps == {}
+        acceptance_probability_oracle(pomdp, parse_formula("F in(corner)", pomdp), execution)
+        assert set(pomdp._steps) == {(0, 0)}
+
+    def test_table_goes_with_its_model(self):
+        pomdp = grid_walk(3)
+        execution = execution_from_actions(pomdp, ["walk"] * 3, ["lo", "hi", "lo"])
+        acceptance_probability(pomdp, parse_formula("F in(corner)", pomdp), execution)
+        steps = [weakref.ref(step) for step, _ in pomdp._steps.values()]
+        assert len(steps) == 2
+        del pomdp
+        gc.collect()
+        assert all(step() is None for step in steps)  # the memo keeps its execution only
+
+    def test_reports_equal_without_the_table(self, monkeypatch):
+        def instances():
+            rng = random.Random(41)
+            for _ in range(100):
+                pomdp = random_pomdp(rng, max_states=5, max_actions=3, max_obs=3)
+                formula = random_cosafe_formula(rng, pomdp)
+                yield pomdp, formula, random_execution(pomdp, rng)
+
+        def results(instance):
+            pomdp, formula, execution = instance
+            report = acceptance_probability(pomdp, formula, execution)
+            oracle = acceptance_probability_oracle(pomdp, formula, execution)
+            return report.to_json_dict(), oracle.hex()
+
+        cached = [results(instance) for instance in instances()]
+        monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", 0)
+        uncached = []
+        for instance in instances():
+            uncached.append(results(instance))
+            assert instance[0]._steps == {}
+        assert uncached == cached
+        assert sum(report["diagnostics"]["dp_pairs"] > 0 for report, _ in cached) >= 30
+
+
 class TestPathCounts:
     """``consistent_paths`` is exact however far it passes the int64 range."""
 
@@ -990,12 +1043,20 @@ class TestOracle:
             (-3, -1, "step 4: action -3 or observation -1 is out of range"),
             (7, 2, "step 4: action 7 or observation 2 is out of range"),
             (0, 4, "step 4: action 0 or observation 4 is out of range"),
+            (1.0, 0, "step 4: action 1.0 is not an integer index"),
+            (True, 0, "step 4: action True is not an integer index"),
+            (0, 2.0, "step 4: observation 2.0 is not an integer index"),
+            (0, False, "step 4: observation False is not an integer index"),
         ],
-        ids=["negative", "action-too-large", "observation-too-large"],
+        ids=[
+            "negative", "action-too-large", "observation-too-large",
+            "float-action", "bool-action", "float-observation", "bool-observation",
+        ],
     )
     def test_out_of_range_indices_raise_model_error(self, mht, action, obs, message):
         # An API-built execution is only length-checked on construction:
-        # negative indices would wrap and large ones would index past the tables.
+        # negative indices would wrap, large ones would index past the tables,
+        # and 1.0 or True would read the step table's entry for 1.
         pomdp, formula = mht
         ref = mht_reference_trace(pomdp)
         execution = Execution(
@@ -1004,6 +1065,18 @@ class TestOracle:
         for monitor in (feasibility_check, acceptance_probability, acceptance_probability_oracle):
             with pytest.raises(ModelError, match=re.escape(message)):
                 monitor(pomdp, formula, execution)
+
+    def test_numpy_integer_indices_accepted(self, mht):
+        pomdp, formula = mht
+        ref = mht_reference_trace(pomdp)
+        execution = Execution(
+            ref.beliefs, tuple(map(np.int64, ref.actions)), tuple(map(np.intp, ref.observations))
+        )
+        want = acceptance_probability(pomdp, formula, ref)
+        assert acceptance_probability(pomdp, formula, execution) == want
+        assert acceptance_probability_oracle(pomdp, formula, execution) == (
+            acceptance_probability_oracle(pomdp, formula, ref)
+        )
 
     def test_agrees_with_dynamic_program(self):
         rng = random.Random(12)
@@ -1110,6 +1183,16 @@ class TestTraceDocuments:
         pomdp, _ = mht
         with pytest.raises(ModelError):
             execution_from_json_dict(pomdp, {"actions": ["fly"], "observations": ["null"]})
+
+    @pytest.mark.parametrize("key", ["actions", "observations"])
+    @pytest.mark.parametrize("value", ["stay", None, {"observe": 1}, 3])
+    def test_record_must_be_a_list(self, mht, key, value):
+        # Not read letter by letter, which would report "unknown action name 's'".
+        pomdp, _ = mht
+        doc = execution_to_json_dict(pomdp, mht_reference_trace(pomdp))
+        doc[key] = value
+        with pytest.raises(ModelError, match=re.escape(f"trace {key} must be a list")):
+            execution_from_json_dict(pomdp, doc)
 
 
 def test_probability_bounds_on_random_instances():
