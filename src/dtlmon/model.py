@@ -6,15 +6,17 @@ entries (absent entries mean zero) are summed into one store, the read-only
 arrays ``trans_mat[a, s, s']`` and ``obs_mat[a, s', o]`` that filtering,
 simulation and smoothing read.  The monitor reads their product per
 (action, observation) pair from ``Pomdp.step_matrix``, which keeps each pair
-it builds as long as the model lives.
+it builds as long as the model lives, and its block between the states a
+step leaves and reaches from ``Pomdp.restricted_step``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import threading
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +26,8 @@ SUM_TOL = 1e-9
 
 # A model keeps the step matrices it builds (``Pomdp.step_matrix``) only when
 # the table of all (action, observation) pairs, ``A·O·n²`` float cells, is at
-# most this large: 2 MiB, plus its 256 KiB of supports.
+# most this large: 2 MiB, plus its 256 KiB of supports.  The restricted steps
+# it keeps (``Pomdp.restricted_step``) total at most as many cells again.
 STEP_TABLE_CELLS = 1 << 18
 
 
@@ -101,9 +104,10 @@ class Pomdp:
     designated null observation with probability one.
 
     Instances are immutable after construction and safe for concurrent
-    reads; the table behind ``step_matrix`` only caches products of these
-    arrays.  A ``Pomdp`` doubles as the symbol table used by the formula
-    parser (``named_sets``, ``factor_cells``, ``num_states``).
+    reads; the tables behind ``step_matrix`` and ``restricted_step`` only
+    cache products of these arrays and blocks of them.  A ``Pomdp`` doubles
+    as the symbol table used by the formula parser (``named_sets``,
+    ``factor_cells``, ``num_states``).
     """
 
     def __init__(
@@ -144,6 +148,10 @@ class Pomdp:
         self.trans_mat = self._dense_table(trans, "transition", self.state_index, "state")
         self.obs_mat = self._dense_table(obs_model, "observation", self.obs_index, "observation")
         self._steps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._table_cells = self.num_actions * self.num_observations * self.num_states**2
+        self._blocks: dict[tuple[int, int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._block_cells = 0  # the cells of the blocks in ``_blocks``
+        self._block_lock = threading.Lock()
 
         self.prior = prior if isinstance(prior, Belief) else Belief(np.asarray(prior, dtype=float))
         if len(self.prior) != self.num_states:
@@ -243,9 +251,47 @@ class Pomdp:
         if pair is None:
             step = self.trans_mat[action] * self.obs_mat[action][:, obs]
             pair = (_read_only(step), _read_only(step != 0))
-            if self.num_actions * self.num_observations * self.num_states**2 <= STEP_TABLE_CELLS:
+            if self._table_cells <= STEP_TABLE_CELLS:
                 pair = self._steps.setdefault((action, obs), pair)
         return pair
+
+    def restricted_step(
+        self, action: int, obs: int, live: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The step ``(action, obs)`` taken from the ascending states
+        ``live``: the ascending states ``next_live`` its support reaches
+        from them, and the ``live × next_live`` blocks of
+        ``step_matrix(action, obs)`` and of its support.
+
+        A result is kept, read-only and with an int64 support, as long as
+        the model lives, while the model keeps its step table and the kept
+        blocks total at most the table's ``A·O·n²`` cells; past that, each
+        call takes the blocks afresh, with a bool support.  A step that
+        reaches no state is not kept.
+        """
+        key = (action, obs, live.tobytes())
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
+        step, support = self.step_matrix(action, obs)
+        rows = step.take(live, axis=0)
+        adj = support.take(live, axis=0)
+        next_live = adj.any(axis=0).nonzero()[0]
+        rows, adj = rows.take(next_live, axis=1), adj.take(next_live, axis=1)
+        if not rows.size or not self._has_room(rows.size):
+            return next_live, rows, adj
+        block = (_read_only(next_live), _read_only(rows), _read_only(adj.astype(np.int64)))
+        with self._block_lock:
+            if key not in self._blocks and self._has_room(rows.size):
+                self._blocks[key] = block
+                self._block_cells += rows.size
+        return self._blocks.get(key, block)
+
+    def _has_room(self, cells: int) -> bool:
+        """Whether ``restricted_step`` may keep a block of ``cells`` more."""
+        if self._table_cells > STEP_TABLE_CELLS:
+            return False
+        return self._block_cells + cells <= self._table_cells
 
     # -- JSON interchange ------------------------------------------------------
 
@@ -631,8 +677,9 @@ def simulate(
     obss: list[int] = []
     for step in range(horizon):
         action = policy.act(beliefs[-1], step)
-        if not 0 <= action < pomdp.num_actions:
+        if not (is_index(action) and 0 <= action < pomdp.num_actions):
             raise ModelError(f"policy returned invalid action {action!r}")
+        action = int(action)
         state = _sample(rng, pomdp.trans_mat[action, state])
         obs = _sample(rng, pomdp.obs_mat[action, state])
         beliefs.append(bayes_update(pomdp, beliefs[-1], action, obs))

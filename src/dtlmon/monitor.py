@@ -19,12 +19,16 @@ paths; the other rows are the open automaton states.  Each step is one
 product with the step's transition and observation likelihoods, one
 division by the total, the Bayes filter's normalizer, so long runs do not
 underflow, and one fold of every cell into its successor's row.  The
-likelihoods are the allowed states' rows of the model's step matrix for
-the step's (action, observation) pair (``Pomdp.step_matrix``), a read-only
-product built the first time a record visits the pair and kept with the
-model, so a step takes rows instead of multiplying them.  The fold looks a
-successor up once per row and distinct hidden-state bits, in a cache of
-the row's own.  The accept row's share of the final mass is the
+likelihoods are the model's restricted step for the step's (action,
+observation) pair and the allowed states (``Pomdp.restricted_step``): the
+block of the pair's step matrix between the states allowed before and
+after the step, with the states allowed after it and the block's support.
+The model keeps each such block, read-only and with an int64 support, the
+first time a record meets its (action, observation, allowed states) triple,
+as long as the model keeps its step table and the kept blocks total at most
+that table's cells; a step that meets a kept triple only looks it up.  The
+fold looks a successor up once per row and distinct hidden-state bits, in
+a cache of the row's own.  The accept row's share of the final mass is the
 probability under the smoothed posterior: exactly 1.0 when every
 consistent path accepts and 0.0 when none does.  Consistent hidden paths are counted exactly
 alongside: each column's count is a column of base-2^31 int64 limbs,
@@ -78,9 +82,9 @@ from __future__ import annotations
 import operator
 import threading
 import weakref
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -358,9 +362,14 @@ def _check_record(pomdp: Pomdp, exec: Execution) -> None:
     observations fit the model."""
     if set(map(len, exec.beliefs)) != {pomdp.num_states}:
         raise ModelError("execution beliefs do not match the model dimension")
-    acts, obs = exec.actions, exec.observations
+    _check_steps(pomdp, exec.actions, exec.observations)
+
+
+def _check_steps(pomdp: Pomdp, acts: Sequence, obs: Sequence) -> None:
+    """Raise ``ModelError`` unless every recorded action and observation is
+    an integer index in the model's range."""
     num_a, num_o = pomdp.num_actions, pomdp.num_observations
-    if acts and not (
+    if len(acts) and not (
         {*map(type, acts), *map(type, obs)} == {int}
         and 0 <= min(acts) and max(acts) < num_a and 0 <= min(obs) and max(obs) < num_o
     ):
@@ -428,6 +437,7 @@ def backward_likelihoods(
 ) -> BackwardLikelihoods:
     if len(actions) != len(observations):
         raise ModelError("actions and observations must have equal length")
+    _check_steps(pomdp, actions, observations)
     t = len(actions)
     values = np.ones((t + 1, pomdp.num_states))
     shifts = np.zeros(t + 1, dtype=np.int64)
@@ -527,16 +537,17 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     of the step's belief with its relaxed bits replaced by those of the
     hidden-state classes s satisfies.
     Dead and accepted mass stays in rows 0 and 1 of the one mass matrix,
-    and every step is rescaled by the filter's normalizer.  A step takes
-    the live states' rows of the model's step matrix for its (action,
-    observation) pair and their support (``Pomdp.step_matrix``, built once
-    per pair and model), and the fold looks each row's successors up once
-    per distinct hidden-state bits.  The result is the accepted share
-    of the final mass: exactly 1.0 when every consistent path accepts, 0.0
-    when none does.  The exact number of consistent hidden paths
-    (``consistent_paths``) rides along as int64 limbs, one matmul with the
-    step's support per step; carries propagate only when a limb could
-    pass 2^56.  Raises ``AllZero`` at the first step that leaves no hidden
+    and every step is rescaled by the filter's normalizer.  A step reads
+    the model's restricted step for its (action, observation) pair and the
+    live states (``Pomdp.restricted_step``): the next live states and the
+    live-to-next blocks of the step matrix and of its support, kept per
+    triple while the kept blocks total at most the model's step table, and
+    the fold looks each row's successors up once per distinct hidden-state
+    bits.  The result is the accepted share of the final mass: exactly 1.0
+    when every consistent path accepts, 0.0 when none does.  The exact
+    number of consistent hidden paths (``consistent_paths``) rides along as
+    int64 limbs, one matmul with the step's support per step; carries
+    propagate only when a limb could pass 2^56.  Raises ``AllZero`` at the first step that leaves no hidden
     state consistent with the record, on every call.
 
     Formulas that share an automaton, state bits and letters (the
@@ -583,16 +594,13 @@ def _acceptance_dp(
     dp_pairs = int(np.count_nonzero(mass[2:]))
 
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
-        step, support = pomdp.step_matrix(a, o)
-        rows = step.take(live, axis=0)
-        adj = support.take(live, axis=0)
-        live = adj.any(axis=0).nonzero()[0]
+        live, rows, adj = pomdp.restricted_step(a, o, live)
         # A new limb sums at most one limb per previous column.
         if bound * len(adj) > _LIMB_CAP:
             counts, bound = _carry(counts, bound)
-        counts = counts @ adj.take(live, axis=1)
+        counts = counts @ adj
         bound *= len(adj)
-        mass = mass @ rows.take(live, axis=1)
+        mass = mass @ rows
         total = mass.sum()
         if not total:
             raise AllZero("the recorded run is impossible under the model")

@@ -4,6 +4,10 @@ import json
 import math
 import random
 import re
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from dtlmon.errors import ModelError, ZeroLikelihood
 from dtlmon.model import (
     Belief,
     Execution,
+    Policy,
     Pomdp,
     ScriptedPolicy,
     StateSetReader,
@@ -30,7 +35,7 @@ from dtlmon.model import (
 )
 from dtlmon.studies import build_mht, build_rescue
 
-from helpers import brute_force_posterior, random_pomdp, tiny_two_state
+from helpers import brute_force_posterior, grid_walk, random_pomdp, tiny_two_state
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +306,24 @@ class TestSimulate:
         heads = mht.obs_index["heads"]
         freq = sum(1 for o in execution.observations if o == heads) / 1000
         assert freq == pytest.approx(0.25, abs=0.03)
+
+    @pytest.mark.parametrize("action", [0.0, 1.0, "0", None, True, -1, 4])
+    def test_policy_action_must_be_an_index_in_range(self, mht, action):
+        class Fixed(Policy):
+            def act(self, belief, step):
+                return action
+
+        with pytest.raises(ModelError, match=re.escape(f"policy returned invalid action {action!r}")):
+            simulate(mht, Fixed(), 3, seed=0)
+
+    def test_numpy_policy_action_is_recorded_as_int(self, mht):
+        class Numpy(Policy):
+            def act(self, belief, step):
+                return np.int64(1)
+
+        _, execution = simulate(mht, Numpy(), 3, seed=0)
+        assert execution.actions == (1, 1, 1)
+        assert {type(a) for a in execution.actions} == {int}
 
     def test_transition_frequencies_converge(self):
         rng = random.Random(7)
@@ -587,3 +610,108 @@ class TestStepTable:
         monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", size)
         pomdp.step_matrix(0, 1)
         assert set(pomdp._steps) == {(0, 1)}
+
+    @staticmethod
+    def _live_sets(pomdp):
+        n = pomdp.num_states
+        for bits in range(1, 1 << n):
+            yield np.array([s for s in range(n) if bits >> s & 1], dtype=np.intp)
+
+    def _check_every_block(self, pomdp) -> int:
+        """Take every step from every live set and compare it with the
+        step matrix, bit for bit; return how many steps reach a state."""
+        reaching = 0
+        for a in range(pomdp.num_actions):
+            for o in range(pomdp.num_observations):
+                step, support = pomdp.step_matrix(a, o)
+                for live in self._live_sets(pomdp):
+                    next_live, rows, adj = pomdp.restricted_step(a, o, live)
+                    want = support.take(live, axis=0).any(axis=0).nonzero()[0]
+                    want_rows = step.take(live, axis=0).take(want, axis=1)
+                    assert next_live.tobytes() == want.tobytes()
+                    assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
+                    assert rows.flags.c_contiguous
+                    np.testing.assert_array_equal(adj, support.take(live, axis=0).take(want, axis=1))
+                    kept = pomdp._blocks.get((a, o, live.tobytes()))
+                    if kept is None:
+                        assert adj.dtype == bool
+                    else:
+                        assert all(x is y for x, y in zip(kept, (next_live, rows, adj)))
+                        assert adj.dtype == np.int64
+                        assert not any(x.flags.writeable for x in kept)
+                    reaching += bool(next_live.size)
+        return reaching
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_blocks_are_the_step_matrix_blocks(self, seed):
+        self._check_every_block(
+            random_pomdp(random.Random(seed), max_states=4, max_actions=3, max_obs=3)
+        )
+
+    def test_kept_blocks_are_read_only_with_int64_support(self):
+        pomdp = grid_walk(3)
+        live = np.flatnonzero(pomdp.prior.probs)
+        first = pomdp.restricted_step(0, 0, live)
+        assert set(pomdp._blocks) == {(0, 0, live.tobytes())}
+        assert first[2].dtype == np.int64
+        assert not any(x.flags.writeable for x in first)
+        again = pomdp.restricted_step(0, 0, live.copy())
+        assert all(x is y for x, y in zip(first, again))
+
+    def test_step_reaching_no_state_is_not_kept(self):
+        pomdp = Pomdp(
+            ["a", "b"], ["go"], ["seen", "unseen"], [1.0, 0.0],
+            {("a", "go", "b"): 1.0, ("b", "go", "b"): 1.0},
+            {("a", "go", "seen"): 1.0, ("b", "go", "seen"): 1.0},
+        )
+        next_live, rows, _ = pomdp.restricted_step(0, 1, np.array([0]))
+        assert next_live.size == 0 and rows.shape == (1, 0)
+        assert pomdp._blocks == {}
+
+    def test_large_model_keeps_no_blocks(self, monkeypatch):
+        pomdp = random_pomdp(random.Random(3), max_states=4, max_actions=2, max_obs=2)
+        monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", pomdp._table_cells - 1)
+        assert self._check_every_block(pomdp)
+        assert pomdp._blocks == {} and pomdp._block_cells == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kept_blocks_stay_within_the_table_size(self, seed):
+        pomdp = random_pomdp(
+            random.Random(seed), max_states=5, max_actions=2, max_obs=2, max_support=5
+        )
+        reaching = self._check_every_block(pomdp)
+        cells = sum(rows.size for _, rows, _ in pomdp._blocks.values())
+        assert cells == pomdp._block_cells <= pomdp._table_cells
+        assert 0 < len(pomdp._blocks) < reaching  # the budget ran out
+
+    def test_concurrent_fills_stay_within_the_table_size(self):
+        # Threads that miss one key at once must store it, and count its
+        # cells, once.  Each budget check yields the interpreter lock, so a
+        # check and the store that follows it are far apart.
+        rng = random.Random(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                pomdp = random_pomdp(rng, max_states=5, max_actions=2, max_obs=2, max_support=5)
+                keys = [
+                    (a, o, live)
+                    for a in range(pomdp.num_actions)
+                    for o in range(pomdp.num_observations)
+                    for live in self._live_sets(pomdp)
+                ]
+                has_room = pomdp._has_room
+                pomdp._has_room = lambda cells: time.sleep(0) or has_room(cells)
+                start = threading.Barrier(4)
+
+                def fill(_):
+                    start.wait(timeout=60)
+                    for a, o, live in keys:
+                        pomdp.restricted_step(a, o, live)
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    list(pool.map(fill, range(4), timeout=60))
+                cells = sum(rows.size for _, rows, _ in pomdp._blocks.values())
+                assert cells == pomdp._block_cells <= pomdp._table_cells
+        finally:
+            sys.setswitchinterval(interval)

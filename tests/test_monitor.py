@@ -351,6 +351,19 @@ class TestSmoothing:
         alpha = smoothed_initial(pinned, bl)
         np.testing.assert_array_equal(alpha, [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "actions, observations, message",
+        [
+            ((-1,), (0,), "step 0: action -1 or observation 0 is out of range"),
+            ((1.0,), (0,), "step 0: action 1.0 is not an integer index"),
+            ((True,), (0,), "step 0: action True is not an integer index"),
+            ((0, 0), (1, 5), "step 1: action 0 or observation 5 is out of range"),
+        ],
+    )
+    def test_record_must_fit_the_model(self, actions, observations, message):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            backward_likelihoods(tiny_two_state(), actions, observations)
+
     def test_impossible_record_raises(self, mht):
         pomdp, _ = mht
         with pytest.raises(AllZero):
@@ -607,10 +620,11 @@ class TestStepTable:
         execution = execution_from_actions(pomdp, ["walk"] * 3, ["lo", "hi", "lo"])
         acceptance_probability(pomdp, parse_formula("F in(corner)", pomdp), execution)
         steps = [weakref.ref(step) for step, _ in pomdp._steps.values()]
-        assert len(steps) == 2
+        blocks = [weakref.ref(array) for block in pomdp._blocks.values() for array in block]
+        assert len(steps) == 2 and len(blocks) == 2 * 3
         del pomdp
         gc.collect()
-        assert all(step() is None for step in steps)  # the memo keeps its execution only
+        assert all(ref() is None for ref in steps + blocks)  # the memo keeps its execution only
 
     def test_reports_equal_without_the_table(self, monkeypatch):
         def instances():
@@ -631,7 +645,7 @@ class TestStepTable:
         uncached = []
         for instance in instances():
             uncached.append(results(instance))
-            assert instance[0]._steps == {}
+            assert instance[0]._steps == {} and instance[0]._blocks == {}
         assert uncached == cached
         assert sum(report["diagnostics"]["dp_pairs"] > 0 for report, _ in cached) >= 30
 
