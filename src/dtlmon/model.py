@@ -27,7 +27,9 @@ SUM_TOL = 1e-9
 # A model keeps the step matrices it builds (``Pomdp.step_matrix``) only when
 # the table of all (action, observation) pairs, ``A·O·n²`` float cells, is at
 # most this large: 2 MiB, plus its 256 KiB of supports.  The restricted steps
-# it keeps (``Pomdp.restricted_step``) total at most as many cells again.
+# it keeps (``Pomdp.restricted_step``) total at most as many cells again.  The
+# monitor's fold plans (``monitor._fold_step``), shared by all models, total
+# at most this many intp codes.
 STEP_TABLE_CELLS = 1 << 18
 
 
@@ -263,34 +265,41 @@ class Pomdp:
         from them, and the ``live × next_live`` blocks of
         ``step_matrix(action, obs)`` and of its support.
 
-        A result is kept, read-only and with an int64 support, as long as
-        the model lives, while the model keeps its step table and the kept
-        blocks total at most the table's ``A·O·n²`` cells; past that, each
-        call takes the blocks afresh, with a bool support.  A step that
-        reaches no state is not kept.
+        A result is kept, read-only and with an int64 support, once per
+        live set whatever its integer dtype, while the model keeps its step
+        table.  The kept blocks total at most the table's ``A·O·n²`` cells:
+        a block that does not fit evicts the oldest kept blocks first.  A
+        model past ``STEP_TABLE_CELLS`` keeps none, and each call takes the
+        blocks afresh, with a bool support.  A step that reaches no state
+        is not kept.
         """
         key = (action, obs, live.tobytes())
         block = self._blocks.get(key)
         if block is not None:
             return block
+        if live.dtype != np.intp:
+            return self.restricted_step(action, obs, live.astype(np.intp))
         step, support = self.step_matrix(action, obs)
         rows = step.take(live, axis=0)
         adj = support.take(live, axis=0)
         next_live = adj.any(axis=0).nonzero()[0]
         rows, adj = rows.take(next_live, axis=1), adj.take(next_live, axis=1)
-        if not rows.size or not self._has_room(rows.size):
+        if not rows.size or self._table_cells > STEP_TABLE_CELLS:
             return next_live, rows, adj
         block = (_read_only(next_live), _read_only(rows), _read_only(adj.astype(np.int64)))
         with self._block_lock:
-            if key not in self._blocks and self._has_room(rows.size):
+            if key not in self._blocks:
+                # A block has at most n² cells, so it fits once the others go.
+                while not self._has_room(rows.size):
+                    oldest = next(iter(self._blocks))
+                    self._block_cells -= self._blocks.pop(oldest)[1].size
                 self._blocks[key] = block
                 self._block_cells += rows.size
         return self._blocks.get(key, block)
 
     def _has_room(self, cells: int) -> bool:
-        """Whether ``restricted_step`` may keep a block of ``cells`` more."""
-        if self._table_cells > STEP_TABLE_CELLS:
-            return False
+        """Whether ``restricted_step`` may keep a block of ``cells`` more
+        without evicting one."""
         return self._block_cells + cells <= self._table_cells
 
     # -- JSON interchange ------------------------------------------------------

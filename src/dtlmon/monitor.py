@@ -23,19 +23,26 @@ likelihoods are the model's restricted step for the step's (action,
 observation) pair and the allowed states (``Pomdp.restricted_step``): the
 block of the pair's step matrix between the states allowed before and
 after the step, with the states allowed after it and the block's support.
-The model keeps each such block, read-only and with an int64 support, the
-first time a record meets its (action, observation, allowed states) triple,
-as long as the model keeps its step table and the kept blocks total at most
-that table's cells; a step that meets a kept triple only looks it up.  The
-fold looks a successor up once per row and distinct hidden-state bits, in
-a cache of the row's own.  The accept row's share of the final mass is the
-probability under the smoothed posterior: exactly 1.0 when every
-consistent path accepts and 0.0 when none does.  Consistent hidden paths are counted exactly
-alongside: each column's count is a column of base-2^31 int64 limbs,
-advanced by one small integer matmul with the step's support, and joined
-into one Python integer at the end.  A brute-force enumeration oracle over
-the smoothed chain built from backward likelihoods (another factorization
-of the same posterior) cross-checks it.
+The model keeps each such block, read-only and with an int64 support, per
+(action, observation, allowed states) triple while it keeps its step table;
+the kept blocks total at most that table's cells, a block that does not fit
+evicts the oldest first, and a step that meets a kept triple only looks it
+up.  The fold is a plan and a sum: the plan gives every cell its
+successor's row, looked up only for cells with mass, once per row and
+distinct hidden-state bits, and one ``bincount`` sums the mass by it.  A
+plan depends only on the automaton, its open states, the letter, the
+columns' hidden-state bits and which open cells hold mass, so one table
+keeps the plans by those, their codes bounded by ``model.STEP_TABLE_CELLS``
+(the oldest go first), and a repeated fold only looks its plan up.  The
+table holds each automaton by weak reference, and
+``compile_monitor.cache_clear`` empties it.  The accept row's share of the
+final mass is the probability under the smoothed posterior: exactly 1.0
+when every consistent path accepts and 0.0 when none does.  Consistent
+hidden paths are counted exactly alongside: each column's count is a
+column of base-2^31 int64 limbs, advanced by one small integer matmul with
+the step's support, and joined into one Python integer at the end.  A
+brute-force enumeration oracle over the smoothed chain built from backward
+likelihoods (another factorization of the same posterior) cross-checks it.
 
 Both stages read the same per-step belief-predicate signatures, computed
 once per execution by the formula's compiled ``BeliefPredicates``;
@@ -88,6 +95,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import model
 from .automaton import Dfa, PropAtom, dfa_accepts
 from .errors import AllZero, CapExceeded, InconsistentState, ModelError
 from .logic import (
@@ -318,15 +326,24 @@ def compile_monitor(formula: Formula) -> CompiledMonitor:
     """Cached compilation; formulas are immutable so reuse is safe.  The
     cache is bounded, so a long sweep over formulas (or ``Callback``
     formulas, which hash by function identity) does not grow without end.
-    Clearing it also releases the shared automata, so the next compile
-    starts them cold.  No formula is too deep to hash as a cache key: the
-    nesting bound holds when a node is built (``logic.MAX_NESTING``).
+    Clearing it also releases the shared automata and empties the fold
+    plans (``_fold_step``), so the next compile starts them cold.  No
+    formula is too deep to hash as a cache key: the nesting bound holds
+    when a node is built (``logic.MAX_NESTING``).
     """
     return _compile_cached(formula)
 
 
+def _cache_clear() -> None:
+    global _fold_plan_codes
+    _compile_cached.cache_clear()
+    with _fold_plans_lock:
+        _fold_plans.clear()
+        _fold_plan_codes = 0
+
+
 compile_monitor.cache_info = _compile_cached.cache_info
-compile_monitor.cache_clear = _compile_cached.cache_clear
+compile_monitor.cache_clear = _cache_clear
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -541,14 +558,18 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     the model's restricted step for its (action, observation) pair and the
     live states (``Pomdp.restricted_step``): the next live states and the
     live-to-next blocks of the step matrix and of its support, kept per
-    triple while the kept blocks total at most the model's step table, and
-    the fold looks each row's successors up once per distinct hidden-state
-    bits.  The result is the accepted share of the final mass: exactly 1.0
-    when every consistent path accepts, 0.0 when none does.  The exact
-    number of consistent hidden paths (``consistent_paths``) rides along as
-    int64 limbs, one matmul with the step's support per step; carries
-    propagate only when a limb could pass 2^56.  Raises ``AllZero`` at the first step that leaves no hidden
-    state consistent with the record, on every call.
+    triple while the kept blocks total at most the model's step table (the
+    oldest go first).  The fold runs a plan of target rows, kept per
+    (automaton, open states, letter, column bits, cells with mass) while the
+    kept plans total at most ``model.STEP_TABLE_CELLS`` codes (the oldest go
+    first); a plan is made by looking each row's successors up once per
+    distinct hidden-state bits.  The result is the accepted share of the
+    final mass: exactly 1.0 when every consistent path accepts, 0.0 when
+    none does.  The exact number of consistent hidden paths
+    (``consistent_paths``) rides along as int64 limbs, one matmul with the
+    step's support per step; carries propagate only when a limb could pass
+    2^56.  Raises ``AllZero`` at the first step that leaves no hidden state
+    consistent with the record, on every call.
 
     Formulas that share an automaton, state bits and letters (the
     signatures with the relaxed bits cleared) on one execution and model
@@ -590,7 +611,7 @@ def _acceptance_dp(
     # Rows 0 and 1 are the dead and accept sinks, row r + 2 open automaton
     # state ``states[r]``.  Step 0 moves the prior's mass on the first letter.
     mass = np.vstack((np.zeros((2, len(live))), pomdp.prior.probs.take(live)))
-    states, mass = _fold_step(dfa, [dfa.initial], letters[0], sbits.take(live).tolist(), mass)
+    states, mass = _fold_step(dfa, (dfa.initial,), letters[0], sbits.take(live).tolist(), mass)
     dp_pairs = int(np.count_nonzero(mass[2:]))
 
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
@@ -637,19 +658,53 @@ def _carry(counts: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     return counts, _LIMB_MASK + (bound >> _LIMB_BITS)
 
 
+# Fold plans: (weak reference to the automaton, open states, letter, column
+# bits, support of the open rows) -> (open successors, read-only intp codes).
+# Their codes total at most ``model.STEP_TABLE_CELLS``; a plan that does not
+# fit evicts the oldest plans first, under the lock, and a hit takes no lock.
+# A plan holds automaton state ids, which are stable for the automaton's
+# lifetime, and a dead automaton's weak reference equals only itself.
+_fold_plans: dict = {}
+_fold_plan_codes = 0  # the codes of the plans in ``_fold_plans``
+_fold_plans_lock = threading.Lock()
+
+
 def _fold_step(
     dfa: Dfa, states: Sequence[int], letter: int, col_bits: Sequence[int], mass: np.ndarray
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[tuple[int, ...], np.ndarray]:
     """Move one step's mass through the automaton.
 
     Rows 0 and 1 of ``mass`` are the dead state and the accept sink, whose
     mass stays put; row r + 2 is open automaton state ``states[r]``.  Column
     j reads ``letter`` joined with the state bits ``col_bits[j]``.  Returns
-    the open successor states, numbered in the order their first cell is
-    met in a row-major scan (so the order depends only on the formula and
-    the execution, never on what the automaton has cached), and the moved
-    mass in the same layout.  Successors are looked up only for cells that
-    hold mass, once per row and distinct state bits.
+    the open successor states and the moved mass in the same layout, one
+    ``bincount`` over the fold plan's codes (``_fold_plan``).  The plan
+    depends only on the automaton, ``states``, ``letter``, ``col_bits`` and
+    which open cells hold mass, so it is kept in one table keyed by them,
+    whose codes total at most ``model.STEP_TABLE_CELLS`` (the oldest plans
+    go first); a step that meets a kept plan only looks it up.
+    """
+    key = (weakref.ref(dfa), tuple(states), letter, tuple(col_bits), (mass[2:] != 0).tobytes())
+    plan = _fold_plans.get(key)
+    if plan is None:
+        plan = _fold_plan(dfa, states, letter, col_bits, mass)
+        _keep_plan(key, plan)
+    successors, codes = plan
+    height, width = len(successors) + 2, mass.shape[1]
+    out = np.bincount(codes, weights=mass.ravel(), minlength=height * width)
+    return successors, out.reshape(height, width)
+
+
+def _fold_plan(
+    dfa: Dfa, states: Sequence[int], letter: int, col_bits: Sequence[int], mass: np.ndarray
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The layout of ``_fold_step``: the open successor states, numbered in
+    the order their first cell is met in a row-major scan (so the order
+    depends only on the formula and the execution, never on what the
+    automaton has cached), and the read-only intp code of every cell,
+    ``target row * width + column``.  Successors are looked up only for
+    cells that hold mass, once per row and distinct state bits; a cell
+    without mass goes to the dead row.
     """
     delta = dfa._delta
     width = mass.shape[1]
@@ -676,9 +731,26 @@ def _fold_step(
                         target = open_rows.setdefault(q2, len(open_rows) + 2)
                     targets[bits] = target
             codes.append(target * width + j)
-    height = len(open_rows) + 2
-    out = np.bincount(np.array(codes, dtype=np.intp), weights=mass.ravel(), minlength=height * width)
-    return list(open_rows), out.reshape(height, width)
+    codes = np.array(codes, dtype=np.intp)
+    codes.flags.writeable = False
+    return tuple(open_rows), codes
+
+
+def _keep_plan(key: tuple, plan: tuple[tuple[int, ...], np.ndarray]) -> None:
+    """Keep a fold plan, evicting the oldest plans until its codes fit the
+    budget; a plan larger than the whole budget is not kept."""
+    global _fold_plan_codes
+    size, budget = plan[1].size, model.STEP_TABLE_CELLS
+    if size > budget:
+        return
+    with _fold_plans_lock:
+        if key in _fold_plans:
+            return
+        while _fold_plan_codes + size > budget:
+            oldest = next(iter(_fold_plans))
+            _fold_plan_codes -= _fold_plans.pop(oldest)[1].size
+        _fold_plans[key] = plan
+        _fold_plan_codes += size
 
 
 DEFAULT_ORACLE_CAP = 100_000_000

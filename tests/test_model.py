@@ -684,6 +684,34 @@ class TestStepTable:
         assert cells == pomdp._block_cells <= pomdp._table_cells
         assert 0 < len(pomdp._blocks) < reaching  # the budget ran out
 
+    def test_a_full_budget_keeps_the_newest_blocks(self):
+        pomdp = random_pomdp(
+            random.Random(2), max_states=5, max_actions=2, max_obs=2, max_support=5
+        )
+        stored = []  # the keys of the kept steps, oldest first
+        for a in range(pomdp.num_actions):
+            for o in range(pomdp.num_observations):
+                for live in self._live_sets(pomdp):
+                    if pomdp.restricted_step(a, o, live)[0].size:
+                        stored.append((a, o, live.tobytes()))
+        kept = list(pomdp._blocks)
+        assert 0 < len(kept) < len(stored)  # the budget ran out
+        assert kept == stored[-len(kept) :]  # the newest, in their order
+        assert stored[-1] in pomdp._blocks and stored[0] not in pomdp._blocks
+        cells = sum(rows.size for _, rows, _ in pomdp._blocks.values())
+        assert cells == pomdp._block_cells <= pomdp._table_cells
+
+    def test_one_block_per_live_set_whatever_its_dtype(self):
+        pomdp = tiny_two_state()
+        first = pomdp.restricted_step(0, 0, np.array([0, 1], dtype=np.intp))
+        again = pomdp.restricted_step(0, 0, np.array([0, 1], dtype=np.int32))
+        assert all(x is y for x, y in zip(first, again))
+        assert len(pomdp._blocks) == 1 and pomdp._block_cells == 4
+        pomdp = tiny_two_state()
+        first = pomdp.restricted_step(0, 0, np.array([0, 1], dtype=np.int32))
+        assert first[0].dtype == np.intp
+        assert set(pomdp._blocks) == {(0, 0, np.array([0, 1], dtype=np.intp).tobytes())}
+
     def test_concurrent_fills_stay_within_the_table_size(self):
         # Threads that miss one key at once must store it, and count its
         # cells, once.  Each budget check yields the interpreter lock, so a

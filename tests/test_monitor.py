@@ -4,6 +4,7 @@ import gc
 import random
 import re
 import sys
+import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtlmon import model as model_module
+from dtlmon import monitor as monitor_module
 from dtlmon.automaton import export_json_dict
 from dtlmon.errors import AllZero, CapExceeded, InconsistentState, ModelError
 from dtlmon.logic import (
@@ -43,6 +45,7 @@ from dtlmon.model import (
 )
 from dtlmon.monitor import (
     _dp_memo,
+    _fold_plans,
     _shared_dfas,
     acceptance_probability,
     compile_monitor,
@@ -947,6 +950,157 @@ class TestAcceptanceMemo:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+def _stay_or_mix() -> Pomdp:
+    """Two states, each in its own named set; ``stay`` keeps the state and
+    ``mix`` moves to either, so ``stay`` leaves cells without mass that
+    ``mix`` fills."""
+    both = {("a", "mix", "a"): 0.5, ("a", "mix", "b"): 0.5,
+            ("b", "mix", "a"): 0.5, ("b", "mix", "b"): 0.5}
+    return Pomdp(
+        [("a", {}), ("b", {})],
+        ["stay", "mix"],
+        ["o"],
+        [0.5, 0.5],
+        {("a", "stay", "a"): 1.0, ("b", "stay", "b"): 1.0, **both},
+        {(s, act, "o"): 1.0 for s in "ab" for act in ("stay", "mix")},
+        named_sets={"A": ["a"], "B": ["b"]},
+    )
+
+
+def _plan_codes() -> int:
+    """The codes of the kept fold plans, counted afresh."""
+    return sum(codes.size for _, codes in _fold_plans.values())
+
+
+class TestFoldPlans:
+    """The fold plan table changes no report, whatever it holds."""
+
+    def test_same_report_cold_warm_and_after_other_traces(self, rescue_runs):
+        pomdp, formula, executions = rescue_runs
+        folded = False
+        for target in executions[::10]:
+            compile_monitor.cache_clear()
+            cold = _verdict(acceptance_probability(pomdp, formula, _copy(target)))
+            kept = len(_fold_plans)
+            warm = _verdict(acceptance_probability(pomdp, formula, _copy(target)))
+            assert len(_fold_plans) == kept  # every fold met a kept plan
+            for other in executions:
+                acceptance_probability(pomdp, formula, _copy(other))
+            after = _verdict(acceptance_probability(pomdp, formula, _copy(target)))
+            assert cold == warm == after
+            folded |= kept > 0
+        assert folded
+
+    def test_state_sets_of_one_automaton_get_their_own_plans(self):
+        # One skeleton, so one automaton and the same letters; only the
+        # column bits tell the formulas apart.
+        rng = random.Random(2025)
+        moved = 0
+        for _ in range(30):
+            pomdp = random_pomdp(rng)
+            execution = random_execution(pomdp, rng)
+            formulas = [parse_formula(f"F in({name})", pomdp) for name in ("setA", "setB", "evens")]
+            assert len({compile_monitor(formula).dfa for formula in formulas}) == 1
+            alone = []
+            for formula in formulas:
+                compile_monitor.cache_clear()
+                alone.append(_verdict(acceptance_probability(pomdp, formula, _copy(execution))))
+            compile_monitor.cache_clear()
+            for _ in range(2):
+                together = [
+                    _verdict(acceptance_probability(pomdp, formula, _copy(execution)))
+                    for formula in formulas
+                ]
+                assert together == alone
+            moved += len({report[0] for report in alone}) > 1
+        assert moved
+
+    def test_cells_without_mass_get_their_own_plans(self):
+        # After step 0 the open states are "F in(A)" (mass on a only) and
+        # "F in(B)" (mass on b only).  ``stay`` keeps that support, so at
+        # step 1 the empty cell (F in(A), b), which would open a new row,
+        # comes before any cell with mass opens one; ``mix`` fills it.
+        pomdp = _stay_or_mix()
+        formula = parse_formula("(in(A) & X F in(A)) | (in(B) & X F in(B))", pomdp)
+        runs = [
+            execution_from_actions(pomdp, [first, "mix"], ["o", "o"]) for first in ("stay", "mix")
+        ]
+        alone = []
+        for execution in runs:
+            compile_monitor.cache_clear()
+            alone.append(_verdict(acceptance_probability(pomdp, formula, _copy(execution))))
+        assert [report[0] for report in alone] == [(1.0).hex(), (0.75).hex()]
+        for order in (runs, runs[::-1]):
+            compile_monitor.cache_clear()
+            together = [
+                _verdict(acceptance_probability(pomdp, formula, _copy(execution)))
+                for execution in order
+            ]
+            assert together == (alone if order is runs else alone[::-1])
+
+    def test_threads_on_a_cold_automaton_see_the_serial_results(self, rescue_runs):
+        pomdp, formula, executions = rescue_runs
+        _, far = build_rescue(RescueParams(p1=0.85, h1=0.45))
+        jobs = [(f, execution) for execution in executions[:20] for f in (formula, far)]
+        compile_monitor.cache_clear()
+        serial = [_verdict(acceptance_probability(pomdp, f, _copy(e))) for f, e in jobs]
+        compile_monitor.cache_clear()
+        start = threading.Barrier(4)
+
+        def run(k):
+            start.wait(timeout=60)
+            return [
+                (j, _verdict(acceptance_probability(pomdp, f, _copy(e))))
+                for j, (f, e) in enumerate(jobs)
+                if j % 4 == k
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = sorted(
+                    pair for part in pool.map(run, range(4), timeout=120) for pair in part
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert [report for _, report in threaded] == serial
+        assert _plan_codes() == monitor_module._fold_plan_codes
+
+    def test_a_small_budget_bounds_the_table_and_changes_no_report(
+        self, rescue_runs, monkeypatch
+    ):
+        pomdp, formula, executions = rescue_runs
+        compile_monitor.cache_clear()
+        full = [_verdict(acceptance_probability(pomdp, formula, _copy(e))) for e in executions]
+        plans = len(_fold_plans)
+        budget = 300
+        assert monitor_module._fold_plan_codes > budget
+        monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", budget)
+        compile_monitor.cache_clear()
+        small = []
+        for execution in executions:
+            small.append(_verdict(acceptance_probability(pomdp, formula, _copy(execution))))
+            assert _plan_codes() == monitor_module._fold_plan_codes <= budget
+        assert small == full
+        assert 0 < len(_fold_plans) < plans
+
+    def test_the_table_keeps_no_automaton_alive(self):
+        pomdp = tiny_two_state()
+        formula = parse_formula("F in(lit)", pomdp)
+        execution = execution_from_actions(pomdp, ["poke", "poke"], ["hi", "lo"])
+        compile_monitor.cache_clear()
+        assert acceptance_probability(pomdp, formula, execution).feasible
+        dfa_ref = weakref.ref(compile_monitor(formula).dfa)
+        assert any(key[0]() is dfa_ref() for key in _fold_plans)
+        # The compile cache alone holds the automaton: its plans stay, dead.
+        monitor_module._compile_cached.cache_clear()
+        gc.collect()
+        assert dfa_ref() is None and _fold_plans
+        compile_monitor.cache_clear()
+        assert _fold_plans == {} and monitor_module._fold_plan_codes == 0
 
 
 def _first_sink_step(pomdp, formula, execution) -> int:
