@@ -7,7 +7,8 @@ arrays ``trans_mat[a, s, s']`` and ``obs_mat[a, s', o]`` that filtering,
 simulation and smoothing read.  The monitor reads their product per
 (action, observation) pair from ``Pomdp.step_matrix``, which keeps each pair
 it builds as long as the model lives, and its block between the states a
-step leaves and reaches from ``Pomdp.restricted_step``.
+step leaves and reaches from ``Pomdp.restricted_step``.  ``simulate`` draws
+each successor and observation from a table of its row's running sums.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 import threading
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -107,9 +109,12 @@ class Pomdp:
 
     Instances are immutable after construction and safe for concurrent
     reads; the tables behind ``step_matrix`` and ``restricted_step`` only
-    cache products of these arrays and blocks of them.  A ``Pomdp`` doubles
-    as the symbol table used by the formula parser (``named_sets``,
-    ``factor_cells``, ``num_states``).
+    cache products of these arrays and blocks of them, and the draw tables
+    behind ``simulate`` the running sums of their rows and of the prior.
+    A draw table holds one index and one sum per positive entry of its row
+    (and the last index twice), so the tables are bounded by the model's
+    nonzeros.  A ``Pomdp`` doubles as the symbol table used by the formula
+    parser (``named_sets``, ``factor_cells``, ``num_states``).
     """
 
     def __init__(
@@ -154,6 +159,7 @@ class Pomdp:
         self._blocks: dict[tuple[int, int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._block_cells = 0  # the cells of the blocks in ``_blocks``
         self._block_lock = threading.Lock()
+        self._draws: dict[tuple[int, int, int], tuple[list[int], list[float]]] = {}
 
         self.prior = prior if isinstance(prior, Belief) else Belief(np.asarray(prior, dtype=float))
         if len(self.prior) != self.num_states:
@@ -296,6 +302,37 @@ class Pomdp:
                 self._blocks[key] = block
                 self._block_cells += rows.size
         return self._blocks.get(key, block)
+
+    def _draw(self, r: float, rows: int, action: int = 0, state: int = 0) -> int:
+        """The index that the variate ``r`` in [0, 1) draws from the prior
+        (``rows`` 0), from ``trans_mat[action, state]`` (1) or from
+        ``obs_mat[action, state]`` (2): the first positive entry at which
+        the running sum of the positive entries, added left to right,
+        exceeds ``r``, else the last positive entry.
+
+        A row's draw table, the indices of its positive entries (the last
+        one twice) and their running sums, is built on its first draw and
+        kept; a draw is a binary search of the sums, the inversion method
+        (Devroye, 1986, *Non-Uniform Random Variate Generation*, ch. 3).
+        """
+        key = (rows, action, state)
+        table = self._draws.get(key)
+        if table is None:
+            if rows:
+                row = (self.trans_mat, self.obs_mat)[rows - 1][action, state]
+            else:
+                row = self.prior.probs
+            index, sums, acc = [], [], 0.0
+            for i, p in enumerate(row.tolist()):
+                if p <= 0.0:
+                    continue
+                acc += p
+                index.append(i)
+                sums.append(acc)
+            index.append(index[-1])
+            table = self._draws.setdefault(key, (index, sums))
+        index, sums = table
+        return index[bisect_right(sums, r)]
 
     def _has_room(self, cells: int) -> bool:
         """Whether ``restricted_step`` may keep a block of ``cells`` more
@@ -595,6 +632,8 @@ class StateSetReader:
         """The column masses and the factor entropies of ``probs``, a pmf or
         a stack of pmfs in rows; both results keep the stack's leading axis."""
         masses = probs @ self.incidence(probs.shape[-1])
+        if not self.cell_columns:  # no factors: the empty (…, 0) entropies
+            return masses, masses[..., :0]
         cells = masses.take(self._cells, axis=-1)
         terms = cells * np.log2(np.where(cells > 0, cells, 1.0))
         return masses, 0.0 - terms.sum(axis=-1)  # ``-x + 0.0`` in one operation
@@ -652,20 +691,6 @@ class RandomActionPolicy(Policy):
         return self._rng.randrange(self._num_actions)
 
 
-def _sample(rng: random.Random, probs: np.ndarray) -> int:
-    r = rng.random()
-    acc = 0.0
-    last = 0
-    for i, p in enumerate(probs.tolist()):
-        if p <= 0.0:
-            continue
-        acc += p
-        last = i
-        if r < acc:
-            return i
-    return last
-
-
 def simulate(
     pomdp: Pomdp, policy: Policy, horizon: int, seed: int
 ) -> tuple[list[int], Execution]:
@@ -673,26 +698,41 @@ def simulate(
 
     The hidden start state comes from the prior; each step asks the policy
     for an action, samples the successor and its observation, and advances
-    the filter.  Identical seeds give bit-identical results.
+    the filter.  ``horizon`` and ``seed`` must be integer indices, and the
+    horizon at least 1; identical seeds give bit-identical results.  The
+    filter updates fill the rows of one read-only array, and each belief
+    after the prior, also the one the policy is handed, is a view of its
+    row.
     """
+    if not is_index(horizon):
+        raise ModelError(f"horizon {horizon!r} is not an integer index")
     if horizon < 1:
         raise ModelError("horizon must be at least 1")
+    if not is_index(seed):
+        raise ModelError(f"seed {seed!r} is not an integer index")
+    horizon, seed = int(horizon), int(seed)
     rng = random.Random(seed)
-    state = _sample(rng, pomdp.prior.probs)
+    draw = pomdp._draw
+    state = draw(rng.random(), 0)
     policy.reset(pomdp, horizon, seed)
     hidden = [state]
-    beliefs = [pomdp.prior]
+    belief = pomdp.prior
+    beliefs = [belief]
     acts: list[int] = []
     obss: list[int] = []
-    for step in range(horizon):
-        action = policy.act(beliefs[-1], step)
+    out = np.empty((horizon, pomdp.num_states))
+    for step, row in enumerate(out):
+        action = policy.act(belief, step)
         if not (is_index(action) and 0 <= action < pomdp.num_actions):
             raise ModelError(f"policy returned invalid action {action!r}")
         action = int(action)
-        state = _sample(rng, pomdp.trans_mat[action, state])
-        obs = _sample(rng, pomdp.obs_mat[action, state])
-        beliefs.append(bayes_update(pomdp, beliefs[-1], action, obs))
+        state = draw(rng.random(), 1, action, state)
+        obs = draw(rng.random(), 2, action, state)
+        _bayes_step(pomdp, belief.probs, action, obs, row)
+        belief = Belief._trusted(row)
+        beliefs.append(belief)
         hidden.append(state)
         acts.append(action)
         obss.append(obs)
+    out.flags.writeable = False
     return hidden, Execution(tuple(beliefs), tuple(acts), tuple(obss))

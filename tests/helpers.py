@@ -153,6 +153,24 @@ def random_pomdp(
     )
 
 
+def sample_referee(rng: random.Random, probs: np.ndarray) -> int:
+    """The sampler ``simulate`` once ran per draw, the referee of the model's
+    draw tables: walk the row left to right, summing its positive entries,
+    and stop at the first sum above the draw; past the end, the last
+    positive entry."""
+    r = rng.random()
+    acc = 0.0
+    last = 0
+    for i, p in enumerate(probs.tolist()):
+        if p <= 0.0:
+            continue
+        acc += p
+        last = i
+        if r < acc:
+            return i
+    return last
+
+
 def random_execution(pomdp: Pomdp, rng: random.Random, max_t: int = 6) -> Execution:
     t = rng.randint(0, max_t)
     if t == 0:

@@ -21,6 +21,7 @@ from dtlmon.model import (
     Execution,
     Policy,
     Pomdp,
+    RandomActionPolicy,
     ScriptedPolicy,
     StateSetReader,
     TIE_TOL,
@@ -33,9 +34,15 @@ from dtlmon.model import (
     marginal_prob,
     simulate,
 )
-from dtlmon.studies import build_mht, build_rescue
+from dtlmon.studies import build_mht, build_rescue, rescue_policies, trial_seed
 
-from helpers import brute_force_posterior, grid_walk, random_pomdp, tiny_two_state
+from helpers import (
+    brute_force_posterior,
+    grid_walk,
+    random_pomdp,
+    sample_referee,
+    tiny_two_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -328,8 +335,6 @@ class TestSimulate:
     def test_transition_frequencies_converge(self):
         rng = random.Random(7)
         pomdp = random_pomdp(rng, max_states=3, max_actions=1, max_obs=2)
-        from dtlmon.model import RandomActionPolicy
-
         hidden, execution = simulate(pomdp, RandomActionPolicy(), 4000, seed=3)
         counts = np.zeros((pomdp.num_states, pomdp.num_states))
         for i, a in enumerate(execution.actions):
@@ -341,6 +346,164 @@ class TestSimulate:
             np.testing.assert_allclose(
                 counts[s] / total, pomdp.trans_mat[0][s], atol=0.05
             )
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True, "7"])
+    def test_seed_must_be_an_integer_index(self, mht, seed):
+        policy = ScriptedPolicy([], pad_action="observe")
+        with pytest.raises(ModelError, match=re.escape(f"seed {seed!r} is not an integer index")):
+            simulate(mht, policy, 3, seed)
+
+    def test_numpy_seed_and_horizon_run_as_ints(self, mht):
+        policy = ScriptedPolicy([], pad_action="observe")
+        first = simulate(mht, policy, np.int64(5), np.int64(11))
+        second = simulate(mht, policy, 5, 11)
+        assert first[0] == second[0]
+        assert first[1].observations == second[1].observations
+
+    @pytest.mark.parametrize("horizon", [2.5, 1.0, True, "3", None])
+    def test_horizon_must_be_an_integer_index(self, mht, horizon):
+        policy = ScriptedPolicy([], pad_action="observe")
+        with pytest.raises(ModelError, match=re.escape(f"horizon {horizon!r} is not an integer index")):
+            simulate(mht, policy, horizon, 0)
+
+    @pytest.mark.parametrize("horizon", [0, -1, np.int64(0)])
+    def test_horizon_must_be_at_least_one(self, mht, horizon):
+        policy = ScriptedPolicy([], pad_action="observe")
+        with pytest.raises(ModelError, match="horizon must be at least 1"):
+            simulate(mht, policy, horizon, 0)
+
+
+class _Watching(Policy):
+    """Delegates to ``policy`` and keeps every belief it is handed."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.seen = []
+
+    def reset(self, pomdp, horizon, seed):
+        self.seen = []
+        self.policy.reset(pomdp, horizon, seed)
+
+    def act(self, belief, step):
+        assert not belief.probs.flags.writeable
+        self.seen.append(belief)
+        return self.policy.act(belief, step)
+
+
+def _assert_filter_rows(pomdp, policy, horizon, seed):
+    """``simulate``'s beliefs are the read-only beliefs its policy was handed,
+    and equal ``filter_run`` on its own record bit for bit."""
+    watching = _Watching(policy)
+    _, execution = simulate(pomdp, watching, horizon, seed)
+    assert all(a is b for a, b in zip(watching.seen, execution.beliefs[:-1]))
+    assert len(watching.seen) == horizon
+    for belief in execution.beliefs:
+        assert not belief.probs.flags.writeable
+        with pytest.raises(ValueError):
+            belief.probs[0] = 0.5
+    assert not execution.beliefs[-1].probs.base.flags.writeable
+    filtered = filter_run(pomdp, execution.actions, execution.observations)
+    assert np.array_equal(
+        np.stack([b.probs for b in execution.beliefs]), np.stack([b.probs for b in filtered])
+    )
+
+
+class TestSimulatedBeliefs:
+    @pytest.mark.parametrize("name", ["timeshare", "entropy_cutoff"])
+    def test_rescue_policies(self, name):
+        pomdp, _ = build_rescue()
+        policy = rescue_policies()[name]
+        for k in range(6):
+            _assert_filter_rows(pomdp, policy, 16, trial_seed(2024, k))
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_action_policy(self, seed):
+        rng = random.Random(seed)
+        pomdp = random_pomdp(rng, max_states=6, max_actions=3, max_obs=3)
+        _assert_filter_rows(pomdp, RandomActionPolicy(), rng.randint(1, 12), seed)
+
+
+class _FixedDraw:
+    """Stands in for a ``random.Random`` whose next draw is ``r``."""
+
+    def __init__(self, r: float):
+        self.r = r
+
+    def random(self) -> float:
+        return self.r
+
+
+# Entries below a normal sum's half-ulp, at which the running sum does not
+# move, and subnormals.
+TINY_ENTRIES = (5e-324, 2.0**-1060, 2.0**-1022, 1e-17, 2.0**-54, 2.0**-53)
+
+
+@st.composite
+def draw_rows(draw):
+    """A unit-sum row of zeros, normal entries and tiny ones, and the draws
+    to test it with: 0, each running sum of ``sample_referee`` and the
+    float just below it, the largest draw below 1, and a few others."""
+    kinds = draw(
+        st.lists(st.sampled_from(("zero", "normal", "tiny")), min_size=1, max_size=12)
+        .filter(lambda ks: "normal" in ks)
+    )
+    weights = [draw(st.floats(0.01, 1.0)) for k in kinds if k == "normal"]
+    total = sum(weights)
+    row, normal = [], iter(weights)
+    for kind in kinds:
+        if kind == "zero":
+            row.append(0.0)
+        elif kind == "normal":
+            row.append(next(normal) / total)
+        else:
+            row.append(draw(st.sampled_from(TINY_ENTRIES)))
+    draws = {0.0, 1.0 - 2.0**-53}
+    acc = 0.0
+    for p in row:
+        if p > 0.0:
+            acc += p
+            draws.update((acc, float(np.nextafter(acc, 0.0))))
+    draws.update(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=5)))
+    return row, sorted(r for r in draws if r < 1.0)
+
+
+class TestDrawTables:
+    @settings(deadline=None, max_examples=300)
+    @given(draw_rows())
+    def test_table_draw_matches_the_referee(self, case):
+        row, draws = case
+        n = len(row)
+        pomdp = Pomdp(
+            [f"s{i}" for i in range(n)],
+            ["a"],
+            [f"o{i}" for i in range(n)],
+            row,
+            {(s, 0, t): p for s in range(n) for t, p in enumerate(row)},
+            {(s, 0, o): p for s in range(n) for o, p in enumerate(row)},
+        )
+        probs = np.array(row)
+        for r in draws:
+            expected = sample_referee(_FixedDraw(r), probs)
+            assert pomdp._draw(r, 0) == expected
+            for s in range(n):
+                assert pomdp._draw(r, 1, 0, s) == expected
+                assert pomdp._draw(r, 2, 0, s) == expected
+        positive = sum(p > 0.0 for p in row)
+        assert len(pomdp._draws) == 2 * n + 1
+        assert all(len(sums) == positive for _, sums in pomdp._draws.values())
+
+    def test_tables_stay_within_the_model_nonzeros(self):
+        pomdp, _ = build_rescue()
+        for name, policy in rescue_policies().items():
+            for k in range(40):
+                simulate(pomdp, policy, 16, trial_seed(9, k))
+        kept = sum(len(sums) for _, sums in pomdp._draws.values())
+        nonzeros = (
+            np.count_nonzero(pomdp.trans_mat)
+            + np.count_nonzero(pomdp.obs_mat)
+            + np.count_nonzero(pomdp.prior.probs)
+        )
+        assert 0 < kept <= nonzeros
 
 
 class TestStateSetRange:

@@ -95,6 +95,21 @@ def test_stacked_beliefs_match_references(case):
         _assert_matches_references(reader, sets, factors, belief, masses[r], entropies[r])
 
 
+@settings(deadline=None, max_examples=100)
+@given(reader_cases())
+def test_no_factors_skip_the_entropy_pass(case):
+    beliefs, sets, _ = case
+    reader = StateSetReader(sets)
+    for probs in (beliefs[0].probs, np.stack([b.probs for b in beliefs])):
+        masses, entropies = reader.read(probs)
+        # The full pass, over no factor cells.
+        full = probs @ reader.incidence(probs.shape[-1])
+        cells = full.take(reader._cells, axis=-1)
+        full_entropies = 0.0 - (cells * np.log2(np.where(cells > 0, cells, 1.0))).sum(axis=-1)
+        assert np.array_equal(masses, full)
+        assert entropies.shape == full_entropies.shape == probs.shape[:-1] + (0,)
+        assert entropies.dtype == full_entropies.dtype
+
 @st.composite
 def tie_cases(draw):
     """A pmf whose mass on one set, summed as ``marginal_prob`` sums it, is a
