@@ -5,10 +5,10 @@ which named state sets and factor partitions are derived.  Sparse dynamics
 entries (absent entries mean zero) are summed into one store, the read-only
 arrays ``trans_mat[a, s, s']`` and ``obs_mat[a, s', o]`` that filtering,
 simulation and smoothing read.  The monitor reads their product per
-(action, observation) pair from ``Pomdp.step_matrix``, which keeps each pair
-it builds as long as the model lives, and its block between the states a
-step leaves and reaches from ``Pomdp.restricted_step``.  ``simulate`` draws
-each successor and observation from a table of its row's running sums.
+(action, observation) pair from ``Pomdp.step_matrix`` and its block between
+the states a step leaves and reaches from ``Pomdp.restricted_step``; the
+model keeps both in ``_BoundedTable``s.  ``simulate`` draws each successor
+and observation from a table of its row's running sums.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import random
 import threading
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -26,13 +27,58 @@ from .errors import ModelError, ZeroLikelihood
 
 SUM_TOL = 1e-9
 
-# A model keeps the step matrices it builds (``Pomdp.step_matrix``) only when
-# the table of all (action, observation) pairs, ``A·O·n²`` float cells, is at
-# most this large: 2 MiB, plus its 256 KiB of supports.  The restricted steps
-# it keeps (``Pomdp.restricted_step``) total at most as many cells again.  The
-# monitor's fold plans (``monitor._fold_step``), shared by all models, total
-# at most this many intp codes.
+# The budget of the DP's bounded tables, read at each call.  A model keeps
+# step matrices (``Pomdp.step_matrix``) and restricted steps
+# (``Pomdp.restricted_step``) only while its full step table, ``A·O·n²`` float
+# cells, is at most this large (2 MiB, plus 256 KiB of supports); each of the
+# two then holds at most ``A·O·n²`` cells.  The monitor's fold plans
+# (``monitor._fold_step``), shared by all models, total at most this many codes.
 STEP_TABLE_CELLS = 1 << 18
+
+
+class _BoundedTable(dict):
+    """A cache whose entries' sizes, ``cells`` in total, stay within the
+    budget given to each ``keep``: a new entry evicts the oldest until it
+    fits, and one of size 0 or above the budget is not kept.  A hit is a
+    plain ``dict.get``; ``keep`` stores under one lock, so threads that miss
+    one key at once store it, and count its size, once.  The entries are
+    derived values, so a table pickles and copies as an empty one.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.cells = 0
+        self._sizes: deque[int] = deque()  # the kept entries' sizes, oldest first
+        self._lock = threading.Lock()
+
+    def keep(self, key, value, size: int, budget: int):
+        """Keep ``value`` under ``key`` and return it, or the entry kept under
+        ``key`` first; a ``size`` of 0 or above ``budget`` returns ``value``."""
+        if not 0 < size <= budget:
+            return value
+        with self._lock:
+            kept = self.get(key)
+            if kept is not None:
+                return kept
+            while not self._fits(size, budget):
+                del self[next(iter(self))]
+                self.cells -= self._sizes.popleft()
+            self[key] = value
+            self._sizes.append(size)
+            self.cells += size
+        return value
+
+    def _fits(self, size: int, budget: int) -> bool:
+        return self.cells + size <= budget
+
+    def clear(self) -> None:
+        with self._lock:
+            super().clear()
+            self._sizes.clear()
+            self.cells = 0
+
+    def __reduce__(self):
+        return type(self), ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +154,9 @@ class Pomdp:
     designated null observation with probability one.
 
     Instances are immutable after construction and safe for concurrent
-    reads; the tables behind ``step_matrix`` and ``restricted_step`` only
-    cache products of these arrays and blocks of them, and the draw tables
-    behind ``simulate`` the running sums of their rows and of the prior.
+    reads; the bounded tables behind ``step_matrix`` and ``restricted_step``
+    only cache products of these arrays and blocks of them, and the draw
+    tables behind ``simulate`` the running sums of their rows and of the prior.
     A draw table holds one index and one sum per positive entry of its row
     (and the last index twice), so the tables are bounded by the model's
     nonzeros.  A ``Pomdp`` doubles as the symbol table used by the formula
@@ -154,11 +200,9 @@ class Pomdp:
 
         self.trans_mat = self._dense_table(trans, "transition", self.state_index, "state")
         self.obs_mat = self._dense_table(obs_model, "observation", self.obs_index, "observation")
-        self._steps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._table_cells = self.num_actions * self.num_observations * self.num_states**2
-        self._blocks: dict[tuple[int, int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._block_cells = 0  # the cells of the blocks in ``_blocks``
-        self._block_lock = threading.Lock()
+        self._steps = _BoundedTable()  # (action, obs) -> step_matrix
+        self._blocks = _BoundedTable()  # (action, obs, live bytes) -> restricted_step
         self._draws: dict[tuple[int, int, int], tuple[list[int], list[float]]] = {}
 
         self.prior = prior if isinstance(prior, Belief) else Belief(np.asarray(prior, dtype=float))
@@ -249,18 +293,14 @@ class Pomdp:
         """The step matrix ``trans_mat[action] * obs_mat[action][:, obs]``,
         whose entry ``[s, s2]`` is the probability of moving from ``s`` to
         ``s2`` and then observing ``obs``, and its support ``!= 0``, both
-        read-only.  The indices must be integers in range.
-
-        A pair is built the first time it is asked for and kept as long as
-        the model lives, unless the model's full table exceeds
-        ``STEP_TABLE_CELLS``; then each call builds it afresh.
+        read-only.  The indices must be integers in range.  A pair is built
+        the first time it is asked for and kept in the model's step table.
         """
         pair = self._steps.get((action, obs))
         if pair is None:
             step = self.trans_mat[action] * self.obs_mat[action][:, obs]
             pair = (_read_only(step), _read_only(step != 0))
-            if self._table_cells <= STEP_TABLE_CELLS:
-                pair = self._steps.setdefault((action, obs), pair)
+            pair = self._steps.keep((action, obs), pair, step.size, self._table_budget())
         return pair
 
     def restricted_step(
@@ -269,15 +309,9 @@ class Pomdp:
         """The step ``(action, obs)`` taken from the ascending states
         ``live``: the ascending states ``next_live`` its support reaches
         from them, and the ``live × next_live`` blocks of
-        ``step_matrix(action, obs)`` and of its support.
-
-        A result is kept, read-only and with an int64 support, once per
-        live set whatever its integer dtype, while the model keeps its step
-        table.  The kept blocks total at most the table's ``A·O·n²`` cells:
-        a block that does not fit evicts the oldest kept blocks first.  A
-        model past ``STEP_TABLE_CELLS`` keeps none, and each call takes the
-        blocks afresh, with a bool support.  A step that reaches no state
-        is not kept.
+        ``step_matrix(action, obs)`` and of its support, all read-only and
+        the support as int64.  A result is kept in the model's block table
+        once per live set, whatever its integer dtype.
         """
         key = (action, obs, live.tobytes())
         block = self._blocks.get(key)
@@ -290,18 +324,12 @@ class Pomdp:
         adj = support.take(live, axis=0)
         next_live = adj.any(axis=0).nonzero()[0]
         rows, adj = rows.take(next_live, axis=1), adj.take(next_live, axis=1)
-        if not rows.size or self._table_cells > STEP_TABLE_CELLS:
-            return next_live, rows, adj
         block = (_read_only(next_live), _read_only(rows), _read_only(adj.astype(np.int64)))
-        with self._block_lock:
-            if key not in self._blocks:
-                # A block has at most n² cells, so it fits once the others go.
-                while not self._has_room(rows.size):
-                    oldest = next(iter(self._blocks))
-                    self._block_cells -= self._blocks.pop(oldest)[1].size
-                self._blocks[key] = block
-                self._block_cells += rows.size
-        return self._blocks.get(key, block)
+        return self._blocks.keep(key, block, rows.size, self._table_budget())
+
+    def _table_budget(self) -> int:
+        """The budget of ``_steps`` and ``_blocks`` (see ``STEP_TABLE_CELLS``)."""
+        return self._table_cells if self._table_cells <= STEP_TABLE_CELLS else 0
 
     def _draw(self, r: float, rows: int, action: int = 0, state: int = 0) -> int:
         """The index that the variate ``r`` in [0, 1) draws from the prior
@@ -333,11 +361,6 @@ class Pomdp:
             table = self._draws.setdefault(key, (index, sums))
         index, sums = table
         return index[bisect_right(sums, r)]
-
-    def _has_room(self, cells: int) -> bool:
-        """Whether ``restricted_step`` may keep a block of ``cells`` more
-        without evicting one."""
-        return self._block_cells + cells <= self._table_cells
 
     # -- JSON interchange ------------------------------------------------------
 

@@ -23,18 +23,15 @@ likelihoods are the model's restricted step for the step's (action,
 observation) pair and the allowed states (``Pomdp.restricted_step``): the
 block of the pair's step matrix between the states allowed before and
 after the step, with the states allowed after it and the block's support.
-The model keeps each such block, read-only and with an int64 support, per
-(action, observation, allowed states) triple while it keeps its step table;
-the kept blocks total at most that table's cells, a block that does not fit
-evicts the oldest first, and a step that meets a kept triple only looks it
-up.  The fold is a plan and a sum: the plan gives every cell its
-successor's row, looked up only for cells with mass, once per row and
-distinct hidden-state bits, and one ``bincount`` sums the mass by it.  A
-plan depends only on the automaton, its open states, the letter, the
-columns' hidden-state bits and which open cells hold mass, so one table
-keeps the plans by those, their codes bounded by ``model.STEP_TABLE_CELLS``
-(the oldest go first), and a repeated fold only looks its plan up.  The
-table holds each automaton by weak reference, and
+The model keeps each such block per (action, observation, allowed states)
+triple in a bounded table (``model._BoundedTable``), and a step that meets a
+kept triple only looks it up.  The fold is a plan and a sum: the plan gives
+every cell its successor's row, looked up only for cells with mass, once per
+row and distinct hidden-state bits, and one ``bincount`` sums the mass by
+it.  A plan depends only on the automaton, its open states, the letter, the
+columns' hidden-state bits and which open cells hold mass, so one bounded
+table keeps the plans by those, and a repeated fold only looks its plan up.
+The table holds each automaton by weak reference, and
 ``compile_monitor.cache_clear`` empties it.  The accept row's share of the
 final mass is the probability under the smoothed posterior: exactly 1.0
 when every consistent path accepts and 0.0 when none does.  Consistent
@@ -335,11 +332,8 @@ def compile_monitor(formula: Formula) -> CompiledMonitor:
 
 
 def _cache_clear() -> None:
-    global _fold_plan_codes
     _compile_cached.cache_clear()
-    with _fold_plans_lock:
-        _fold_plans.clear()
-        _fold_plan_codes = 0
+    _fold_plans.clear()
 
 
 compile_monitor.cache_info = _compile_cached.cache_info
@@ -557,19 +551,17 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     and every step is rescaled by the filter's normalizer.  A step reads
     the model's restricted step for its (action, observation) pair and the
     live states (``Pomdp.restricted_step``): the next live states and the
-    live-to-next blocks of the step matrix and of its support, kept per
-    triple while the kept blocks total at most the model's step table (the
-    oldest go first).  The fold runs a plan of target rows, kept per
-    (automaton, open states, letter, column bits, cells with mass) while the
-    kept plans total at most ``model.STEP_TABLE_CELLS`` codes (the oldest go
-    first); a plan is made by looking each row's successors up once per
-    distinct hidden-state bits.  The result is the accepted share of the
-    final mass: exactly 1.0 when every consistent path accepts, 0.0 when
-    none does.  The exact number of consistent hidden paths
-    (``consistent_paths``) rides along as int64 limbs, one matmul with the
-    step's support per step; carries propagate only when a limb could pass
-    2^56.  Raises ``AllZero`` at the first step that leaves no hidden state
-    consistent with the record, on every call.
+    live-to-next blocks of the step matrix and of its support.  The fold
+    runs a plan of target rows, kept per (automaton, open states, letter,
+    column bits, cells with mass) in the fold plan table; a plan is made by
+    looking each row's successors up once per distinct hidden-state bits.
+    The result is the accepted share of the final mass: exactly 1.0 when
+    every consistent path accepts, 0.0 when none does.  The exact number of
+    consistent hidden paths (``consistent_paths``) rides along as int64
+    limbs, one matmul with the step's support per step; carries propagate
+    only when a limb could pass 2^56.  Raises ``AllZero`` at the first
+    step that leaves no hidden state consistent with the record, on every
+    call.
 
     Formulas that share an automaton, state bits and letters (the
     signatures with the relaxed bits cleared) on one execution and model
@@ -659,14 +651,11 @@ def _carry(counts: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
 
 
 # Fold plans: (weak reference to the automaton, open states, letter, column
-# bits, support of the open rows) -> (open successors, read-only intp codes).
-# Their codes total at most ``model.STEP_TABLE_CELLS``; a plan that does not
-# fit evicts the oldest plans first, under the lock, and a hit takes no lock.
-# A plan holds automaton state ids, which are stable for the automaton's
-# lifetime, and a dead automaton's weak reference equals only itself.
-_fold_plans: dict = {}
-_fold_plan_codes = 0  # the codes of the plans in ``_fold_plans``
-_fold_plans_lock = threading.Lock()
+# bits, support of the open rows) -> (open successors, read-only intp codes),
+# sized by their codes.  A plan holds automaton state ids, which are stable
+# for the automaton's lifetime, and a dead automaton's weak reference equals
+# only itself.
+_fold_plans = model._BoundedTable()
 
 
 def _fold_step(
@@ -680,15 +669,14 @@ def _fold_step(
     the open successor states and the moved mass in the same layout, one
     ``bincount`` over the fold plan's codes (``_fold_plan``).  The plan
     depends only on the automaton, ``states``, ``letter``, ``col_bits`` and
-    which open cells hold mass, so it is kept in one table keyed by them,
-    whose codes total at most ``model.STEP_TABLE_CELLS`` (the oldest plans
-    go first); a step that meets a kept plan only looks it up.
+    which open cells hold mass, so it is kept in the fold plan table keyed
+    by them; a step that meets a kept plan only looks it up.
     """
     key = (weakref.ref(dfa), tuple(states), letter, tuple(col_bits), (mass[2:] != 0).tobytes())
     plan = _fold_plans.get(key)
     if plan is None:
         plan = _fold_plan(dfa, states, letter, col_bits, mass)
-        _keep_plan(key, plan)
+        plan = _fold_plans.keep(key, plan, plan[1].size, model.STEP_TABLE_CELLS)
     successors, codes = plan
     height, width = len(successors) + 2, mass.shape[1]
     out = np.bincount(codes, weights=mass.ravel(), minlength=height * width)
@@ -734,23 +722,6 @@ def _fold_plan(
     codes = np.array(codes, dtype=np.intp)
     codes.flags.writeable = False
     return tuple(open_rows), codes
-
-
-def _keep_plan(key: tuple, plan: tuple[tuple[int, ...], np.ndarray]) -> None:
-    """Keep a fold plan, evicting the oldest plans until its codes fit the
-    budget; a plan larger than the whole budget is not kept."""
-    global _fold_plan_codes
-    size, budget = plan[1].size, model.STEP_TABLE_CELLS
-    if size > budget:
-        return
-    with _fold_plans_lock:
-        if key in _fold_plans:
-            return
-        while _fold_plan_codes + size > budget:
-            oldest = next(iter(_fold_plans))
-            _fold_plan_codes -= _fold_plans.pop(oldest)[1].size
-        _fold_plans[key] = plan
-        _fold_plan_codes += size
 
 
 DEFAULT_ORACLE_CAP = 100_000_000

@@ -1,7 +1,9 @@
 """Model construction, filtering, simulation, and belief functionals."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import re
 import sys
@@ -782,7 +784,9 @@ class TestStepTable:
 
     def _check_every_block(self, pomdp) -> int:
         """Take every step from every live set and compare it with the
-        step matrix, bit for bit; return how many steps reach a state."""
+        step matrix, bit for bit, whether the model keeps it or not: every
+        result is read-only, with an int64 support.  Return how many steps
+        reach a state."""
         reaching = 0
         for a in range(pomdp.num_actions):
             for o in range(pomdp.num_observations):
@@ -795,13 +799,11 @@ class TestStepTable:
                     assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
                     assert rows.flags.c_contiguous
                     np.testing.assert_array_equal(adj, support.take(live, axis=0).take(want, axis=1))
+                    assert adj.dtype == np.int64
+                    assert not any(x.flags.writeable for x in (next_live, rows, adj))
                     kept = pomdp._blocks.get((a, o, live.tobytes()))
-                    if kept is None:
-                        assert adj.dtype == bool
-                    else:
+                    if kept is not None:
                         assert all(x is y for x, y in zip(kept, (next_live, rows, adj)))
-                        assert adj.dtype == np.int64
-                        assert not any(x.flags.writeable for x in kept)
                     reaching += bool(next_live.size)
         return reaching
 
@@ -835,7 +837,7 @@ class TestStepTable:
         pomdp = random_pomdp(random.Random(3), max_states=4, max_actions=2, max_obs=2)
         monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", pomdp._table_cells - 1)
         assert self._check_every_block(pomdp)
-        assert pomdp._blocks == {} and pomdp._block_cells == 0
+        assert pomdp._blocks == {} and pomdp._blocks.cells == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_kept_blocks_stay_within_the_table_size(self, seed):
@@ -844,7 +846,7 @@ class TestStepTable:
         )
         reaching = self._check_every_block(pomdp)
         cells = sum(rows.size for _, rows, _ in pomdp._blocks.values())
-        assert cells == pomdp._block_cells <= pomdp._table_cells
+        assert cells == pomdp._blocks.cells <= pomdp._table_cells
         assert 0 < len(pomdp._blocks) < reaching  # the budget ran out
 
     def test_a_full_budget_keeps_the_newest_blocks(self):
@@ -862,47 +864,110 @@ class TestStepTable:
         assert kept == stored[-len(kept) :]  # the newest, in their order
         assert stored[-1] in pomdp._blocks and stored[0] not in pomdp._blocks
         cells = sum(rows.size for _, rows, _ in pomdp._blocks.values())
-        assert cells == pomdp._block_cells <= pomdp._table_cells
+        assert cells == pomdp._blocks.cells <= pomdp._table_cells
 
     def test_one_block_per_live_set_whatever_its_dtype(self):
         pomdp = tiny_two_state()
         first = pomdp.restricted_step(0, 0, np.array([0, 1], dtype=np.intp))
         again = pomdp.restricted_step(0, 0, np.array([0, 1], dtype=np.int32))
         assert all(x is y for x, y in zip(first, again))
-        assert len(pomdp._blocks) == 1 and pomdp._block_cells == 4
+        assert len(pomdp._blocks) == 1 and pomdp._blocks.cells == 4
         pomdp = tiny_two_state()
         first = pomdp.restricted_step(0, 0, np.array([0, 1], dtype=np.int32))
         assert first[0].dtype == np.intp
         assert set(pomdp._blocks) == {(0, 0, np.array([0, 1], dtype=np.intp).tobytes())}
 
+
+class TestBoundedTable:
+    """``model._BoundedTable``, the one cache behind a model's step and
+    block tables and the monitor's fold plans."""
+
+    def test_evicts_the_oldest_first_and_keeps_insertion_order(self):
+        table = model_module._BoundedTable()
+        for key in "abcd":
+            assert table.keep(key, key.upper(), 3, 10) == key.upper()
+        assert list(table.items()) == [("b", "B"), ("c", "C"), ("d", "D")]
+        assert table.cells == 9
+        table.keep("e", "E", 5, 10)
+        assert list(table) == ["d", "e"] and table.cells == 8
+
+    def test_a_kept_key_returns_its_first_entry(self):
+        table = model_module._BoundedTable()
+        first = table.keep("a", ["first"], 2, 10)
+        assert table.keep("a", ["second"], 2, 10) is first
+        assert table["a"] is first and table.cells == 2
+
+    @pytest.mark.parametrize("size", [0, 11])
+    def test_an_entry_of_size_zero_or_above_the_budget_is_returned_not_kept(self, size):
+        table = model_module._BoundedTable()
+        table.keep("a", "A", 4, 10)
+        value = object()
+        assert table.keep("b", value, size, 10) is value
+        assert list(table) == ["a"] and table.cells == 4
+
+    def test_a_lowered_budget_evicts_down_to_it(self):
+        table = model_module._BoundedTable()
+        for key in "abcde":
+            table.keep(key, key, 2, 10)
+        assert table.cells == 10
+        table.keep("f", "f", 2, 5)
+        assert list(table) == ["e", "f"] and table.cells == 4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cells_is_the_sum_of_the_kept_sizes_after_every_call(self, seed):
+        # Against a list of (key, size) pairs, oldest first.
+        rng = random.Random(seed)
+        table, reference = model_module._BoundedTable(), []
+        for _ in range(300):
+            key, size, budget = rng.randrange(40), rng.randrange(8), rng.randrange(4, 24)
+            if key not in dict(reference) and 0 < size <= budget:
+                while sum(s for _, s in reference) + size > budget:
+                    reference.pop(0)
+                reference.append((key, size))
+            table.keep(key, (key, size), size, budget)
+            assert list(table.values()) == reference
+            assert table.cells == sum(s for _, s in reference)
+            if rng.random() < 0.02:
+                table.clear()
+                reference.clear()
+                assert table == {} and table.cells == 0
+
+    def test_pickles_and_copies_as_an_empty_table(self):
+        table = model_module._BoundedTable()
+        table.keep("a", "A", 3, 10)
+        for clone in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table), copy.copy(table)):
+            assert type(clone) is model_module._BoundedTable
+            assert clone == {} and clone.cells == 0
+            assert clone.keep("b", "B", 3, 10) == "B" and clone.cells == 3
+        assert list(table) == ["a"] and table.cells == 3
+
     def test_concurrent_fills_stay_within_the_table_size(self):
         # Threads that miss one key at once must store it, and count its
-        # cells, once.  Each budget check yields the interpreter lock, so a
+        # size, once.  Each fit check yields the interpreter lock, so a
         # check and the store that follows it are far apart.
         rng = random.Random(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):
-                pomdp = random_pomdp(rng, max_states=5, max_actions=2, max_obs=2, max_support=5)
-                keys = [
-                    (a, o, live)
-                    for a in range(pomdp.num_actions)
-                    for o in range(pomdp.num_observations)
-                    for live in self._live_sets(pomdp)
-                ]
-                has_room = pomdp._has_room
-                pomdp._has_room = lambda cells: time.sleep(0) or has_room(cells)
-                start = threading.Barrier(4)
+            for budget in (1000, 60):  # room for every key, then evictions
+                for _ in range(10):
+                    table = model_module._BoundedTable()
+                    fits = table._fits
+                    table._fits = lambda size, budget: time.sleep(0) or fits(size, budget)
+                    keys = [(k, rng.randrange(1, 10)) for k in range(50)]
+                    start = threading.Barrier(4)
 
-                def fill(_):
-                    start.wait(timeout=60)
-                    for a, o, live in keys:
-                        pomdp.restricted_step(a, o, live)
+                    def fill(_):
+                        start.wait(timeout=60)
+                        return [table.keep(key, [key], size, budget) for key, size in keys]
 
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    list(pool.map(fill, range(4), timeout=60))
-                cells = sum(rows.size for _, rows, _ in pomdp._blocks.values())
-                assert cells == pomdp._block_cells <= pomdp._table_cells
+                    with ThreadPoolExecutor(max_workers=4) as pool:
+                        got = list(pool.map(fill, range(4), timeout=60))
+                    sizes = dict(keys)
+                    assert table.cells == sum(sizes[key] for key in table) <= budget
+                    if budget == 1000:  # every thread got the one kept entry
+                        assert len(table) == len(keys)
+                        for values in got:
+                            assert all(v is table[key] for v, (key, _) in zip(values, keys))
         finally:
             sys.setswitchinterval(interval)

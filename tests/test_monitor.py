@@ -1,6 +1,8 @@
 """Feasibility, smoothing, and the acceptance-probability dynamic program."""
 
+import copy
 import gc
+import pickle
 import random
 import re
 import sys
@@ -629,6 +631,22 @@ class TestStepTable:
         gc.collect()
         assert all(ref() is None for ref in steps + blocks)  # the memo keeps its execution only
 
+    def test_a_model_pickles_and_copies(self, rescue_runs):
+        pomdp, formula, executions = rescue_runs
+        runs = executions[::10]
+        want = [acceptance_probability(pomdp, formula, e).to_json_dict() for e in runs]
+        assert pomdp._steps and pomdp._blocks
+        for clone in (pickle.loads(pickle.dumps(pomdp)), copy.deepcopy(pomdp)):
+            for got, orig in (
+                (clone.trans_mat, pomdp.trans_mat),
+                (clone.obs_mat, pomdp.obs_mat),
+                (clone.prior.probs, pomdp.prior.probs),
+            ):
+                assert got.dtype == orig.dtype and got.shape == orig.shape
+                assert got.tobytes() == orig.tobytes()
+            assert clone._steps == {} and clone._blocks == {}  # derived, so not copied
+            assert [acceptance_probability(clone, formula, e).to_json_dict() for e in runs] == want
+
     def test_reports_equal_without_the_table(self, monkeypatch):
         def instances():
             rng = random.Random(41)
@@ -1067,7 +1085,7 @@ class TestFoldPlans:
         finally:
             sys.setswitchinterval(interval)
         assert [report for _, report in threaded] == serial
-        assert _plan_codes() == monitor_module._fold_plan_codes
+        assert _plan_codes() == _fold_plans.cells
 
     def test_a_small_budget_bounds_the_table_and_changes_no_report(
         self, rescue_runs, monkeypatch
@@ -1077,13 +1095,13 @@ class TestFoldPlans:
         full = [_verdict(acceptance_probability(pomdp, formula, _copy(e))) for e in executions]
         plans = len(_fold_plans)
         budget = 300
-        assert monitor_module._fold_plan_codes > budget
+        assert _fold_plans.cells > budget
         monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", budget)
         compile_monitor.cache_clear()
         small = []
         for execution in executions:
             small.append(_verdict(acceptance_probability(pomdp, formula, _copy(execution))))
-            assert _plan_codes() == monitor_module._fold_plan_codes <= budget
+            assert _plan_codes() == _fold_plans.cells <= budget
         assert small == full
         assert 0 < len(_fold_plans) < plans
 
@@ -1100,7 +1118,7 @@ class TestFoldPlans:
         gc.collect()
         assert dfa_ref() is None and _fold_plans
         compile_monitor.cache_clear()
-        assert _fold_plans == {} and monitor_module._fold_plan_codes == 0
+        assert _fold_plans == {} and _fold_plans.cells == 0
 
 
 def _first_sink_step(pomdp, formula, execution) -> int:
