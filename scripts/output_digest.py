@@ -12,10 +12,11 @@ The runs are
   2^62, each against two formulas (40 runs);
 * random ``random_pomdp`` instances with a random formula and run (400).
 
-The generators come from ``tests/helpers.py``; ``dtlmon`` is imported from
-the path, so the same script digests any tree:
+The generators come from ``tests/helpers.py``.  ``dtlmon`` is imported from
+``PYTHONPATH`` first and else from this tree's ``src``, so the same script
+digests any tree:
 
-    PYTHONPATH=src python scripts/output_digest.py > new.txt
+    python scripts/output_digest.py > new.txt
     PYTHONPATH=/path/to/other/src python scripts/output_digest.py > old.txt
     cmp old.txt new.txt
 
@@ -27,7 +28,9 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.append(str(ROOT / "src"))  # after the PYTHONPATH entries, which win
 
 from dtlmon import RandomActionPolicy, acceptance_probability, parse_formula, simulate  # noqa: E402
 from dtlmon.errors import DtlmonError  # noqa: E402

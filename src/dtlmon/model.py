@@ -4,11 +4,10 @@ States carry tag maps (named attributes such as room or carry flags) from
 which named state sets and factor partitions are derived.  Sparse dynamics
 entries (absent entries mean zero) are summed into one store, the read-only
 arrays ``trans_mat[a, s, s']`` and ``obs_mat[a, s', o]`` that filtering,
-simulation and smoothing read.  The monitor reads their product per
-(action, observation) pair from ``Pomdp.step_matrix`` and its block between
-the states a step leaves and reaches from ``Pomdp.restricted_step``; the
-model keeps both in ``_BoundedTable``s.  ``simulate`` draws each successor
-and observation from a table of its row's running sums.
+simulation and smoothing read.  The monitor reads a step's likelihoods
+from ``Pomdp.restricted_step``, built from these arrays between the states
+the step leaves and reaches and kept in one ``_BoundedTable``.  ``simulate``
+draws each successor and observation from a table of its row's running sums.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ from .errors import ModelError, ZeroLikelihood
 SUM_TOL = 1e-9
 
 # The budget of the DP's bounded tables, read at each call.  A model keeps
-# step matrices (``Pomdp.step_matrix``) and restricted steps
-# (``Pomdp.restricted_step``) only while its full step table, ``A·O·n²`` float
-# cells, is at most this large (2 MiB, plus 256 KiB of supports); each of the
-# two then holds at most ``A·O·n²`` cells.  The monitor's fold plans
-# (``monitor._fold_step``), shared by all models, total at most this many codes.
+# restricted steps (``Pomdp.restricted_step``) only while ``A·O·n²`` is at
+# most this large, and then at most ``A·O·n²`` cells of them.  The monitor's
+# fold plans (``monitor._fold_step``), shared by all models, total at most
+# this many codes.
 STEP_TABLE_CELLS = 1 << 18
 
 
@@ -104,6 +102,10 @@ class Belief:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
+    def __setstate__(self, state: dict) -> None:
+        # numpy does not pickle the read-only flag.
+        object.__setattr__(self, "probs", _read_only(state["probs"]))
+
     @classmethod
     def _trusted(cls, probs: np.ndarray) -> "Belief":
         """Wrap a fresh 1-d float pmf without re-validating it.
@@ -154,9 +156,9 @@ class Pomdp:
     designated null observation with probability one.
 
     Instances are immutable after construction and safe for concurrent
-    reads; the bounded tables behind ``step_matrix`` and ``restricted_step``
-    only cache products of these arrays and blocks of them, and the draw
-    tables behind ``simulate`` the running sums of their rows and of the prior.
+    reads; the bounded table behind ``restricted_step`` only caches blocks
+    of products of these arrays, and the draw tables behind ``simulate`` the
+    running sums of their rows and of the prior.
     A draw table holds one index and one sum per positive entry of its row
     (and the last index twice), so the tables are bounded by the model's
     nonzeros.  A ``Pomdp`` doubles as the symbol table used by the formula
@@ -201,7 +203,6 @@ class Pomdp:
         self.trans_mat = self._dense_table(trans, "transition", self.state_index, "state")
         self.obs_mat = self._dense_table(obs_model, "observation", self.obs_index, "observation")
         self._table_cells = self.num_actions * self.num_observations * self.num_states**2
-        self._steps = _BoundedTable()  # (action, obs) -> step_matrix
         self._blocks = _BoundedTable()  # (action, obs, live bytes) -> restricted_step
         self._draws: dict[tuple[int, int, int], tuple[list[int], list[float]]] = {}
 
@@ -219,6 +220,12 @@ class Pomdp:
             cells = self._partition_by_tag(str(fname), str(tag_key))
             self.factor_tags[str(fname)] = str(tag_key)
             self.factor_cells[str(fname)] = cells
+
+    def __setstate__(self, state: dict) -> None:
+        # numpy does not pickle the read-only flag.
+        self.__dict__.update(state)
+        _read_only(self.trans_mat)
+        _read_only(self.obs_mat)
 
     # -- construction helpers -------------------------------------------------
 
@@ -289,28 +296,15 @@ class Pomdp:
     def num_observations(self) -> int:
         return len(self.observations)
 
-    def step_matrix(self, action: int, obs: int) -> tuple[np.ndarray, np.ndarray]:
-        """The step matrix ``trans_mat[action] * obs_mat[action][:, obs]``,
-        whose entry ``[s, s2]`` is the probability of moving from ``s`` to
-        ``s2`` and then observing ``obs``, and its support ``!= 0``, both
-        read-only.  The indices must be integers in range.  A pair is built
-        the first time it is asked for and kept in the model's step table.
-        """
-        pair = self._steps.get((action, obs))
-        if pair is None:
-            step = self.trans_mat[action] * self.obs_mat[action][:, obs]
-            pair = (_read_only(step), _read_only(step != 0))
-            pair = self._steps.keep((action, obs), pair, step.size, self._table_budget())
-        return pair
-
     def restricted_step(
         self, action: int, obs: int, live: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The step ``(action, obs)`` taken from the ascending states
-        ``live``: the ascending states ``next_live`` its support reaches
-        from them, and the ``live × next_live`` blocks of
-        ``step_matrix(action, obs)`` and of its support, all read-only and
-        the support as int64.  A result is kept in the model's block table
+        ``live``: the ascending states ``next_live`` it reaches from them
+        with positive likelihood, the ``live × next_live`` block ``[s, s2]``
+        of ``trans_mat[action, s, s2] * obs_mat[action, s2, obs]``, and its
+        support, all read-only and the support as int64.  The indices must
+        be integers in range.  A result is kept in the model's block table
         once per live set, whatever its integer dtype.
         """
         key = (action, obs, live.tobytes())
@@ -319,17 +313,13 @@ class Pomdp:
             return block
         if live.dtype != np.intp:
             return self.restricted_step(action, obs, live.astype(np.intp))
-        step, support = self.step_matrix(action, obs)
-        rows = step.take(live, axis=0)
-        adj = support.take(live, axis=0)
-        next_live = adj.any(axis=0).nonzero()[0]
-        rows, adj = rows.take(next_live, axis=1), adj.take(next_live, axis=1)
-        block = (_read_only(next_live), _read_only(rows), _read_only(adj.astype(np.int64)))
-        return self._blocks.keep(key, block, rows.size, self._table_budget())
-
-    def _table_budget(self) -> int:
-        """The budget of ``_steps`` and ``_blocks`` (see ``STEP_TABLE_CELLS``)."""
-        return self._table_cells if self._table_cells <= STEP_TABLE_CELLS else 0
+        rows = self.trans_mat[action].take(live, axis=0)
+        rows *= self.obs_mat[action][:, obs]
+        next_live = rows.any(axis=0).nonzero()[0]
+        rows = rows.take(next_live, axis=1)
+        block = (_read_only(next_live), _read_only(rows), _read_only((rows != 0).astype(np.int64)))
+        budget = self._table_cells if self._table_cells <= STEP_TABLE_CELLS else 0
+        return self._blocks.keep(key, block, rows.size, budget)
 
     def _draw(self, r: float, rows: int, action: int = 0, state: int = 0) -> int:
         """The index that the variate ``r`` in [0, 1) draws from the prior
@@ -425,7 +415,8 @@ def load_json(path, kind: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        # JSONDecodeError, UnicodeDecodeError, and nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise ModelError(f"malformed {kind} file {str(path)!r}: {exc}") from exc
 
 
@@ -510,28 +501,32 @@ def bayes_update(pomdp: Pomdp, belief: Belief, action: int, obs: int) -> Belief:
     """
     if len(belief) != pomdp.num_states:
         raise ModelError("belief dimension does not match the model")
+    _check_indices(pomdp, (action,), (obs,))
     return Belief._trusted(_bayes_step(pomdp, belief.probs, action, obs))
+
+
+def _check_indices(pomdp: Pomdp, acts: Sequence, obs: Sequence) -> None:
+    """Raise ``ModelError`` unless every recorded action and observation is
+    an integer index in the model's range."""
+    num_a, num_o = pomdp.num_actions, pomdp.num_observations
+    if len(acts) and not (
+        {*map(type, acts), *map(type, obs)} == {int}
+        and 0 <= min(acts) and max(acts) < num_a and 0 <= min(obs) and max(obs) < num_o
+    ):
+        # Name the first bad step; numpy integers in range pass.
+        for i, (a, o) in enumerate(zip(acts, obs)):
+            for kind, index in (("action", a), ("observation", o)):
+                if not is_index(index):
+                    raise ModelError(f"step {i}: {kind} {index!r} is not an integer index")
+            if not (0 <= a < num_a and 0 <= o < num_o):
+                raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
 
 
 def _bayes_step(
     pomdp: Pomdp, probs: np.ndarray, action, obs, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """``bayes_update`` of the pmf ``probs``, written into ``out`` if given."""
-    if not (
-        type(action) is int
-        and type(obs) is int
-        and 0 <= action < pomdp.num_actions
-        and 0 <= obs < pomdp.num_observations
-    ):
-        # Name the fault; numpy integers in range pass.
-        for kind, index, count in (
-            ("action", action, pomdp.num_actions),
-            ("observation", obs, pomdp.num_observations),
-        ):
-            if not is_index(index):
-                raise ModelError(f"{kind} {index!r} is not an integer index")
-            if not 0 <= index < count:
-                raise ModelError(f"{kind} index {index} out of range")
+    """``bayes_update`` of the pmf ``probs``, written into ``out`` if given;
+    the caller has checked the indices."""
     posterior = (probs @ pomdp.trans_mat[action]) * pomdp.obs_mat[action, :, obs]
     norm = float(posterior.sum())
     if norm <= 0.0:
@@ -550,6 +545,7 @@ def filter_run(pomdp: Pomdp, actions: Sequence[int], observations: Sequence[int]
     belief after the prior is a view of its row."""
     if len(actions) != len(observations):
         raise ModelError("actions and observations must have equal length")
+    _check_indices(pomdp, actions, observations)
     out = np.empty((len(actions), pomdp.num_states))
     probs = pomdp.prior.probs
     for i, (a, o, row) in enumerate(zip(actions, observations, out)):

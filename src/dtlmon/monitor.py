@@ -19,25 +19,24 @@ paths; the other rows are the open automaton states.  Each step is one
 product with the step's transition and observation likelihoods, one
 division by the total, the Bayes filter's normalizer, so long runs do not
 underflow, and one fold of every cell into its successor's row.  The
-likelihoods are the model's restricted step for the step's (action,
-observation) pair and the allowed states (``Pomdp.restricted_step``): the
-block of the pair's step matrix between the states allowed before and
-after the step, with the states allowed after it and the block's support.
-The model keeps each such block per (action, observation, allowed states)
-triple in a bounded table (``model._BoundedTable``), and a step that meets a
-kept triple only looks it up.  The fold is a plan and a sum: the plan gives
-every cell its successor's row, looked up only for cells with mass, once per
-row and distinct hidden-state bits, and one ``bincount`` sums the mass by
-it.  A plan depends only on the automaton, its open states, the letter, the
-columns' hidden-state bits and which open cells hold mass, so one bounded
-table keeps the plans by those, and a repeated fold only looks its plan up.
-The table holds each automaton by weak reference, and
-``compile_monitor.cache_clear`` empties it.  The accept row's share of the
-final mass is the probability under the smoothed posterior: exactly 1.0
-when every consistent path accepts and 0.0 when none does.  Consistent
-hidden paths are counted exactly alongside: each column's count is a
-column of base-2^31 int64 limbs, advanced by one small integer matmul with
-the step's support, and joined into one Python integer at the end.  A
+likelihoods are the model's restricted step (``Pomdp.restricted_step``),
+the block of ``trans_mat[a, s, s2] * obs_mat[a, s2, o]`` between the states
+allowed before and after the step, with its support and the states allowed
+after it.  The model keeps each such block per (action, observation, allowed
+states) triple in a bounded table (``model._BoundedTable``), and a step that
+meets a kept triple only looks it up.  The fold is a plan and a sum: the
+plan gives every cell its successor's row, looked up only for cells with
+mass, once per row and distinct hidden-state bits, and one ``bincount``
+sums the mass by it.  A plan depends only on the automaton, its open
+states, the letter, the columns' hidden-state bits and which open cells
+hold mass, so one bounded table keeps the plans by those, and a repeated
+fold only looks its plan up.  The table holds each automaton by weak
+reference, and ``compile_monitor.cache_clear`` empties it.  The accept row's
+share of the final mass is the probability under the smoothed posterior:
+exactly 1.0 when every consistent path accepts and 0.0 when none does.
+Consistent hidden paths are counted exactly alongside: each column's count
+is a column of base-2^31 int64 limbs, advanced by one small integer matmul
+with the step's support, and joined into one Python integer at the end.  A
 brute-force enumeration oracle over the smoothed chain built from backward
 likelihoods (another factorization of the same posterior) cross-checks it.
 
@@ -121,9 +120,9 @@ from .model import (
     Execution,
     Pomdp,
     StateSetReader,
+    _check_indices,
     below_zero,
     filter_run,
-    is_index,
     load_json,
     save_json,
 )
@@ -373,24 +372,7 @@ def _check_record(pomdp: Pomdp, exec: Execution) -> None:
     observations fit the model."""
     if set(map(len, exec.beliefs)) != {pomdp.num_states}:
         raise ModelError("execution beliefs do not match the model dimension")
-    _check_steps(pomdp, exec.actions, exec.observations)
-
-
-def _check_steps(pomdp: Pomdp, acts: Sequence, obs: Sequence) -> None:
-    """Raise ``ModelError`` unless every recorded action and observation is
-    an integer index in the model's range."""
-    num_a, num_o = pomdp.num_actions, pomdp.num_observations
-    if len(acts) and not (
-        {*map(type, acts), *map(type, obs)} == {int}
-        and 0 <= min(acts) and max(acts) < num_a and 0 <= min(obs) and max(obs) < num_o
-    ):
-        # Name the first bad step; numpy integers in range pass.
-        for i, (a, o) in enumerate(zip(acts, obs)):
-            for kind, index in (("action", a), ("observation", o)):
-                if not is_index(index):
-                    raise ModelError(f"step {i}: {kind} {index!r} is not an integer index")
-            if not (0 <= a < num_a and 0 <= o < num_o):
-                raise ModelError(f"step {i}: action {a} or observation {o} is out of range")
+    _check_indices(pomdp, exec.actions, exec.observations)
 
 
 # Acceptance results: execution -> {weakref(model): {(weakref(automaton),
@@ -448,7 +430,7 @@ def backward_likelihoods(
 ) -> BackwardLikelihoods:
     if len(actions) != len(observations):
         raise ModelError("actions and observations must have equal length")
-    _check_steps(pomdp, actions, observations)
+    _check_indices(pomdp, actions, observations)
     t = len(actions)
     values = np.ones((t + 1, pomdp.num_states))
     shifts = np.zeros(t + 1, dtype=np.int64)
@@ -492,9 +474,10 @@ def path_transition(
         raise InconsistentState(
             f"state {pomdp.state_names[s]!r} cannot produce the remaining observations"
         )
-    step, _ = pomdp.step_matrix(bl.actions[i], bl.observations[i])
+    a, o = bl.actions[i], bl.observations[i]
     return (
-        step.take(states, axis=0)
+        pomdp.trans_mat[a].take(states, axis=0)
+        * pomdp.obs_mat[a][:, o]
         * np.ldexp(bl.values[i + 1], bl.shifts[i] - bl.shifts[i + 1])
         / denom[:, None]
     )
@@ -550,8 +533,8 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     Dead and accepted mass stays in rows 0 and 1 of the one mass matrix,
     and every step is rescaled by the filter's normalizer.  A step reads
     the model's restricted step for its (action, observation) pair and the
-    live states (``Pomdp.restricted_step``): the next live states and the
-    live-to-next blocks of the step matrix and of its support.  The fold
+    live states (``Pomdp.restricted_step``): the next live states, the
+    live-to-next block of the step's likelihoods and its support.  The fold
     runs a plan of target rows, kept per (automaton, open states, letter,
     column bits, cells with mass) in the fold plan table; a plan is made by
     looking each row's successors up once per distinct hidden-state bits.

@@ -132,6 +132,20 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("option", ["--model", "--trace", "--config"])
+    def test_deeply_nested_file_exits_one(self, mht_dir, tmp_path, option, capsys):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000 + "]" * 100_000)
+        files = {
+            "--model": mht_dir / "model.json",
+            "--formula": mht_dir / "formula.dtl",
+            "--trace": mht_dir / "reference_trace.json",
+            option: nested,
+        }
+        argv = ["check", *(str(arg) for pair in files.items() for arg in pair)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: malformed {option[2:]} file")
+
     @pytest.mark.parametrize(
         "argv, message",
         [

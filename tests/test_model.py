@@ -194,16 +194,21 @@ class TestBayesUpdate:
             (0.0, 0, "action 0.0 is not an integer index"),
             (True, 0, "action True is not an integer index"),
             (0, 1.0, "observation 1.0 is not an integer index"),
-            (99, 0, "action index 99 out of range"),
-            (np.int64(0), np.int64(-1), "observation index -1 out of range"),
+            (99, 0, "action 99 or observation 0 is out of range"),
+            (np.int64(0), np.int64(-1), "action 0 or observation -1 is out of range"),
         ],
     )
     def test_bad_indices_raise_model_error(self, mht, action, obs, message):
         # A float or bool must not reach the tables, where 1.0 raises IndexError.
+        observe, choose1 = mht.action_index["observe"], mht.action_index["choose1"]
+        heads = mht.obs_index["heads"]
         with pytest.raises(ModelError, match=re.escape(message)):
             bayes_update(mht, mht.prior, action, obs)
         with pytest.raises(ModelError, match=re.escape(message)):
-            filter_run(mht, [mht.action_index["observe"], action], [mht.obs_index["heads"], obs])
+            filter_run(mht, [observe, action], [heads, obs])
+        # The whole record is checked before its first step, here one of zero likelihood.
+        with pytest.raises(ModelError, match=re.escape(f"step 1: {message}")):
+            filter_run(mht, [choose1, action], [heads, obs])
 
     def test_numpy_integer_indices_accepted(self, mht):
         observe, heads = mht.action_index["observe"], mht.obs_index["heads"]
@@ -732,6 +737,24 @@ class TestJsonRoundTrip:
             with pytest.raises(ValueError):
                 table[0, 0, 0] = 0.5
 
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_stay_read_only(self, mht, clone):
+        _, execution = simulate(mht, RandomActionPolicy(), 3, 7)
+        model, belief, record = clone(mht), clone(mht.prior), clone(execution)
+        pairs = [
+            (model.trans_mat, mht.trans_mat),
+            (model.obs_mat, mht.obs_mat),
+            (model.prior.probs, mht.prior.probs),
+            (belief.probs, mht.prior.probs),
+            *((got.probs, want.probs) for got, want in zip(record.beliefs, execution.beliefs)),
+        ]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
 
 def _assert_exact_round_trip(pomdp: Pomdp) -> None:
     """Model -> JSON text -> model keeps the arrays bit for bit and the
@@ -752,29 +775,35 @@ def _assert_exact_round_trip(pomdp: Pomdp) -> None:
 class TestStepTable:
     @pytest.mark.parametrize("seed", range(10))
     def test_entries_are_the_product_read_only(self, seed):
+        # Taken from every state, a step is the product's reached columns.
         pomdp = random_pomdp(random.Random(seed), max_states=5, max_actions=3, max_obs=3)
+        every = np.arange(pomdp.num_states)
         for a in range(pomdp.num_actions):
             for o in range(pomdp.num_observations):
-                step, support = pomdp.step_matrix(a, o)
+                step = pomdp.restricted_step(a, o, every)
+                next_live, rows, adj = step
                 want = pomdp.trans_mat[a] * pomdp.obs_mat[a][:, o]
-                assert step.dtype == want.dtype and step.tobytes() == want.tobytes()
-                np.testing.assert_array_equal(support, want != 0)
-                assert support.dtype == bool
-                assert not step.flags.writeable and not support.flags.writeable
-                again = pomdp.step_matrix(a, o)
-                assert again[0] is step and again[1] is support
+                assert not np.delete(want, next_live, axis=1).any()
+                want = want.take(next_live, axis=1)
+                assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+                np.testing.assert_array_equal(adj, want != 0)
+                assert not any(x.flags.writeable for x in step)
+                if next_live.size:
+                    again = pomdp.restricted_step(a, o, every)
+                    assert all(x is y for x, y in zip(again, step))
 
     def test_large_model_builds_each_pair_afresh(self, monkeypatch):
         pomdp = tiny_two_state()
+        every = np.arange(pomdp.num_states)
         size = pomdp.num_actions * pomdp.num_observations * pomdp.num_states**2
         monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", size - 1)
-        first, again = pomdp.step_matrix(0, 1), pomdp.step_matrix(0, 1)
-        assert pomdp._steps == {}
-        assert first[0] is not again[0]
-        assert first[0].tobytes() == again[0].tobytes() and not first[0].flags.writeable
+        first, again = pomdp.restricted_step(0, 1, every), pomdp.restricted_step(0, 1, every)
+        assert pomdp._blocks == {}
+        assert first[1] is not again[1]
+        assert first[1].tobytes() == again[1].tobytes() and not first[1].flags.writeable
         monkeypatch.setattr(model_module, "STEP_TABLE_CELLS", size)
-        pomdp.step_matrix(0, 1)
-        assert set(pomdp._steps) == {(0, 1)}
+        pomdp.restricted_step(0, 1, every)
+        assert set(pomdp._blocks) == {(0, 1, every.tobytes())}
 
     @staticmethod
     def _live_sets(pomdp):
@@ -784,13 +813,14 @@ class TestStepTable:
 
     def _check_every_block(self, pomdp) -> int:
         """Take every step from every live set and compare it with the
-        step matrix, bit for bit, whether the model keeps it or not: every
-        result is read-only, with an int64 support.  Return how many steps
-        reach a state."""
+        product of the dynamics, bit for bit, whether the model keeps it or
+        not: every result is read-only, with an int64 support.  Return how
+        many steps reach a state."""
         reaching = 0
         for a in range(pomdp.num_actions):
             for o in range(pomdp.num_observations):
-                step, support = pomdp.step_matrix(a, o)
+                step = pomdp.trans_mat[a] * pomdp.obs_mat[a][:, o]
+                support = step != 0
                 for live in self._live_sets(pomdp):
                     next_live, rows, adj = pomdp.restricted_step(a, o, live)
                     want = support.take(live, axis=0).any(axis=0).nonzero()[0]

@@ -610,32 +610,24 @@ class TestStepTable:
         for execution in executions[:10]:
             if acceptance_probability(pomdp, formula, execution).feasible:
                 visited |= set(zip(execution.actions, execution.observations))
-            assert set(pomdp._steps) == visited
+            assert {(a, o) for a, o, _ in pomdp._blocks} == visited
         assert visited and len(visited) < pomdp.num_actions * pomdp.num_observations
-
-    def test_oracle_reads_the_same_table(self):
-        pomdp = grid_walk(3)
-        execution = execution_from_actions(pomdp, ["walk"] * 3, ["lo", "lo", "lo"])
-        assert pomdp._steps == {}
-        acceptance_probability_oracle(pomdp, parse_formula("F in(corner)", pomdp), execution)
-        assert set(pomdp._steps) == {(0, 0)}
 
     def test_table_goes_with_its_model(self):
         pomdp = grid_walk(3)
         execution = execution_from_actions(pomdp, ["walk"] * 3, ["lo", "hi", "lo"])
         acceptance_probability(pomdp, parse_formula("F in(corner)", pomdp), execution)
-        steps = [weakref.ref(step) for step, _ in pomdp._steps.values()]
         blocks = [weakref.ref(array) for block in pomdp._blocks.values() for array in block]
-        assert len(steps) == 2 and len(blocks) == 2 * 3
+        assert len(blocks) == 2 * 3
         del pomdp
         gc.collect()
-        assert all(ref() is None for ref in steps + blocks)  # the memo keeps its execution only
+        assert all(ref() is None for ref in blocks)  # the memo keeps its execution only
 
     def test_a_model_pickles_and_copies(self, rescue_runs):
         pomdp, formula, executions = rescue_runs
         runs = executions[::10]
         want = [acceptance_probability(pomdp, formula, e).to_json_dict() for e in runs]
-        assert pomdp._steps and pomdp._blocks
+        assert pomdp._blocks
         for clone in (pickle.loads(pickle.dumps(pomdp)), copy.deepcopy(pomdp)):
             for got, orig in (
                 (clone.trans_mat, pomdp.trans_mat),
@@ -644,7 +636,7 @@ class TestStepTable:
             ):
                 assert got.dtype == orig.dtype and got.shape == orig.shape
                 assert got.tobytes() == orig.tobytes()
-            assert clone._steps == {} and clone._blocks == {}  # derived, so not copied
+            assert clone._blocks == {}  # derived, so not copied
             assert [acceptance_probability(clone, formula, e).to_json_dict() for e in runs] == want
 
     def test_reports_equal_without_the_table(self, monkeypatch):
@@ -666,7 +658,7 @@ class TestStepTable:
         uncached = []
         for instance in instances():
             uncached.append(results(instance))
-            assert instance[0]._steps == {} and instance[0]._blocks == {}
+            assert instance[0]._blocks == {}
         assert uncached == cached
         assert sum(report["diagnostics"]["dp_pairs"] > 0 for report, _ in cached) >= 30
 
@@ -1242,7 +1234,7 @@ class TestOracle:
     def test_out_of_range_indices_raise_model_error(self, mht, action, obs, message):
         # An API-built execution is only length-checked on construction:
         # negative indices would wrap, large ones would index past the tables,
-        # and 1.0 or True would read the step table's entry for 1.
+        # and 1.0 or True would read the dynamics' entries for 1.
         pomdp, formula = mht
         ref = mht_reference_trace(pomdp)
         execution = Execution(
