@@ -10,7 +10,11 @@ The runs are
   policies (2 x 250 runs);
 * random walks on ``grid_walk`` at horizon 30, where the path counts pass
   2^62, each against two formulas (40 runs);
-* random ``random_pomdp`` instances with a random formula and run (400).
+* random ``random_pomdp`` instances with a random formula and run (400);
+* a threshold sweep, as ``dtlmon sweep`` runs one: rescue configs whose
+  ``p1``, ``p2``, ``h1`` and ``h2`` are drawn from a fixed seed, each
+  built with ``build_rescue`` and monitored over one batch of four study
+  runs, simulated once and shared by every config (120 configs x 4 runs).
 
 The generators come from ``tests/helpers.py``.  ``dtlmon`` is imported from
 ``PYTHONPATH`` first and else from this tree's ``src``, so the same script
@@ -20,7 +24,8 @@ digests any tree:
     PYTHONPATH=/path/to/other/src python scripts/output_digest.py > old.txt
     cmp old.txt new.txt
 
-``--limit N`` cuts every input set to its first N runs.
+``--limit N`` cuts every input set to its first N runs (the sweep to its
+first N configs).
 """
 
 import argparse
@@ -34,13 +39,14 @@ sys.path.append(str(ROOT / "src"))  # after the PYTHONPATH entries, which win
 
 from dtlmon import RandomActionPolicy, acceptance_probability, parse_formula, simulate  # noqa: E402
 from dtlmon.errors import DtlmonError  # noqa: E402
-from dtlmon.studies import build_rescue, rescue_policies, trial_seed  # noqa: E402
+from dtlmon.studies import RescueParams, build_rescue, rescue_policies, trial_seed  # noqa: E402
 from helpers import grid_walk, random_cosafe_formula, random_execution, random_pomdp  # noqa: E402
 
 RESCUE_TRIALS, RESCUE_HORIZON, RESCUE_SEED = 250, 16, 2024
 GRID_RUNS, GRID_HORIZON = 20, 30
 GRID_FORMULAS = ("F in(corner)", "!in(corner) U X in(corner)")
 RANDOM_RUNS = 400
+SWEEP_CONFIGS, SWEEP_BATCH, SWEEP_SEED = 120, 4, 29
 
 
 def digest(name: str, pomdp, formula, execution) -> str:
@@ -76,10 +82,28 @@ def runs(limit: int):
         formula = random_cosafe_formula(rng, pomdp)
         yield f"random/{seed}", pomdp, formula, random_execution(pomdp, rng)
 
+    rescue, _ = build_rescue()
+    policies = list(rescue_policies().values())
+    batch = [
+        simulate(rescue, policies[k % 2], RESCUE_HORIZON, trial_seed(RESCUE_SEED, k // 2))[1]
+        for k in range(SWEEP_BATCH)
+    ]
+    rng = random.Random(SWEEP_SEED)
+    for k in range(min(limit, SWEEP_CONFIGS)):
+        params = RescueParams(
+            p1=round(rng.uniform(0.50, 0.99), 3),
+            p2=round(rng.uniform(0.05, 0.60), 3),
+            h1=round(rng.uniform(0.05, 0.95), 3),
+            h2=round(rng.uniform(0.05, 0.95), 3),
+        )
+        sweep_pomdp, formula = build_rescue(params)
+        for j, execution in enumerate(batch):
+            yield f"sweep/{k}/{j}", sweep_pomdp, formula, execution
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--limit", type=int, default=max(RESCUE_TRIALS, RANDOM_RUNS),
+    parser.add_argument("--limit", type=int, default=max(RESCUE_TRIALS, RANDOM_RUNS, SWEEP_CONFIGS),
                         help="runs per input set (default: all)")
     args = parser.parse_args()
     for run in runs(args.limit):

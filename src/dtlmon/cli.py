@@ -19,7 +19,16 @@ from pathlib import Path
 from .automaton import export_dot, export_json_dict
 from .errors import DtlmonError, ModelError
 from .logic import formula_text, load_formula
-from .model import Pomdp, RandomActionPolicy, load_json, load_model, save_json, save_model, simulate
+from .model import (
+    Pomdp,
+    RandomActionPolicy,
+    is_number,
+    load_json,
+    load_model,
+    save_json,
+    save_model,
+    simulate,
+)
 from .monitor import (
     DEFAULT_ORACLE_CAP,
     acceptance_probability,
@@ -101,7 +110,7 @@ def _numbers(config: dict, keys) -> dict:
     """The config's entries for ``keys``, each of which must be a number."""
     picked = {k: config[k] for k in keys if k in config}
     for k, v in picked.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not is_number(v):
             raise ModelError(f"config value {k!r} must be a number, not {v!r}")
     return picked
 

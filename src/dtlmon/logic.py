@@ -302,32 +302,47 @@ def formula_text(formula: Formula) -> str:
 
 # -- parsing ---------------------------------------------------------------------
 
+# Every character starts a match, the last group's if no other's, so one
+# scan splits the whole text.
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+|#[^\n]*)"
     r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>=>|[()\[\]<|&!+\-*])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 _RESERVED = {"X", "F", "U", "in", "P", "H"}
 
 
+class _EndOfInput:
+    """The text of the token that ends every token list: it equals no
+    token text and reads ``end of input`` in error messages."""
+
+    def __repr__(self) -> str:
+        return "end of input"
+
+
+_END_TEXT = _EndOfInput()
+
+
 def _tokenize(text: str):
+    """The (kind, text, position) tokens of ``text``, whitespace and
+    comments left out, then the end token ``(None, end of input, len(text))``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind != "ws":
+            if kind == "bad":
+                raise FormulaSyntaxError(f"unexpected character {m.group()!r}", m.start())
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append((None, _END_TEXT, len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, symbols):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.symbols = symbols
@@ -336,7 +351,8 @@ class _Parser:
     # token plumbing
 
     def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+        # The end token is never passed: a rule that takes it raises.
+        return self.tokens[self.i]
 
     def _next(self):
         tok = self._peek()

@@ -8,6 +8,8 @@ simulation and smoothing read.  The monitor reads a step's likelihoods
 from ``Pomdp.restricted_step``, built from these arrays between the states
 the step leaves and reaches and kept in one ``_BoundedTable``.  ``simulate``
 draws each successor and observation from a table of its row's running sums.
+An ``Execution`` keeps its beliefs as ``Belief`` objects and as one read-only
+array, stacked once, from which the monitor reads them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -129,6 +133,12 @@ def is_index(value) -> bool:
     """Whether ``value`` is an integer index: an ``int`` or a numpy integer,
     but not a ``bool``."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a number as JSON gives one: an ``int`` or a
+    ``float``, but not a ``bool`` (nor a string of digits)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _as_index(label, table: Mapping[str, int], kind: str) -> int:
@@ -385,6 +395,8 @@ class Pomdp:
             for name, p in doc["prior"].items():
                 if name not in index:
                     raise ModelError(f"prior references unknown state {name!r}")
+                if not is_number(p):
+                    raise ModelError(f"prior probability {p!r} of {name!r} is not a number")
                 prior[index[name]] = float(p)
             return cls(
                 states,
@@ -396,16 +408,20 @@ class Pomdp:
                 named_sets=doc.get("sets", {}),
                 factors=doc.get("factors", {}),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # OverflowError: an integer probability past the float range
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed model document: {exc}") from exc
 
 
 def _entry_map(entries, kind: str) -> dict:
-    """Key ``[s, a, t, p]`` entries by label triple; a repeated triple raises ``ModelError``."""
+    """Key ``[s, a, t, p]`` entries by label triple; a repeated triple or a
+    probability that is not a number raises ``ModelError``."""
     table = {}
     for s, a, t, p in entries:
         if (s, a, t) in table:
             raise ModelError(f"{kind} entry {[s, a, t]!r} is listed more than once")
+        if not is_number(p):
+            raise ModelError(f"{kind} probability {p!r} of {[s, a, t]!r} is not a number")
         table[s, a, t] = p
     return table
 
@@ -457,8 +473,11 @@ class Execution:
 
     ``beliefs`` has one more entry than ``actions`` and ``observations``:
     ``beliefs[i + 1]`` is the filter update of ``beliefs[i]`` under
-    ``actions[i]`` and ``observations[i]``.  Executions, like beliefs,
-    compare and hash by identity.
+    ``actions[i]`` and ``observations[i]``.  ``probs`` holds the beliefs
+    as one read-only ``(horizon + 1, n)`` array, row i ``beliefs[i].probs``,
+    stacked once, on first use; the monitor reads the beliefs from it, so
+    formulas monitored on one execution share it.  Executions, like
+    beliefs, compare and hash by identity.
     """
 
     beliefs: tuple[Belief, ...]
@@ -478,6 +497,21 @@ class Execution:
     @property
     def horizon(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """The beliefs as one read-only array, one per row; ``ModelError``
+        when their lengths differ."""
+        try:
+            return _read_only(np.stack([b.probs for b in self.beliefs]))
+        except ValueError as exc:
+            raise ModelError("execution beliefs differ in length") from exc
+
+    def __setstate__(self, state: dict) -> None:
+        # numpy does not pickle the read-only flag.
+        self.__dict__.update(state)
+        if "probs" in state:
+            _read_only(self.probs)
 
 
 def execution_from_actions(pomdp: Pomdp, actions: Sequence, observations: Sequence) -> Execution:
@@ -642,8 +676,12 @@ class StateSetReader:
         matrix = self._matrices.get(num_states)
         if matrix is None:
             matrix = np.zeros((num_states, len(self.columns) + 1))
-            for j, states in enumerate(self.columns):
-                matrix[_checked(states, num_states), j] = 1.0
+            rows = np.array([*chain.from_iterable(self.columns)])  # every column's members
+            if rows.size:
+                if not (rows.min() >= 0 and rows.max() < num_states):
+                    raise ModelError("state set out of range")
+                cols = np.repeat(np.arange(len(self.columns)), [*map(len, self.columns)])
+                matrix[rows, cols] = 1.0
             self._matrices[num_states] = matrix = _read_only(matrix)
         return matrix
 

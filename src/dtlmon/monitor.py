@@ -41,7 +41,9 @@ brute-force enumeration oracle over the smoothed chain built from backward
 likelihoods (another factorization of the same posterior) cross-checks it.
 
 Both stages read the same per-step belief-predicate signatures, computed
-once per execution by the formula's compiled ``BeliefPredicates``;
+once per execution by the formula's compiled ``BeliefPredicates`` from the
+execution's beliefs as one array (``Execution.probs``), which is stacked
+once per execution and shared by every formula monitored on it;
 ``region_signature`` is the per-belief reference they agree with.  Both
 run one automaton over the propositional skeleton, in which every belief
 predicate is just a proposition and each hidden-state atom is the
@@ -123,6 +125,7 @@ from .model import (
     _check_indices,
     below_zero,
     filter_run,
+    is_number,
     load_json,
     save_json,
 )
@@ -172,10 +175,12 @@ _BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 class BeliefPredicates:
     """Belief expressions compiled for evaluation over a whole execution.
 
-    One ``StateSetReader`` reads the mass of every distinct ``P(A)`` set and
-    the entropy of every distinct ``H(F)`` factor of all beliefs at once;
-    each expression then runs as a closure over those columns, with
-    ``Callback`` once per belief.  Values agree with ``eval_belief_expr``
+    The beliefs come stacked in the rows of one array, as
+    ``Execution.probs`` keeps them.  One ``StateSetReader`` reads the mass
+    of every distinct ``P(A)`` set and the entropy of every distinct
+    ``H(F)`` factor of all rows at once; each expression then runs as a
+    closure over those columns, with ``Callback`` once per row, handed the
+    row as a ``Belief``.  Values agree with ``eval_belief_expr``
     on each belief up to the rounding of the reader's sums.  The
     expressions of ``exact_sign`` hold below zero at all, the others only
     ``below_zero``.
@@ -189,20 +194,22 @@ class BeliefPredicates:
         self._exact = np.array([exact_sign(expr) for expr in exprs], dtype=bool)[:, None]
 
     def _compile(self, expr: BeliefExpr):
-        """Closure mapping (set masses, factor entropies, beliefs) to the
-        expression's values; set and factor k are column k."""
+        """Closure mapping (set masses, factor entropies, stacked beliefs)
+        to the expression's values; set and factor k are column k."""
         if isinstance(expr, Const):
             value = expr.value
-            return lambda masses, entropies, beliefs: value
+            return lambda masses, entropies, probs: value
         if isinstance(expr, Prob):
             k = self._sets.setdefault(expr.indices, len(self._sets))
-            return lambda masses, entropies, beliefs: masses[:, k]
+            return lambda masses, entropies, probs: masses[:, k]
         if isinstance(expr, EntropyBits):
             k = self._factors.setdefault(expr.cells, len(self._factors))
-            return lambda masses, entropies, beliefs: entropies[:, k]
+            return lambda masses, entropies, probs: entropies[:, k]
         if isinstance(expr, Callback):
             fn = expr.fn
-            return lambda masses, entropies, beliefs: np.array([float(fn(b)) for b in beliefs])
+            return lambda masses, entropies, probs: np.array(
+                [float(fn(Belief._trusted(row))) for row in probs]
+            )
         if isinstance(expr, Neg):
             operand = self._compile(expr.operand)
             return lambda *args: -operand(*args)
@@ -212,25 +219,26 @@ class BeliefPredicates:
             return lambda *args: op(left(*args), right(*args))
         raise TypeError(f"not a belief expression: {expr!r}")
 
-    def values(self, beliefs: Sequence[Belief]) -> np.ndarray:
-        """Expression values: row j holds expression j on every belief."""
-        probs = np.stack([b.probs for b in beliefs])
+    def values(self, probs: np.ndarray) -> np.ndarray:
+        """Expression values on the beliefs in the rows of ``probs``: row j
+        holds expression j on every belief."""
         masses, entropies = self._reader.read(probs)
         out = np.empty((len(self._programs), len(probs)))
         for j, program in enumerate(self._programs):
-            out[j] = program(masses, entropies, beliefs)
+            out[j] = program(masses, entropies, probs)
         return out
 
-    def signatures(self, beliefs: Sequence[Belief]) -> list[RegionSignature]:
-        """``region_signature`` of every belief, from one evaluation."""
-        values = self.values(beliefs)
+    def signatures(self, probs: np.ndarray) -> list[RegionSignature]:
+        """``region_signature`` of the belief in every row of ``probs``,
+        from one evaluation of ``values``."""
+        values = self.values(probs)
         holds = np.where(self._exact, values < 0, below_zero(values))
         packed = np.packbits(holds, axis=0, bitorder="little")
         width = packed.shape[0]
         data = packed.T.tobytes()
         return [
             int.from_bytes(data[r * width : (r + 1) * width], "little")
-            for r in range(len(beliefs))
+            for r in range(values.shape[1])
         ]
 
 
@@ -266,28 +274,31 @@ class CompiledMonitor:
         classes: dict[tuple[frozenset[int], bool], int] = {}  # (state set, sign) -> bit
         self.state_atoms: dict[StateAtom, int] = {}
         self.relaxed_mask = 0
-        for atom in formula_atoms(formula):
+
+        def proposition(atom) -> PropAtom:
+            """The atom's proposition, numbered on first sight."""
             if isinstance(atom, BeliefAtom):
-                props.setdefault((atom.expr, False), len(props))
-            elif atom not in self.state_atoms:
+                return PropAtom(props.setdefault((atom.expr, False), len(props)), atom.negated)
+            bit = self.state_atoms.get(atom)
+            if bit is None:
                 bit = classes.get((atom.indices, atom.negated))
                 if bit is None:
                     bit = props.setdefault((_relaxed_atom_expr(atom), True), len(props))
                     classes[atom.indices, atom.negated] = bit
                     self.relaxed_mask |= 1 << bit
                 self.state_atoms[atom] = bit
+            return PropAtom(bit)
+
+        # ``map_atoms`` meets the atoms left to right, so the walk that
+        # builds the skeleton also numbers the propositions.
+        skeleton = map_atoms(formula, proposition)
+        self._classes = classes
         self.belief_props: tuple[BeliefExpr, ...] = tuple(expr for expr, _ in props)
         self.prop_names: tuple[str, ...] = tuple(
             f"[{belief_expr_text(e)} < 0]" for e in self.belief_props
         )
         self.predicates = BeliefPredicates(self.belief_props)
         self._state_bits: dict[int, np.ndarray] = {}
-        skeleton = map_atoms(
-            formula,
-            lambda atom: PropAtom(self.state_atoms[atom])
-            if isinstance(atom, StateAtom)
-            else PropAtom(props[atom.expr, False], atom.negated),
-        )
         key = (skeleton, len(props))
         with _shared_dfas_lock:
             self.dfa = _shared_dfas.get(key)
@@ -297,14 +308,23 @@ class CompiledMonitor:
     def state_bits(self, num_states: int) -> np.ndarray:
         """Per-hidden-state bitmask of the hidden-state propositions it
         satisfies, computed once per model dimension, as a read-only array
-        of Python ints (a formula may have more than 63 propositions)."""
+        of Python ints (a formula may have more than 63 propositions).
+        Raises ``ModelError`` when a set holds an index outside
+        ``range(num_states)``."""
         bits = self._state_bits.get(num_states)
         if bits is None:
-            bits = np.zeros(num_states, dtype=object)
-            for atom, bit in self.state_atoms.items():
-                for s in range(num_states):
-                    if (s in atom.indices) != atom.negated:
-                        bits[s] |= 1 << bit
+            # Every state starts with the bits of the negated classes; one
+            # pass over each class's members then sets its bit there, or
+            # clears it for a negated class.
+            row = [sum(1 << bit for (_, negated), bit in self._classes.items() if negated)]
+            row *= num_states
+            for (indices, _), bit in self._classes.items():
+                if indices and not (min(indices) >= 0 and max(indices) < num_states):
+                    raise ModelError("state set out of range")
+                flag = 1 << bit
+                for s in indices:
+                    row[s] ^= flag
+            bits = np.array(row, dtype=object)
             bits.flags.writeable = False
             self._state_bits[num_states] = bits
         return bits
@@ -370,7 +390,11 @@ def _check_atoms(pomdp: Pomdp, atoms: Iterable) -> None:
 def _check_record(pomdp: Pomdp, exec: Execution) -> None:
     """Raise ``ModelError`` unless the execution's beliefs, actions and
     observations fit the model."""
-    if set(map(len, exec.beliefs)) != {pomdp.num_states}:
+    try:
+        fits = exec.probs.shape[1] == pomdp.num_states
+    except ModelError:  # beliefs of different lengths
+        fits = False
+    if not fits:
         raise ModelError("execution beliefs do not match the model dimension")
     _check_indices(pomdp, exec.actions, exec.observations)
 
@@ -392,7 +416,7 @@ def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     if results is None:
         _check_record(pomdp, exec)
         results = by_model.setdefault(weakref.ref(pomdp), {})
-    sigs = comp.predicates.signatures(exec.beliefs)
+    sigs = comp.predicates.signatures(exec.probs)
     ok = dfa_accepts(comp.dfa, sigs)
     label = {
         sig: frozenset([j for j, bit in enumerate(bin(sig)[:1:-1]) if bit == "1"])
@@ -778,55 +802,65 @@ def execution_from_json_dict(pomdp: Pomdp, doc) -> Execution:
             raise ModelError(f"trace {kind} must be a list")
     actions = tuple(_lookup(pomdp.action_index, a, "action") for a in action_names)
     observations = tuple(_lookup(pomdp.obs_index, o, "observation") for o in obs_names)
-    beliefs = tuple(filter_run(pomdp, actions, observations))
+    execution = Execution(tuple(filter_run(pomdp, actions, observations)), actions, observations)
     recorded = doc.get("beliefs")
     if recorded is not None:
         if not isinstance(recorded, (list, tuple)):
             raise ModelError("trace beliefs must be a list")
-        if len(recorded) != len(beliefs):
+        if len(recorded) != len(execution.beliefs):
             raise ModelError(
-                f"trace carries {len(recorded)} beliefs, filter produced {len(beliefs)}"
+                f"trace carries {len(recorded)} beliefs, filter produced {len(execution.beliefs)}"
             )
-        rows: list[list[float]] = []
+        rows: list[list] = []
         for i, entry in enumerate(recorded):
             try:
                 rows.append(_recorded_belief(pomdp, entry))
             except ModelError:
                 # A deviation at an earlier step is the first failure.
-                _check_against_filter(rows, beliefs[:i])
+                _check_against_filter(rows, execution.probs[:i])
                 raise
-        _check_against_filter(rows, beliefs)
-    return Execution(beliefs, actions, observations)
+        _check_against_filter(rows, execution.probs)
+    return execution
 
 
-def _check_against_filter(recorded: list[list[float]], filtered: Sequence[Belief]) -> None:
+def _check_against_filter(recorded: list, filtered: np.ndarray) -> None:
     """Require each recorded belief to match the filter's belief at the same
-    step, entry by entry within ``SUM_TOL``; the first failing step is the
-    one reported.  All steps are compared in one array expression."""
+    step, the same row of ``filtered``, entry by entry within ``SUM_TOL``;
+    the first failing step is the one reported.  All steps are compared in
+    one array expression."""
     if not recorded:
         return
-    err = np.abs(np.array(recorded) - np.stack([b.probs for b in filtered])).max(axis=1)
+    try:
+        recorded = np.array(recorded, dtype=float)
+    except OverflowError as exc:  # an integer past the float range
+        raise ModelError(f"recorded belief entry out of range: {exc}") from exc
+    err = np.abs(recorded - filtered).max(axis=1)
     bad = np.flatnonzero(~(err <= SUM_TOL))  # written so that NaN fails too
     if bad.size:
         i = int(bad[0])
         raise ModelError(f"recorded belief {i} deviates from the filter by {float(err[i])!r}")
 
 
-def _recorded_belief(pomdp: Pomdp, entry) -> list[float]:
+def _recorded_belief(pomdp: Pomdp, entry) -> list:
+    """The recorded belief as a list over the model's states, each entry a
+    number as JSON gives one; ``_check_against_filter`` makes them floats."""
     if not isinstance(entry, Mapping):
         raise ModelError(f"a recorded belief must map state names to probabilities, not {entry!r}")
     vec = [0.0] * pomdp.num_states
     index = pomdp.state_index
     for name, p in entry.items():
-        try:
-            value = float(p)
-        except (TypeError, ValueError) as exc:
-            raise ModelError(f"recorded belief entry {name!r}: {exc}") from exc
         j = index.get(name)
-        if j is None:
-            raise ModelError(f"unknown state name {name!r}")
-        vec[j] = value
+        if j is None or p.__class__ not in _JSON_NUMBERS:  # one test per entry for both
+            if j is None:
+                raise ModelError(f"unknown state name {name!r}")
+            if not is_number(p):
+                raise ModelError(f"recorded belief entry {name!r}: {p!r} is not a number")
+        vec[j] = p
     return vec
+
+
+# The classes of the numbers ``json`` gives; ``is_number`` decides the rest.
+_JSON_NUMBERS = frozenset({int, float})
 
 
 def _lookup(table, name, kind):

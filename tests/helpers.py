@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 
+from dtlmon.errors import FormulaSyntaxError, ModelError
 from dtlmon.logic import (
     And,
     BeliefAtom,
@@ -344,3 +346,55 @@ def grid_walk(width: int = 5) -> Pomdp:
         obs_model,
         named_sets={"corner": [name[(width - 1, width - 1)]]},
     )
+
+
+# -- referees for the compiled builders --------------------------------------------
+
+_REFEREE_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+|#[^\n]*)"
+    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>=>|[()\[\]<|&!+\-*])"
+)
+
+
+def tokenize_referee(text: str) -> list[tuple]:
+    """Reference for ``logic._tokenize``: one anchored match per token from
+    the running position, and an error where none matches.  Returns the
+    (kind, text, position) tokens without the end token."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFEREE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens
+
+
+def state_bits_referee(state_atoms, num_states: int) -> list[int]:
+    """Reference for ``CompiledMonitor.state_bits``: every state tested
+    against every hidden-state atom, after a range check of every set."""
+    for atom in state_atoms:
+        if any(not 0 <= s < num_states for s in atom.indices):
+            raise ModelError("state set out of range")
+    bits = [0] * num_states
+    for atom, bit in state_atoms.items():
+        for s in range(num_states):
+            if (s in atom.indices) != atom.negated:
+                bits[s] |= 1 << bit
+    return bits
+
+
+def incidence_referee(columns, num_states: int) -> np.ndarray:
+    """Reference for ``StateSetReader.incidence``: column j filled from the
+    sorted, range-checked members of ``columns[j]``, one column at a time."""
+    matrix = np.zeros((num_states, len(columns) + 1))
+    for j, states in enumerate(columns):
+        idx = sorted(set(states))
+        if idx and not (idx[0] >= 0 and idx[-1] < num_states):
+            raise ModelError("state set out of range")
+        matrix[idx, j] = 1.0
+    return matrix

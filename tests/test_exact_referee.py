@@ -72,7 +72,7 @@ def test_band_verdicts_match_exact_signs():
     for policy in rescue_policies().values():
         for k in range(TRIALS):
             _, execution = simulate(pomdp, policy, HORIZON, trial_seed(MASTER_SEED, k))
-            values = comp.predicates.values(execution.beliefs)
+            values = comp.predicates.values(execution.probs)
             exact_beliefs = exact_filter(pomdp, execution)
             for j, t in zip(*np.nonzero(np.abs(values) <= TIE_TOL)):
                 signed = exact_sign(comp.belief_props[j])

@@ -25,10 +25,15 @@ from dtlmon.cli import (
     _rescue_params,
     main,
 )
-from dtlmon.errors import DtlmonError
+from dtlmon.errors import DtlmonError, ModelError
 from dtlmon.logic import load_formula
-from dtlmon.model import execution_from_actions, load_model
-from dtlmon.monitor import acceptance_probability, execution_to_json_dict, load_trace
+from dtlmon.model import Pomdp, execution_from_actions, load_model
+from dtlmon.monitor import (
+    acceptance_probability,
+    execution_from_json_dict,
+    execution_to_json_dict,
+    load_trace,
+)
 from dtlmon.studies import rescue_policies
 
 from helpers import tiny_two_state
@@ -201,6 +206,15 @@ BAD_INPUTS = {
         "trace",
         _with_repeated_key(TRACE_DOC, ["beliefs", 1], "off", *[TRACE_DOC["beliefs"][1]["off"]] * 2),
     ),
+    "string transition probability": (
+        "model", _with(MODEL_DOC, ["transitions", 0, 3], str(MODEL_DOC["transitions"][0][3])),
+    ),
+    "string prior probability": ("model", _with(MODEL_DOC, ["prior", "off"], "0.5")),
+    "string belief entry": (
+        "trace", _with(TRACE_DOC, ["beliefs", 1, "off"], str(TRACE_DOC["beliefs"][1]["off"])),
+    ),
+    "huge integer probability": ("model", _with(MODEL_DOC, ["transitions", 0, 3], 10**400)),
+    "huge integer belief entry": ("trace", _with(TRACE_DOC, ["beliefs", 1, "off"], 10**400)),
     "belief entry list": ("trace", _with(TRACE_DOC, ["beliefs", 1], [0.5, 0.5])),
     "non-numeric belief": ("trace", _with(TRACE_DOC, ["beliefs", 1, "off"], "half")),
     "integer beliefs": ("trace", _with(TRACE_DOC, ["beliefs"], 3)),
@@ -236,3 +250,35 @@ def test_malformed_input_exits_with_error(case, tmp_path, capsys):
                 str(tmp_path / "formula"), "--trace", str(tmp_path / "trace")]
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+# One state, one action, one observation: every probability is 1, which a
+# boolean ``true`` or a string would otherwise stand for unnoticed.
+ONE_STATE_DOC = {
+    "states": [{"name": "s", "tags": {}}],
+    "actions": ["a"],
+    "observations": ["o"],
+    "prior": {"s": 1.0},
+    "transitions": [["s", "a", "s", 1.0]],
+    "observation_model": [["s", "a", "o", 1]],
+}
+ONE_STATE_TRACE = {"actions": ["a"], "observations": ["o"], "beliefs": [{"s": 1.0}, {"s": 1}]}
+
+
+@pytest.mark.parametrize("value", [True, "1.0", "1", None])
+@pytest.mark.parametrize(
+    "path", [["prior", "s"], ["transitions", 0, 3], ["observation_model", 0, 3]]
+)
+def test_model_probability_must_be_a_number(path, value):
+    Pomdp.from_json_dict(ONE_STATE_DOC)
+    with pytest.raises(ModelError, match="is not a number"):
+        Pomdp.from_json_dict(_with(ONE_STATE_DOC, path, value))
+
+
+@pytest.mark.parametrize("value", [True, "1.0", "1", None])
+@pytest.mark.parametrize("step", [0, 1])
+def test_recorded_belief_entry_must_be_a_number(step, value):
+    pomdp = Pomdp.from_json_dict(ONE_STATE_DOC)
+    execution_from_json_dict(pomdp, ONE_STATE_TRACE)
+    with pytest.raises(ModelError, match=f"recorded belief entry 's': {value!r} is not a number"):
+        execution_from_json_dict(pomdp, _with(ONE_STATE_TRACE, ["beliefs", step, "s"], value))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from dtlmon.errors import FormulaSyntaxError, NonAtomicNegation, UnknownSymbol
 from dtlmon.logic import (
     MAX_NESTING,
+    _tokenize,
     Add,
     And,
     BeliefAtom,
@@ -46,9 +47,15 @@ from dtlmon.monitor import (
     compile_monitor,
     relax,
 )
-from dtlmon.studies import build_mht
+from dtlmon.studies import build_mht, rescue_model
 
-from helpers import random_cosafe_formula, random_pomdp, random_trace_word, tiny_two_state
+from helpers import (
+    random_cosafe_formula,
+    random_pomdp,
+    random_trace_word,
+    tiny_two_state,
+    tokenize_referee,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +130,21 @@ class TestParser:
         assert err.value.position == 12
         assert "position" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("in(room1) U", "expected an atom, found end of input (at position 11)"),
+            ("(in(room1)", "expected ')', found end of input (at position 10)"),
+            ("in(", "expected a name, found end of input (at position 3)"),
+            ("", "expected an atom, found end of input (at position 0)"),
+        ],
+    )
+    def test_error_at_the_end_names_the_end_of_input(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text, rescue_model())
+        assert str(err.value) == message
+        assert err.value.position == len(text)
+
     def test_trailing_garbage(self, mht):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("in(all) in(all)", mht)
@@ -167,6 +189,42 @@ NESTED_TEXT = {
     "conjunction chain": lambda n: " & ".join(["in(lit)"] * (n + 1)),
     "belief parentheses": lambda n: "[" + "(" * n + "P(lit)" + ")" * n + " < 0.5]",
 }
+
+
+# The grammar's characters, words and numbers, and characters outside it.
+GRAMMAR_PIECES = [
+    *"()[]<|&!+-*_ \n\t0123456789eE",
+    "=>", "X", "F", "U", "in", "P", "H", "room1", "in(room1)", "[P(surv1) < 0.9]",
+    "1.5", "2e-3", "1e", "# comment",
+]
+STRAY_PIECES = ["=", ">", ".", "1.", ".5", "$", "\u00e9", "\u00a0", "#"]
+formula_texts = st.one_of(
+    st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=40),
+    st.lists(st.sampled_from(GRAMMAR_PIECES + STRAY_PIECES), max_size=40),
+).map("".join)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.position
+
+
+@settings(deadline=None, max_examples=400)
+@given(formula_texts)
+def test_tokenizer_matches_the_referee(text):
+    """The same tokens, then the end token, or the same error at the same
+    position; a comment runs to the end of its line, so a stray character
+    inside one is no error."""
+    got = _tokens_or_error(_tokenize, text)
+    want = _tokens_or_error(tokenize_referee, text)
+    if isinstance(want, list):
+        assert got[:-1] == want
+        kind, end, pos = got[-1]
+        assert (kind, repr(end), pos) == (None, "end of input", len(text))
+    else:
+        assert got == want
 
 
 class TestNestingBound:

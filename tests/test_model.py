@@ -53,6 +53,10 @@ def mht():
     return pomdp
 
 
+def pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
 def hyp_marginal(pomdp, belief):
     return marginal_dist(belief, pomdp.factor_cells["hyp"])
 
@@ -679,6 +683,41 @@ class TestValidation:
         b = Belief(np.array([1.0]))
         with pytest.raises(ModelError):
             Execution((b,), (0,), ())
+
+
+class TestStackedBeliefs:
+    """An execution's beliefs as one read-only array, stacked once."""
+
+    def _executions(self):
+        pomdp = build_rescue()[0]
+        yield simulate(pomdp, rescue_policies()["timeshare"], 16, trial_seed(2024, 0))[1]
+        yield execution_from_actions(tiny_two_state(), ["poke"] * 3, ["lo", "hi", "lo"])
+        yield Execution((tiny_two_state().prior,), (), ())
+
+    def test_equals_the_stacked_beliefs_bit_for_bit(self):
+        for execution in self._executions():
+            want = np.stack([b.probs for b in execution.beliefs])
+            got = execution.probs
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            assert execution.probs is got
+
+    @pytest.mark.parametrize("stacked_first", [False, True])
+    @pytest.mark.parametrize("clone", [pickle_round_trip, copy.deepcopy])
+    def test_stays_read_only_in_a_copy(self, clone, stacked_first):
+        for execution in self._executions():
+            if stacked_first:
+                execution.probs
+            copied = clone(execution)
+            assert copied.probs.tobytes() == execution.probs.tobytes()
+            assert not copied.probs.flags.writeable
+            assert all(not b.probs.flags.writeable for b in copied.beliefs)
+
+    def test_beliefs_of_different_lengths_raise_model_error(self):
+        mixed = Execution((Belief(np.array([1.0])), Belief(np.array([0.5, 0.5]))), (0,), (0,))
+        with pytest.raises(ModelError, match="execution beliefs differ in length"):
+            mixed.probs
 
 
 class TestJsonRoundTrip:

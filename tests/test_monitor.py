@@ -46,6 +46,7 @@ from dtlmon.model import (
     simulate,
 )
 from dtlmon.monitor import (
+    CompiledMonitor,
     _dp_memo,
     _fold_plans,
     _shared_dfas,
@@ -76,6 +77,7 @@ from helpers import (
     random_cosafe_formula,
     random_execution,
     random_pomdp,
+    state_bits_referee,
     tiny_two_state,
 )
 
@@ -136,6 +138,71 @@ class TestRelax:
     def test_belief_atoms_untouched(self):
         atom = BeliefAtom(Const(-1.0), negated=True)
         assert relax(atom) == atom
+
+
+@st.composite
+def state_atom_families(draw):
+    """Hidden-state atoms over up to 80 states: random, empty and full sets,
+    about a third negated, some repeated, and up to 70 classes, so that
+    bits pass 63."""
+    num_states = draw(st.integers(1, 80))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    atoms = []
+    for k in range(draw(st.sampled_from((1, 3, 12, 70)))):
+        shape = rng.random()
+        if atoms and shape < 0.1:
+            atoms.append(rng.choice(atoms))
+            continue
+        if shape < 0.2:
+            members = frozenset()
+        elif shape < 0.3:
+            members = frozenset(range(num_states))
+        else:
+            members = frozenset(rng.sample(range(num_states), rng.randint(0, num_states)))
+        atoms.append(StateAtom(f"s{k}", members, num_states, rng.random() < 0.35))
+    return num_states, atoms
+
+
+def _conjunction(atoms):
+    formula = atoms[0]
+    for atom in atoms[1:]:
+        formula = And(formula, atom)
+    return formula
+
+
+class TestStateBits:
+    @settings(deadline=None, max_examples=150)
+    @given(state_atom_families())
+    def test_state_bits_match_the_per_state_referee(self, case):
+        num_states, atoms = case
+        comp = CompiledMonitor(_conjunction(atoms))
+        bits = comp.state_bits(num_states)
+        assert bits.dtype == object and bits.shape == (num_states,)
+        assert not bits.flags.writeable
+        assert all(type(b) is int for b in bits.tolist())
+        assert bits.tolist() == state_bits_referee(comp.state_atoms, num_states)
+        assert comp.state_bits(num_states) is bits
+
+    def test_bits_past_63_are_python_ints(self):
+        # Set k holds the states of k's binary digits: 70 distinct classes.
+        atoms = [
+            StateAtom(f"s{k}", frozenset(s for s in range(8) if k >> s & 1), 8, k % 3 == 0)
+            for k in range(70)
+        ]
+        comp = CompiledMonitor(_conjunction(atoms))
+        bits = comp.state_bits(8).tolist()
+        assert len(comp.belief_props) == 70 and max(bits).bit_length() > 63
+        assert bits == state_bits_referee(comp.state_atoms, 8)
+
+    @pytest.mark.parametrize("members", [{3}, {-1}, {0, 7}])
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_out_of_range_index_raises_like_the_referee(self, members, negated):
+        atoms = [StateAtom("ok", frozenset({0}), 3), StateAtom("bad", frozenset(members), 3, negated)]
+        comp = CompiledMonitor(_conjunction(atoms))
+        with pytest.raises(ModelError, match="state set out of range"):
+            state_bits_referee(comp.state_atoms, 3)
+        with pytest.raises(ModelError, match="state set out of range"):
+            comp.state_bits(3)
 
 
 class TestPropositions:
@@ -1119,7 +1186,7 @@ def _first_sink_step(pomdp, formula, execution) -> int:
     over (hidden state, automaton state) pairs."""
     comp = compile_monitor(formula)
     dfa = comp.dfa
-    sigs = [sig & ~comp.relaxed_mask for sig in comp.predicates.signatures(execution.beliefs)]
+    sigs = [sig & ~comp.relaxed_mask for sig in comp.predicates.signatures(execution.probs)]
     sbits = comp.state_bits(pomdp.num_states)
     bl = backward_likelihoods(pomdp, execution.actions, execution.observations)
     pairs = {
@@ -1215,6 +1282,19 @@ class TestOracle:
             with pytest.raises(ModelError, match=re.escape(message)):
                 monitor(three, formula, execution)
 
+    @pytest.mark.parametrize("widths", [(2, 3, 2), (3, 3, 3), (2, 2, 3)])
+    def test_beliefs_of_other_lengths_raise_model_error(self, widths):
+        # Beliefs of different lengths cannot be stacked into one array;
+        # that, like a width other than the model's, is a ModelError.
+        pomdp = tiny_two_state()
+        beliefs = tuple(Belief(np.full(n, 1.0 / n)) for n in widths)
+        execution = Execution(beliefs, (0, 0), (0, 1))
+        formula = parse_formula("F in(lit)", pomdp)
+        for monitor in (feasibility_check, acceptance_probability, acceptance_probability_oracle):
+            with pytest.raises(ModelError) as err:
+                monitor(pomdp, formula, execution)
+            assert str(err.value) == "execution beliefs do not match the model dimension"
+
     @pytest.mark.parametrize(
         "action, obs, message",
         [
@@ -1295,6 +1375,24 @@ class TestOracle:
             report = acceptance_probability(pomdp, formula, execution)
             oracle = acceptance_probability_oracle(pomdp, formula, execution)
             assert report.probability == pytest.approx(oracle, abs=1e-9)
+
+    def test_callback_receives_each_belief(self):
+        # The predicates read the execution's stacked beliefs; a callback is
+        # still handed each step's belief as a Belief.
+        pomdp = tiny_two_state()
+        from dtlmon.logic import Callback, Eventually
+
+        seen = []
+
+        def lit_mass(belief):
+            seen.append(belief)
+            return 0.5 - belief[1]
+
+        formula = Eventually(BeliefAtom(Callback("lit_mass", lit_mass)))
+        execution = execution_from_actions(pomdp, ["poke"] * 3, ["lo", "hi", "hi"])
+        acceptance_probability(pomdp, formula, execution)
+        assert [type(b) for b in seen] == [Belief] * 4
+        assert [b.probs.tolist() for b in seen] == execution.probs.tolist()
 
     def test_infeasible_implies_zero_mass(self):
         rng = random.Random(13)

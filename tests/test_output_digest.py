@@ -32,8 +32,9 @@ def _digest() -> str:
 def test_digest_is_deterministic():
     first = _digest()
     lines = first.splitlines()
-    # Two rescue policies, two grid formulas and one random set.
-    assert len(lines) == 2 * 3 + 3 * 2 + 3
+    # Two rescue policies, two grid formulas, one random set, and a sweep
+    # of three configs over four runs.
+    assert len(lines) == 2 * 3 + 3 * 2 + 3 + 3 * 4
     assert len({line.split()[0] for line in lines}) == len(lines)
     assert all(" feasible=" in line and " paths=0x" in line for line in lines)
     assert _digest() == first

@@ -156,7 +156,7 @@ def gap_bound(expr, belief) -> tuple[float, float]:
 
 
 def assert_values_match(exprs, bels):
-    values = BeliefPredicates(exprs).values(bels)
+    values = BeliefPredicates(exprs).values(np.stack([b.probs for b in bels]))
     assert values.shape == (len(exprs), len(bels))
     for j, expr in enumerate(exprs):
         for r, belief in enumerate(bels):
@@ -232,7 +232,7 @@ def test_out_of_range_sets_rejected_like_reference(expr):
     with pytest.raises(ModelError, match="state set out of range"):
         eval_belief_expr(expr, bels[0])
     with pytest.raises(ModelError, match="state set out of range"):
-        BeliefPredicates([expr]).values(bels)
+        BeliefPredicates([expr]).values(np.stack([b.probs for b in bels]))
 
 
 def _labels_from_signatures(formula, execution):

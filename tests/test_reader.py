@@ -25,7 +25,7 @@ from dtlmon.model import (
 )
 from dtlmon.monitor import compile_monitor, region_signature
 
-from helpers import entropy_gap_bound, mass_gap_bound
+from helpers import entropy_gap_bound, incidence_referee, mass_gap_bound
 
 BLOCK_EDGES = (1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 300)
 THRESHOLDS = (0.9, 0.25)  # the rescue study's p1 and p2
@@ -154,7 +154,7 @@ def test_threshold_ties_are_not_above(case):
     states, threshold, belief = case
     atom = BeliefAtom(Sub(Const(threshold), Prob("A", states)))  # [threshold < P(A)]
     comp = compile_monitor(atom)
-    assert comp.predicates.signatures([belief]) == [0]
+    assert comp.predicates.signatures(belief.probs[None]) == [0]
     assert region_signature(belief, comp) == 0
     assert not semantics_eval(atom, [(0, belief)])
     reader = StateSetReader([states])
@@ -191,3 +191,40 @@ def test_range_check():
             reader.incidence(4)
         with pytest.raises(ModelError, match="state set out of range"):
             reader.read(np.full(4, 0.25))
+
+
+@st.composite
+def set_families(draw):
+    """Sets and factor cells over up to 80 states: random, empty and full
+    sets, repeats, and now and then one out-of-range index."""
+    num_states = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [frozenset(), frozenset(range(num_states))]
+    for _ in range(draw(st.integers(0, 10))):
+        size = int(rng.integers(0, num_states + 1))
+        pool.append(frozenset(rng.choice(num_states, size=size, replace=False).tolist()))
+    sets = [pool[int(k)] for k in rng.integers(len(pool), size=int(rng.integers(0, 8)))]
+    factors = []
+    for count in draw(st.lists(st.integers(1, 6), max_size=3)):
+        assign = rng.integers(count, size=num_states)
+        factors.append(tuple(tuple(np.flatnonzero(assign == k).tolist()) for k in range(count)))
+    if draw(st.integers(0, 4)) == 0:
+        sets.append(frozenset({draw(st.sampled_from((-1, num_states, num_states + 5)))}))
+    return num_states, sets, factors
+
+
+@settings(deadline=None, max_examples=200)
+@given(set_families())
+def test_incidence_matches_the_per_column_referee(case):
+    num_states, sets, factors = case
+    reader = StateSetReader(sets, factors)
+    try:
+        want = incidence_referee(reader.columns, num_states)
+    except ModelError as exc:
+        with pytest.raises(ModelError, match=str(exc)):
+            reader.incidence(num_states)
+        return
+    got = reader.incidence(num_states)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable

@@ -440,7 +440,7 @@ class TestCompiledPolicyReads:
         assert not below_zero(threshold - policy._read(belief)[0][column])
         comp = compile_monitor(_RESCUE_FORMULA)
         j = comp.belief_props.index(Sub(Const(threshold), Prob(name, _RESCUE.named_sets[name])))
-        assert not comp.predicates.signatures([belief])[0] >> j & 1
+        assert not comp.predicates.signatures(belief.probs[None])[0] >> j & 1
 
     @settings(deadline=None, max_examples=40)
     @given(
