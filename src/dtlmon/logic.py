@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import FormulaSyntaxError, NonAtomicNegation, UnknownSymbol
 from .model import Belief, below_zero, entropy_bits, marginal_dist, marginal_prob
@@ -438,14 +438,8 @@ class _Parser:
     def _atom(self) -> Formula:
         _, text, pos = self._peek()
         if text == "in":
-            self._next()
-            self._expect("(")
-            name = self._name()
-            self._expect(")")
-            sets = self.symbols.named_sets
-            if name not in sets:
-                raise UnknownSymbol(f"unknown state set {name!r}")
-            return StateAtom(name, frozenset(sets[name]), self.symbols.num_states)
+            name, members = self._symbol(self.symbols.named_sets, "state set")
+            return StateAtom(name, frozenset(members), self.symbols.num_states)
         if text == "[":
             self._next()
             left = self._bexpr()
@@ -462,6 +456,17 @@ class _Parser:
         if text in _RESERVED:
             raise FormulaSyntaxError(f"{text!r} is a reserved word", pos)
         return text
+
+    def _symbol(self, table: Mapping, kind: str):
+        """Take a keyword and ``( NAME )``; the name and its entry in
+        ``table``, or ``UnknownSymbol`` naming the ``kind``."""
+        self._next()
+        self._expect("(")
+        name = self._name()
+        self._expect(")")
+        if name not in table:
+            raise UnknownSymbol(f"unknown {kind} {name!r}")
+        return name, table[name]
 
     def _bexpr(self) -> BeliefExpr:
         e = self._term()
@@ -484,23 +489,11 @@ class _Parser:
             self._next()
             return Const(float(text))
         if text == "P":
-            self._next()
-            self._expect("(")
-            name = self._name()
-            self._expect(")")
-            sets = self.symbols.named_sets
-            if name not in sets:
-                raise UnknownSymbol(f"unknown state set {name!r}")
-            return Prob(name, frozenset(sets[name]))
+            name, members = self._symbol(self.symbols.named_sets, "state set")
+            return Prob(name, frozenset(members))
         if text == "H":
-            self._next()
-            self._expect("(")
-            name = self._name()
-            self._expect(")")
-            cells = self.symbols.factor_cells
-            if name not in cells:
-                raise UnknownSymbol(f"unknown factor {name!r}")
-            return EntropyBits(name, tuple(tuple(c) for c in cells[name]))
+            name, cells = self._symbol(self.symbols.factor_cells, "factor")
+            return EntropyBits(name, tuple(tuple(c) for c in cells))
         if text == "(":
             self._next()
             e = self._nested(self._bexpr, pos)

@@ -9,7 +9,7 @@ from ``Pomdp.restricted_step``, built from these arrays between the states
 the step leaves and reaches and kept in one ``_BoundedTable``.  ``simulate``
 draws each successor and observation from a table of its row's running sums.
 An ``Execution`` keeps its beliefs as ``Belief`` objects and as one read-only
-array, stacked once, from which the monitor reads them.
+array, stacked when the execution is built, from which the monitor reads them.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import threading
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -136,9 +135,20 @@ def is_index(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """Whether ``value`` is a number as JSON gives one: an ``int`` or a
-    ``float``, but not a ``bool`` (nor a string of digits)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a real number: a Python or numpy integer or
+    float, but not a ``bool`` (nor a string of digits)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _probability(p, kind: str, label) -> float:
+    """The probability ``p`` of ``label`` as a float; ``ModelError`` unless
+    it is a number (``is_number``) within the float range."""
+    if not is_number(p):
+        raise ModelError(f"{kind} probability {p!r} of {label!r} is not a number")
+    try:
+        return float(p)
+    except OverflowError as exc:  # an integer past the float range
+        raise ModelError(f"{kind} probability of {label!r} is past the float range") from exc
 
 
 def _as_index(label, table: Mapping[str, int], kind: str) -> int:
@@ -162,8 +172,10 @@ class Pomdp:
     probability of observing ``o`` after ``a`` landed the system in ``s'``.
     The constructor sums sparse ``(s, a, s') -> p`` and ``(s', a, o) -> p``
     mappings, keyed by names or indices, into these read-only arrays; every
-    row must sum to one.  Actions that convey no information emit a
-    designated null observation with probability one.
+    row must sum to one.  Every probability, each prior entry included,
+    must be a number (``is_number``) within the float range.  Actions that
+    convey no information emit a designated null observation with
+    probability one.
 
     Instances are immutable after construction and safe for concurrent
     reads; the bounded table behind ``restricted_step`` only caches blocks
@@ -216,9 +228,16 @@ class Pomdp:
         self._blocks = _BoundedTable()  # (action, obs, live bytes) -> restricted_step
         self._draws: dict[tuple[int, int, int], tuple[list[int], list[float]]] = {}
 
-        self.prior = prior if isinstance(prior, Belief) else Belief(np.asarray(prior, dtype=float))
-        if len(self.prior) != self.num_states:
+        try:
+            size = len(prior)
+        except TypeError:  # a scalar or a 0-d array
+            raise ModelError("belief must be a nonempty 1-d vector") from None
+        if size != self.num_states:
             raise ModelError("prior length does not match the state count")
+        if not isinstance(prior, Belief):
+            probs = [_probability(p, "prior", name) for name, p in zip(names, prior)]
+            prior = Belief(np.asarray(probs, dtype=float))
+        self.prior = prior
 
         self.named_sets: dict[str, frozenset[int]] = {}
         for name, desc in (named_sets or {}).items():
@@ -249,7 +268,7 @@ class Pomdp:
         index: list[tuple[int, int, int]] = []
         probs: list[float] = []
         for (s, a, t), p in entries.items():
-            p = float(p)
+            p = _probability(p, kind, [s, a, t])
             if not 0 <= p <= 1 + SUM_TOL:  # written so that NaN fails too
                 raise ModelError(f"{kind} probability {p!r} outside [0, 1]")
             if p == 0.0:
@@ -390,14 +409,12 @@ class Pomdp:
         try:
             states = [(e["name"], e.get("tags", {})) for e in doc["states"]]
             names = [n for n, _ in states]
-            prior = np.zeros(len(names))
+            prior = [0.0] * len(names)
             index = {n: i for i, n in enumerate(names)}
             for name, p in doc["prior"].items():
                 if name not in index:
                     raise ModelError(f"prior references unknown state {name!r}")
-                if not is_number(p):
-                    raise ModelError(f"prior probability {p!r} of {name!r} is not a number")
-                prior[index[name]] = float(p)
+                prior[index[name]] = p
             return cls(
                 states,
                 doc["actions"],
@@ -408,20 +425,17 @@ class Pomdp:
                 named_sets=doc.get("sets", {}),
                 factors=doc.get("factors", {}),
             )
-        # OverflowError: an integer probability past the float range
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"malformed model document: {exc}") from exc
 
 
 def _entry_map(entries, kind: str) -> dict:
-    """Key ``[s, a, t, p]`` entries by label triple; a repeated triple or a
-    probability that is not a number raises ``ModelError``."""
+    """Key ``[s, a, t, p]`` entries by label triple; a repeated triple
+    raises ``ModelError``."""
     table = {}
     for s, a, t, p in entries:
         if (s, a, t) in table:
             raise ModelError(f"{kind} entry {[s, a, t]!r} is listed more than once")
-        if not is_number(p):
-            raise ModelError(f"{kind} probability {p!r} of {[s, a, t]!r} is not a number")
         table[s, a, t] = p
     return table
 
@@ -475,7 +489,8 @@ class Execution:
     ``beliefs[i + 1]`` is the filter update of ``beliefs[i]`` under
     ``actions[i]`` and ``observations[i]``.  ``probs`` holds the beliefs
     as one read-only ``(horizon + 1, n)`` array, row i ``beliefs[i].probs``,
-    stacked once, on first use; the monitor reads the beliefs from it, so
+    stacked when the execution is built, so beliefs of different lengths
+    raise ``ModelError`` there; the monitor reads the beliefs from it, so
     formulas monitored on one execution share it.  Executions, like
     beliefs, compare and hash by identity.
     """
@@ -483,6 +498,7 @@ class Execution:
     beliefs: tuple[Belief, ...]
     actions: tuple[int, ...]
     observations: tuple[int, ...]
+    probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.beliefs) == 0:
@@ -493,25 +509,20 @@ class Execution:
                 f"{len(self.beliefs)} beliefs, {len(self.actions)} actions, "
                 f"{len(self.observations)} observations"
             )
+        try:
+            probs = np.stack([b.probs for b in self.beliefs])
+        except ValueError as exc:
+            raise ModelError("execution beliefs differ in length") from exc
+        object.__setattr__(self, "probs", _read_only(probs))
 
     @property
     def horizon(self) -> int:
         return len(self.actions)
 
-    @cached_property
-    def probs(self) -> np.ndarray:
-        """The beliefs as one read-only array, one per row; ``ModelError``
-        when their lengths differ."""
-        try:
-            return _read_only(np.stack([b.probs for b in self.beliefs]))
-        except ValueError as exc:
-            raise ModelError("execution beliefs differ in length") from exc
-
     def __setstate__(self, state: dict) -> None:
         # numpy does not pickle the read-only flag.
         self.__dict__.update(state)
-        if "probs" in state:
-            _read_only(self.probs)
+        _read_only(self.probs)
 
 
 def execution_from_actions(pomdp: Pomdp, actions: Sequence, observations: Sequence) -> Execution:

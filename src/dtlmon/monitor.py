@@ -43,7 +43,7 @@ likelihoods (another factorization of the same posterior) cross-checks it.
 Both stages read the same per-step belief-predicate signatures, computed
 once per execution by the formula's compiled ``BeliefPredicates`` from the
 execution's beliefs as one array (``Execution.probs``), which is stacked
-once per execution and shared by every formula monitored on it;
+when the execution is built and shared by every formula monitored on it;
 ``region_signature`` is the per-belief reference they agree with.  Both
 run one automaton over the propositional skeleton, in which every belief
 predicate is just a proposition and each hidden-state atom is the
@@ -63,15 +63,16 @@ states that a shared automaton keeps.
 
 The acceptance program reads a formula only through its automaton, its
 hidden states' bits and the signatures with the relaxed bits cleared.  Its
-result is kept in one weak table keyed by the execution, then by a weak
-reference to the model, then by (weak reference to the automaton, state
-bits, letters): formulas of one sweep that share an automaton and meet the
-same masked signature sequence on one execution share one run (``dtlmon
-sweep`` loads each trace once for all its configs to that end).  The memo
-keeps no model, automaton or execution alive; an entry goes with its
-execution, and one whose model or automaton has died is never hit again.
-The record is checked against the model once per (model, execution).  No
-result depends on the memo: a hit returns, bit for bit, what its run gives.
+result is kept in one weak table keyed by the execution, then by (weak
+references to the model and the automaton, state bits, letters): formulas
+of one sweep that share an automaton and meet the same masked signature
+sequence on one execution share one run (``dtlmon sweep`` loads each trace
+once for all its configs to that end).  Only ``acceptance_probability``
+reads or writes the memo.  It keeps no model, automaton or execution
+alive; an entry goes with its execution, and one whose model or automaton
+has died is never hit again.  Every monitor call checks the formula and
+the record against the model, memo hit or not.  No result depends on the
+memo: a hit returns, bit for bit, what its run gives.
 
 Tie rule: a belief predicate holds only when its value is below
 ``-TIE_TOL`` (``model.below_zero``), so a value that grazes its threshold
@@ -372,7 +373,7 @@ def feasibility_check(
     predicate.  Returns the verdict and the per-step sets of satisfied
     belief propositions.
     """
-    ok, labels, _, _ = _feasibility(compile_monitor(formula), pomdp, exec)
+    ok, labels, _ = _feasibility(compile_monitor(formula), pomdp, exec)
     return ok, labels
 
 
@@ -390,39 +391,24 @@ def _check_atoms(pomdp: Pomdp, atoms: Iterable) -> None:
 def _check_record(pomdp: Pomdp, exec: Execution) -> None:
     """Raise ``ModelError`` unless the execution's beliefs, actions and
     observations fit the model."""
-    try:
-        fits = exec.probs.shape[1] == pomdp.num_states
-    except ModelError:  # beliefs of different lengths
-        fits = False
-    if not fits:
+    if exec.probs.shape[1] != pomdp.num_states:
         raise ModelError("execution beliefs do not match the model dimension")
     _check_indices(pomdp, exec.actions, exec.observations)
 
 
-# Acceptance results: execution -> {weakref(model): {(weakref(automaton),
-# state bits, letters): (probability, dp_pairs, consistent paths)}}.  A dead
-# object's weak reference equals only itself, so its entries are never hit.
-# Threads that miss at once both run the DP and store equal results.
-_dp_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
-    """Relaxed verdict, per-step labels, the per-step signatures they come
-    from, and the acceptance memo of ``exec`` under ``pomdp``, made (and
-    the record checked against the model) on the first call."""
+    """Relaxed verdict, per-step labels and the per-step signatures they
+    come from, after checking the formula and the record against the
+    model."""
     _check_atoms(pomdp, comp.state_atoms)
-    by_model = _dp_memo.setdefault(exec, {})
-    results = by_model.get(weakref.ref(pomdp))
-    if results is None:
-        _check_record(pomdp, exec)
-        results = by_model.setdefault(weakref.ref(pomdp), {})
+    _check_record(pomdp, exec)
     sigs = comp.predicates.signatures(exec.probs)
     ok = dfa_accepts(comp.dfa, sigs)
     label = {
         sig: frozenset([j for j, bit in enumerate(bin(sig)[:1:-1]) if bit == "1"])
         for sig in set(sigs)
     }
-    return ok, tuple(label[sig] for sig in sigs), sigs, results
+    return ok, tuple(label[sig] for sig in sigs), sigs
 
 
 # -- smoothing ------------------------------------------------------------------
@@ -545,6 +531,13 @@ class MonitorReport:
         }
 
 
+# Acceptance results: execution -> {(weakref(model), weakref(automaton),
+# state bits, letters): (probability, dp_pairs, consistent paths)}.  A dead
+# object's weak reference equals only itself, so its entries are never hit.
+# Threads that miss at once both run the DP and store equal results.
+_dp_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> MonitorReport:
     """Exact probability that a smoothed hidden path satisfies the formula.
 
@@ -576,7 +569,7 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     notes); labels and propositions are the call's own.
     """
     comp = compile_monitor(formula)
-    feasible, labels, sigs, results = _feasibility(comp, pomdp, exec)
+    feasible, labels, sigs = _feasibility(comp, pomdp, exec)
     diagnostics = {"dp_pairs": 0, "consistent_paths": 0, "propositions": list(comp.prop_names)}
     if not feasible:
         return MonitorReport(False, 0.0, labels, diagnostics)
@@ -585,7 +578,8 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     keep = ~comp.relaxed_mask
     sbits = comp.state_bits(pomdp.num_states)
     letters = tuple(sig & keep for sig in sigs)
-    key = (weakref.ref(comp.dfa), tuple(sbits.tolist()), letters)
+    results = _dp_memo.setdefault(exec, {})
+    key = (weakref.ref(pomdp), weakref.ref(comp.dfa), tuple(sbits.tolist()), letters)
     result = results.get(key)
     if result is None:
         result = results[key] = _acceptance_dp(pomdp, exec, comp.dfa, letters, sbits)
@@ -701,7 +695,6 @@ def _fold_plan(
     cells that hold mass, once per row and distinct state bits; a cell
     without mass goes to the dead row.
     """
-    delta = dfa._delta
     width = mass.shape[1]
     open_rows: dict[int, int] = {}  # open successor -> its row
     codes = list(range(2 * width))  # the sinks keep their cells
@@ -714,10 +707,7 @@ def _fold_plan(
                 bits = col_bits[j]
                 target = targets.get(bits)
                 if target is None:
-                    full = letter | bits
-                    q2 = delta.get((q, full))
-                    if q2 is None:
-                        q2 = dfa.transition(q, full)
+                    q2 = dfa.transition(q, letter | bits)
                     if dfa.is_accepting(q2):
                         target = 1
                     elif dfa.is_dead(q2):

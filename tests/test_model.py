@@ -679,6 +679,55 @@ class TestValidation:
                 factors={"kind": "kind"},
             )
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1", "'1' of .* is not a number"), (True, "True of .* is not a number"),
+         (10**400, "of .* is past the float range")],
+        ids=["string", "bool", "huge int"],
+    )
+    @pytest.mark.parametrize("kind", ["prior", "transition", "observation"])
+    def test_probability_must_be_a_number_in_the_float_range(self, kind, value, message):
+        tables = {
+            "prior": [1.0],
+            "transition": {("a", "go", "a"): 1.0},
+            "observation": {("a", "go", "o"): 1.0},
+        }
+        tables[kind] = [value] if kind == "prior" else dict.fromkeys(tables[kind], value)
+        with pytest.raises(ModelError, match=f"^{kind} probability {message}$"):
+            Pomdp(["a"], ["go"], ["o"], *tables.values())
+
+    @pytest.mark.parametrize("prior", [np.array([True, False]), np.array(["1", "0"])])
+    def test_array_prior_of_other_dtype_is_checked_by_entry(self, prior):
+        with pytest.raises(ModelError, match="^prior probability .* of 'a' is not a number$"):
+            Pomdp(["a", "b"], ["go"], ["o"], prior, *self._one_action_tables())
+
+    @pytest.mark.parametrize("prior", [1.0, np.array(1.0)], ids=["float", "0-d array"])
+    def test_a_prior_that_is_not_a_vector_raises_model_error(self, prior):
+        with pytest.raises(ModelError, match="^belief must be a nonempty 1-d vector$"):
+            Pomdp(["a"], ["go"], ["o"], prior, {("a", "go", "a"): 1.0}, {("a", "go", "o"): 1.0})
+
+    @staticmethod
+    def _one_action_tables(p=1.0):
+        return (
+            {("a", "go", "a"): p, ("b", "go", "b"): p},
+            {("a", "go", "o"): p, ("b", "go", "o"): p},
+        )
+
+    @pytest.mark.parametrize(
+        "prior, p",
+        [
+            ([np.float32(1.0), np.float64(0.0)], np.int64(1)),
+            (np.array([1, 0]), np.float32(1.0)),
+            (np.array([1.0, 0.0], dtype=np.float32), np.uint8(1)),
+        ],
+    )
+    def test_numpy_reals_are_accepted(self, prior, p):
+        want = Pomdp(["a", "b"], ["go"], ["o"], [1.0, 0.0], *self._one_action_tables())
+        got = Pomdp(["a", "b"], ["go"], ["o"], prior, *self._one_action_tables(p))
+        for left, right in ((got.prior.probs, want.prior.probs), (got.trans_mat, want.trans_mat),
+                            (got.obs_mat, want.obs_mat)):
+            assert left.dtype == right.dtype and left.tobytes() == right.tobytes()
+
     def test_execution_length_mismatch(self):
         b = Belief(np.array([1.0]))
         with pytest.raises(ModelError):
@@ -686,7 +735,7 @@ class TestValidation:
 
 
 class TestStackedBeliefs:
-    """An execution's beliefs as one read-only array, stacked once."""
+    """An execution's beliefs as one read-only array, stacked when it is built."""
 
     def _executions(self):
         pomdp = build_rescue()[0]
@@ -715,9 +764,9 @@ class TestStackedBeliefs:
             assert all(not b.probs.flags.writeable for b in copied.beliefs)
 
     def test_beliefs_of_different_lengths_raise_model_error(self):
-        mixed = Execution((Belief(np.array([1.0])), Belief(np.array([0.5, 0.5]))), (0,), (0,))
+        beliefs = (Belief(np.array([1.0])), Belief(np.array([0.5, 0.5])))
         with pytest.raises(ModelError, match="execution beliefs differ in length"):
-            mixed.probs
+            Execution(beliefs, (0,), (0,))
 
 
 class TestJsonRoundTrip:

@@ -837,7 +837,7 @@ def _copy(execution: Execution) -> Execution:
 def _runs(pomdp, dfa, execution) -> list:
     """The memo keys of the acceptance runs of ``execution`` under ``pomdp``
     and ``dfa``."""
-    return [key for key in _dp_memo[execution][weakref.ref(pomdp)] if key[0]() is dfa]
+    return [key for key in _dp_memo.get(execution, {}) if key[0]() is pomdp and key[1]() is dfa]
 
 
 def _shift_thresholds(formula, delta: float):
@@ -947,7 +947,6 @@ class TestAcceptanceMemo:
             there = acceptance_probability(other, formula, execution)
             dfa = compile_monitor(formula).dfa
             for model, report in ((pomdp, here), (other, there)):
-                assert weakref.ref(model) in _dp_memo[execution]
                 assert len(_runs(model, dfa, execution)) >= report.feasible
             fresh = acceptance_probability(other, formula, _copy(execution))
             assert _verdict(there) == _verdict(fresh)
@@ -962,23 +961,23 @@ class TestAcceptanceMemo:
         assert report.feasible
         dfa_ref = weakref.ref(compile_monitor(formula).dfa)
         model_ref = weakref.ref(pomdp)
-        by_model = _dp_memo[execution]
-        assert list(by_model) == [model_ref] and _runs(pomdp, dfa_ref(), execution)
+        results = _dp_memo[execution]
+        assert {key[0] for key in results} == {model_ref} and _runs(pomdp, dfa_ref(), execution)
         # The execution outlives its automaton: the automaton is released,
         # and a rebuilt one of the same skeleton runs its own program.
         compile_monitor.cache_clear()
         gc.collect()
         assert dfa_ref() is None
         assert _verdict(acceptance_probability(pomdp, formula, execution)) == _verdict(report)
-        assert len(by_model[model_ref]) == 2
+        assert len(results) == 2
         assert len(_runs(pomdp, compile_monitor(formula).dfa, execution)) == 1
         # It outlives its model too, and its entries go with it.
         del pomdp
         gc.collect()
-        assert model_ref() is None and list(by_model) == [model_ref]
+        assert model_ref() is None and {key[0] for key in results} == {model_ref}
         before = len(_dp_memo)
         execution_ref = weakref.ref(execution)
-        del execution, by_model
+        del execution, results
         gc.collect()
         assert execution_ref() is None and len(_dp_memo) == before - 1
 
@@ -998,7 +997,7 @@ class TestAcceptanceMemo:
         for _ in range(2):
             with pytest.raises(ModelError, match="step 0: action 0 or observation 1"):
                 acceptance_probability(mute, formula, execution)
-        assert weakref.ref(mute) not in _dp_memo[execution]
+        assert all(key[0]() is not mute for key in _dp_memo[execution])
 
     def test_all_zero_is_raised_on_every_call(self, mht):
         pomdp, _ = mht
@@ -1008,7 +1007,14 @@ class TestAcceptanceMemo:
         for _ in range(2):
             with pytest.raises(AllZero):
                 acceptance_probability(pomdp, full_atom(pomdp), execution)
-        assert _dp_memo[execution][weakref.ref(pomdp)] == {}
+        assert _dp_memo[execution] == {}
+
+    def test_feasibility_check_leaves_the_memo_empty(self, sweep):
+        pomdp, formulas, executions = sweep
+        execution = _copy(executions[0])
+        for formula in formulas:
+            feasibility_check(pomdp, formula, execution)
+        assert execution not in _dp_memo
 
     def test_threaded_sweep_agrees_with_a_serial_one(self, sweep):
         pomdp, formulas, executions = sweep
@@ -1284,10 +1290,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("widths", [(2, 3, 2), (3, 3, 3), (2, 2, 3)])
     def test_beliefs_of_other_lengths_raise_model_error(self, widths):
-        # Beliefs of different lengths cannot be stacked into one array;
-        # that, like a width other than the model's, is a ModelError.
+        # Beliefs of different lengths cannot be stacked into one array, so
+        # no execution is built of them; beliefs of one width other than
+        # the model's are a ModelError in every monitor.
         pomdp = tiny_two_state()
         beliefs = tuple(Belief(np.full(n, 1.0 / n)) for n in widths)
+        if len(set(widths)) > 1:
+            with pytest.raises(ModelError, match="^execution beliefs differ in length$"):
+                Execution(beliefs, (0, 0), (0, 1))
+            return
         execution = Execution(beliefs, (0, 0), (0, 1))
         formula = parse_formula("F in(lit)", pomdp)
         for monitor in (feasibility_check, acceptance_probability, acceptance_probability_oracle):
