@@ -15,7 +15,9 @@ keeps the language and stops nested eventualities and untils from
 growing the subsets without need.  The empty obligation is contained in
 every set, so accepting subsets collapse to a canonical accept sink and
 accepting states are absorbing; the empty subset is the dead state,
-absorbing and never accepting.
+absorbing and never accepting.  Every automaton numbers these sinks
+``DEAD`` = 0 and ``ACCEPT`` = 1 before its initial state 2, so a run has
+reached a sink exactly when its state is below 2.
 
 The skeleton is interned once per automaton: every structurally distinct
 subformula gets a small integer id, so an obligation set is a bitmask over
@@ -64,6 +66,8 @@ _TRUE_OPTIONS = frozenset({0})
 _FALSE_OPTIONS: frozenset = frozenset()
 
 _EMPTY_OBLIGATION = 0
+DEAD = 0  # the empty subset
+ACCEPT = 1  # the subset of the empty obligation alone
 
 
 class Dfa:
@@ -71,12 +75,14 @@ class Dfa:
     accepting exactly the finite words (length >= 1 needed for acceptance)
     that satisfy the co-safe skeleton ``phi``.
 
-    States are dense integers; 0 is initial.  ``transition`` computes and
-    caches successors on demand under a lock, so concurrent acceptance
-    queries are safe.  ``materialize`` forces every (state, letter) pair,
-    which is only practical for small proposition counts.  Discovering
-    more than ``STATE_CAP`` states raises ``StateBlowup``.  ``phi`` is no
-    deeper than ``logic.MAX_NESTING`` levels, a bound held when it is built.
+    States are dense integers: ``DEAD`` is 0, ``ACCEPT`` is 1 and the initial
+    state is 2.  ``transition`` computes and caches successors on demand under
+    a lock, so concurrent acceptance queries are safe.  ``materialize`` forces
+    every (state, letter) pair, which is only practical for small proposition
+    counts.  ``num_states`` counts both sinks even when one cannot be reached.
+    Discovering more than ``STATE_CAP`` states raises ``StateBlowup``.
+    ``phi`` is no deeper than ``logic.MAX_NESTING`` levels, a bound held when
+    it is built.
     """
 
     def __init__(self, phi: PropFormula, num_props: int):
@@ -94,9 +100,9 @@ class Dfa:
         self._options_memo: dict[tuple[int, int], frozenset] = {}
         self._subset_ids: dict[frozenset, int] = {}
         self._subsets: list[frozenset] = []
-        self._accepting: set[int] = set()
-        self._dead: int | None = None
         self._delta: dict[tuple[int, int], int] = {}
+        self._register(frozenset())
+        self._register(frozenset({_EMPTY_OBLIGATION}))
         self.initial = self._register(frozenset({1 << root}))
 
     # -- skeleton interning and expansion --
@@ -169,10 +175,6 @@ class Dfa:
         sid = len(self._subsets)
         self._subset_ids[subset] = sid
         self._subsets.append(subset)
-        if _EMPTY_OBLIGATION in subset:
-            self._accepting.add(sid)
-        elif not subset:
-            self._dead = sid
         return sid
 
     def _successor_subset(self, subset: frozenset, letter: int) -> frozenset:
@@ -200,16 +202,16 @@ class Dfa:
 
     @property
     def num_states(self) -> int:
-        """States discovered so far (all states, once materialized)."""
+        """States discovered so far, both sinks included."""
         return len(self._subsets)
 
     def is_accepting(self, state: int) -> bool:
-        return state in self._accepting
+        return state == ACCEPT
 
     def is_dead(self, state: int) -> bool:
         """Whether ``state`` is the empty subset: no run through it accepts,
         whatever letters follow."""
-        return state == self._dead
+        return state == DEAD
 
     def transition(self, state: int, letter: int) -> int:
         if not 0 <= letter < (1 << self.num_props):

@@ -321,10 +321,10 @@ def cmd_compile(args) -> int:
         # Name each hidden-state letter by the first atom that reads it.
         for atom, bit in reversed(comp.state_atoms.items()):
             names[bit] = formula_text(atom)
-    dfa.materialize()
+    reachable = dfa.materialize()
     print(f"formula: {formula_text(formula)}")
     print(f"propositions: {dfa.num_props}")
-    print(f"states: {dfa.num_states}")
+    print(f"states: {len(reachable)}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(export_dot(dfa, names))
@@ -403,13 +403,14 @@ def _casestudy_rescue(args, config: dict) -> int:
 
 
 def _add_model_args(sub, include_trace=False, repeat=False):
-    """The model and formula options; with ``repeat``, ``--config`` and
-    ``--trace`` may be given several times."""
+    """The model and formula options (``--model`` or ``--casestudy``); with
+    ``repeat``, ``--config`` and ``--trace`` may be given several times."""
     again = {"action": "append"} if repeat else {}
     tail = "; repeat to give several" if repeat else ""
-    sub.add_argument("--model", help="model JSON file")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--model", help="model JSON file")
+    source.add_argument("--casestudy", choices=["mht", "rescue"], help="use a bundled model")
     sub.add_argument("--formula", help="formula text file")
-    sub.add_argument("--casestudy", choices=["mht", "rescue"], help="use a bundled model")
     sub.add_argument("--config", **again, help="JSON file of study parameter overrides" + tail)
     if include_trace:
         sub.add_argument("--trace", **again, required=True, help="trace JSON file" + tail)

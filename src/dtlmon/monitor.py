@@ -11,8 +11,9 @@ the belief sequence.
 
 The sum over satisfying paths is one forward pass over the filtered path
 measure.  Its mass is one matrix whose columns are the hidden states the
-record so far allows.  Rows 0 and 1 hold the mass that has reached the
-dead state or the accept sink (the bad and good prefixes of co-safe
+record so far allows.  Rows 0 and 1 are the automaton's own states
+``DEAD`` and ``ACCEPT``: they hold the mass that has reached the dead
+state or the accept sink (the bad and good prefixes of co-safe
 properties; Kupferman & Vardi, "Model checking of safety properties",
 2001), which stays there because later observations still weigh its
 paths; the other rows are the open automaton states.  Each step is one
@@ -95,7 +96,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .automaton import Dfa, PropAtom, dfa_accepts
+from .automaton import ACCEPT, DEAD, Dfa, PropAtom, dfa_accepts
 from .errors import AllZero, CapExceeded, InconsistentState, ModelError
 from .logic import (
     Add,
@@ -601,7 +602,7 @@ def _acceptance_dp(
     live = np.flatnonzero(pomdp.prior.probs)
     counts = np.ones((1, len(live)), dtype=np.int64)
     bound = 1
-    # Rows 0 and 1 are the dead and accept sinks, row r + 2 open automaton
+    # Rows DEAD and ACCEPT are the automaton's sinks, row r + 2 open automaton
     # state ``states[r]``.  Step 0 moves the prior's mass on the first letter.
     mass = np.vstack((np.zeros((2, len(live))), pomdp.prior.probs.take(live)))
     states, mass = _fold_step(dfa, (dfa.initial,), letters[0], sbits.take(live).tolist(), mass)
@@ -626,7 +627,7 @@ def _acceptance_dp(
     # the columns fits an int64.
     counts, _ = _carry(counts, bound)
     paths = sum(limb << (_LIMB_BITS * k) for k, limb in enumerate(counts.sum(axis=1).tolist()))
-    accepted, rest = mass[1].sum(), mass[0].sum() + mass[2:].sum()
+    accepted, rest = mass[ACCEPT].sum(), mass[DEAD].sum() + mass[2:].sum()
     return float(accepted / (accepted + rest)), dp_pairs, paths
 
 
@@ -664,14 +665,14 @@ def _fold_step(
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """Move one step's mass through the automaton.
 
-    Rows 0 and 1 of ``mass`` are the dead state and the accept sink, whose
-    mass stays put; row r + 2 is open automaton state ``states[r]``.  Column
-    j reads ``letter`` joined with the state bits ``col_bits[j]``.  Returns
-    the open successor states and the moved mass in the same layout, one
-    ``bincount`` over the fold plan's codes (``_fold_plan``).  The plan
-    depends only on the automaton, ``states``, ``letter``, ``col_bits`` and
-    which open cells hold mass, so it is kept in the fold plan table keyed
-    by them; a step that meets a kept plan only looks it up.
+    Rows 0 and 1 of ``mass`` are automaton states ``DEAD`` and ``ACCEPT``,
+    whose mass stays put; row r + 2 is open automaton state ``states[r]``.
+    Column j reads ``letter`` joined with the state bits ``col_bits[j]``.
+    Returns the open successor states and the moved mass in the same
+    layout, one ``bincount`` over the fold plan's codes (``_fold_plan``).
+    The plan depends only on the automaton, ``states``, ``letter``,
+    ``col_bits`` and which open cells hold mass, so it is kept in the fold
+    plan table keyed by them; a step that meets a kept plan only looks it up.
     """
     key = (weakref.ref(dfa), tuple(states), letter, tuple(col_bits), (mass[2:] != 0).tobytes())
     plan = _fold_plans.get(key)
@@ -692,8 +693,8 @@ def _fold_plan(
     depends only on the formula and the execution, never on what the
     automaton has cached), and the read-only intp code of every cell,
     ``target row * width + column``.  Successors are looked up only for
-    cells that hold mass, once per row and distinct state bits; a cell
-    without mass goes to the dead row.
+    cells that hold mass, once per row and distinct state bits; a sink
+    successor is its own row, and a cell without mass goes to the dead row.
     """
     width = mass.shape[1]
     open_rows: dict[int, int] = {}  # open successor -> its row
@@ -702,18 +703,13 @@ def _fold_plan(
         q = states[r]
         targets: dict[int, int] = {}  # state bits -> target row, for row r
         for j, m in enumerate(values):
-            target = 0
+            target = DEAD
             if m:
                 bits = col_bits[j]
                 target = targets.get(bits)
                 if target is None:
                     q2 = dfa.transition(q, letter | bits)
-                    if dfa.is_accepting(q2):
-                        target = 1
-                    elif dfa.is_dead(q2):
-                        target = 0
-                    else:
-                        target = open_rows.setdefault(q2, len(open_rows) + 2)
+                    target = q2 if q2 <= ACCEPT else open_rows.setdefault(q2, len(open_rows) + 2)
                     targets[bits] = target
             codes.append(target * width + j)
     codes = np.array(codes, dtype=np.intp)

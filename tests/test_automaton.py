@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtlmon.automaton import (
+    ACCEPT,
+    DEAD,
     Dfa,
     PropAtom,
     dfa_accepts,
@@ -195,6 +197,22 @@ class TestDfaStructure:
                 for letter in range(4):
                     assert dfa.is_accepting(dfa.transition(state, letter))
 
+    def test_sinks_are_states_zero_and_one(self):
+        """Every automaton numbers the empty subset ``DEAD`` and the accept
+        sink ``ACCEPT`` before its initial state, and both are absorbing."""
+        rng = random.Random(31)
+        for _ in range(300):
+            num_props = rng.randint(1, 4)
+            dfa = Dfa(random_prop_formula(rng, num_props), num_props)
+            reachable = dfa.materialize()
+            assert dfa.initial == 2
+            for q in reachable:
+                subset = dfa._subsets[q]
+                assert dfa.is_dead(q) == (q == DEAD) == (subset == frozenset())
+                assert dfa.is_accepting(q) == (q == ACCEPT) == (subset == frozenset({0}))
+            for sink in (DEAD, ACCEPT):
+                assert all(dfa.transition(sink, x) == sink for x in range(1 << num_props))
+
     def test_state_cap(self, monkeypatch):
         phi = And(
             Until(P0, And(P1, Next(And(P0, Next(P1))))),
@@ -273,7 +291,8 @@ class TestExport:
         assert dot == export_dot(dfa, ["ready"])
         assert "doublecircle" in dot
         assert "{ready}" in dot
-        assert dot.count("[shape=circle]") + dot.count("[shape=doublecircle]") == dfa.num_states
+        nodes = dot.count("[shape=circle]") + dot.count("[shape=doublecircle]")
+        assert nodes == len(dfa.materialize())
 
     def test_dot_deterministic_across_query_histories(self):
         fresh = Dfa(Until(P0, P1), 2)

@@ -165,6 +165,23 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("usage: dtlmon") and message in err
 
+    @pytest.mark.parametrize("command", ["check", "sweep", "simulate", "compile"])
+    def test_model_with_casestudy_is_a_usage_error(self, command, tmp_path, capsys):
+        # Each command would otherwise run the bundled study and ignore --model.
+        extra = {
+            "check": ["--trace", str(tmp_path / "t.json")],
+            "sweep": ["--trace", str(tmp_path / "t.json")],
+            "simulate": ["--trials", "1", "--horizon", "1", "--out", str(tmp_path / "out")],
+            "compile": [],
+        }[command]
+        argv = [command, "--model", str(tmp_path / "none.json"), "--casestudy", "mht", *extra]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: dtlmon {command}")
+        assert "argument --casestudy: not allowed with argument --model" in err
+
     @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["sweep", "--help"]])
     def test_help_exits_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
