@@ -77,7 +77,8 @@ class Dfa:
 
     States are dense integers: ``DEAD`` is 0, ``ACCEPT`` is 1 and the initial
     state is 2.  ``transition`` computes and caches successors on demand under
-    a lock, so concurrent acceptance queries are safe.  ``materialize`` forces
+    a lock, so concurrent acceptance queries are safe; a sink is its own
+    successor, returned without a cache entry or the lock.  ``materialize`` forces
     every (state, letter) pair, which is only practical for small proposition
     counts.  ``num_states`` counts both sinks even when one cannot be reached.
     Discovering more than ``STATE_CAP`` states raises ``StateBlowup``.
@@ -218,6 +219,8 @@ class Dfa:
             raise ValueError(f"letter {letter} outside the alphabet")
         if not 0 <= state < len(self._subsets):
             raise ValueError(f"unknown state {state}")
+        if state <= ACCEPT:  # both sinks are absorbing
+            return state
         key = (state, letter)
         hit = self._delta.get(key)
         if hit is not None:

@@ -52,15 +52,22 @@ proposition of its relaxed predicate.  Feasibility feeds it the
 signatures as they are; acceptance overwrites the relaxed bits with the
 hidden state's membership in each atom's set.
 
-The automaton does not depend on the predicates' thresholds.  Compiled
-formulas with equal skeletons share one ``Dfa`` from a weak table keyed
-by (skeleton, proposition count): a threshold sweep builds its automaton
-once, and an automaton lives as long as a cached compiled formula uses
-it.  No result depends on what a shared automaton has discovered, because
-the dynamic program numbers its rows per execution.  An automaton state
-keeps only the ⊆-minimal obligation sets of its subset (an antichain; see
-``automaton``), so deeply nested eventualities and untils do not grow the
-states that a shared automaton keeps.
+The automaton, the set reader and the state bits do not depend on the
+predicates' thresholds.  Compiled formulas share each of them from one
+weak table of shared parts, keyed by what the part is built from: the
+``Dfa`` by (skeleton, proposition count), the ``StateSetReader`` (with its
+incidence per state count) by the ``P(A)`` sets and ``H(F)`` factors in
+column order, and the state bits by the hidden-state classes in bit order
+and the state count.  A threshold sweep builds each part once, and a part
+lives as long as a cached compiled formula uses it.  Step labels depend
+only on the signature, so every formula reads one label per signature
+from a bounded table.  No result depends on this sharing: a shared part
+holds what the formula would build itself, and the dynamic program
+numbers its rows per execution, whatever a shared automaton has
+discovered.  An automaton state keeps only the ⊆-minimal obligation sets
+of its subset (an antichain; see ``automaton``), so deeply nested
+eventualities and untils do not grow the states that a shared automaton
+keeps.
 
 The acceptance program reads a formula only through its automaton, its
 hidden states' bits and the signatures with the relaxed bits cleared.  Its
@@ -180,9 +187,10 @@ class BeliefPredicates:
     The beliefs come stacked in the rows of one array, as
     ``Execution.probs`` keeps them.  One ``StateSetReader`` reads the mass
     of every distinct ``P(A)`` set and the entropy of every distinct
-    ``H(F)`` factor of all rows at once; each expression then runs as a
-    closure over those columns, with ``Callback`` once per row, handed the
-    row as a ``Belief``.  Values agree with ``eval_belief_expr``
+    ``H(F)`` factor of all rows at once; it comes from the shared parts,
+    one per list of sets and factors in column order.  Each expression
+    runs as a closure over those columns, with ``Callback`` once per row,
+    handed the row as a ``Belief``.  Values agree with ``eval_belief_expr``
     on each belief up to the rounding of the reader's sums.  The
     expressions of ``exact_sign`` hold below zero at all, the others only
     ``below_zero``.
@@ -192,7 +200,7 @@ class BeliefPredicates:
         self._sets: dict[frozenset[int], int] = {}
         self._factors: dict[tuple, int] = {}
         self._programs = [self._compile(expr) for expr in exprs]
-        self._reader = StateSetReader(self._sets, self._factors)
+        self._reader = _shared_part(StateSetReader, tuple(self._sets), tuple(self._factors))
         self._exact = np.array([exact_sign(expr) for expr in exprs], dtype=bool)[:, None]
 
     def _compile(self, expr: BeliefExpr):
@@ -244,11 +252,51 @@ class BeliefPredicates:
         ]
 
 
-# Automata shared by every compiled formula with the same skeleton, such as
-# formulas that differ only in belief thresholds.  Held weakly, so an
-# automaton lives exactly as long as a compiled formula uses it.
-_shared_dfas: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_shared_dfas_lock = threading.Lock()
+# The threshold-free parts of compiled formulas, shared by every compiled
+# formula built from the same inputs, such as formulas that differ only in
+# belief thresholds.  Each part is keyed by the arguments it is built from:
+# (skeleton, proposition count) -> ``Dfa``; (``P(A)`` sets, ``H(F)``
+# factors), in column order -> ``StateSetReader``; (hidden-state classes in
+# bit order, state count) -> ``_StateBits``.  No two of these key shapes
+# compare equal.  Held weakly, so a part lives no longer than a compiled
+# formula uses it; ``compile_monitor.cache_clear`` empties the table.
+_shared_parts: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_shared_parts_lock = threading.Lock()
+
+
+def _shared_part(build, *args):
+    """``build(*args)``, kept under ``args`` in the shared parts and built
+    only on first sight; a ``build`` that raises keeps nothing."""
+    with _shared_parts_lock:
+        part = _shared_parts.get(args)
+        if part is None:
+            part = _shared_parts[args] = build(*args)
+    return part
+
+
+class _StateBits:
+    """Per-hidden-state bitmask of the hidden-state classes
+    ``((state set, negated?), bit)`` it satisfies, over ``num_states``
+    states: ``array`` is read-only, of Python ints (a formula may have more
+    than 63 propositions), and ``key`` is the same bits as a tuple, as
+    ``acceptance_probability``'s memo key reads them.  Raises
+    ``ModelError`` when a set holds an index outside ``range(num_states)``.
+    """
+
+    def __init__(self, classes: tuple, num_states: int):
+        # Every state starts with the bits of the negated classes; one pass
+        # over each class's members then sets its bit there, or clears it
+        # for a negated class.
+        row = [sum(1 << bit for (_, negated), bit in classes if negated)] * num_states
+        for (indices, _), bit in classes:
+            if indices and not (min(indices) >= 0 and max(indices) < num_states):
+                raise ModelError("state set out of range")
+            flag = 1 << bit
+            for s in indices:
+                row[s] ^= flag
+        self.key = tuple(row)
+        self.array = np.array(row, dtype=object)
+        self.array.flags.writeable = False
 
 
 class CompiledMonitor:
@@ -265,9 +313,12 @@ class CompiledMonitor:
     feeds it the signatures as they are, so a hidden-state atom reads
     "positive mass"; acceptance clears the relaxed bits (``relaxed_mask``)
     and sets those of the classes the hidden state satisfies
-    (``state_bits``).  The automaton depends only on the propositional
-    skeleton, so compiled formulas with equal skeletons share one unnamed
-    ``Dfa``.
+    (``state_bits``).  None of the automaton, the set reader of
+    ``predicates`` or the state bits depends on a threshold: each is taken
+    from the shared parts, keyed by what it is built from, so formulas that
+    differ only in thresholds share them, and the unnamed ``Dfa`` is
+    shared by every formula with the same propositional skeleton.  A
+    compiled formula holds its parts, so they live as long as it does.
     """
 
     def __init__(self, formula: Formula):
@@ -294,41 +345,29 @@ class CompiledMonitor:
         # ``map_atoms`` meets the atoms left to right, so the walk that
         # builds the skeleton also numbers the propositions.
         skeleton = map_atoms(formula, proposition)
-        self._classes = classes
+        self._classes = tuple(classes.items())
         self.belief_props: tuple[BeliefExpr, ...] = tuple(expr for expr, _ in props)
         self.prop_names: tuple[str, ...] = tuple(
             f"[{belief_expr_text(e)} < 0]" for e in self.belief_props
         )
         self.predicates = BeliefPredicates(self.belief_props)
-        self._state_bits: dict[int, np.ndarray] = {}
-        key = (skeleton, len(props))
-        with _shared_dfas_lock:
-            self.dfa = _shared_dfas.get(key)
-            if self.dfa is None:
-                self.dfa = _shared_dfas[key] = Dfa(skeleton, len(props))
+        self._state_bits: dict[int, _StateBits] = {}
+        self.dfa = _shared_part(Dfa, skeleton, len(props))
 
     def state_bits(self, num_states: int) -> np.ndarray:
         """Per-hidden-state bitmask of the hidden-state propositions it
-        satisfies, computed once per model dimension, as a read-only array
-        of Python ints (a formula may have more than 63 propositions).
-        Raises ``ModelError`` when a set holds an index outside
+        satisfies, as a read-only array of Python ints, shared by every
+        compiled formula with the same classes (``_StateBits``).  Raises
+        ``ModelError`` when a set holds an index outside
         ``range(num_states)``."""
+        return self._bits(num_states).array
+
+    def _bits(self, num_states: int) -> _StateBits:
         bits = self._state_bits.get(num_states)
         if bits is None:
-            # Every state starts with the bits of the negated classes; one
-            # pass over each class's members then sets its bit there, or
-            # clears it for a negated class.
-            row = [sum(1 << bit for (_, negated), bit in self._classes.items() if negated)]
-            row *= num_states
-            for (indices, _), bit in self._classes.items():
-                if indices and not (min(indices) >= 0 and max(indices) < num_states):
-                    raise ModelError("state set out of range")
-                flag = 1 << bit
-                for s in indices:
-                    row[s] ^= flag
-            bits = np.array(row, dtype=object)
-            bits.flags.writeable = False
-            self._state_bits[num_states] = bits
+            bits = self._state_bits[num_states] = _shared_part(
+                _StateBits, self._classes, num_states
+            )
         return bits
 
 
@@ -344,8 +383,10 @@ def compile_monitor(formula: Formula) -> CompiledMonitor:
     """Cached compilation; formulas are immutable so reuse is safe.  The
     cache is bounded, so a long sweep over formulas (or ``Callback``
     formulas, which hash by function identity) does not grow without end.
-    Clearing it also releases the shared automata and empties the fold
-    plans (``_fold_step``), so the next compile starts them cold.  No
+    Clearing it also empties the shared parts (automata, set readers and
+    state bits), the step labels and the fold plans (``_fold_step``), so
+    the next compile starts them all cold; a compiled formula still held
+    elsewhere keeps its own parts.  No
     formula is too deep to hash as a cache key: the nesting bound holds
     when a node is built (``logic.MAX_NESTING``).
     """
@@ -354,6 +395,9 @@ def compile_monitor(formula: Formula) -> CompiledMonitor:
 
 def _cache_clear() -> None:
     _compile_cached.cache_clear()
+    with _shared_parts_lock:
+        _shared_parts.clear()
+    _step_labels.clear()
     _fold_plans.clear()
 
 
@@ -405,11 +449,21 @@ def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
     _check_record(pomdp, exec)
     sigs = comp.predicates.signatures(exec.probs)
     ok = dfa_accepts(comp.dfa, sigs)
-    label = {
-        sig: frozenset([j for j, bit in enumerate(bin(sig)[:1:-1]) if bit == "1"])
-        for sig in set(sigs)
-    }
-    return ok, tuple(label[sig] for sig in sigs), sigs
+    return ok, tuple(map(_step_label, sigs)), sigs
+
+
+# Step labels: signature -> the frozenset of its bits, one object per
+# signature for every formula, sized by its length + 1.
+_step_labels = model._BoundedTable()
+
+
+def _step_label(sig: RegionSignature) -> frozenset[int]:
+    """The belief propositions set in ``sig``, kept in the label table."""
+    label = _step_labels.get(sig)
+    if label is None:
+        label = frozenset([j for j, bit in enumerate(bin(sig)[:1:-1]) if bit == "1"])
+        label = _step_labels.keep(sig, label, len(label) + 1, model.STEP_TABLE_CELLS)
+    return label
 
 
 # -- smoothing ------------------------------------------------------------------
@@ -577,13 +631,13 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
 
     # A hidden-state atom reads its state bit, not its relaxed predicate.
     keep = ~comp.relaxed_mask
-    sbits = comp.state_bits(pomdp.num_states)
+    bits = comp._bits(pomdp.num_states)
     letters = tuple(sig & keep for sig in sigs)
     results = _dp_memo.setdefault(exec, {})
-    key = (weakref.ref(pomdp), weakref.ref(comp.dfa), tuple(sbits.tolist()), letters)
+    key = (weakref.ref(pomdp), weakref.ref(comp.dfa), bits.key, letters)
     result = results.get(key)
     if result is None:
-        result = results[key] = _acceptance_dp(pomdp, exec, comp.dfa, letters, sbits)
+        result = results[key] = _acceptance_dp(pomdp, exec, comp.dfa, letters, bits.array)
     probability, dp_pairs, paths = result
     diagnostics.update(dp_pairs=dp_pairs, consistent_paths=paths)
     return MonitorReport(True, probability, labels, diagnostics)

@@ -22,7 +22,7 @@ from dtlmon.automaton import (
 from dtlmon.cli import EXIT_OK, main
 from dtlmon.errors import StateBlowup
 from dtlmon.logic import And, BeliefAtom, Callback, Eventually, Next, Or, Until, parse_formula
-from dtlmon.monitor import CompiledMonitor, _shared_dfas, compile_monitor
+from dtlmon.monitor import CompiledMonitor, _shared_parts, compile_monitor
 from dtlmon.studies import build_rescue
 
 from helpers import random_letter_word, random_prop_formula, tiny_two_state
@@ -169,7 +169,7 @@ def _fresh_dfa(formula):
     """A new automaton over the formula's skeleton, shared with no compiled
     formula."""
     shared = compile_monitor(formula).dfa
-    skeleton, num_props = next(key for key, dfa in _shared_dfas.items() if dfa is shared)
+    skeleton, num_props = next(key for key, dfa in _shared_parts.items() if dfa is shared)
     return Dfa(skeleton, num_props)
 
 
@@ -212,6 +212,30 @@ class TestDfaStructure:
                 assert dfa.is_accepting(q) == (q == ACCEPT) == (subset == frozenset({0}))
             for sink in (DEAD, ACCEPT):
                 assert all(dfa.transition(sink, x) == sink for x in range(1 << num_props))
+
+    def test_sinks_answer_without_a_cache_entry(self):
+        # p0 U p1 over 12 propositions: a letter without p0 or p1 kills the
+        # run, and one with p1 accepts it.
+        dfa = Dfa(Until(P0, P1), 12)
+        rng = random.Random(32)
+        letters = rng.sample(range(1 << 12), 500)
+        for first, sink in ((0, DEAD), (2, ACCEPT)):
+            state = dfa.transition(dfa.initial, first)
+            assert state == sink
+            for letter in letters:
+                state = dfa.transition(state, letter)
+                assert state == sink
+        assert dfa._delta
+        assert not [key for key in dfa._delta if key[0] < 2]
+
+    def test_a_sink_still_checks_its_letter(self):
+        dfa = Dfa(Until(P0, P1), 2)
+        for sink in (DEAD, ACCEPT):
+            with pytest.raises(ValueError, match="outside the alphabet"):
+                dfa.transition(sink, 4)
+            with pytest.raises(ValueError, match="outside the alphabet"):
+                dfa.transition(sink, -1)
+        assert not dfa._delta
 
     def test_state_cap(self, monkeypatch):
         phi = And(

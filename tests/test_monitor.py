@@ -49,7 +49,7 @@ from dtlmon.monitor import (
     CompiledMonitor,
     _dp_memo,
     _fold_plans,
-    _shared_dfas,
+    _shared_parts,
     acceptance_probability,
     compile_monitor,
     acceptance_probability_oracle,
@@ -773,7 +773,8 @@ class TestPathCounts:
 
 
 class TestSharedAutomata:
-    """Formulas that differ only in belief thresholds share their automata."""
+    """Formulas that differ only in belief thresholds share their automata,
+    set readers, state bits and step labels."""
 
     @pytest.fixture(scope="class")
     def variants(self):
@@ -819,9 +820,172 @@ class TestSharedAutomata:
     def test_cache_clear_releases_shared_automata(self, variants):
         _, near, far, _ = variants
         compile_monitor(near), compile_monitor(far), compile_monitor(Eventually(near))
-        assert len(_shared_dfas) >= 2
+        assert len(_shared_parts) >= 2
         compile_monitor.cache_clear()
-        assert len(_shared_dfas) == 0
+        assert len(_shared_parts) == 0
+
+    def test_threshold_variants_share_reader_and_state_bits(self, variants):
+        pomdp, near, far, executions = variants
+        a, b = compile_monitor(near), compile_monitor(far)
+        assert a.predicates._reader is b.predicates._reader
+        assert a.state_bits(64) is b.state_bits(64)
+        one, swapped, other = (
+            compile_monitor(parse_formula(text, pomdp))
+            for text in (
+                "F ([0.5 < P(surv1)] & [0.5 < P(surv2)] & in(room1) & in(carrying))",
+                "F ([0.5 < P(surv2)] & [0.5 < P(surv1)] & in(carrying) & in(room1))",
+                "F ([0.5 < P(surv1)] & [0.5 < P(unsafe2)] & in(room1) & in(room2))",
+            )
+        )
+        comps = (a, one, swapped, other)
+        assert len({id(c.predicates._reader) for c in comps}) == 4
+        assert len({id(c.state_bits(64)) for c in comps}) == 4
+        # The same sets met in another order are other columns and bits.
+        columns = [c.predicates._reader.columns for c in (one, swapped)]
+        assert set(columns[0]) == set(columns[1]) and columns[0] != columns[1]
+        assert one.state_bits(64).tolist() != swapped.state_bits(64).tolist()
+        # Equal signatures get one label object, whichever formula met them.
+        labels = [
+            label
+            for formula in (near, far)
+            for e in executions
+            for label in acceptance_probability(pomdp, formula, e).step_labels
+        ]
+        assert len({id(label) for label in labels}) == len(set(labels))
+
+    def test_threshold_draws_build_reader_and_state_bits_once(self, variants, monkeypatch):
+        pomdp, _, _, executions = variants
+        built = []
+
+        class CountedReader(monitor_module.StateSetReader):
+            def __init__(self, *args):
+                built.append("reader")
+                super().__init__(*args)
+
+        class CountedBits(monitor_module._StateBits):
+            def __init__(self, *args):
+                built.append("bits")
+                super().__init__(*args)
+
+        monkeypatch.setattr(monitor_module, "StateSetReader", CountedReader)
+        monkeypatch.setattr(monitor_module, "_StateBits", CountedBits)
+        compile_monitor.cache_clear()
+        rng = random.Random(30)
+        comps = set()
+        for _ in range(30):
+            params = RescueParams(
+                p1=round(rng.uniform(0.80, 0.97), 3),
+                p2=round(rng.uniform(0.10, 0.45), 3),
+                h1=round(rng.uniform(0.20, 0.60), 3),
+                h2=round(rng.uniform(0.20, 0.60), 3),
+            )
+            formula = build_rescue(params)[1]
+            for e in executions:
+                acceptance_probability(pomdp, formula, e)
+            comps.add(compile_monitor(formula))
+            compile_monitor(formula).state_bits(pomdp.num_states)
+        assert len(comps) == 30
+        assert sorted(built) == ["bits", "reader"]
+        compile_monitor.cache_clear()
+
+    def test_cache_clear_empties_every_shared_table(self, variants):
+        pomdp, near, far, executions = variants
+        held = compile_monitor(near)
+        for formula in (near, far):
+            for e in map(_copy, executions):
+                acceptance_probability(pomdp, formula, e)
+        assert len(_shared_parts) >= 3
+        assert len(monitor_module._step_labels) and len(_fold_plans)
+        compile_monitor.cache_clear()
+        assert len(_shared_parts) == 0
+        assert len(monitor_module._step_labels) == 0 == monitor_module._step_labels.cells
+        assert len(_fold_plans) == 0
+        # A formula still held keeps its parts; a new compile builds its own.
+        fresh = compile_monitor(near)
+        assert fresh is not held
+        assert fresh.dfa is not held.dfa
+        assert fresh.predicates._reader is not held.predicates._reader
+        assert fresh.state_bits(64) is not held.state_bits(64)
+        assert fresh.state_bits(64).tolist() == held.state_bits(64).tolist()
+
+    def test_an_out_of_range_set_is_never_kept(self, variants):
+        _, near, _, _ = variants
+        comp = compile_monitor(near)
+        reader = comp.predicates._reader
+        for _ in range(3):
+            with pytest.raises(ModelError, match="out of range"):
+                comp.state_bits(8)
+            with pytest.raises(ModelError, match="out of range"):
+                comp.predicates.values(np.full((2, 8), 1 / 8))
+        assert 8 not in comp._state_bits
+        assert (comp._classes, 8) not in _shared_parts
+        assert 8 not in reader._matrices
+        assert comp.state_bits(64).shape == (64,)
+
+    def test_threads_compiling_variants_get_the_serial_reports(self, variants):
+        pomdp, _, _, executions = variants
+        rng = random.Random(44)
+        formulas = [
+            build_rescue(
+                RescueParams(
+                    p1=round(rng.uniform(0.80, 0.97), 3),
+                    p2=round(rng.uniform(0.10, 0.45), 3),
+                    h1=round(rng.uniform(0.20, 0.60), 3),
+                    h2=round(rng.uniform(0.20, 0.60), 3),
+                )
+            )[1]
+            for _ in range(6)
+        ]
+
+        def run(_):
+            return [
+                _verdict(acceptance_probability(pomdp, f, e))
+                for e in map(_copy, executions)
+                for f in formulas
+            ]
+
+        compile_monitor.cache_clear()
+        serial = run(None)
+        compile_monitor.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(run, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [serial] * 4
+        comps = [compile_monitor(f) for f in formulas]
+        for part in (
+            lambda c: c.dfa,
+            lambda c: c.predicates._reader,
+            lambda c: c.state_bits(pomdp.num_states),
+        ):
+            assert len({id(part(c)) for c in comps}) == 1
+
+
+class TestStepLabels:
+    """One label per signature, kept in a bounded table."""
+
+    @given(st.integers(0, 2**80 - 1))
+    def test_label_is_the_set_of_signature_bits(self, sig):
+        label = monitor_module._step_label(sig)
+        assert label == frozenset(j for j in range(80) if sig >> j & 1)
+        assert monitor_module._step_label(sig) is label
+
+    @settings(max_examples=30)
+    @given(st.lists(st.integers(0, 2**80 - 1), min_size=1, max_size=300, unique=True))
+    def test_a_burst_of_signatures_stays_within_the_budget(self, sigs):
+        labels = monitor_module._step_labels
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "STEP_TABLE_CELLS", 64)
+            labels.clear()
+            for sig in sigs:
+                label = monitor_module._step_label(sig)
+                assert label == frozenset(j for j in range(80) if sig >> j & 1)
+                assert labels.cells <= 64
+                assert labels.cells == sum(len(kept) + 1 for kept in labels.values())
+        labels.clear()
 
 
 def _copy(execution: Execution) -> Execution:
