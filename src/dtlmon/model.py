@@ -33,7 +33,8 @@ SUM_TOL = 1e-9
 # restricted steps (``Pomdp.restricted_step``) only while ``A·O·n²`` is at
 # most this large, and then at most ``A·O·n²`` cells of them.  The monitor's
 # fold plans (``monitor._fold_step``), shared by all models, total at most
-# this many codes.
+# this many codes, and its step labels (``monitor._step_label``) at most this
+# many 8-byte cells.
 STEP_TABLE_CELLS = 1 << 18
 
 
@@ -332,9 +333,10 @@ class Pomdp:
         ``live``: the ascending states ``next_live`` it reaches from them
         with positive likelihood, the ``live × next_live`` block ``[s, s2]``
         of ``trans_mat[action, s, s2] * obs_mat[action, s2, obs]``, and its
-        support, all read-only and the support as int64.  The indices must
-        be integers in range.  A result is kept in the model's block table
-        once per live set, whatever its integer dtype.
+        support, all read-only and the support as float64 0/1 entries, so
+        the monitor's path counts advance by a BLAS product.  The indices
+        must be integers in range.  A result is kept in the model's block
+        table once per live set, whatever its integer dtype.
         """
         key = (action, obs, live.tobytes())
         block = self._blocks.get(key)
@@ -346,7 +348,8 @@ class Pomdp:
         rows *= self.obs_mat[action][:, obs]
         next_live = rows.any(axis=0).nonzero()[0]
         rows = rows.take(next_live, axis=1)
-        block = (_read_only(next_live), _read_only(rows), _read_only((rows != 0).astype(np.int64)))
+        support = (rows != 0).astype(np.float64)
+        block = (_read_only(next_live), _read_only(rows), _read_only(support))
         budget = self._table_cells if self._table_cells <= STEP_TABLE_CELLS else 0
         return self._blocks.keep(key, block, rows.size, budget)
 
@@ -573,7 +576,7 @@ def _bayes_step(
     """``bayes_update`` of the pmf ``probs``, written into ``out`` if given;
     the caller has checked the indices."""
     posterior = (probs @ pomdp.trans_mat[action]) * pomdp.obs_mat[action, :, obs]
-    norm = float(posterior.sum())
+    norm = float(np.add.reduce(posterior))
     if norm <= 0.0:
         raise ZeroLikelihood(
             f"observation {pomdp.observations[obs]!r} has zero likelihood after "

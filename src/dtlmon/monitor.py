@@ -29,17 +29,22 @@ meets a kept triple only looks it up.  The fold is a plan and a sum: the
 plan gives every cell its successor's row, looked up only for cells with
 mass, once per row and distinct hidden-state bits, and one ``bincount``
 sums the mass by it.  A plan depends only on the automaton, its open
-states, the letter, the columns' hidden-state bits and which open cells
+states, the letter, the formula's hidden-state bits, the live states (the
+columns' bits are the former taken at the latter) and which open cells
 hold mass, so one bounded table keeps the plans by those, and a repeated
-fold only looks its plan up.  The table holds each automaton by weak
-reference, and ``compile_monitor.cache_clear`` empties it.  The accept row's
-share of the final mass is the probability under the smoothed posterior:
-exactly 1.0 when every consistent path accepts and 0.0 when none does.
-Consistent hidden paths are counted exactly alongside: each column's count
-is a column of base-2^31 int64 limbs, advanced by one small integer matmul
-with the step's support, and joined into one Python integer at the end.  A
-brute-force enumeration oracle over the smoothed chain built from backward
-likelihoods (another factorization of the same posterior) cross-checks it.
+fold only looks its plan up.  A plan also knows how many open cells hold
+mass after its fold, the ``dp_pairs`` diagnostic.  The table holds each
+automaton and each set of state bits by weak reference, and
+``compile_monitor.cache_clear`` empties it.  The accept row's share of the
+final mass is the probability under the smoothed posterior: exactly 1.0
+when every consistent path accepts and 0.0 when none does.  Consistent
+hidden paths are counted exactly alongside: each column's count is a
+column of base-2^31 limbs held as integral float64 values, advanced by one
+BLAS product with the step's support, carried before any sum could pass
+2^53 (below which every integer is exact in binary64, in any order of
+addition), and joined into one Python integer at the end.  A brute-force
+enumeration oracle over the smoothed chain built from backward likelihoods
+(another factorization of the same posterior) cross-checks it.
 
 Both stages read the same per-step belief-predicate signatures, computed
 once per execution by the formula's compiled ``BeliefPredicates`` from the
@@ -94,6 +99,7 @@ feasibility never rejects a run for a real but tiny mass.
 from __future__ import annotations
 
 import operator
+import sys
 import threading
 import weakref
 from collections.abc import Iterable, Mapping, Sequence
@@ -279,7 +285,8 @@ class _StateBits:
     ``((state set, negated?), bit)`` it satisfies, over ``num_states``
     states: ``array`` is read-only, of Python ints (a formula may have more
     than 63 propositions), and ``key`` is the same bits as a tuple, as
-    ``acceptance_probability``'s memo key reads them.  Raises
+    ``acceptance_probability``'s memo key reads them.  Fold plans
+    (``_fold_step``) are keyed by a weak reference to the object.  Raises
     ``ModelError`` when a set holds an index outside ``range(num_states)``.
     """
 
@@ -453,7 +460,8 @@ def _feasibility(comp: CompiledMonitor, pomdp: Pomdp, exec: Execution):
 
 
 # Step labels: signature -> the frozenset of its bits, one object per
-# signature for every formula, sized by its length + 1.
+# signature for every formula, sized in 8-byte cells by the frozenset's
+# bytes, plus one for the rest of the entry.
 _step_labels = model._BoundedTable()
 
 
@@ -462,7 +470,8 @@ def _step_label(sig: RegionSignature) -> frozenset[int]:
     label = _step_labels.get(sig)
     if label is None:
         label = frozenset([j for j, bit in enumerate(bin(sig)[:1:-1]) if bit == "1"])
-        label = _step_labels.keep(sig, label, len(label) + 1, model.STEP_TABLE_CELLS)
+        size = sys.getsizeof(label) // 8 + 1
+        label = _step_labels.keep(sig, label, size, model.STEP_TABLE_CELLS)
     return label
 
 
@@ -607,16 +616,18 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     the model's restricted step for its (action, observation) pair and the
     live states (``Pomdp.restricted_step``): the next live states, the
     live-to-next block of the step's likelihoods and its support.  The fold
-    runs a plan of target rows, kept per (automaton, open states, letter,
-    column bits, cells with mass) in the fold plan table; a plan is made by
-    looking each row's successors up once per distinct hidden-state bits.
-    The result is the accepted share of the final mass: exactly 1.0 when
-    every consistent path accepts, 0.0 when none does.  The exact number of
-    consistent hidden paths (``consistent_paths``) rides along as int64
-    limbs, one matmul with the step's support per step; carries propagate
-    only when a limb could pass 2^56.  Raises ``AllZero`` at the first
-    step that leaves no hidden state consistent with the record, on every
-    call.
+    runs a plan of target rows, kept per (automaton, state bits, open
+    states, letter, live states, cells with mass) in the fold plan table; a
+    plan is made by looking each row's successors up once per distinct
+    hidden-state bits, and gives the step's occupied open cells
+    (``dp_pairs``).  The result is the accepted share of the final mass:
+    exactly 1.0 when every consistent path accepts, 0.0 when none does.
+    The exact number of consistent hidden paths (``consistent_paths``)
+    rides along as integral float64 limbs, one BLAS product with the step's
+    support per step; carries propagate only when a limb could pass 2^53,
+    and the final limbs are summed as integers.  Raises ``AllZero`` at the
+    first step that leaves no hidden state consistent with the record, on
+    every call.
 
     Formulas that share an automaton, state bits and letters (the
     signatures with the relaxed bits cleared) on one execution and model
@@ -637,14 +648,14 @@ def acceptance_probability(pomdp: Pomdp, formula: Formula, exec: Execution) -> M
     key = (weakref.ref(pomdp), weakref.ref(comp.dfa), bits.key, letters)
     result = results.get(key)
     if result is None:
-        result = results[key] = _acceptance_dp(pomdp, exec, comp.dfa, letters, bits.array)
+        result = results[key] = _acceptance_dp(pomdp, exec, comp.dfa, letters, bits)
     probability, dp_pairs, paths = result
     diagnostics.update(dp_pairs=dp_pairs, consistent_paths=paths)
     return MonitorReport(True, probability, labels, diagnostics)
 
 
 def _acceptance_dp(
-    pomdp: Pomdp, exec: Execution, dfa: Dfa, letters: Sequence[int], sbits: np.ndarray
+    pomdp: Pomdp, exec: Execution, dfa: Dfa, letters: Sequence[int], bits: _StateBits
 ) -> tuple[float, int, int]:
     """The dynamic program of ``acceptance_probability`` over the belief
     letters with the relaxed bits cleared: the accepted share of the final
@@ -654,13 +665,14 @@ def _acceptance_dp(
     # (``live``).  ``counts[k, j]`` is limb k of column j's exact number of
     # paths, in base 2^31; ``bound`` caps every limb.
     live = np.flatnonzero(pomdp.prior.probs)
-    counts = np.ones((1, len(live)), dtype=np.int64)
+    counts = np.ones((1, len(live)))
     bound = 1
     # Rows DEAD and ACCEPT are the automaton's sinks, row r + 2 open automaton
     # state ``states[r]``.  Step 0 moves the prior's mass on the first letter.
-    mass = np.vstack((np.zeros((2, len(live))), pomdp.prior.probs.take(live)))
-    states, mass = _fold_step(dfa, (dfa.initial,), letters[0], sbits.take(live).tolist(), mass)
-    dp_pairs = int(np.count_nonzero(mass[2:]))
+    mass = np.zeros((3, len(live)))
+    mass[2] = pomdp.prior.probs.take(live)
+    refs = (weakref.ref(dfa), weakref.ref(bits))
+    states, mass, dp_pairs = _fold_step(refs, (dfa.initial,), letters[0], live, mass)
 
     for i, (a, o) in enumerate(zip(exec.actions, exec.observations)):
         live, rows, adj = pomdp.restricted_step(a, o, live)
@@ -670,89 +682,105 @@ def _acceptance_dp(
         counts = counts @ adj
         bound *= len(adj)
         mass = mass @ rows
-        total = mass.sum()
+        total = np.add.reduce(mass, None)
         if not total:
             raise AllZero("the recorded run is impossible under the model")
         mass /= total
-        states, mass = _fold_step(dfa, states, letters[i + 1], sbits.take(live).tolist(), mass)
-        dp_pairs += int(np.count_nonzero(mass[2:]))
+        states, mass, pairs = _fold_step(refs, states, letters[i + 1], live, mass)
+        dp_pairs += pairs
 
     # After a carry pass every limb is below 2^32, so each limb's sum over
     # the columns fits an int64.
     counts, _ = _carry(counts, bound)
-    paths = sum(limb << (_LIMB_BITS * k) for k, limb in enumerate(counts.sum(axis=1).tolist()))
+    limbs = counts.astype(np.int64).sum(axis=1).tolist()
+    paths = sum(limb << (_LIMB_BITS * k) for k, limb in enumerate(limbs))
     accepted, rest = mass[ACCEPT].sum(), mass[DEAD].sum() + mass[2:].sum()
     return float(accepted / (accepted + rest)), dp_pairs, paths
 
 
-# Path counts are int64 limbs of ``_LIMB_BITS`` bits.  Carries propagate only
-# when a step could lift a limb past ``_LIMB_CAP``, which leaves int64 room to
-# spare for the step's sums.
+# Path counts are float64 limbs of ``_LIMB_BITS`` bits, each an integer.
+# Carries propagate only when a step could lift a limb past ``_LIMB_CAP``:
+# every integer up to 2^53 is exact in binary64, so each partial sum of the
+# step's product is exact in any order.
 _LIMB_BITS = 31
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-_LIMB_CAP = 1 << 56
+_LIMB_BASE = float(1 << _LIMB_BITS)
+_LIMB_CAP = 1 << 53
 
 
 def _carry(counts: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     """One carry pass over the limb rows of ``counts``, each limb at most
     ``bound``: every limb keeps its low bits and adds the high bits of the
-    limb below, with a new top row when the top limb overflows.  Returns
-    the counts and the new bound on their limbs."""
-    high = counts >> _LIMB_BITS
-    counts = counts & _LIMB_MASK
+    limb below, with a new top row when the top limb overflows.  The split
+    is exact: dividing by a power of two, ``floor`` and the subtraction all
+    give integers below 2^53.  Returns the counts and the new bound on
+    their limbs."""
+    high = np.floor(counts / _LIMB_BASE)
+    counts = counts - high * _LIMB_BASE
     counts[1:] += high[:-1]
     if high[-1].any():
         counts = np.vstack((counts, high[-1:]))
-    return counts, _LIMB_MASK + (bound >> _LIMB_BITS)
+    return counts, (1 << _LIMB_BITS) - 1 + (bound >> _LIMB_BITS)
 
 
-# Fold plans: (weak reference to the automaton, open states, letter, column
-# bits, support of the open rows) -> (open successors, read-only intp codes),
-# sized by their codes.  A plan holds automaton state ids, which are stable
-# for the automaton's lifetime, and a dead automaton's weak reference equals
-# only itself.
+# Fold plans: (weak references to the automaton and to the state bits, open
+# states, letter, live states, support of the open rows) -> (open
+# successors, read-only intp codes, occupied open cells after the fold),
+# sized by their codes.  The column bits are the state bits taken at the
+# live states, so the key determines them.  A plan holds automaton state
+# ids, which are stable for the automaton's lifetime, and a dead object's
+# weak reference equals only itself.
 _fold_plans = model._BoundedTable()
 
 
 def _fold_step(
-    dfa: Dfa, states: Sequence[int], letter: int, col_bits: Sequence[int], mass: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray]:
+    refs: tuple, states: tuple[int, ...], letter: int, live: np.ndarray, mass: np.ndarray
+) -> tuple[tuple[int, ...], np.ndarray, int]:
     """Move one step's mass through the automaton.
 
-    Rows 0 and 1 of ``mass`` are automaton states ``DEAD`` and ``ACCEPT``,
-    whose mass stays put; row r + 2 is open automaton state ``states[r]``.
-    Column j reads ``letter`` joined with the state bits ``col_bits[j]``.
-    Returns the open successor states and the moved mass in the same
-    layout, one ``bincount`` over the fold plan's codes (``_fold_plan``).
-    The plan depends only on the automaton, ``states``, ``letter``,
-    ``col_bits`` and which open cells hold mass, so it is kept in the fold
-    plan table keyed by them; a step that meets a kept plan only looks it up.
+    ``refs`` holds weak references to the automaton and to the formula's
+    ``_StateBits``, both kept alive by the caller.  Rows 0 and 1 of
+    ``mass`` are automaton states ``DEAD`` and ``ACCEPT``, whose mass stays
+    put; row r + 2 is open automaton state ``states[r]``.  Column j is
+    hidden state ``live[j]`` and reads ``letter`` joined with its state
+    bits.  Returns the open successor states, the moved mass in the same
+    layout, one ``bincount`` over the fold plan's codes (``_fold_plan``),
+    and the number of open cells that hold mass after the move.  The plan
+    depends only on the automaton, the state bits, ``states``, ``letter``,
+    ``live`` and which open cells hold mass, so it is kept in the fold
+    plan table keyed by them; a step that meets a kept plan only looks it
+    up.
     """
-    key = (weakref.ref(dfa), tuple(states), letter, tuple(col_bits), (mass[2:] != 0).tobytes())
+    key = (*refs, states, letter, live.tobytes(), (mass[2:] != 0).tobytes())
     plan = _fold_plans.get(key)
     if plan is None:
-        plan = _fold_plan(dfa, states, letter, col_bits, mass)
+        dfa, bits = refs[0](), refs[1]()
+        plan = _fold_plan(dfa, states, letter, bits.array.take(live).tolist(), mass)
         plan = _fold_plans.keep(key, plan, plan[1].size, model.STEP_TABLE_CELLS)
-    successors, codes = plan
+    successors, codes, pairs = plan
     height, width = len(successors) + 2, mass.shape[1]
     out = np.bincount(codes, weights=mass.ravel(), minlength=height * width)
-    return successors, out.reshape(height, width)
+    return successors, out.reshape(height, width), pairs
 
 
 def _fold_plan(
     dfa: Dfa, states: Sequence[int], letter: int, col_bits: Sequence[int], mass: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray]:
+) -> tuple[tuple[int, ...], np.ndarray, int]:
     """The layout of ``_fold_step``: the open successor states, numbered in
     the order their first cell is met in a row-major scan (so the order
     depends only on the formula and the execution, never on what the
-    automaton has cached), and the read-only intp code of every cell,
-    ``target row * width + column``.  Successors are looked up only for
-    cells that hold mass, once per row and distinct state bits; a sink
-    successor is its own row, and a cell without mass goes to the dead row.
+    automaton has cached), the read-only intp code of every cell,
+    ``target row * width + column``, and the number of distinct open-row
+    codes of the cells with mass.  Each of those open cells of the moved
+    mass is a sum of positive floats, so the number counts exactly the
+    open cells that hold mass after the fold.  Successors are looked up
+    only for cells that hold mass, once per row and distinct state bits; a
+    sink successor is its own row, and a cell without mass goes to the
+    dead row.
     """
     width = mass.shape[1]
     open_rows: dict[int, int] = {}  # open successor -> its row
     codes = list(range(2 * width))  # the sinks keep their cells
+    occupied = set()  # the open-row codes of cells with mass
     for r, values in enumerate(mass[2:].tolist()):
         q = states[r]
         targets: dict[int, int] = {}  # state bits -> target row, for row r
@@ -765,10 +793,12 @@ def _fold_plan(
                     q2 = dfa.transition(q, letter | bits)
                     target = q2 if q2 <= ACCEPT else open_rows.setdefault(q2, len(open_rows) + 2)
                     targets[bits] = target
+                if target > ACCEPT:
+                    occupied.add(target * width + j)
             codes.append(target * width + j)
     codes = np.array(codes, dtype=np.intp)
     codes.flags.writeable = False
-    return tuple(open_rows), codes
+    return tuple(open_rows), codes, len(occupied)
 
 
 DEFAULT_ORACLE_CAP = 100_000_000

@@ -30,6 +30,7 @@ from dtlmon.model import (
     simulate,
 )
 from dtlmon.automaton import PropAtom
+from dtlmon.monitor import compile_monitor
 
 # Bit-exact pins (the checked-in output digest, the rescue study means)
 # depend on float results of BLAS matrix products, and OpenBLAS picks its
@@ -398,3 +399,41 @@ def incidence_referee(columns, num_states: int) -> np.ndarray:
             raise ModelError("state set out of range")
         matrix[idx, j] = 1.0
     return matrix
+
+
+def occupied_cells_referee(pomdp: Pomdp, formula, execution: Execution) -> int:
+    """Reference for the ``dp_pairs`` diagnostic: the acceptance DP's mass in
+    a dict over (hidden state, automaton state) cells, moved one product
+    term at a time and divided by its total each step, then each cell with
+    mass fed its letter.  Returns the number of cells with mass whose
+    automaton state is neither dead nor accepting after each step's letter,
+    summed over the steps.  A cell whose mass underflows to 0.0 is not
+    counted, although the record allows its hidden state."""
+    comp = compile_monitor(formula)
+    dfa = comp.dfa
+    letters = [sig & ~comp.relaxed_mask for sig in comp.predicates.signatures(execution.probs)]
+    sbits = comp.state_bits(pomdp.num_states).tolist()
+
+    def is_open(q) -> bool:
+        return not (dfa.is_dead(q) or dfa.is_accepting(q))
+
+    def feed(cells: dict, letter: int) -> tuple[dict, int]:
+        fed: dict = {}
+        for (s, q), m in cells.items():
+            if m and is_open(q):
+                q = dfa.transition(q, letter | sbits[s])
+            fed[s, q] = fed.get((s, q), 0.0) + m
+        return fed, sum(1 for (_, q), m in fed.items() if m and is_open(q))
+
+    prior = pomdp.prior.probs
+    cells, occupied = feed({(s, dfa.initial): prior[s] for s in np.flatnonzero(prior)}, letters[0])
+    for i, (a, o) in enumerate(zip(execution.actions, execution.observations)):
+        step = pomdp.trans_mat[a] * pomdp.obs_mat[a][:, o]
+        moved: dict = {}
+        for (s, q), m in cells.items():
+            for s2 in np.flatnonzero(step[s]).tolist():
+                moved[s2, q] = moved.get((s2, q), 0.0) + m * step[s, s2]
+        total = sum(moved.values())
+        cells, count = feed({cell: m / total for cell, m in moved.items()}, letters[i + 1])
+        occupied += count
+    return occupied

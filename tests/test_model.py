@@ -902,7 +902,7 @@ class TestStepTable:
     def _check_every_block(self, pomdp) -> int:
         """Take every step from every live set and compare it with the
         product of the dynamics, bit for bit, whether the model keeps it or
-        not: every result is read-only, with an int64 support.  Return how
+        not: every result is read-only, with a float64 support.  Return how
         many steps reach a state."""
         reaching = 0
         for a in range(pomdp.num_actions):
@@ -917,7 +917,7 @@ class TestStepTable:
                     assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
                     assert rows.flags.c_contiguous
                     np.testing.assert_array_equal(adj, support.take(live, axis=0).take(want, axis=1))
-                    assert adj.dtype == np.int64
+                    assert adj.dtype == np.float64
                     assert not any(x.flags.writeable for x in (next_live, rows, adj))
                     kept = pomdp._blocks.get((a, o, live.tobytes()))
                     if kept is not None:
@@ -931,12 +931,12 @@ class TestStepTable:
             random_pomdp(random.Random(seed), max_states=4, max_actions=3, max_obs=3)
         )
 
-    def test_kept_blocks_are_read_only_with_int64_support(self):
+    def test_kept_blocks_are_read_only_with_float64_support(self):
         pomdp = grid_walk(3)
         live = np.flatnonzero(pomdp.prior.probs)
         first = pomdp.restricted_step(0, 0, live)
         assert set(pomdp._blocks) == {(0, 0, live.tobytes())}
-        assert first[2].dtype == np.int64
+        assert first[2].dtype == np.float64
         assert not any(x.flags.writeable for x in first)
         again = pomdp.restricted_step(0, 0, live.copy())
         assert all(x is y for x, y in zip(first, again))

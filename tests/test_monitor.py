@@ -2,18 +2,20 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 import re
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dtlmon import model as model_module
@@ -47,6 +49,9 @@ from dtlmon.model import (
 )
 from dtlmon.monitor import (
     CompiledMonitor,
+    _LIMB_BITS,
+    _LIMB_CAP,
+    _carry,
     _dp_memo,
     _fold_plans,
     _shared_parts,
@@ -74,6 +79,7 @@ from dtlmon.studies import (
 
 from helpers import (
     grid_walk,
+    occupied_cells_referee,
     random_cosafe_formula,
     random_execution,
     random_pomdp,
@@ -730,8 +736,65 @@ class TestStepTable:
         assert sum(report["diagnostics"]["dp_pairs"] > 0 for report, _ in cached) >= 30
 
 
+@st.composite
+def _limb_steps(draw):
+    """A bound, limb rows of ``counts`` at most that bound, and a 0/1 step
+    support with one row per column of ``counts``."""
+    bound = draw(st.integers(1, _LIMB_CAP))
+    width, rows, targets = (draw(st.integers(1, k)) for k in (6, 3, 4))
+
+    def grid(values, height, length):
+        return st.lists(
+            st.lists(values, min_size=length, max_size=length), min_size=height, max_size=height
+        )
+
+    limbs = draw(grid(st.integers(0, bound), rows, width))
+    adj = draw(grid(st.integers(0, 1), width, targets))
+    return bound, limbs, adj
+
+
+def _limb_values(limbs) -> list[int]:
+    """Each column's integer from its float limbs, checked to be integers."""
+    assert all(float(x).is_integer() for row in limbs for x in row)
+    return [
+        sum(int(limb) << (_LIMB_BITS * k) for k, limb in enumerate(column))
+        for column in zip(*limbs)
+    ]
+
+
 class TestPathCounts:
     """``consistent_paths`` is exact however far it passes the int64 range."""
+
+    @given(_limb_steps())
+    @example((_LIMB_CAP, [[_LIMB_CAP, 0], [3, _LIMB_CAP]], [[1], [1]]))
+    def test_float_carry_keeps_every_count(self, step):
+        bound, limbs, _ = step
+        counts, new_bound = _carry(np.array(limbs, dtype=float), bound)
+        assert counts.dtype == np.float64
+        assert _limb_values(counts.tolist()) == _limb_values(limbs)
+        assert 0 <= counts.min() and counts.max() <= new_bound < 2**32
+
+    @given(_limb_steps())
+    # Four columns of 2^51 into one: the step's sum lands exactly on 2^53,
+    # the cap, with no carry before it.
+    @example((2**51, [[2**51] * 4], [[1]] * 4))
+    @example((2**51, [[2**51] * 4, [2**51 - 1] * 4], [[1, 0], [1, 1], [1, 0], [1, 1]]))
+    # 2^53 + 1 is the first integer binary64 cannot hold: the step carries
+    # before its product.
+    @example((2**53, [[2**53, 1]], [[1], [1]]))
+    def test_a_step_product_is_exact(self, step):
+        # One step of ``_acceptance_dp``'s count: carry when the product
+        # could pass the cap, then one float product with the support.
+        bound, limbs, adj = step
+        counts = np.array(limbs, dtype=float)
+        if bound * len(adj) > _LIMB_CAP:
+            counts, bound = _carry(counts, bound)
+        assert bound * len(adj) <= _LIMB_CAP
+        out = counts @ np.array(adj, dtype=float)
+        assert out.max() <= bound * len(adj)
+        before = _limb_values(limbs)
+        want = [sum(v for v, row in zip(before, adj) if row[t]) for t in range(len(adj[0]))]
+        assert _limb_values(out.tolist()) == want
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 2**32 - 1))
@@ -770,6 +833,55 @@ class TestPathCounts:
         for text in ("in(first) | !in(first)", "F in(first)"):
             report = acceptance_probability(complete, parse_formula(text, complete), execution)
             assert report.diagnostics["consistent_paths"] == 256 ** (horizon + 1)
+
+
+class TestDpPairs:
+    """``dp_pairs`` counts the open cells that hold mass, summed over the
+    steps (``occupied_cells_referee``)."""
+
+    def test_random_instances_match_the_referee(self):
+        rng = random.Random(33)
+        occupied = 0
+        for _ in range(300):
+            pomdp = random_pomdp(rng)
+            formula = random_cosafe_formula(rng, pomdp)
+            execution = random_execution(pomdp, rng)
+            report = acceptance_probability(pomdp, formula, execution)
+            if report.feasible:
+                expected = occupied_cells_referee(pomdp, formula, execution)
+                assert report.diagnostics["dp_pairs"] == expected
+                occupied += expected > 0
+        assert occupied >= 100
+
+    def test_cells_whose_mass_underflows_are_not_counted(self):
+        # ``go`` moves a to b, and b to c, with likelihood 1e-200, so after
+        # two steps the record allows c while its mass, 1e-400, is 0.0;
+        # ``jump`` then reaches the goal d from a.
+        tiny = 1e-200
+        pomdp = Pomdp(
+            ["a", "b", "c", "d"],
+            ["go", "jump"],
+            ["o"],
+            [1.0, 0.0, 0.0, 0.0],
+            {
+                ("a", "go", "a"): 1.0 - tiny, ("a", "go", "b"): tiny,
+                ("b", "go", "b"): 1.0 - tiny, ("b", "go", "c"): tiny,
+                ("c", "go", "c"): 1.0, ("d", "go", "d"): 1.0,
+                ("a", "jump", "a"): 0.5, ("a", "jump", "d"): 0.5,
+                **{(s, "jump", s): 1.0 for s in "bcd"},
+            },
+            {(s, act, "o"): 1.0 for s in "abcd" for act in ("go", "jump")},
+            named_sets={"goal": ["d"]},
+        )
+        execution = execution_from_actions(pomdp, ["go", "go", "jump"], ["o"] * 3)
+        assert execution.probs[2].tolist() == [1.0, 2 * tiny, 0.0, 0.0]
+        formula = parse_formula("F in(goal)", pomdp)
+        report = acceptance_probability(pomdp, formula, execution)
+        # Open cells with mass: a; a, b; a, b; a, b, never c.
+        assert report.diagnostics["dp_pairs"] == 7
+        assert occupied_cells_referee(pomdp, formula, execution) == 7
+        # The record allows c: abcc is one of the five consistent paths.
+        assert report.diagnostics["consistent_paths"] == 5
 
 
 class TestSharedAutomata:
@@ -978,13 +1090,32 @@ class TestStepLabels:
     def test_a_burst_of_signatures_stays_within_the_budget(self, sigs):
         labels = monitor_module._step_labels
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model_module, "STEP_TABLE_CELLS", 64)
+            patch.setattr(model_module, "STEP_TABLE_CELLS", 2048)
             labels.clear()
             for sig in sigs:
                 label = monitor_module._step_label(sig)
                 assert label == frozenset(j for j in range(80) if sig >> j & 1)
-                assert labels.cells <= 64
-                assert labels.cells == sum(len(kept) + 1 for kept in labels.values())
+                assert labels.cells <= 2048
+                assert labels.cells == sum(
+                    sys.getsizeof(kept) // 8 + 1 for kept in labels.values()
+                )
+        labels.clear()
+
+    def test_a_full_table_holds_about_its_budget_in_bytes(self):
+        # Every 13-of-18-bit signature: 8,568 labels, about three times as
+        # many as fit, each a frozenset of 728 bytes.  Charged one cell per
+        # element instead, the table would keep them all, about 7 MiB.
+        labels = monitor_module._step_labels
+        labels.clear()
+        tracemalloc.start()
+        try:
+            for members in itertools.combinations(range(18), 13):
+                monitor_module._step_label(sum(1 << j for j in members))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.cells <= model_module.STEP_TABLE_CELLS
+        assert held < 3 * 2**20
         labels.clear()
 
 
@@ -1218,7 +1349,7 @@ def _stay_or_mix() -> Pomdp:
 
 def _plan_codes() -> int:
     """The codes of the kept fold plans, counted afresh."""
-    return sum(codes.size for _, codes in _fold_plans.values())
+    return sum(plan[1].size for plan in _fold_plans.values())
 
 
 class TestFoldPlans:
